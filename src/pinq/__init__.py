@@ -74,6 +74,7 @@ from .pinning import (
 )
 from .spectral import (
     SpectralResult,
+    decide,
     min_eig,
     pinned_min_energy,
     promise_decide,

@@ -17,16 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConvergenceError,
-    ParseError,
-    PathConstructionError,
-    PinqError,
-    PreconditionError,
-    ResourceLimitError,
-    SurvivalUnderflowError,
-    UnsupportedTermError,
-)
+from .errors import ParseError, PinqError, PreconditionError
 from .ffgauss import CovMatrix, HamMatrix, interpolation_path
 from .gscon import (
     build_stoquastic_gscon,
@@ -55,7 +46,7 @@ from .pinning import (
     pin_penalty_lift,
     stoquastic_pin,
 )
-from .spectral import GAP_VIOLATION, NO, YES, min_eig, pinned_min_energy, promise_decide
+from .spectral import GAP_VIOLATION, NO, YES, decide, min_eig, pinned_min_energy
 from .zeno import ZenoProtocol, zeno_evolve, zeno_scaling_sweep
 
 EXIT_OK = 0
@@ -202,10 +193,7 @@ def _cmd_spectrum(args, t0) -> int:
     bounds = _parse_bounds(args.bounds)
     code = EXIT_OK
     if bounds is not None:
-        if pin.entries:
-            decision = promise_decide(h, pin, bounds, method=method, seed=args.seed)
-        else:
-            decision = YES if res.value <= bounds.a else NO if res.value >= bounds.b else GAP_VIOLATION
+        decision = decide(res.value, bounds)
         payload["decision"] = decision
         code = {YES: EXIT_OK, NO: EXIT_VERDICT, GAP_VIOLATION: EXIT_PRECONDITION}[decision]
     _emit(args, "spectrum", [args.file], payload, t0)
@@ -435,16 +423,6 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (
-        PreconditionError,
-        UnsupportedTermError,
-        ResourceLimitError,
-        ConvergenceError,
-        SurvivalUnderflowError,
-        PathConstructionError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except PinqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -263,41 +263,34 @@ def build_stoquastic_gscon(
         for i, j in pair_idx:
             expanded.append((t.string.x | mid_bits[i] | mid_bits[j], t.string.z, -0.25 * t.coeff))
 
-    terms = []
-    groups = []
-
-    def add_group(group_terms):
-        i0 = len(terms)
-        terms.extend(group_terms)
-        groups.append(tuple(range(i0, i0 + len(group_terms))))
-
+    blocks = []
     p_pieces = []
     for x, z, coeff in expanded:
         if coeff == 0.0:
             continue
         if x == 0:
             # diagonal piece of O', tensored with identity on the third register
-            add_group([PauliTerm(coeff, PauliString(n_out, x, z))])
+            blocks.append([PauliTerm(coeff, PauliString(n_out, x, z))])
             continue
         for dest, piece in _split_strings(n_out, x, z, coeff):
             if dest == "O":
-                add_group(piece)
+                blocks.append(piece)
             else:
                 p_pieces.append(piece)
 
     # - P' (x) Q with Q = (X1 + X2 + X3)/3 on the third register
     for piece in p_pieces:
         for tb in third_bits:
-            add_group(
+            blocks.append(
                 [PauliTerm(-t.coeff / 3.0, PauliString(n_out, t.string.x | tb, t.string.z)) for t in piece]
             )
 
     # + I (x) R3 on the third register
-    add_group([PauliTerm(0.75, PauliString(n_out, 0, 0))])
+    blocks.append([PauliTerm(0.75, PauliString(n_out, 0, 0))])
     for i, j in pair_idx:
-        add_group([PauliTerm(-0.25, PauliString(n_out, third_bits[i] | third_bits[j], 0))])
+        blocks.append([PauliTerm(-0.25, PauliString(n_out, third_bits[i] | third_bits[j], 0))])
 
-    hpp = HamiltonianSum(n_out, terms, tuple(groups))
+    hpp = HamiltonianSum.from_groups(n_out, blocks)
 
     # structural guard: every P' piece must be strictly off-diagonal
     for piece in p_pieces:

@@ -44,16 +44,29 @@ def _popcount(v: int) -> int:
     return bin(v).count("1")
 
 
-def _parity_u64(arr: np.ndarray) -> np.ndarray:
-    """Bit parity of each element of an unsigned integer array."""
-    x = arr.copy()
-    x ^= x >> 32
-    x ^= x >> 16
-    x ^= x >> 8
-    x ^= x >> 4
-    x ^= x >> 2
-    x ^= x >> 1
-    return x & 1
+def _string_diagonal(idx: np.ndarray, sign: int, ny: int, coeff=1.0) -> np.ndarray:
+    """coeff * i**ny * (-1)**popcount(idx & sign): one string's diagonal factor."""
+    par = np.bitwise_count(idx & np.uint64(sign)) & np.uint8(1)
+    diag = coeff * (1.0 - 2.0 * par)
+    return diag * (1j ** ny) if ny % 4 else diag
+
+
+def apply_flip_diagonals(pairs, vec: np.ndarray, dtype=float) -> np.ndarray:
+    """Apply H = sum_f P_f diag(D_f) to a vector, where (P_f v)[i] = v[i ^ f].
+
+    ``pairs`` is an iterable of (f, D_f), as yielded by
+    ``HamiltonianSum.flip_diagonals``; ``dtype`` is the operator's own dtype.
+    Seen as a (2,)*n array with qubit q on axis q, P_f reverses the axes of
+    the bits set in f, so each term is a strided view, not a gather.
+    """
+    n = vec.shape[0].bit_length() - 1
+    shape = (2,) * n
+    out = np.zeros(vec.shape, dtype=np.result_type(dtype, vec.dtype))
+    acc = out.reshape(shape)
+    for flip, diag in pairs:
+        axes = tuple(q for q in range(n) if (flip >> (n - 1 - q)) & 1)
+        acc += np.flip((diag * vec).reshape(shape), axis=axes)
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,14 +150,7 @@ class PauliString:
 
     def _index_masks(self) -> tuple[int, int]:
         """(flip, sign) masks in state-index bit positions (qubit 0 = MSB)."""
-        flip = sign = 0
-        for q in range(self.n):
-            bit = 1 << (self.n - 1 - q)
-            if (self.x >> q) & 1:
-                flip |= bit
-            if (self.z >> q) & 1:
-                sign |= bit
-        return flip, sign
+        return tuple(int(f"{m:0{self.n}b}"[::-1], 2) for m in (self.x, self.z))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-free action of the string on a state vector."""
@@ -152,15 +158,8 @@ class PauliString:
         if vec.shape[0] != dim:
             raise ValueError("state dimension mismatch")
         flip, sign = self._index_masks()
-        idx = np.arange(dim, dtype=np.uint64)
-        src = idx ^ np.uint64(flip)
-        par = _parity_u64(src & np.uint64(sign))
-        phase = 1.0 - 2.0 * par.astype(float)
-        out = phase * vec[src]
-        ny = _popcount(self.x & self.z)
-        if ny % 4:
-            out = out * (1j ** ny)
-        return out
+        diag = _string_diagonal(np.arange(dim, dtype=np.uint64), sign, _popcount(self.x & self.z))
+        return apply_flip_diagonals([(flip, diag)], vec, diag.dtype)
 
     def identity_like(self) -> bool:
         return self.x == 0 and self.z == 0
@@ -220,6 +219,15 @@ class HamiltonianSum:
     @classmethod
     def from_terms(cls, n, pairs, groups=None) -> "HamiltonianSum":
         return cls(n, pairs, groups)
+
+    @classmethod
+    def from_groups(cls, n, blocks) -> "HamiltonianSum":
+        """Sum whose groups are the given lists of terms, kept in order."""
+        terms, groups = [], []
+        for block in blocks:
+            groups.append(tuple(range(len(terms), len(terms) + len(block))))
+            terms.extend(block)
+        return cls(n, terms, tuple(groups))
 
     @property
     def n(self) -> int:
@@ -281,8 +289,39 @@ class HamiltonianSum:
     def has_y(self) -> bool:
         return any(t.string.has_y for t in self._terms)
 
+    @property
+    def dtype(self) -> type:
+        return complex if self.has_y else float
+
+    def flip_count(self) -> int:
+        """Number of distinct X flip masks, i.e. of diagonals in ``flip_diagonals``."""
+        return len({t.string.x for t in self._terms})
+
+    def flip_diagonals(self):
+        """Yield (f, D_f) in increasing f, with H = sum_f P_f diag(D_f).
+
+        ``f`` is an X flip mask in state-index bit positions and
+        (P_f v)[i] = v[i ^ f].  Each D_f sums its strings' diagonal factors in
+        term order; one 2^n vector is built at a time.
+        """
+        by_flip = {}
+        for t in self._terms:
+            flip, sign = t.string._index_masks()
+            by_flip.setdefault(flip, []).append((sign, _popcount(t.string.x & t.string.z), t.coeff))
+        dim, dtype = 1 << self._n, self.dtype
+        idx = np.arange(dim, dtype=np.uint64)
+        for flip in sorted(by_flip):
+            diag = np.zeros(dim, dtype=dtype)
+            for sign, ny, coeff in by_flip[flip]:
+                diag += _string_diagonal(idx, sign, ny, coeff)
+            yield flip, diag
+
     def to_matrix(self, dense=False):
-        """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray)."""
+        """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray).
+
+        Row r of the CSR matrix holds one entry per flip mask f, at column
+        r ^ f, so it stores (#flip masks) * 2^n entries.
+        """
         ceiling = DENSE_QUBIT_CEILING if dense else SPARSE_QUBIT_CEILING
         if self._n > ceiling:
             raise ResourceLimitError(
@@ -290,38 +329,26 @@ class HamiltonianSum:
                 f"ceiling of {ceiling}"
             )
         dim = 1 << self._n
-        dtype = complex if self.has_y else float
-        idx = np.arange(dim, dtype=np.uint64)
-        cols = idx.astype(np.int64)
-        row_parts = []
-        data_parts = []
-        for t in self._terms:
-            flip, sign = t.string._index_masks()
-            par = _parity_u64(idx & np.uint64(sign))
-            data = t.coeff * (1.0 - 2.0 * par.astype(float))
-            ny = _popcount(t.string.x & t.string.z)
-            if ny % 4:
-                data = data * (1j ** ny)
-            row_parts.append((idx ^ np.uint64(flip)).astype(np.int64))
-            data_parts.append(data)
-        if not row_parts:
-            mat = sp.csr_matrix((dim, dim), dtype=dtype)
-        else:
-            mat = sp.coo_matrix(
-                (
-                    np.concatenate(data_parts).astype(dtype),
-                    (np.concatenate(row_parts), np.tile(cols, len(row_parts))),
-                ),
-                shape=(dim, dim),
-            ).tocsr()
+        pairs = list(self.flip_diagonals())
+        flips = np.array([f for f, _ in pairs], dtype=np.uint64)
+        cols = np.arange(dim, dtype=np.uint64)[:, None] ^ flips
+        data = np.array([d for _, d in pairs], dtype=self.dtype).reshape(-1, dim)
+        mat = sp.csr_matrix(
+            (
+                data[np.arange(len(pairs)), cols].ravel(),
+                cols.astype(np.int64).ravel(),
+                np.arange(dim + 1) * len(pairs),
+            ),
+            shape=(dim, dim),
+        )
+        mat.sort_indices()
         return mat.toarray() if dense else mat
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free matvec, summed over terms in a deterministic order."""
-        out = np.zeros_like(vec, dtype=complex if (self.has_y or np.iscomplexobj(vec)) else float)
-        for t in self._terms:
-            out = out + t.coeff * t.string.apply(vec)
-        return out
+        """Matrix-free matvec over the flip diagonals, built one at a time."""
+        if vec.shape[0] != 1 << self._n:
+            raise ValueError("state dimension mismatch")
+        return apply_flip_diagonals(self.flip_diagonals(), vec, self.dtype)
 
     def expectation(self, vec: np.ndarray) -> float:
         val = np.vdot(vec, self.apply(vec))

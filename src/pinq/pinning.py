@@ -30,6 +30,7 @@ from .pauli import (
     HamiltonianSum,
     PauliString,
     PauliTerm,
+    _LETTER,
 )
 
 _NAMED_STATES = {"0", "1", "+", "-"}
@@ -237,7 +238,7 @@ def rotate_pin_to_zero(h: HamiltonianSum, pin: PinSpec):
         for q, state in states.items():
             xb = (t.string.x >> q) & 1
             zb = (t.string.z >> q) & 1
-            letter = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(xb, zb)]
+            letter = _LETTER[(xb, zb)]
             if letter == "I":
                 continue
             new_exp = []
@@ -401,16 +402,15 @@ def commuting_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Red
             )
     n_out = h.n + 1
     anc = h.n
-    terms = []
-    groups = []
+    blocks = []
     for t in h.terms:
         x, z = t.string.x, t.string.z
         sign = 1.0 if t.string.is_diagonal else -1.0  # |+><+| = (I+X)/2, |-><-| = (I-X)/2
-        i0 = len(terms)
-        terms.append(PauliTerm(t.coeff / 2.0, PauliString(n_out, x, z)))
-        terms.append(PauliTerm(sign * t.coeff / 2.0, PauliString(n_out, x | (1 << anc), z)))
-        groups.append((i0, i0 + 1))
-    out = HamiltonianSum(n_out, terms, tuple(groups))
+        blocks.append([
+            PauliTerm(t.coeff / 2.0, PauliString(n_out, x, z)),
+            PauliTerm(sign * t.coeff / 2.0, PauliString(n_out, x | (1 << anc), z)),
+        ])
+    out = HamiltonianSum.from_groups(n_out, blocks)
     pin = PinSpec(((anc, PIN_ZERO),))
     new_bounds = bounds.scaled(0.5) if bounds is not None else None
     report = ReductionReport(
@@ -419,7 +419,7 @@ def commuting_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Red
         output_qubits=n_out,
         input_locality=h.locality,
         output_locality=out.locality,
-        term_count=len(groups),
+        term_count=len(blocks),
         pin=pin.labels(),
         input_bounds=(bounds.a, bounds.b) if bounds else None,
         output_bounds=(new_bounds.a, new_bounds.b) if new_bounds else None,
@@ -443,14 +443,7 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
     """
     n_out = h.n + 1
     anc_bit = 1 << h.n
-    terms = []
-    groups = []
-
-    def add_group(new_terms):
-        i0 = len(terms)
-        terms.extend(new_terms)
-        groups.append(tuple(range(i0, i0 + len(new_terms))))
-
+    blocks = []
     for t in h.terms:
         x, z = t.string.x, t.string.z
         c = t.coeff
@@ -458,18 +451,18 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
             raise UnsupportedTermError(f"term {t.string.label()} carries a Y factor")
         if x == 0:
             # diagonal: already stoquastic, tensor with identity
-            add_group([PauliTerm(c, PauliString(n_out, x, z))])
+            blocks.append([PauliTerm(c, PauliString(n_out, x, z))])
         elif z == 0:
             if c > 0:
-                add_group([PauliTerm(-c, PauliString(n_out, x | anc_bit, 0))])
+                blocks.append([PauliTerm(-c, PauliString(n_out, x | anc_bit, 0))])
             else:
-                add_group([PauliTerm(c, PauliString(n_out, x, 0))])
+                blocks.append([PauliTerm(c, PauliString(n_out, x, 0))])
         elif bin(z).count("1") == 1:
             # c * X^x Z_b: split on |0><0|_b and |1><1|_b; the half with
             # positive entries gets the ancilla X, the other the identity.
             if c > 0:
                 # -c X^x (|0><0| X_q + |1><1| I_q)
-                add_group(
+                blocks.append(
                     [
                         PauliTerm(-c / 2.0, PauliString(n_out, x | anc_bit, 0)),
                         PauliTerm(-c / 2.0, PauliString(n_out, x | anc_bit, z)),
@@ -479,7 +472,7 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
                 )
             elif c < 0:
                 # -|c| X^x (|0><0| I_q + |1><1| X_q)
-                add_group(
+                blocks.append(
                     [
                         PauliTerm(c / 2.0, PauliString(n_out, x, 0)),
                         PauliTerm(c / 2.0, PauliString(n_out, x, z)),
@@ -488,12 +481,12 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
                     ]
                 )
             else:
-                add_group([PauliTerm(0.0, PauliString(n_out, x, z))])
+                blocks.append([PauliTerm(0.0, PauliString(n_out, x, z))])
         else:
             raise UnsupportedTermError(
                 f"term {t.string.label()} has more than one Z factor on an off-diagonal string"
             )
-    out = HamiltonianSum(n_out, terms, tuple(groups))
+    out = HamiltonianSum.from_groups(n_out, blocks)
     pin = PinSpec(((h.n, PIN_MINUS),))
     report = ReductionReport(
         reduction="stoquastic_pin",
@@ -501,7 +494,7 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
         output_qubits=n_out,
         input_locality=h.locality,
         output_locality=out.locality,
-        term_count=len(groups),
+        term_count=len(blocks),
         pin=pin.labels(),
         input_bounds=(bounds.a, bounds.b) if bounds else None,
         output_bounds=(bounds.a, bounds.b) if bounds else None,
@@ -579,14 +572,7 @@ def permutation_pin(
     def q_anc(j):
         return n_sys + 1 + j
 
-    terms = []
-    groups = []
-
-    def add_block(block_terms):
-        i0 = len(terms)
-        terms.extend(block_terms)
-        groups.append(tuple(range(i0, i0 + len(block_terms))))
-
+    blocks = []
     for t in nonzero:
         mag = abs(t.coeff) / scale
         negative = t.coeff < 0
@@ -600,7 +586,7 @@ def permutation_pin(
                 # expanded as (I + Z-string)/2 + (I - Z-string)/2 * X_z
                 zmask = t.string.z
                 xz = 1 << z_anc
-                add_block(
+                blocks.append(
                     [
                         PauliTerm(0.5, PauliString(n_out, anc_x, 0)),
                         PauliTerm(0.5, PauliString(n_out, anc_x, zmask)),
@@ -609,14 +595,14 @@ def permutation_pin(
                     ]
                 )
             else:
-                add_block([PauliTerm(1.0, PauliString(n_out, t.string.x | anc_x, 0))])
+                blocks.append([PauliTerm(1.0, PauliString(n_out, t.string.x | anc_x, 0))])
 
     pins = [(z_anc, PIN_MINUS), (q0_anc, PIN_MINUS)]
     for j in range(1, q_bits + 1):
         pins.append((q_anc(j), PinState("angle", 0.5 * math.asin(2.0 ** (-j)))))
     pin = PinSpec(tuple(pins))
 
-    out = HamiltonianSum(n_out, terms, tuple(groups))
+    out = HamiltonianSum.from_groups(n_out, blocks)
     new_bounds = bounds.scaled(1.0 / scale) if bounds is not None else None
     report = ReductionReport(
         reduction="permutation_pin",
@@ -624,7 +610,7 @@ def permutation_pin(
         output_qubits=n_out,
         input_locality=h.locality,
         output_locality=out.locality,
-        term_count=len(groups),
+        term_count=len(blocks),
         pin=pin.labels(),
         input_bounds=(bounds.a, bounds.b) if bounds else None,
         output_bounds=(new_bounds.a, new_bounds.b) if new_bounds else None,

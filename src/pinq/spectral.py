@@ -1,9 +1,11 @@
 """Ground-energy computation on full and pinned spaces.
 
-The dense path (LAPACK ``eigh``) is the authoritative oracle at small sizes;
-the iterative path is a Lanczos iteration with full reorthogonalization,
-matrix-free Pauli application, and a seeded start vector, so results are
-deterministic for a fixed seed.
+The dense route (LAPACK ``eigh``, lowest eigenpair only) is the authoritative
+oracle at small sizes.  The iterative route runs ARPACK's implicitly restarted
+Lanczos (``eigsh``) on a matrix-free operator with a seeded start vector, so
+results are deterministic for a fixed seed.  For a Pauli sum the operator is
+the flip-diagonal form H = sum_f P_f diag(D_f), built once per solve and
+dropped when the solve returns.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
 
 from .errors import ConvergenceError, PreconditionError, ResourceLimitError
-from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum
+from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, apply_flip_diagonals
 from .pinning import PinSpec, PromiseBounds, effective_sum
 
 ITERATIVE_QUBIT_CEILING = 20
+# bytes the flip diagonals of one iterative solve may take (64 x 2^20 doubles)
+ITERATIVE_BYTE_CEILING = 512 * 2**20
+RESIDUAL_TOL = 1e-8
 
 YES = "YES"
 NO = "NO"
@@ -34,90 +40,98 @@ class SpectralResult:
     iterations: int = 0
 
 
-def _as_matvec(obj):
-    """Return (matvec, dim, hermitian_checked) for a sum or matrix input."""
+def _check_hermitian(obj) -> int:
+    """Dimension of a sum or matrix input; matrices must be square and Hermitian."""
     if isinstance(obj, HamiltonianSum):
-        dim = 1 << obj.n
-        return obj.apply, dim
+        return 1 << obj.n
     if sp.issparse(obj):
         if (abs(obj - obj.getH()) > 1e-10).nnz:
             raise PreconditionError("matrix input is not Hermitian")
-        return (lambda v: obj @ v), obj.shape[0]
+        return obj.shape[0]
     mat = np.asarray(obj)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise PreconditionError("matrix input must be square")
     if not np.allclose(mat, mat.conj().T, atol=1e-10):
         raise PreconditionError("matrix input is not Hermitian")
-    return (lambda v: mat @ v), mat.shape[0]
+    return mat.shape[0]
+
+
+def _operator(obj):
+    """(matvec, dtype) for the iterative route.
+
+    A sum's flip diagonals are checked against ``ITERATIVE_BYTE_CEILING``
+    before they are built.
+    """
+    if isinstance(obj, HamiltonianSum):
+        if obj.n > ITERATIVE_QUBIT_CEILING:
+            raise ResourceLimitError(
+                f"{obj.n} qubits exceeds the iterative ceiling of {ITERATIVE_QUBIT_CEILING}"
+            )
+        flips = obj.flip_count()
+        need = flips * (1 << obj.n) * np.dtype(obj.dtype).itemsize
+        if need > ITERATIVE_BYTE_CEILING:
+            raise ResourceLimitError(
+                f"{flips} flip diagonals on {obj.n} qubits need {need} bytes, "
+                f"above the iterative ceiling of {ITERATIVE_BYTE_CEILING}"
+            )
+        pairs, dtype = list(obj.flip_diagonals()), obj.dtype
+        return (lambda v: apply_flip_diagonals(pairs, v, dtype)), dtype
+    mat = obj if sp.issparse(obj) else np.asarray(obj)
+    return (lambda v: mat @ v), np.result_type(mat.dtype, float)
 
 
 def _dense_matrix(obj) -> np.ndarray:
     if isinstance(obj, HamiltonianSum):
-        if obj.n > DENSE_QUBIT_CEILING:
-            raise ResourceLimitError(
-                f"{obj.n} qubits exceeds the dense ceiling of {DENSE_QUBIT_CEILING}"
-            )
-        return obj.to_matrix(dense=True)
-    if sp.issparse(obj):
-        return obj.toarray()
-    return np.asarray(obj)
+        return obj.to_matrix(dense=True)  # raises above the dense ceiling
+    return obj.toarray() if sp.issparse(obj) else np.asarray(obj)
 
 
-def _lanczos_min(matvec, dim, seed=0, tol=1e-10, residual_tol=1e-8,
-                 block_size=64, max_cycles=80):
-    """Smallest eigenpair by restarted Lanczos with full reorthogonalization."""
+def _lowest_pair(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(value, vector, residual) of the lowest eigenpair of a dense matrix."""
+    if mat.shape[0] == 1:
+        return float(np.real(mat[0, 0])), np.ones(1), 0.0
+    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
+    val = float(evals[0])
+    vec = evecs[:, 0]
+    return val, vec, float(np.linalg.norm(mat @ vec - val * vec))
+
+
+def _arpack_min(matvec, dim, dtype, seed) -> SpectralResult:
+    """Smallest eigenpair by ARPACK, counting every operator application."""
+    count = [0]
+
+    def counted(v):
+        count[0] += 1
+        return matvec(v.reshape(-1))
+
+    if dim <= 2:
+        # ARPACK needs k < dim - 1 for complex operators: apply H to the basis
+        mat = np.column_stack([counted(e) for e in np.eye(dim)])
+        val, vec, resid = _lowest_pair(mat)
+        return SpectralResult(val, vec, "iterative", resid, count[0])
+    # the generator also draws ARPACK's restart vectors, which it would
+    # otherwise seed from OS entropy when a Krylov space closes early
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    # real Krylov basis suffices when the operator maps real to real
-    probe = matvec(v)
-    basis_dtype = complex if np.iscomplexobj(probe) else float
-    iterations = 1
-    theta_prev = np.inf
-    for _ in range(max_cycles):
-        m = min(dim, block_size)
-        V = np.zeros((dim, m), dtype=basis_dtype)
-        alphas = []
-        betas = []
-        V[:, 0] = v
-        w = None
-        used = 0
-        for k in range(m):
-            used = k + 1
-            w = matvec(V[:, k])
-            iterations += 1
-            alpha = float(np.real(np.vdot(V[:, k], w)))
-            alphas.append(alpha)
-            w = w - alpha * V[:, k]
-            if k > 0:
-                w = w - betas[-1] * V[:, k - 1]
-            # full reorthogonalization, twice for stability
-            for _ in range(2):
-                w = w - V[:, : k + 1] @ (V[:, : k + 1].conj().T @ w)
-            beta = float(np.linalg.norm(w))
-            if k + 1 < m:
-                if beta < 1e-14:
-                    break
-                betas.append(beta)
-                V[:, k + 1] = w / beta
-        T = np.diag(alphas)
-        for i, b in enumerate(betas[: used - 1]):
-            T[i, i + 1] = b
-            T[i + 1, i] = b
-        evals, evecs = np.linalg.eigh(T[:used, :used])
-        theta = float(evals[0])
-        ritz = V[:, :used] @ evecs[:, 0]
-        ritz /= np.linalg.norm(ritz)
-        resid = float(np.linalg.norm(matvec(ritz) - theta * ritz))
-        if abs(theta - theta_prev) < tol and resid <= residual_tol:
-            return theta, ritz, resid, iterations
-        theta_prev = theta
-        v = ritz
-    if resid <= residual_tol:
-        return theta, ritz, resid, iterations
-    raise ConvergenceError(
-        f"Lanczos did not converge: residual {resid:.2e} after {iterations} matvecs"
-    )
+    v0 = rng.standard_normal(dim)
+    op = LinearOperator((dim, dim), matvec=counted, dtype=dtype)
+    try:
+        if np.issubdtype(dtype, np.complexfloating):
+            # eigsh hands complex operators to eigs but drops ``rng``
+            evals, evecs = eigs(op, k=1, which="SR", v0=v0, rng=rng)
+        else:
+            evals, evecs = eigsh(op, k=1, which="SA", v0=v0, rng=rng)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"ARPACK did not converge after {count[0]} matvecs: {exc}"
+        ) from None
+    val = float(np.real(evals[0]))
+    vec = evecs[:, 0]
+    resid = float(np.linalg.norm(counted(vec) - val * vec))
+    if resid > RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"ARPACK residual {resid:.2e} above {RESIDUAL_TOL:.0e} after {count[0]} matvecs"
+        )
+    return SpectralResult(val, vec, "iterative", resid, count[0])
 
 
 def min_eig(obj, method="auto", seed=0, with_vector=True) -> SpectralResult:
@@ -126,32 +140,20 @@ def min_eig(obj, method="auto", seed=0, with_vector=True) -> SpectralResult:
     ``method`` is one of ``auto`` (dense when it fits, else iterative),
     ``dense``, or ``iterative``.
     """
-    matvec, dim = _as_matvec(obj)
+    dim = _check_hermitian(obj)
     if method == "auto":
-        small = dim <= (1 << DENSE_QUBIT_CEILING)
-        method = "dense" if small else "iterative"
+        method = "dense" if dim <= (1 << DENSE_QUBIT_CEILING) else "iterative"
     if method == "dense":
-        mat = _dense_matrix(obj)
-        if mat.size == 1:
-            val = float(np.real(mat[0, 0]))
-            vec = np.ones(1)
-            return SpectralResult(val, vec if with_vector else None, "dense", 0.0)
-        evals, evecs = scipy.linalg.eigh(mat)
-        val = float(evals[0])
-        vec = evecs[:, 0]
-        resid = float(np.linalg.norm(mat @ vec - val * vec))
-        return SpectralResult(val, vec if with_vector else None, "dense", resid)
-    if method == "iterative":
-        if isinstance(obj, HamiltonianSum) and obj.n > ITERATIVE_QUBIT_CEILING:
-            raise ResourceLimitError(
-                f"{obj.n} qubits exceeds the iterative ceiling of {ITERATIVE_QUBIT_CEILING}"
-            )
-        if dim == 1:
-            val = float(np.real(matvec(np.ones(1))[0]))
-            return SpectralResult(val, np.ones(1) if with_vector else None, "iterative", 0.0)
-        theta, vec, resid, iters = _lanczos_min(matvec, dim, seed=seed)
-        return SpectralResult(theta, vec if with_vector else None, "iterative", resid, iters)
-    raise ValueError(f"unknown method {method!r}")
+        val, vec, resid = _lowest_pair(_dense_matrix(obj))
+        res = SpectralResult(val, vec, "dense", resid)
+    elif method == "iterative":
+        matvec, dtype = _operator(obj)
+        res = _arpack_min(matvec, dim, dtype, seed)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if not with_vector:
+        res.vector = None
+    return res
 
 
 def pinned_min_energy(h: HamiltonianSum, pin: PinSpec, method="auto", seed=0) -> SpectralResult:
@@ -160,12 +162,16 @@ def pinned_min_energy(h: HamiltonianSum, pin: PinSpec, method="auto", seed=0) ->
     return min_eig(eff, method=method, seed=seed)
 
 
-def promise_decide(h: HamiltonianSum, pin: PinSpec, bounds: PromiseBounds,
-                   method="auto", seed=0) -> str:
-    """YES if the pinned minimum is <= a, NO if >= b, GAP_VIOLATION between."""
-    value = pinned_min_energy(h, pin, method=method, seed=seed).value
+def decide(value: float, bounds: PromiseBounds) -> str:
+    """YES if ``value`` is <= a, NO if >= b, GAP_VIOLATION between."""
     if value <= bounds.a:
         return YES
     if value >= bounds.b:
         return NO
     return GAP_VIOLATION
+
+
+def promise_decide(h: HamiltonianSum, pin: PinSpec, bounds: PromiseBounds,
+                   method="auto", seed=0) -> str:
+    """Promise decision on the pinned minimum energy."""
+    return decide(pinned_min_energy(h, pin, method=method, seed=seed).value, bounds)

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test and acceptance suites.
 
 These deliberately avoid the package's own matrix-assembly and covariance
-paths: matrix entries come from per-qubit Pauli action, and fermionic
+paths: Pauli-sum matrices come from per-qubit Pauli action, term by term
+(no flip-mask grouping), and fermionic
 expectations from dense Jordan-Wigner operators in Fock space.
 """
 
@@ -36,6 +37,20 @@ def pauli_entry(n, terms, row, col):
                 break
         total += val
     return total
+
+
+_LETTER_MAT = {"I": np.eye(2, dtype=complex), "X": _X, "Y": _Y, "Z": _Z}
+
+
+def pauli_matrix(n, terms):
+    """Dense matrix of a list of (coeff, label) terms, one Kronecker chain per term.
+
+    The literal per-term sum that ``pauli_entry`` evaluates one entry at a time.
+    """
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for coeff, label in terms:
+        out += coeff * _kron_chain(_LETTER_MAT[letter] for letter in label)
+    return out
 
 
 def _kron_chain(ops):

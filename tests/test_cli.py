@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import pinq.spectral
 from pinq.cli import main
 from pinq.io import format_hamiltonian, load_hamiltonian, parse_hamiltonian
 
@@ -90,6 +92,35 @@ def test_spectrum_promise_decision_exit_codes(tmp_path, capsys):
     assert code == 1 and report["payload"]["decision"] == "NO"
     code, report = _run(capsys, "spectrum", f, "--bounds=-1.5,-0.5")
     assert code == 3 and report["payload"]["decision"] == "GAP_VIOLATION"
+
+
+@pytest.mark.parametrize("route", ["--dense", "--iterative"])
+def test_pinned_bounds_job_solves_once(tmp_path, capsys, monkeypatch, route):
+    f = _write(tmp_path, "h.txt", "qubits 3\n1 ZZI\n0.5 XIX\n-0.75 IZI\n")
+    calls = []
+    solve = pinq.spectral.min_eig
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pinq.spectral, "min_eig", counted)
+    code, report = _run(capsys, "spectrum", f, "--pin", "2=0", route, "--bounds=5,6")
+    assert code == 0 and report["payload"]["decision"] == "YES"
+    assert len(calls) == 1
+
+
+def test_spectrum_convergence_failure_exit_3(tmp_path, capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(pinq.spectral, "eigsh", stalled)
+    f = _write(tmp_path, "h.txt", "qubits 3\n1 ZZI\n0.5 XIX\n")
+    code = main(["spectrum", f, "--iterative"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ARPACK did not converge")
+    assert "Traceback" not in captured.err
 
 
 def test_unpin_penalty(tmp_path, capsys):

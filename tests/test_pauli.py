@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import pauli_entry, pauli_matrix
 
 from pinq.errors import ResourceLimitError
 from pinq.pauli import (
@@ -98,6 +99,58 @@ def test_string_apply_matches_matrix():
         mat = HamiltonianSum.from_terms(3, [(1.0, label)]).to_matrix(dense=True)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         np.testing.assert_allclose(s.apply(v), mat @ v, atol=1e-14)
+
+
+def _edge_case_terms(rng, n):
+    """Random terms with Y letters, a repeated string, a cancelling pair and a zero weight."""
+    labels = ["".join(rng.choice(list("IXYZ")) for _ in range(n)) for _ in range(2 * n + 1)]
+    terms = [(float(rng.uniform(-1, 1)), lab) for lab in labels]
+    terms.append((float(rng.uniform(-1, 1)), labels[0]))  # repeated string
+    c = float(rng.uniform(-1, 1))
+    terms += [(c, labels[1]), (-c, labels[1])]  # cancelling pair
+    terms.append((0.0, labels[2]))  # zero coefficient
+    return terms
+
+
+def test_kron_oracle_matches_entry_oracle():
+    rng = np.random.default_rng(21)
+    terms = _edge_case_terms(rng, 3)
+    mat = pauli_matrix(3, terms)
+    for row in range(8):
+        for col in range(8):
+            assert mat[row, col] == pytest.approx(pauli_entry(3, terms, row, col), abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flip_form_matches_per_term_oracle(n):
+    rng = np.random.default_rng(300 + n)
+    for terms in ([], _edge_case_terms(rng, n)):
+        h = HamiltonianSum.from_terms(n, terms)
+        ref = pauli_matrix(n, terms)
+        flips = {label.translate(str.maketrans("YZ", "XI")) for _, label in terms}
+        assert h.flip_count() == len(flips)
+        sparse = h.to_matrix()
+        assert sparse.nnz == len(flips) * (1 << n)
+        np.testing.assert_allclose(sparse.toarray(), ref, atol=1e-14)
+        np.testing.assert_allclose(h.to_matrix(dense=True), ref, atol=1e-14)
+        v_real = rng.standard_normal(1 << n)
+        v_cplx = v_real + 1j * rng.standard_normal(1 << n)
+        for v in (v_real, v_cplx):
+            np.testing.assert_allclose(h.apply(v), ref @ v, atol=1e-13)
+
+
+def test_flip_diagonals_come_in_increasing_mask_order():
+    h = HamiltonianSum.from_terms(3, [(1.0, "XII"), (0.5, "IIX"), (0.25, "ZZZ"), (2.0, "YII")])
+    flips = [f for f, _ in h.flip_diagonals()]
+    assert flips == [0, 1, 4]  # qubit 0 is the most significant index bit
+    assert h.flip_count() == 3
+
+
+def test_apply_keeps_no_cache():
+    h = HamiltonianSum.from_terms(2, [(1.0, "XZ"), (0.5, "YY")])
+    before = dict(vars(h))
+    h.apply(np.ones(4))
+    assert vars(h) == before
 
 
 # ---------------------------------------------------------------------------

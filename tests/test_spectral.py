@@ -1,13 +1,17 @@
-"""Ground-energy solvers: dense oracle, Lanczos agreement, promise decisions."""
+"""Ground-energy solvers: dense oracle, ARPACK agreement, resource and
+convergence errors, promise decisions."""
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from pinq.errors import PreconditionError
+import pinq.spectral
+from pinq.errors import ConvergenceError, PreconditionError, ResourceLimitError
 from pinq.pauli import HamiltonianSum
 from pinq.pinning import PinSpec, PromiseBounds
 from pinq.spectral import (
     GAP_VIOLATION,
+    ITERATIVE_BYTE_CEILING,
     NO,
     YES,
     min_eig,
@@ -37,6 +41,56 @@ def test_iterative_matches_dense_at_8_qubits():
     it = min_eig(h, method="iterative", seed=0)
     assert it.value == pytest.approx(dense.value, abs=1e-8)
     assert it.residual <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("letters", ["IXZ", "IXYZ"])
+def test_iterative_matches_dense_at_tiny_sizes(n, letters):
+    # ARPACK needs k < dim (real) and k < dim - 1 (complex)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        h = _random_sum(rng, n, m=4, letters=letters)
+        it = min_eig(h, method="iterative", seed=0)
+        assert it.method == "iterative"
+        assert it.value == pytest.approx(min_eig(h, method="dense").value, abs=1e-12)
+
+
+def test_iterative_matches_dense_on_complex_sum():
+    rng = np.random.default_rng(101)
+    h = _random_sum(rng, 6, m=12, letters="IXYZ")
+    assert h.has_y
+    it = min_eig(h, method="iterative", seed=0)
+    assert np.iscomplexobj(it.vector)
+    assert it.value == pytest.approx(min_eig(h, method="dense").value, abs=1e-10)
+    assert it.residual <= 1e-8
+    again = min_eig(h, method="iterative", seed=0)
+    assert again.value == it.value
+    np.testing.assert_array_equal(again.vector, it.vector)
+
+
+def test_iterative_byte_ceiling_checked_before_allocation(monkeypatch):
+    # 65 distinct flip masks x 2^20 doubles = 520 MiB, over the 512 MiB ceiling
+    n = 20
+    terms = [(1.0, format(x, f"0{n}b").replace("0", "I").replace("1", "X")) for x in range(65)]
+    h = HamiltonianSum.from_terms(n, terms)
+    assert h.flip_count() * (1 << n) * 8 > ITERATIVE_BYTE_CEILING
+
+    def no_build(self):
+        raise AssertionError("flip diagonals built before the ceiling check")
+
+    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", no_build)
+    with pytest.raises(ResourceLimitError):
+        min_eig(h, method="iterative")
+
+
+def test_arpack_no_convergence_maps_to_convergence_error(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(pinq.spectral, "eigsh", stalled)
+    h = HamiltonianSum.from_terms(3, [(1.0, "XII"), (0.5, "ZZI"), (0.2, "IIZ")])
+    with pytest.raises(ConvergenceError):
+        min_eig(h, method="iterative")
 
 
 def test_iterative_is_deterministic():
