@@ -417,10 +417,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         return args.func(args, t0)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except PinqError as exc:

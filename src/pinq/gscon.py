@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedTermError
+from .errors import ParseError, PreconditionError, UnsupportedTermError
+from .io import FORMAT_VERSIONS
 from .pauli import HamiltonianSum, PauliString, PauliTerm
 
 UNITARITY_TOL = 1e-10
@@ -376,7 +377,7 @@ def _circuit_from_json(data) -> tuple:
 
 def instance_to_json(inst: GsconInstance) -> dict:
     return {
-        "format": "1",
+        "format": FORMAT_VERSIONS["gscon_instance_json"],
         "qubits": inst.n,
         "hamiltonian": {
             "terms": [[t.coeff, t.string.label()] for t in inst.hamiltonian.terms],
@@ -422,13 +423,24 @@ def save_instance(inst: GsconInstance, path) -> None:
         json.dump(instance_to_json(inst), f, indent=1, sort_keys=True)
 
 
-def load_instance(path) -> GsconInstance:
+def _load_json(path, kind: str, from_json):
+    """Parse a JSON file of the given format kind; schema errors raise ParseError."""
     with open(path) as f:
-        return instance_from_json(json.load(f))
+        data = json.load(f)
+    try:
+        if data["format"] != FORMAT_VERSIONS[kind]:
+            raise ParseError(0, f"unsupported {kind} format {data['format']!r}")
+        return from_json(data)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ParseError(0, f"malformed {kind}: {type(exc).__name__}: {exc}") from None
+
+
+def load_instance(path) -> GsconInstance:
+    return _load_json(path, "gscon_instance_json", instance_from_json)
 
 
 def path_to_json(steps) -> dict:
-    return {"format": "1", "steps": _circuit_to_json(steps)}
+    return {"format": FORMAT_VERSIONS["gscon_path_json"], "steps": _circuit_to_json(steps)}
 
 
 def path_from_json(data) -> list:
@@ -441,5 +453,4 @@ def save_path(steps, path) -> None:
 
 
 def load_path(path) -> list:
-    with open(path) as f:
-        return path_from_json(json.load(f))
+    return _load_json(path, "gscon_path_json", path_from_json)

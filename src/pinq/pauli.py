@@ -29,13 +29,6 @@ DENSE_QUBIT_CEILING = 12
 SPARSE_QUBIT_CEILING = 16
 DEFAULT_TOL = 1e-12
 
-_MAT_1Q = {
-    (0, 0): np.eye(2),
-    (1, 0): np.array([[0.0, 1.0], [1.0, 0.0]]),
-    (0, 1): np.array([[1.0, 0.0], [0.0, -1.0]]),
-    (1, 1): np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-}
-
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _LETTER_INV = {v: k for k, v in _LETTER.items()}
 
@@ -134,19 +127,6 @@ class PauliString:
             - _popcount(x3 & z3)
         ) % 4
         return PauliString(self.n, x3, z3), k
-
-    def matrix_on(self, qubits: tuple) -> np.ndarray:
-        """Dense matrix of this string restricted to the given qubits.
-
-        Qubits outside ``qubits`` must act as identity.
-        """
-        rest = (self.x | self.z) & ~sum(1 << q for q in qubits) if qubits else (self.x | self.z)
-        if rest:
-            raise ValueError("string acts outside the requested qubit set")
-        out = np.eye(1)
-        for q in sorted(qubits):
-            out = np.kron(out, _MAT_1Q[(self.x >> q) & 1, (self.z >> q) & 1])
-        return out
 
     def _index_masks(self) -> tuple[int, int]:
         """(flip, sign) masks in state-index bit positions (qubit 0 = MSB)."""
@@ -256,22 +236,29 @@ class HamiltonianSum:
             m |= s.x | s.z
         return tuple(q for q in range(self._n) if (m >> q) & 1)
 
-    def group_matrix(self, g) -> np.ndarray:
-        """Dense matrix of one group on its union support (1x1 if empty)."""
+    def group_sum(self, g) -> "HamiltonianSum":
+        """One group as a sum on its own union support, qubits renumbered in order.
+
+        An identity-only (or empty) group becomes a sum on zero qubits.
+        """
         supp = self.group_support(g)
-        dim = 1 << len(supp)
-        has_y = any(self._terms[i].string.has_y for i in g)
-        out = np.zeros((dim, dim), dtype=complex if has_y else float)
-        for i in g:
-            t = self._terms[i]
-            out += t.coeff * t.string.matrix_on(supp)
-        return out
+
+        def squeeze(mask):
+            return sum(((mask >> q) & 1) << k for k, q in enumerate(supp))
+
+        return HamiltonianSum(
+            len(supp),
+            [
+                PauliTerm(t.coeff, PauliString(len(supp), squeeze(t.string.x), squeeze(t.string.z)))
+                for t in self.group_terms(g)
+            ],
+        )
 
     def group_norms(self) -> list:
         """Exact spectral norm of each group, by dense diagonalization on its support."""
         norms = []
         for g in self.group_indices():
-            m = self.group_matrix(g)
+            m = self.group_sum(g).to_matrix(dense=True)
             if m.shape[0] == 1:
                 norms.append(abs(m[0, 0]))
             else:
@@ -422,16 +409,28 @@ class PermutationReport:
     group: int | None = None
 
 
-def _offdiag_offender(mat: np.ndarray, tol: float):
-    """Largest off-diagonal entry violating 'real and <= tol', or None."""
-    m = np.array(mat, dtype=complex, copy=True)
-    np.fill_diagonal(m, 0.0)
-    bad = (m.real > tol) | (np.abs(m.imag) > tol)
+def _check_parts(h: HamiltonianSum, assembled: bool):
+    """(group index, CSR matrix) pairs: each group on its own support, built
+    one at a time, or the whole sum with group index None."""
+    if assembled:
+        return [(None, h.to_matrix())]
+    return ((gi, h.group_sum(g).to_matrix()) for gi, g in enumerate(h.group_indices()))
+
+
+def _offdiag_offender(mat, tol: float):
+    """Largest off-diagonal entry violating 'real and <= tol', or None.
+
+    Reads the stored entries of a CSR matrix with sorted indices, which come
+    in row-major order, so ties go to the first such entry in row-major order.
+    """
+    coo = mat.tocoo()
+    off = coo.row != coo.col
+    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off].astype(complex)
+    bad = (vals.real > tol) | (np.abs(vals.imag) > tol)
     if not bad.any():
         return None
-    viol = np.where(bad, m.real + np.abs(m.imag), -np.inf)
-    pos = np.unravel_index(np.argmax(viol), m.shape)
-    return m[pos], (int(pos[0]), int(pos[1]))
+    k = int(np.argmax(np.where(bad, vals.real + np.abs(vals.imag), -np.inf)))
+    return vals[k], (int(rows[k]), int(cols[k]))
 
 
 def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> StoquasticReport:
@@ -440,22 +439,14 @@ def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> Stoquast
     ``termwise`` checks every group's matrix on its own support; otherwise the
     fully assembled matrix is checked.  Always returns a report.
     """
-    if termwise:
-        worst = None
-        for gi, g in enumerate(h.group_indices()):
-            hit = _offdiag_offender(h.group_matrix(g), tol)
-            if hit is not None and (worst is None or hit[0].real > worst[0].real):
-                worst = (*hit, gi)
-        if worst is None:
-            return StoquasticReport(True)
-        return StoquasticReport(False, worst[0], worst[1], worst[2])
-    mat = h.to_matrix(dense=h.n <= DENSE_QUBIT_CEILING)
-    if sp.issparse(mat):
-        mat = mat.toarray()
-    hit = _offdiag_offender(mat, tol)
-    if hit is None:
+    worst = None
+    for gi, mat in _check_parts(h, assembled=not termwise):
+        hit = _offdiag_offender(mat, tol)
+        if hit is not None and (worst is None or hit[0].real > worst[0].real):
+            worst = (*hit, gi)
+    if worst is None:
         return StoquasticReport(True)
-    return StoquasticReport(False, hit[0], hit[1], None)
+    return StoquasticReport(False, *worst)
 
 
 def _groups_commute_exact(h: HamiltonianSum, g1, g2) -> bool:
@@ -506,34 +497,32 @@ def is_commuting(h: HamiltonianSum) -> CommutingReport:
     return CommutingReport(True)
 
 
-def _is_permutation_matrix(mat: np.ndarray, tol: float):
-    m = np.asarray(mat)
-    if np.iscomplexobj(m):
-        if np.max(np.abs(m.imag)) > tol:
+def _is_permutation_matrix(mat, tol: float):
+    """Why a CSR matrix is not a 0/1 permutation matrix, or None.
+
+    Entries that are not stored are exact zeros.
+    """
+    coo = mat.tocoo()
+    vals = coo.data
+    if np.iscomplexobj(vals):
+        if np.any(np.abs(vals.imag) > tol):
             return "complex entries"
-        m = m.real
-    near0 = np.abs(m) <= tol
-    near1 = np.abs(m - 1.0) <= tol
-    if not np.all(near0 | near1):
+        vals = vals.real
+    near1 = np.abs(vals - 1.0) <= tol
+    if not np.all((np.abs(vals) <= tol) | near1):
         return "entry outside {0,1}"
-    ones = near1.astype(int)
-    if not (np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)):
+    dim = mat.shape[0]
+    row_ones = np.bincount(coo.row[near1], minlength=dim)
+    col_ones = np.bincount(coo.col[near1], minlength=dim)
+    if not (np.all(col_ones == 1) and np.all(row_ones == 1)):
         return "row/column sums differ from 1"
     return None
 
 
 def is_permutation(h: HamiltonianSum, per_term=True, tol=DEFAULT_TOL) -> PermutationReport:
     """Check that each group's matrix (or the assembled matrix) is a 0/1 permutation."""
-    if per_term:
-        for gi, g in enumerate(h.group_indices()):
-            reason = _is_permutation_matrix(h.group_matrix(g), tol)
-            if reason is not None:
-                return PermutationReport(False, reason, gi)
-        return PermutationReport(True)
-    mat = h.to_matrix(dense=h.n <= DENSE_QUBIT_CEILING)
-    if sp.issparse(mat):
-        mat = mat.toarray()
-    reason = _is_permutation_matrix(np.asarray(mat), tol)
-    if reason is not None:
-        return PermutationReport(False, reason, None)
+    for gi, mat in _check_parts(h, assembled=not per_term):
+        reason = _is_permutation_matrix(mat, tol)
+        if reason is not None:
+            return PermutationReport(False, reason, gi)
     return PermutationReport(True)

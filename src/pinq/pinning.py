@@ -362,9 +362,7 @@ def pin_penalty_lift(
         raise PreconditionError(f"pin qubit {pin_qubit} outside register")
     if d is None:
         if exact_norm:
-            mat = gprime.to_matrix(dense=gprime.n <= DENSE_QUBIT_CEILING)
-            if not isinstance(mat, np.ndarray):
-                mat = mat.toarray()
+            mat = gprime.to_matrix(dense=True)
             d = float(np.max(np.abs(np.linalg.eigvalsh(mat)))) if mat.size > 1 else abs(float(mat[0, 0]))
         else:
             d = float(sum(gprime.group_norms()))

@@ -60,6 +60,71 @@ def _kron_chain(ops):
     return out
 
 
+def _check_parts(n, terms, groups, assembled):
+    """(group index, dense matrix) pairs that a structural check reads.
+
+    Each group is realized on its own union support, qubits kept in order;
+    ``assembled`` gives the whole sum once, with group index None.
+    """
+    if assembled:
+        return [(None, pauli_matrix(n, terms))]
+    parts = []
+    for gi, g in enumerate(groups):
+        supp = [q for q in range(n) if any(terms[i][1][q] != "I" for i in g)]
+        local = [(terms[i][0], "".join(terms[i][1][q] for q in supp)) for i in g]
+        parts.append((gi, pauli_matrix(len(supp), local)))
+    return parts
+
+
+def _dense_offdiag_offender(mat, tol):
+    m = np.array(mat, dtype=complex, copy=True)
+    np.fill_diagonal(m, 0.0)
+    bad = (m.real > tol) | (np.abs(m.imag) > tol)
+    if not bad.any():
+        return None
+    viol = np.where(bad, m.real + np.abs(m.imag), -np.inf)
+    pos = np.unravel_index(np.argmax(viol), m.shape)
+    return m[pos], (int(pos[0]), int(pos[1]))
+
+
+def stoquastic_report(n, terms, groups, assembled, tol=1e-12):
+    """(verdict, worst entry, its position, its group) by a full dense scan.
+
+    The worst offender is the largest real part plus |imaginary part| among
+    off-diagonal entries that are not real and <= tol, the first in row-major
+    order on ties; across groups the larger real part wins, the earlier group
+    on ties.
+    """
+    worst = None
+    for gi, mat in _check_parts(n, terms, groups, assembled):
+        hit = _dense_offdiag_offender(mat, tol)
+        if hit is not None and (worst is None or hit[0].real > worst[0].real):
+            worst = (*hit, gi)
+    return (True, None, None, None) if worst is None else (False, *worst)
+
+
+def _dense_permutation_defect(mat, tol):
+    m = np.asarray(mat)
+    if np.max(np.abs(m.imag)) > tol:
+        return "complex entries"
+    m = m.real
+    near1 = np.abs(m - 1.0) <= tol
+    if not np.all((np.abs(m) <= tol) | near1):
+        return "entry outside {0,1}"
+    if not (np.all(near1.sum(axis=0) == 1) and np.all(near1.sum(axis=1) == 1)):
+        return "row/column sums differ from 1"
+    return None
+
+
+def permutation_report(n, terms, groups, assembled, tol=1e-12):
+    """(verdict, reason, group) from the first part that is not a 0/1 permutation."""
+    for gi, mat in _check_parts(n, terms, groups, assembled):
+        reason = _dense_permutation_defect(mat, tol)
+        if reason is not None:
+            return False, reason, gi
+    return True, None, None
+
+
 def majoranas(n):
     """Jordan-Wigner Majoranas: m_{2j} = Z..ZX, m_{2j+1} = Z..ZY on mode j."""
     ms = []

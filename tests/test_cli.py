@@ -9,6 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import pinq.spectral
 from pinq.cli import main
 from pinq.io import format_hamiltonian, load_hamiltonian, parse_hamiltonian
+from pinq.pauli import HamiltonianSum
 
 
 def _run(capsys, *argv):
@@ -169,6 +170,54 @@ def test_gscon_build_and_verify(tmp_path, capsys):
     code, report = _run(capsys, "gscon-verify", "--instance", inst, "--path", path)
     assert code == 0
     assert report["payload"]["outcome"] == "YES-witnessed"
+
+
+def _gscon_files(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 2\n-1 ZZ\n")
+    inst, path = str(tmp_path / "inst.json"), str(tmp_path / "path.json")
+    code, _ = _run(capsys, "gscon-build", f, "--alpha", "1e-9", "--beta", "0.5",
+                   "--out", inst, "--path-out", path)
+    assert code == 0
+    return inst, path
+
+
+def _rewrite_json(path, edit):
+    with open(path) as f:
+        data = json.load(f)
+    edit(data)
+    with open(path, "w") as f:
+        json.dump(data, f)
+
+
+@pytest.mark.parametrize("which, edit", [
+    pytest.param("instance", lambda d: d.pop("qubits"), id="instance-without-qubits"),
+    pytest.param("instance", lambda d: d.update(format="2"), id="instance-unknown-format"),
+    pytest.param("path", lambda d: d["steps"][0].pop("matrix"), id="step-without-matrix"),
+    pytest.param("path", lambda d: d.update(format="2"), id="path-unknown-format"),
+])
+def test_gscon_verify_malformed_json_exit_2(tmp_path, capsys, which, edit):
+    inst, path = _gscon_files(tmp_path, capsys)
+    _rewrite_json(inst if which == "instance" else path, edit)
+    code = main(["gscon-verify", "--instance", inst, "--path", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_exact_norm_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch):
+    # 13 qubits: a dense matrix would take 512 MiB
+    f = _write(tmp_path, "h.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n")
+
+    def no_build(self):
+        raise AssertionError("flip diagonals built before the ceiling check")
+
+    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", no_build)
+    code = main(["unpin-penalty", f, "--pin-qubit", "1", "--bounds", "0,1", "--exact-norm",
+                 "--out", str(tmp_path / "lift.txt")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "dense ceiling" in captured.err
 
 
 def test_ff_path_subcommand(tmp_path, capsys):

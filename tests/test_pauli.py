@@ -1,8 +1,11 @@
 """Core Pauli-sum representation: matrices, commutation, structure checks."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from oracles import pauli_entry, pauli_matrix
+import scipy.sparse as sp
+from oracles import pauli_entry, pauli_matrix, permutation_report, stoquastic_report
 
 from pinq.errors import ResourceLimitError
 from pinq.pauli import (
@@ -278,6 +281,122 @@ def test_controlled_flip_gadget_is_permutation():
     # the individual strings are not permutations
     flat = HamiltonianSum.from_terms(2, terms)
     assert not is_permutation(flat, per_term=True).verdict
+
+
+# ---------------------------------------------------------------------------
+# structural checks against a dense oracle, and their memory ceilings
+# ---------------------------------------------------------------------------
+
+
+def _random_check_case(seed):
+    """A seeded grouped sum whose groups are drawn from the shapes the checks
+    must tell apart: random strings with Y letters, +-1 single strings,
+    controlled-flip gadgets, cancelling pairs and identity-only groups.
+    Weights come from a small set, so equal offenders are common."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+
+    def label():
+        return "".join(rng.choice(list("IXYZ")) for _ in range(n))
+
+    def weight():
+        return float(rng.choice([-1.0, -0.5, 0.5, 1.0]))
+
+    def placed(letters):
+        return "".join(letters.get(q, "I") for q in range(n))
+
+    blocks = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(5))
+        if kind == 0:
+            blocks.append([(float(rng.uniform(-1, 1)), label()) for _ in range(int(rng.integers(1, 4)))])
+        elif kind == 1:
+            blocks.append([(weight(), label())])
+        elif kind == 2 and n >= 2:
+            c, t = (int(q) for q in rng.choice(n, 2, replace=False))
+            blocks.append([(0.5, placed({})), (0.5, placed({c: "Z"})), (0.5, placed({t: "X"})),
+                           (-0.5, placed({c: "Z", t: "X"}))])
+        elif kind == 3:
+            c, lab = weight(), label()
+            blocks.append([(c, lab), (-c, lab)])
+        else:
+            blocks.append([(weight(), "I" * n)])
+    terms = [t for b in blocks for t in b]
+    if rng.random() < 0.25:
+        return n, terms, None
+    groups, start = [], 0
+    for b in blocks:
+        groups.append(tuple(range(start, start + len(b))))
+        start += len(b)
+    return n, terms, tuple(groups)
+
+
+_FIXED_CHECK_CASES = {
+    "empty sum": (3, [], None),
+    # equal offenders in both groups, and on two entries of the assembled row 0
+    "tie": (2, [(1.0, "XI"), (1.0, "IX")], None),
+    "identity-only group": (2, [(1.0, "II"), (0.5, "YI"), (-0.5, "YI")], ((0,), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("case", [*_FIXED_CHECK_CASES, *range(60)])
+def test_structural_checks_match_dense_oracle(case):
+    if isinstance(case, str):
+        n, terms, groups = _FIXED_CHECK_CASES[case]
+    else:
+        n, terms, groups = _random_check_case(case)
+    h = HamiltonianSum.from_terms(n, terms, groups)
+    for assembled in (False, True):
+        want = stoquastic_report(n, terms, h.group_indices(), assembled)
+        assert astuple(is_stoquastic(h, termwise=not assembled)) == want
+        want = permutation_report(n, terms, h.group_indices(), assembled)
+        assert astuple(is_permutation(h, per_term=not assembled)) == want
+
+
+def test_stoquastic_ties_go_to_first_group_and_first_entry():
+    h = HamiltonianSum.from_terms(2, [(1.0, "XI"), (1.0, "IX")])
+    assert astuple(is_stoquastic(h)) == (False, 1.0, (0, 1), 0)
+    assert astuple(is_stoquastic(h, termwise=False)) == (False, 1.0, (0, 1), None)
+
+
+def _no_dense(*args, **kwargs):
+    raise AssertionError("dense matrix built")
+
+
+def test_assembled_checks_build_no_dense_matrix(monkeypatch):
+    # 14 qubits: a dense realization would take 2 GiB (real) or 4 GiB (complex)
+    n = 14
+    sparse_to_matrix = HamiltonianSum.to_matrix
+
+    def sparse_only(self, dense=False):
+        if dense:
+            _no_dense()
+        return sparse_to_matrix(self)
+
+    monkeypatch.setattr(HamiltonianSum, "to_matrix", sparse_only)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", _no_dense)
+    x0 = "X" + "I" * (n - 1)
+    h = HamiltonianSum.from_terms(n, [(1.0, x0), (0.25, "I" * (n - 2) + "XX"), (-0.5, "I" * (n - 1) + "Z")])
+    assert astuple(is_stoquastic(h, termwise=False)) == (False, 1.0, (0, 1 << (n - 1)), None)
+    assert astuple(is_permutation(h, per_term=False)) == (False, "entry outside {0,1}", None)
+    flip = HamiltonianSum.from_terms(n, [(1.0, x0)])
+    assert is_permutation(flip, per_term=False).verdict
+    assert not is_stoquastic(flip, termwise=False).verdict
+
+
+def test_weight_13_group_norm_hits_dense_ceiling_but_checks_answer(monkeypatch):
+    n = 13
+    h = HamiltonianSum.from_terms(
+        n, [(1.0, "X" * n), (0.5, "Z" * n), (-1.0, "I" * (n - 1) + "X")], groups=((0, 1), (2,))
+    )
+    monkeypatch.setattr(np, "kron", _no_dense)
+    monkeypatch.setattr(sp.csr_matrix, "toarray", _no_dense)
+    with monkeypatch.context() as m:
+        m.setattr(HamiltonianSum, "flip_diagonals", _no_dense)
+        with pytest.raises(ResourceLimitError):
+            h.group_norms()
+    assert astuple(is_stoquastic(h)) == (False, 1.0, (0, (1 << n) - 1), 0)
+    assert astuple(is_permutation(h)) == (False, "entry outside {0,1}", 0)
 
 
 # ---------------------------------------------------------------------------
