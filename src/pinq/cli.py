@@ -200,6 +200,10 @@ def _cmd_spectrum(args, t0) -> int:
     return code
 
 
+def _finite_or_none(value: float):
+    return value if np.isfinite(value) else None
+
+
 def _cmd_zeno(args, t0) -> int:
     a = load_hamiltonian(args.a)
     b = load_hamiltonian(args.b)
@@ -210,18 +214,18 @@ def _cmd_zeno(args, t0) -> int:
         psi0 = np.zeros(1 << a.n, dtype=complex)
         psi0[0] = 1.0
     inputs = [args.a, args.b] + ([args.state] if args.state else [])
+    protocol = ZenoProtocol(kind, a, b, args.t, args.n)
     if args.sweep:
         counts = [int(s) for s in args.sweep.split(",")]
-        protocol = ZenoProtocol(kind, a, b, args.t, counts[0])
         sweep = zeno_scaling_sweep(protocol, psi0, counts)
         rows = sweep.rows()
+        # a slope fitted to fewer than two positive points is NaN, which is not JSON
         payload = {
             "rows": [[int(n), e, s] for n, e, s in rows],
-            "error_slope": sweep.error_slope,
-            "survival_deficit_slope": sweep.survival_deficit_slope,
+            "error_slope": _finite_or_none(sweep.error_slope),
+            "survival_deficit_slope": _finite_or_none(sweep.survival_deficit_slope),
         }
     else:
-        protocol = ZenoProtocol(kind, a, b, args.t, args.n)
         res = zeno_evolve(protocol, psi0)
         rows = [(args.n, res.error_norm, res.survival_probability)]
         payload = {
@@ -367,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="Hamiltonian file for the first group")
     p.add_argument("--b", required=True, help="Hamiltonian file for the second group")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n", type=int, default=100, help="step count")
+    p.add_argument("--n", type=int, default=100, help="step count of a single run")
     p.add_argument("--sweep", help="comma list of step counts")
     p.add_argument("--state", help="initial state file (one amplitude per line)")
     p.add_argument("--csv", help="write N,error,survival rows")

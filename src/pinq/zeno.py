@@ -13,29 +13,46 @@ projective measurement of one ancilla qubit:
   post-selected system state approaches exp(-i t (A + B)) with error O(t^2/N)
   and survival deficit O(t^2/N).
 
-Each step uses the exact dense matrix exponential (scaling and squaring), not
-a product formula, so the measured scaling isolates the projection error.
-Post-selection is deterministic projection plus renormalization with survival
-bookkeeping; no trajectory sampling.
+H' is block-diagonal in the ancilla X basis, so neither protocol needs the
+(n+1)-qubit register.  One post-selected step of duration delta is exactly
+
+* stoquastic: psi <- exp(-i delta (A - B)) psi, the |-> sector of H';
+* commuting: psi <- (exp(-2i delta A) + exp(-2i delta B)) psi / 2, since
+  |0> = (|+> + |->)/sqrt(2) and <0|+> = <0|-> = 1/sqrt(2).
+
+The exponentials come from one dense eigendecomposition per generator, done
+once for every step count: the stoquastic step is a phase multiply in the
+eigenbasis of A - B, the commuting step one matvec with a 2^n x 2^n step
+matrix.  Each is exact up to round-off, not a product formula, so the
+measured scaling isolates the projection error.  The reference
+exp(-i t (A +- B)) psi comes from ``scipy.linalg.expm``, independently of the
+eigendecompositions.  The literal (n+1)-qubit simulation the identities
+replace is ``zeno_register_evolve`` in ``tests/oracles.py``.  Post-selection
+is deterministic projection plus renormalization with survival bookkeeping;
+no trajectory sampling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .errors import PreconditionError, ResourceLimitError, SurvivalUnderflowError
-from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, PauliString, PauliTerm, is_commuting, is_stoquastic
+from .errors import PreconditionError, SurvivalUnderflowError
+from .pauli import HamiltonianSum, PauliTerm, is_commuting, is_stoquastic
 
 # below the square of propagator round-off the kept branch is numerical noise
 _SURVIVAL_FLOOR = 1e-24
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZenoProtocol:
-    """Protocol kind, the two term groups, total time, and step count."""
+    """Protocol kind, the two term groups, total time, and step count.
+
+    Frozen, so the preconditions checked at construction hold for its lifetime.
+    """
 
     kind: str
     a: HamiltonianSum
@@ -48,6 +65,8 @@ class ZenoProtocol:
             raise PreconditionError(f"unknown protocol kind {self.kind!r}")
         if self.a.n != self.b.n:
             raise PreconditionError("A and B must act on the same register")
+        if not math.isfinite(self.t):
+            raise PreconditionError(f"total time must be finite, got {self.t}")
         if self.steps < 1:
             raise PreconditionError("step count must be at least 1")
         if self.kind == "stoquastic":
@@ -66,26 +85,6 @@ class ZenoProtocol:
     @property
     def n(self) -> int:
         return self.a.n
-
-    def pinned_hamiltonian(self) -> HamiltonianSum:
-        """The (n+1)-qubit Hamiltonian driving the protocol."""
-        n1 = self.n + 1
-        anc = 1 << self.n
-        terms = []
-        if self.kind == "stoquastic":
-            for t in self.a.terms:
-                terms.append(PauliTerm(t.coeff, PauliString(n1, t.string.x, t.string.z)))
-            for t in self.b.terms:
-                terms.append(PauliTerm(t.coeff, PauliString(n1, t.string.x | anc, t.string.z)))
-        else:
-            # 2A (x) |+><+| = A (x) (I + X);  2B (x) |-><-| = B (x) (I - X)
-            for t in self.a.terms:
-                terms.append(PauliTerm(t.coeff, PauliString(n1, t.string.x, t.string.z)))
-                terms.append(PauliTerm(t.coeff, PauliString(n1, t.string.x | anc, t.string.z)))
-            for t in self.b.terms:
-                terms.append(PauliTerm(t.coeff, PauliString(n1, t.string.x, t.string.z)))
-                terms.append(PauliTerm(-t.coeff, PauliString(n1, t.string.x | anc, t.string.z)))
-        return HamiltonianSum(n1, terms)
 
     def reference_generator(self) -> HamiltonianSum:
         """A - B (stoquastic) or A + B (commuting) on the system register."""
@@ -119,9 +118,69 @@ class TrajectoryResult:
     step_survivals: np.ndarray = field(repr=False, default=None)
 
 
-def _ancilla_components(state: np.ndarray):
-    """Split an (n+1)-qubit state into its ancilla-|0> and |1> system parts."""
-    return state.reshape(-1, 2)[:, 0].copy(), state.reshape(-1, 2)[:, 1].copy()
+class _PreparedProtocol:
+    """The step-count-independent part of a protocol run on one start state.
+
+    Holds the normalized start state, the reference state and the
+    eigendecompositions of the step generators: A - B for the stoquastic
+    protocol, A and B for the commuting one.
+    """
+
+    def __init__(self, protocol: ZenoProtocol, psi0: np.ndarray):
+        dim = 1 << protocol.n
+        psi = np.asarray(psi0, dtype=complex)
+        if psi.shape != (dim,):
+            raise PreconditionError(f"initial state must have length {dim}")
+        nrm = np.linalg.norm(psi)
+        if abs(nrm - 1.0) > 1e-8:
+            raise PreconditionError("initial state must be normalized")
+        self.protocol = protocol
+        self.psi = psi / nrm
+        # to_matrix(dense=True) checks the dense ceiling before allocating
+        gen = protocol.reference_generator().to_matrix(dense=True)
+        if protocol.kind == "stoquastic":
+            self.eigs = [scipy.linalg.eigh(gen)]
+        else:
+            self.eigs = [scipy.linalg.eigh(h.to_matrix(dense=True)) for h in (protocol.a, protocol.b)]
+        self.ref = scipy.linalg.expm(-1j * protocol.t * gen) @ self.psi
+
+    def run(self, steps: int) -> TrajectoryResult:
+        """Post-selected trajectory with ``steps`` (>= 1) projections in total time t."""
+        protocol = self.protocol
+        delta = protocol.t / steps
+        if protocol.kind == "stoquastic":
+            # the state stays in the eigenbasis of A - B until the last step
+            w, v = self.eigs[0]
+            phases = np.exp(-1j * delta * w)
+            state, step = v.conj().T @ self.psi, lambda s: phases * s
+        else:
+            u_step = sum((v * np.exp(-2j * delta * w)) @ v.conj().T for w, v in self.eigs) / 2.0
+            state, step = self.psi, lambda s: u_step @ s
+        survival = 1.0
+        step_survivals = np.empty(steps)
+        for k in range(steps):
+            kept = step(state)
+            p = float(np.real(np.vdot(kept, kept)))
+            if p < _SURVIVAL_FLOOR:
+                raise SurvivalUnderflowError(
+                    f"post-selection probability underflow at step {k}: p={p:.3e}"
+                )
+            survival *= p
+            step_survivals[k] = p
+            state = kept / np.sqrt(p)
+        if protocol.kind == "stoquastic":
+            state = v @ state
+
+        branch = np.sqrt(survival) * state
+        return TrajectoryResult(
+            final_state=state,
+            survival_probability=survival,
+            error_norm=float(np.linalg.norm(branch - self.ref)),
+            direction_error_norm=float(np.linalg.norm(state - self.ref)),
+            reference_label=protocol.reference_label,
+            reference_state=self.ref,
+            step_survivals=step_survivals,
+        )
 
 
 def zeno_evolve(protocol: ZenoProtocol, psi0: np.ndarray) -> TrajectoryResult:
@@ -130,58 +189,7 @@ def zeno_evolve(protocol: ZenoProtocol, psi0: np.ndarray) -> TrajectoryResult:
     ``psi0`` is the system state; the ancilla is initialized internally (|->
     for the stoquastic protocol, |0> for the commuting one).
     """
-    n = protocol.n
-    if n + 1 > DENSE_QUBIT_CEILING:
-        raise ResourceLimitError("protocol register exceeds the dense propagator ceiling")
-    dim = 1 << n
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (dim,):
-        raise PreconditionError(f"initial state must have length {dim}")
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-8:
-        raise PreconditionError("initial state must be normalized")
-    psi = psi / nrm
-
-    delta = protocol.t / protocol.steps
-    hp = protocol.pinned_hamiltonian().to_matrix(dense=True)
-    u_step = scipy.linalg.expm(-1j * delta * hp)
-
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    sys_state = psi.copy()
-    survival = 1.0
-    step_survivals = np.empty(protocol.steps)
-    for k in range(protocol.steps):
-        if protocol.kind == "stoquastic":
-            full = np.kron(sys_state, np.array([inv_sqrt2, -inv_sqrt2]))
-        else:
-            full = np.kron(sys_state, np.array([1.0, 0.0]))
-        full = u_step @ full
-        comp0, comp1 = _ancilla_components(full)
-        if protocol.kind == "stoquastic":
-            kept = (comp0 - comp1) * inv_sqrt2  # X-basis measurement, keep |->
-        else:
-            kept = comp0  # computational measurement, keep |0>
-        p = float(np.real(np.vdot(kept, kept)))
-        if p < _SURVIVAL_FLOOR:
-            raise SurvivalUnderflowError(
-                f"post-selection probability underflow at step {k}: p={p:.3e}"
-            )
-        survival *= p
-        step_survivals[k] = p
-        sys_state = kept / np.sqrt(p)
-
-    gen = protocol.reference_generator().to_matrix(dense=True)
-    ref = scipy.linalg.expm(-1j * protocol.t * gen) @ psi
-    branch = np.sqrt(survival) * sys_state
-    return TrajectoryResult(
-        final_state=sys_state,
-        survival_probability=survival,
-        error_norm=float(np.linalg.norm(branch - ref)),
-        direction_error_norm=float(np.linalg.norm(sys_state - ref)),
-        reference_label=protocol.reference_label,
-        reference_state=ref,
-        step_survivals=step_survivals,
-    )
+    return _PreparedProtocol(protocol, psi0).run(protocol.steps)
 
 
 @dataclass
@@ -197,6 +205,7 @@ class SweepResult:
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope over the positive points; NaN with fewer than two."""
     mask = y > 0
     if mask.sum() < 2:
         return float("nan")
@@ -206,21 +215,19 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 def zeno_scaling_sweep(protocol: ZenoProtocol, psi0: np.ndarray, step_counts) -> SweepResult:
     """Rerun the protocol over increasing step counts and fit log-log slopes.
 
-    The ``steps`` field of ``protocol`` is ignored; total time is fixed.
+    The ``steps`` field of ``protocol`` is ignored; total time is fixed.  The
+    eigendecompositions and the reference state are computed once per sweep.
     """
     counts = list(step_counts)
+    if not counts or min(counts) < 1:
+        raise PreconditionError("a sweep needs step counts, each at least 1")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise PreconditionError("step counts must be strictly increasing")
-    errors = []
-    survivals = []
-    for n_steps in counts:
-        p = ZenoProtocol(protocol.kind, protocol.a, protocol.b, protocol.t, n_steps)
-        res = zeno_evolve(p, psi0)
-        errors.append(res.error_norm)
-        survivals.append(res.survival_probability)
+    prepared = _PreparedProtocol(protocol, psi0)
+    results = [prepared.run(n_steps) for n_steps in counts]
     steps = np.array(counts, dtype=float)
-    errors = np.array(errors)
-    survivals = np.array(survivals)
+    errors = np.array([r.error_norm for r in results])
+    survivals = np.array([r.survival_probability for r in results])
     return SweepResult(
         steps=steps,
         errors=errors,

@@ -125,6 +125,48 @@ def permutation_report(n, terms, groups, assembled, tol=1e-12):
     return True, None, None
 
 
+def zeno_register_evolve(kind, a_terms, b_terms, t, steps, psi0):
+    """Literal Zeno protocol on the (n+1)-qubit register, ancilla last.
+
+    ``a_terms``/``b_terms`` are (coeff, label) lists on n qubits.  Every step
+    tensors the system state with the ancilla start state, applies
+    expm(-i delta H') of the whole register and projects the ancilla onto the
+    kept outcome, then renormalizes:
+
+    * stoquastic: H' = A (x) I + B (x) X, ancilla |->, keep |->;
+    * commuting: H' = A (x) (I + X) + B (x) (I - X), ancilla |0>, keep |0>.
+
+    Returns (final_state, survival, step_survivals, error_norm), with the
+    error of the branch sqrt(survival) * final_state against
+    expm(-i t (A -+ B)) psi0.
+    """
+    psi = np.asarray(psi0, dtype=complex)
+    psi = psi / np.linalg.norm(psi)
+    n = psi.size.bit_length() - 1
+    if kind == "stoquastic":
+        hp = [(c, lab + "I") for c, lab in a_terms] + [(c, lab + "X") for c, lab in b_terms]
+        anc = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        sign = -1.0
+    else:
+        hp = [(c, lab + p) for c, lab in a_terms for p in "IX"]
+        hp += [(s * c, lab + p) for c, lab in b_terms for s, p in ((1.0, "I"), (-1.0, "X"))]
+        anc = np.array([1.0, 0.0])
+        sign = 1.0
+    u_step = scipy.linalg.expm(-1j * (t / steps) * pauli_matrix(n + 1, hp))
+    state, survival, step_survivals = psi, 1.0, []
+    for _ in range(steps):
+        full = u_step @ np.kron(state, anc)
+        kept = full.reshape(-1, 2) @ anc.conj()
+        p = float(np.vdot(kept, kept).real)
+        survival *= p
+        step_survivals.append(p)
+        state = kept / np.sqrt(p)
+    gen = pauli_matrix(n, list(a_terms) + [(sign * c, lab) for c, lab in b_terms])
+    ref = scipy.linalg.expm(-1j * t * gen) @ psi
+    error = float(np.linalg.norm(np.sqrt(survival) * state - ref))
+    return state, survival, np.array(step_survivals), error
+
+
 def majoranas(n):
     """Jordan-Wigner Majoranas: m_{2j} = Z..ZX, m_{2j+1} = Z..ZY on mode j."""
     ms = []

@@ -160,6 +160,67 @@ def test_zeno_single_run_with_state_file(tmp_path, capsys):
     assert report["payload"]["reference"] == "A-B"
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_zeno_non_finite_time_exit_3(tmp_path, capsys, t):
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", "qubits 1\n1 X\n")
+    code = main(["zeno", "--kind", "comm", "--a", a, "--b", b, f"--t={t}", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "finite" in captured.err and "Traceback" not in captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "kind, b_text, sweep",
+    [("stoq", "qubits 1\n-1 X\n", "50,100,200,400,800"), ("comm", "qubits 1\n1 X\n", "50")],
+)
+def test_zeno_sweep_payload_is_standard_json(tmp_path, capsys, kind, b_text, sweep):
+    # the stoquastic survival deficit and a one-point sweep leave too few
+    # positive points for a slope, which is reported as null
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", b_text)
+    code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--sweep", sweep])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    if sweep == "50":
+        assert report["payload"]["error_slope"] is None
+        assert report["payload"]["survival_deficit_slope"] is None
+
+
+def test_zeno_sweep_nonpositive_count_exit_3(tmp_path, capsys):
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", "qubits 1\n1 X\n")
+    code = main(["zeno", "--kind", "comm", "--a", a, "--b", b, "--t", "1", "--sweep", "0,10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "sweep" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind, b_coeff", [("comm", "1"), ("stoq", "-1")])
+def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
+    # 13 system qubits: a dense generator would take 512 MiB
+    a = _write(tmp_path, "a.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n")
+    b = _write(tmp_path, "b.txt", f"qubits 13\n{b_coeff} XIIIIIIIIIIII\n")
+    build = HamiltonianSum.flip_diagonals
+
+    def small_only(self):
+        # the termwise stoquastic check builds each group on its own support
+        if self.n > 2:
+            raise AssertionError("flip diagonals built before the ceiling check")
+        return build(self)
+
+    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", small_only)
+    code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "dense ceiling" in captured.err
+
+
 def test_gscon_build_and_verify(tmp_path, capsys):
     f = _write(tmp_path, "h.txt", "qubits 2\n-1 ZZ\n")
     inst = str(tmp_path / "inst.json")

@@ -1,5 +1,5 @@
-"""Smoke test: the demos that exercise the structural checks, group norms and
-matrix assembly run to completion as scripts."""
+"""Smoke test: the demos that exercise the structural checks, group norms,
+matrix assembly and Zeno evolution run to completion as scripts."""
 
 import os
 import subprocess
@@ -11,7 +11,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_pinning_reductions.py", "02_penalty_lift.py", "04_ground_space_traversal.py"]
+    "demo",
+    [
+        "01_pinning_reductions.py",
+        "02_penalty_lift.py",
+        "03_zeno_evolution.py",
+        "04_ground_space_traversal.py",
+    ],
 )
 def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import zeno_register_evolve
 
+import pinq.zeno
 from pinq.errors import PreconditionError
-from pinq.pauli import HamiltonianSum
+from pinq.pauli import HamiltonianSum, PauliString
 from pinq.zeno import ZenoProtocol, zeno_evolve, zeno_scaling_sweep
 
 
@@ -136,3 +138,95 @@ def test_survival_underflow_reported():
     protocol = ZenoProtocol("commuting", a, b, np.pi / 2.0, 1)
     with pytest.raises(SurvivalUnderflowError):
         zeno_evolve(protocol, np.array([1.0, 0.0]))
+
+
+def _random_label(rng, n, letters):
+    return "".join(rng.choice(list(letters)) for _ in range(n))
+
+
+def _random_commuting(rng, n, letters):
+    """Random strings, each kept only if it commutes with every one kept so far."""
+    terms = []
+    for _ in range(3 * n):
+        label = _random_label(rng, n, letters)
+        s = PauliString.from_label(label)
+        if all(s.commutes_with(PauliString.from_label(kept)) for _, kept in terms):
+            terms.append((float(rng.uniform(-1.0, 1.0)), label))
+    return HamiltonianSum.from_terms(n, terms)
+
+
+def _random_stoquastic_pair(rng, n):
+    """Termwise-stoquastic A and strictly off-diagonal B.
+
+    Diagonal strings take any sign and X-only strings a negative one; for
+    n >= 2, B also gets a -(XX + YY) group, stoquastic only as a whole.
+    """
+    diag = [(float(rng.uniform(-1.0, 1.0)), _random_label(rng, n, "IZ")) for _ in range(n)]
+    flips = []
+    while len(flips) < 2 * n:
+        label = _random_label(rng, n, "IX")
+        if "X" in label:
+            flips.append((-float(rng.uniform(0.1, 1.0)), label))
+    a = HamiltonianSum.from_terms(n, diag + flips[:n])
+    blocks = [[term] for term in flips[n:]]
+    if n >= 2:
+        q = int(rng.integers(n - 1))
+        c = -float(rng.uniform(0.1, 1.0))
+        pair = ["I" * q + p * 2 + "I" * (n - q - 2) for p in "XY"]
+        blocks.append([(c, pair[0]), (c, pair[1])])
+    return a, HamiltonianSum.from_groups(n, blocks)
+
+
+def _labels(h):
+    return [(t.coeff, t.string.label()) for t in h.terms]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["commuting", "stoquastic"])
+def test_matches_register_oracle(kind, n):
+    # the 2^n step identities against the literal (n+1)-qubit simulation;
+    # commuting groups carry Y letters, so their matrices are complex
+    rng = np.random.default_rng(100 * n + len(kind))
+    for _ in range(2):
+        if kind == "commuting":
+            a, b = _random_commuting(rng, n, "IXYZ"), _random_commuting(rng, n, "IXYZ")
+        else:
+            a, b = _random_stoquastic_pair(rng, n)
+        psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi0 /= np.linalg.norm(psi0)
+        t = float(rng.uniform(0.3, 1.2))
+        for steps in (1, 6, 40):
+            res = zeno_evolve(ZenoProtocol(kind, a, b, t, steps), psi0)
+            state, survival, step_survivals, error = zeno_register_evolve(
+                kind, _labels(a), _labels(b), t, steps, psi0
+            )
+            assert np.max(np.abs(res.final_state - state)) <= 1e-10
+            assert abs(res.survival_probability - survival) <= 1e-10
+            assert np.max(np.abs(res.step_survivals - step_survivals)) <= 1e-10
+            assert abs(res.error_norm - error) <= 1e-10
+
+
+def test_sweep_rejects_nonpositive_counts():
+    a = _ham(1, [(1.0, "Z")])
+    b = _ham(1, [(1.0, "X")])
+    protocol = ZenoProtocol("commuting", a, b, 1.0, 10)
+    with pytest.raises(PreconditionError, match="sweep"):
+        zeno_scaling_sweep(protocol, np.array([1.0, 0.0]), [0, 10])
+
+
+@pytest.mark.parametrize(
+    "kind, check, b_terms",
+    [("commuting", "is_commuting", [(1.0, "X")]), ("stoquastic", "is_stoquastic", [(-1.0, "X")])],
+)
+def test_sweep_checks_preconditions_once(kind, check, b_terms, monkeypatch):
+    calls = []
+    original = getattr(pinq.zeno, check)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pinq.zeno, check, counted)
+    protocol = ZenoProtocol(kind, _ham(1, [(1.0, "Z")]), _ham(1, b_terms), 1.0, 10)
+    zeno_scaling_sweep(protocol, np.array([1.0, 0.0]), [10, 20, 40, 80, 160])
+    assert len(calls) == 2  # once for A, once for B
