@@ -9,12 +9,34 @@ Majorana coordinates and hence at most two modes.
 ``interpolation_path`` builds a discrete low-energy path between two pure
 states of equal parity under a 2x2 block-diagonal h: the diagonal block
 values c_j of gamma fully determine tr(gamma h), so the path walks the
-straight line in c-space in N macro-steps.  Each macro-step is realized by a
-small set of plane rotations found by a damped least-squares solve (the
-reachable set of block values is only known constructively, so targets that
-cannot be realized are rejected rather than guessed).  A final alignment
-segment rotates the off-block frame onto the end state; it must leave the
-energy essentially unchanged, and this is verified, not assumed.
+straight line in c-space in N macro-steps.
+
+Each macro-step is first solved in closed form as moves on pairs of modes.
+For modes j < l, with Majorana indices (a, b, c, d) = (2j, 2j+1, 2l, 2l+1),
+SO(4) splits as SO(3) x SO(3) and gamma's 4x4 block M splits into a
+self-dual vector u and an anti-self-dual vector v:
+
+    u = ((M_ab + M_cd)/2, (M_ac - M_bd)/2, (M_ad + M_bc)/2),
+    v = ((M_ab - M_cd)/2, (M_ac + M_bd)/2, (M_ad - M_bc)/2),
+
+with c_j = u_1 + v_1 and c_l = u_1 - v_1.  Rotations in the planes (a, d)
+and (b, c) by angles x and y turn u by x + y and v by y - x in their (1, 2)
+planes (a *tilt*); rotations in the planes (a, b) and (c, d) turn them the
+same way about axis 1 (a *frame* turn), which leaves every block value, hence
+the energy, unchanged.  A target (c_j', c_l') is therefore reachable with at
+most four rotations exactly when |u_1'| <= |u| and |v_1'| <= |v|.  The modes
+whose block values move are paired in index order; a step with an odd number
+of moving modes, or with a pair out of reach, falls back to a seeded damped
+least-squares solve over all planes.  At two modes every pure state has one
+unit and one zero vector, so every step is closed form; block-diagonal
+endpoints are closed form at any mode count; generic endpoints at three or
+more modes fall back.
+
+A final alignment segment rotates the off-block frame onto the end state; it
+must leave the energy essentially unchanged, and this is verified, not
+assumed.  At two modes a frame turn is tried first.  Otherwise, or if that
+fails, a Givens decomposition of the residual frame is tried, and then a
+block-pinned descent.
 """
 
 from __future__ import annotations
@@ -186,13 +208,6 @@ def _plane_conjugate(mat: np.ndarray, p: int, q: int, theta: float) -> np.ndarra
     return out
 
 
-def apply_rotations(mat: np.ndarray, rotations) -> np.ndarray:
-    out = np.array(mat, dtype=float)
-    for r in rotations:
-        out = _plane_conjugate(out, r.p, r.q, r.theta)
-    return out
-
-
 def reconstruct(rotations, dim: int) -> np.ndarray:
     """Product of the rotations, in application order (last factor leftmost)."""
     out = np.eye(dim)
@@ -328,21 +343,97 @@ def _all_planes(dim: int) -> list:
     return [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
 
-def _pairing_init(c_now: np.ndarray, c_target: np.ndarray, planes: list) -> np.ndarray:
-    """Angles seeding the solver with symmetric two-mode pairing moves."""
-    thetas = np.zeros(len(planes))
-    index = {pq: i for i, pq in enumerate(planes)}
-    n = c_now.shape[0]
-    for j in range(0, n - 1, 2):
-        l = j + 1
-        mean_now = np.clip((c_now[j] + c_now[l]) / 2.0, -1.0, 1.0)
-        mean_tgt = np.clip((c_target[j] + c_target[l]) / 2.0, -1.0, 1.0)
-        phi = 0.5 * (math.acos(mean_tgt) - math.acos(mean_now))
-        a, b = 2 * j, 2 * j + 1
-        cc, d = 2 * l, 2 * l + 1
-        thetas[index[(a, d)]] = phi
-        thetas[index[(b, cc)]] = phi
-    return thetas
+def _pair_vectors(m: np.ndarray, j: int, l: int):
+    """(u, v): the self-dual and anti-self-dual vectors of the 4x4 block of
+    the covariance matrix m on modes j < l (see the module docstring)."""
+    a, b, c, d = 2 * j, 2 * j + 1, 2 * l, 2 * l + 1
+    u = np.array([m[a, b] + m[c, d], m[a, c] - m[b, d], m[a, d] + m[b, c]]) / 2.0
+    v = np.array([m[a, b] - m[c, d], m[a, c] + m[b, d], m[a, d] - m[b, c]]) / 2.0
+    return u, v
+
+
+def _pair_rotations(planes, turn_u: float, turn_v: float) -> list:
+    """Rotations in two disjoint planes that turn u by ``turn_u`` and v by
+    ``turn_v``: the tilt planes (a, d), (b, c) or the frame planes (a, b), (c, d)."""
+    angles = ((turn_u - turn_v) / 2.0, (turn_u + turn_v) / 2.0)
+    return [GivensRotation(p, q, th) for (p, q), th in zip(planes, angles) if abs(th) > 1e-14]
+
+
+def _frame_turn(x: np.ndarray, target: float) -> float:
+    """Turn about axis 1 that lets a tilt bring x_1 to ``target``: none when the
+    (1, 2)-plane radius already suffices, else the smallest turn that moves
+    x's axis-3 component onto axis 2."""
+    if abs(target) <= math.hypot(x[0], x[1]) or math.hypot(x[1], x[2]) <= 1e-14:
+        return 0.0
+    if x[1] == 0.0:
+        return -math.copysign(math.pi / 2.0, x[2])
+    return -math.atan(x[2] / x[1])
+
+
+def _tilt_turn(x: np.ndarray, target: float) -> float:
+    """Smallest turn in the (1, 2) plane that brings x_1 to ``target``."""
+    radius = math.hypot(x[0], x[1])
+    if radius <= 1e-14:
+        return 0.0
+    now = math.atan2(x[1], x[0])
+    return math.copysign(math.acos(min(1.0, max(-1.0, target / radius))), now) - now
+
+
+def _pair_move(gamma: np.ndarray, j: int, l: int, c_j: float, c_l: float, tol: float):
+    """At most four rotations on modes j < l taking their block values to
+    (c_j, c_l): a frame turn, then a tilt.  None when out of reach."""
+    a, b, c, d = 2 * j, 2 * j + 1, 2 * l, 2 * l + 1
+    targets = ((c_j + c_l) / 2.0, (c_j - c_l) / 2.0)
+    vectors = _pair_vectors(gamma, j, l)
+    if any(abs(t) > np.linalg.norm(x) + tol for x, t in zip(vectors, targets)):
+        return None
+    rots = _pair_rotations(((a, b), (c, d)), *map(_frame_turn, vectors, targets))
+    for rot in rots:
+        gamma = _plane_conjugate(gamma, rot.p, rot.q, rot.theta)
+    vectors = _pair_vectors(gamma, j, l)
+    return rots + _pair_rotations(((a, d), (b, c)), *map(_tilt_turn, vectors, targets))
+
+
+def _pair_moves(gamma: np.ndarray, c_target: np.ndarray, tol: float) -> list | None:
+    """Closed-form rotations for one macro-step, or None.
+
+    The modes whose block values move by more than ``tol`` are paired in
+    index order.  Pairs touch disjoint coordinates, so each move is solved on
+    the current state.  None when an odd number of modes move, a pair is out
+    of reach, or the moved block values miss the target by more than ``tol``.
+    """
+    c_now = gamma[0::2, 1::2].diagonal()
+    moving = [k for k in range(c_now.shape[0]) if abs(c_target[k] - c_now[k]) > tol]
+    if len(moving) % 2:
+        return None
+    rots = []
+    for j, l in zip(moving[0::2], moving[1::2]):
+        pair = _pair_move(gamma, j, l, c_target[j], c_target[l], tol)
+        if pair is None:
+            return None
+        rots.extend(pair)
+    g = gamma
+    for rot in rots:
+        g = _plane_conjugate(g, rot.p, rot.q, rot.theta)
+    if np.max(np.abs(g[0::2, 1::2].diagonal() - c_target)) > tol:
+        return None
+    return rots
+
+
+def _frame_alignment(gamma: np.ndarray, target: np.ndarray) -> list:
+    """Frame turns of a two-mode state onto ``target`` (energy-free).
+
+    Each turn is the change in the azimuth of u or v about axis 1; a vector
+    without a component off axis 1 is not turned.  The caller checks that
+    the target was reached.
+    """
+    turns = []
+    for x, y in zip(_pair_vectors(gamma, 0, 1), _pair_vectors(target, 0, 1)):
+        if min(math.hypot(x[1], x[2]), math.hypot(y[1], y[2])) <= 1e-14:
+            turns.append(0.0)
+        else:
+            turns.append(math.remainder(math.atan2(y[2], y[1]) - math.atan2(x[2], x[1]), 2 * math.pi))
+    return _pair_rotations(((0, 1), (2, 3)), *turns)
 
 
 def _solve_block_move(gamma: np.ndarray, c_target: np.ndarray, planes, rng,
@@ -362,11 +453,10 @@ def _solve_block_move(gamma: np.ndarray, c_target: np.ndarray, planes, rng,
 
     n_param = len(planes)
     scale = max(float(np.max(np.abs(residual(np.zeros(n_param))))), 1e-6)
-    inits = [_pairing_init(gamma[0::2, 1::2].diagonal(), c_target, planes), np.zeros(n_param)]
+    inits = [np.zeros(n_param)]
     for _ in range(6):
         inits.append(rng.normal(scale=min(0.5, 2.0 * math.sqrt(scale)), size=n_param))
-    # a structured init that already hits the target wins outright; this keeps
-    # symmetric moves on the minimal pairing family and the frame coherent
+    # an init that already hits the target wins outright
     for x0 in inits:
         if np.max(np.abs(residual(x0))) <= tol:
             return x0
@@ -498,17 +588,19 @@ def interpolation_path(
 
     for k in range(1, n_steps + 1):
         c_tgt = (1.0 - k / n_steps) * c0 + (k / n_steps) * c1
-        thetas = _solve_block_move(gamma, c_tgt, planes, rng, solver_tol)
-        if thetas is None:
-            raise PathConstructionError(
-                f"macro-step {k}/{n_steps}: block target {c_tgt} not realizable "
-                "by two-mode rotations from the current state"
-            )
-        step_rots = [
-            GivensRotation(p, q, float(th))
-            for (p, q), th in zip(planes, thetas)
-            if abs(th) > 1e-14
-        ]
+        step_rots = _pair_moves(gamma, c_tgt, solver_tol)
+        if step_rots is None:
+            thetas = _solve_block_move(gamma, c_tgt, planes, rng, solver_tol)
+            if thetas is None:
+                raise PathConstructionError(
+                    f"macro-step {k}/{n_steps}: block target {c_tgt} not realizable "
+                    "by two-mode rotations from the current state"
+                )
+            step_rots = [
+                GivensRotation(p, q, float(th))
+                for (p, q), th in zip(planes, thetas)
+                if abs(th) > 1e-14
+            ]
         # micro replay: energies tracked against the ramp within the step
         t_prev = (k - 1) / n_steps
         t_next = k / n_steps
@@ -523,33 +615,41 @@ def interpolation_path(
         worst_residual = max(worst_residual, float(np.max(np.abs(gamma[0::2, 1::2].diagonal() - c_tgt))))
 
     # alignment: rotate the off-block frame onto gamma_end; energy must not
-    # move (checked, not assumed).  A direct Givens decomposition of the
-    # residual frame is tried first (exact and short when the macro-steps
-    # already ended frame-aligned); otherwise a block-pinned descent walks to
-    # the end state within the constant-energy fiber.
-    o_here = pure_orthogonal_factor(CovMatrix(gamma))
-    o_end = pure_orthogonal_factor(gamma_end)
-    o_res = o_end @ o_here.T
-    direct_rots = givens_decompose(o_res, tol=1e-7)
-    g_try = gamma.copy()
-    direct_dev = 0.0
-    for rot in direct_rots:
-        g_try = _plane_conjugate(g_try, rot.p, rot.q, rot.theta)
-        direct_dev = max(direct_dev, abs(float(np.trace(g_try @ h.mat)) - e_end))
-    if direct_dev <= alignment_tol and np.linalg.norm(g_try - gamma_end.mat) <= 1e-8:
-        align_rots, gamma, align_dev = direct_rots, g_try, direct_dev
+    # move (checked, not assumed).  At two modes an energy-free frame turn is
+    # tried first.  Then a direct Givens decomposition of the residual frame
+    # (exact and short when the macro-steps already ended frame-aligned);
+    # otherwise a block-pinned descent walks to the end state within the
+    # constant-energy fiber.
+    def walk(rots):
+        """(state, largest energy deviation from e_end) along the rotations."""
+        g, dev = gamma, 0.0
+        for rot in rots:
+            g = _plane_conjugate(g, rot.p, rot.q, rot.theta)
+            dev = max(dev, abs(float(np.trace(g @ h.mat)) - e_end))
+        return g, dev
+
+    def direct():
+        o_res = pure_orthogonal_factor(gamma_end) @ pure_orthogonal_factor(CovMatrix(gamma)).T
+        return givens_decompose(o_res, tol=1e-7)
+
+    candidates = [direct]
+    if dim == 4:
+        candidates.insert(0, lambda: _frame_alignment(gamma, gamma_end.mat))
+    for candidate in candidates:
+        align_rots = candidate()
+        g_try, align_dev = walk(align_rots)
+        if align_dev <= alignment_tol and np.linalg.norm(g_try - gamma_end.mat) <= 1e-8:
+            gamma = g_try
+            break
     else:
-        pre_align = gamma.copy()
-        align_rots, gamma, reached = _fiber_descent(gamma, gamma_end.mat, planes)
+        align_rots, g_end, reached = _fiber_descent(gamma, gamma_end.mat, planes)
         if not reached:
             raise PathConstructionError(
                 "final frame alignment did not converge; the end state is not "
                 "reachable from the constructed grid state within tolerance"
             )
-        align_dev = 0.0
-        for rot in align_rots:
-            pre_align = _plane_conjugate(pre_align, rot.p, rot.q, rot.theta)
-            align_dev = max(align_dev, abs(float(np.trace(pre_align @ h.mat)) - e_end))
+        align_dev = walk(align_rots)[1]
+        gamma = g_end
     for rot in align_rots:
         max_angle = max(max_angle, abs(rot.theta))
     if align_dev > alignment_tol:

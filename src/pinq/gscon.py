@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ParseError, PreconditionError, UnsupportedTermError
 from .io import FORMAT_VERSIONS
 from .pauli import HamiltonianSum, PauliString, PauliTerm
+from .spectral import operator
 
 UNITARITY_TOL = 1e-10
 
@@ -75,6 +76,10 @@ def apply_gate(state: np.ndarray, step: UnitaryStep, n: int) -> np.ndarray:
     return tensor.reshape(-1)
 
 
+def _expectation(matvec, state: np.ndarray) -> float:
+    return float(np.real(np.vdot(state, matvec(state))))
+
+
 def run_circuit(circuit, n: int, state: np.ndarray | None = None) -> np.ndarray:
     if state is None:
         state = np.zeros(1 << n, dtype=complex)
@@ -108,6 +113,10 @@ class GsconInstance:
             raise PreconditionError("eta4 - eta3 must be at least Delta")
         if self.m < 0:
             raise PreconditionError("path length bound must be non-negative")
+        # one build of the flip diagonals, checked against the byte ceiling
+        # before any 2^n vector exists and dropped on return: the instance
+        # holds no cache
+        matvec, _ = operator(self.hamiltonian)
         norms = self.hamiltonian.group_norms()
         if norms and max(norms) > 1.0 + 1e-9:
             raise PreconditionError(f"term norm {max(norms):.6f} exceeds 1")
@@ -115,8 +124,8 @@ class GsconInstance:
             for i, step in enumerate(circ):
                 if not step.is_unitary():
                     raise PreconditionError(f"{name} circuit gate {i} is not unitary")
-        e_start = self.hamiltonian.expectation(self.start_state())
-        e_target = self.hamiltonian.expectation(self.target_state())
+        e_start = _expectation(matvec, self.start_state())
+        e_target = _expectation(matvec, self.target_state())
         if e_start > self.eta1 + 1e-9 or e_target > self.eta1 + 1e-9:
             raise PreconditionError(
                 f"endpoint energies ({e_start:.3e}, {e_target:.3e}) exceed eta1={self.eta1}"
@@ -149,6 +158,7 @@ class PathVerdict:
 def verify_path(instance: GsconInstance, steps) -> PathVerdict:
     """Walk the path, recording every intermediate energy and the final distance.
 
+    The flip diagonals of the instance's Hamiltonian are built once per call.
     Malformed steps (non-unitary or over-local) are rejected with their index.
     """
     steps = list(steps)
@@ -159,12 +169,13 @@ def verify_path(instance: GsconInstance, steps) -> PathVerdict:
             raise PreconditionError(f"step {i} acts on {len(step.targets)} > l={instance.l} qubits")
         if not step.is_unitary():
             raise PreconditionError(f"step {i} is not unitary")
+    matvec, _ = operator(instance.hamiltonian)
     state = instance.start_state()
     energies = []
     first_violation = None
     for i, step in enumerate(steps):
         state = apply_gate(state, step, instance.n)
-        e = instance.hamiltonian.expectation(state)
+        e = _expectation(matvec, state)
         energies.append(e)
         if first_violation is None and e > instance.eta1:
             first_violation = i

@@ -141,13 +141,6 @@ class PauliString:
         diag = _string_diagonal(np.arange(dim, dtype=np.uint64), sign, _popcount(self.x & self.z))
         return apply_flip_diagonals([(flip, diag)], vec, diag.dtype)
 
-    def identity_like(self) -> bool:
-        return self.x == 0 and self.z == 0
-
-
-def identity_string(n: int) -> PauliString:
-    return PauliString(n, 0, 0)
-
 
 @dataclass(frozen=True)
 class PauliTerm:

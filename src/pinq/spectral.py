@@ -56,11 +56,13 @@ def _check_hermitian(obj) -> int:
     return mat.shape[0]
 
 
-def _operator(obj):
-    """(matvec, dtype) for the iterative route.
+def operator(obj):
+    """(matvec, dtype) of a Hamiltonian sum or an explicit matrix.
 
     A sum's flip diagonals are checked against ``ITERATIVE_BYTE_CEILING``
-    before they are built.
+    before they are built, then built once and held by the matvec.  This is
+    the operator of the iterative route, and of every caller that applies
+    one sum many times.
     """
     if isinstance(obj, HamiltonianSum):
         if obj.n > ITERATIVE_QUBIT_CEILING:
@@ -147,7 +149,7 @@ def min_eig(obj, method="auto", seed=0, with_vector=True) -> SpectralResult:
         val, vec, resid = _lowest_pair(_dense_matrix(obj))
         res = SpectralResult(val, vec, "dense", resid)
     elif method == "iterative":
-        matvec, dtype = _operator(obj)
+        matvec, dtype = operator(obj)
         res = _arpack_min(matvec, dim, dtype, seed)
     else:
         raise ValueError(f"unknown method {method!r}")

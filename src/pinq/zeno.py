@@ -26,10 +26,11 @@ eigenbasis of A - B, the commuting step one matvec with a 2^n x 2^n step
 matrix.  Each is exact up to round-off, not a product formula, so the
 measured scaling isolates the projection error.  The reference
 exp(-i t (A +- B)) psi comes from ``scipy.linalg.expm``, independently of the
-eigendecompositions.  The literal (n+1)-qubit simulation the identities
-replace is ``zeno_register_evolve`` in ``tests/oracles.py``.  Post-selection
-is deterministic projection plus renormalization with survival bookkeeping;
-no trajectory sampling.
+eigendecompositions; a t so large that the reference is not finite is
+rejected.  The literal (n+1)-qubit simulation the identities replace is
+``zeno_register_evolve`` in ``tests/oracles.py``.  Post-selection is
+deterministic projection plus renormalization with survival bookkeeping; no
+trajectory sampling.
 """
 
 from __future__ import annotations
@@ -142,7 +143,14 @@ class _PreparedProtocol:
             self.eigs = [scipy.linalg.eigh(gen)]
         else:
             self.eigs = [scipy.linalg.eigh(h.to_matrix(dense=True)) for h in (protocol.a, protocol.b)]
-        self.ref = scipy.linalg.expm(-1j * protocol.t * gen) @ self.psi
+        # a large enough t overflows expm's scaling and squaring
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.ref = scipy.linalg.expm(-1j * protocol.t * gen) @ self.psi
+        if not np.all(np.isfinite(self.ref)):
+            raise PreconditionError(
+                f"reference exp(-i t ({protocol.reference_label})) psi is not finite "
+                f"at t={protocol.t:g}"
+            )
 
     def run(self, steps: int) -> TrajectoryResult:
         """Post-selected trajectory with ``steps`` (>= 1) projections in total time t."""

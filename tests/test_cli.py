@@ -1,14 +1,16 @@
 """End-to-end command-line checks: exit codes, composition, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import pinq.gscon
 import pinq.spectral
 from pinq.cli import main
-from pinq.io import format_hamiltonian, load_hamiltonian, parse_hamiltonian
+from pinq.io import FORMAT_VERSIONS, format_hamiltonian, load_hamiltonian, parse_hamiltonian
 from pinq.pauli import HamiltonianSum
 
 
@@ -171,6 +173,21 @@ def test_zeno_non_finite_time_exit_3(tmp_path, capsys, t):
     assert "finite" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("t", ["1e20", "1e300"])
+def test_zeno_non_finite_reference_exit_3(tmp_path, capsys, t):
+    # a finite but huge t overflows the reference propagator
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", "qubits 1\n1 X\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["zeno", "--kind", "comm", "--a", a, "--b", b, "--t", t, "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "not finite" in captured.err and "Traceback" not in captured.err
+    assert [str(w.message) for w in caught] == []
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -264,6 +281,41 @@ def test_gscon_verify_malformed_json_exit_2(tmp_path, capsys, which, edit):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_gscon_byte_ceiling_checked_before_build(tmp_path, capsys, monkeypatch):
+    # 65 flip masks on 20 qubits need 520 MiB of diagonals, above the 512 MiB
+    # ceiling of the spectral layer
+    n = 20
+    masks = [(q,) for q in range(n)] + [(p, q) for p in range(n) for q in range(p + 1, n)]
+    labels = ["".join("X" if q in m else "I" for q in range(n)) for m in masks[:65]]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "format": FORMAT_VERSIONS["gscon_instance_json"], "qubits": n,
+        "hamiltonian": {"terms": [[0.01, lbl] for lbl in labels],
+                        "groups": [[i] for i in range(len(labels))]},
+        "k": 2, "l": 2, "m": 4, "eta": [0.0, 1.0, 1e-6, 1.0], "delta": 1e-6,
+        "start_circuit": [], "target_circuit": [],
+    }))
+    path = _write(tmp_path, "path.json",
+                  json.dumps({"format": FORMAT_VERSIONS["gscon_path_json"], "steps": []}))
+    build = HamiltonianSum.flip_diagonals
+
+    def small_only(self):
+        # group norms build each group on its own support
+        if self.n > 2:
+            raise AssertionError("flip diagonals built before the ceiling check")
+        return build(self)
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("state built before the ceiling check")
+
+    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", small_only)
+    monkeypatch.setattr(pinq.gscon, "run_circuit", no_state)
+    code = main(["gscon-verify", "--instance", str(inst), "--path", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "iterative ceiling" in captured.err
 
 
 def test_exact_norm_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch):

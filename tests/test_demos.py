@@ -1,5 +1,6 @@
 """Smoke test: the demos that exercise the structural checks, group norms,
-matrix assembly and Zeno evolution run to completion as scripts."""
+matrix assembly, Zeno evolution, traversal and fermion paths run to
+completion as scripts."""
 
 import os
 import subprocess
@@ -17,6 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         "02_penalty_lift.py",
         "03_zeno_evolution.py",
         "04_ground_space_traversal.py",
+        "05_fermion_interpolation.py",
     ],
 )
 def test_demo_exits_0(demo, tmp_path):

@@ -6,9 +6,12 @@ exponentiates rotation generators, and evaluates quadratic-Hamiltonian
 expectations directly.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from oracles import fock_covariance as _fock_covariance
 from oracles import fock_hamiltonian as _fock_hamiltonian
@@ -350,6 +353,109 @@ def test_generic_three_mode_path():
     verdict = verify_ff_path(path, h, eta1=float(np.max(grid)) + path.ramp_deviation + 1e-9)
     assert verdict.ok, verdict.failures
     assert verdict.endpoint_error <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# closed-form pair moves, checked against a dense re-walk
+# ---------------------------------------------------------------------------
+
+
+def _self_dual_parts(m):
+    """(u, v) of a 4x4 antisymmetric block, computed here from the definition."""
+    u = np.array([m[0, 1] + m[2, 3], m[0, 2] - m[1, 3], m[0, 3] + m[1, 2]]) / 2.0
+    v = np.array([m[0, 1] - m[2, 3], m[0, 2] + m[1, 3], m[0, 3] - m[1, 2]]) / 2.0
+    return u, v
+
+
+def _turn(before, after, i, j):
+    return math.remainder(
+        math.atan2(after[j], after[i]) - math.atan2(before[j], before[i]), 2 * math.pi
+    )
+
+
+def test_so4_tilt_and_frame_turns():
+    # planes (a, d), (b, c) by (x, y) turn u by x + y and v by y - x about
+    # axis 3; planes (a, b), (c, d) do the same about axis 1
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((4, 4))
+    m = a - a.T
+    u0, v0 = _self_dual_parts(m)
+    x, y = 0.37, -0.21
+    for planes, (i, j), fixed in ((((0, 3), (1, 2)), (0, 1), 2), (((0, 1), (2, 3)), (1, 2), 0)):
+        r = GivensRotation(*planes[1], y).matrix(4) @ GivensRotation(*planes[0], x).matrix(4)
+        u, v = _self_dual_parts(r @ m @ r.T)
+        assert _turn(u0, u, i, j) == pytest.approx(x + y, abs=1e-12)
+        assert _turn(v0, v, i, j) == pytest.approx(y - x, abs=1e-12)
+        assert (u[fixed], v[fixed]) == pytest.approx((u0[fixed], v0[fixed]), abs=1e-12)
+
+
+def _dense_rewalk(path):
+    """Block values at every grid point and the final state, re-walked with
+    dense rotation matrices."""
+    dim = path.start.mat.shape[0]
+    gamma = path.start.mat.copy()
+    grid_blocks = [gamma[0::2, 1::2].diagonal().copy()]
+    for sl in path.macro_slices():
+        for rot in path.rotations[sl]:
+            r = rot.matrix(dim)
+            gamma = r @ gamma @ r.T
+        grid_blocks.append(gamma[0::2, 1::2].diagonal().copy())
+    return np.array(grid_blocks), gamma
+
+
+def _check_against_oracle(path, h, n_steps):
+    blocks, final = _dense_rewalk(path)
+    c0, c1 = path.start.block_values(), path.end.block_values()
+    for k in range(n_steps + 1):
+        c_tgt = (1.0 - k / n_steps) * c0 + (k / n_steps) * c1
+        np.testing.assert_allclose(blocks[k], c_tgt, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(blocks[-1], c1, rtol=0, atol=1e-11)  # after alignment
+    assert np.linalg.norm(final - path.end.mat) <= 1e-8
+    verdict = verify_ff_path(path, h, eta1=max(path.grid_energies) + path.ramp_deviation + 1e-9)
+    assert verdict.ok, verdict.failures
+    assert all(len(r.modes) <= 2 for r in path.rotations)
+
+
+def _no_least_squares(*args, **kwargs):
+    raise AssertionError("least-squares fallback used")
+
+
+@pytest.mark.parametrize(
+    "c_start, c_end, n_steps",
+    [
+        ((-1.0, 1.0), (1.0, -1.0), 3),
+        ((1.0, -1.0), (-1.0, 1.0), 4),
+        ((1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), 8),
+        # the two ff-path patterns of the traverse benchmark
+        ((-1.0, 1.0), (1.0, -1.0), 4),
+        ((1.0, 1.0), (-1.0, -1.0), 4),
+    ],
+)
+def test_block_diagonal_paths_are_closed_form(monkeypatch, c_start, c_end, n_steps):
+    monkeypatch.setattr(scipy.optimize, "least_squares", _no_least_squares)
+    weights = np.random.default_rng(len(c_start) + n_steps).uniform(0.5, 1.5, len(c_start))
+    h = _block_h(weights)
+    gs, ge = CovMatrix(_block_h(c_start).mat), CovMatrix(_block_h(c_end).mat)
+    path = interpolation_path(gs, ge, h, n_steps)
+    ramp = np.linspace(energy(gs, h), energy(ge, h), n_steps + 1)
+    np.testing.assert_allclose(path.grid_energies, ramp, rtol=0, atol=1e-9)
+    _check_against_oracle(path, h, n_steps)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("seed", range(6))
+def test_generic_two_mode_path_aligns_without_energy_change(monkeypatch, parity, seed):
+    # random pure endpoints, default alignment_tol: the frame turn closes
+    # the path while the block values, hence the energy, stay put
+    monkeypatch.setattr(scipy.optimize, "least_squares", _no_least_squares)
+    g0 = canonical_gamma0(2, parity).mat
+    q1, q2 = _random_so(4, 200 + seed), _random_so(4, 300 + seed)
+    gs, ge = CovMatrix(q1 @ g0 @ q1.T), CovMatrix(q2 @ g0 @ q2.T)
+    h = _block_h(np.random.default_rng(seed).uniform(0.5, 1.5, 2))
+    path = interpolation_path(gs, ge, h, 6)
+    assert path.alignment_deviation <= 1e-12
+    assert np.linalg.norm(_dense_rewalk(path)[1] - ge.mat) <= 1e-12
+    _check_against_oracle(path, h, 6)
 
 
 def test_verify_flags_overlocal_rotation(monkeypatch):

@@ -1,5 +1,7 @@
 """Ground-space traversal: the stoquastic construction and path verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,41 @@ def test_eta_relation_validation():
             hamiltonian=h, k=1, eta1=0.0, eta2=0.05, eta3=1e-6, eta4=1.0,
             delta=0.1, l=2, m=10, start_circuit=(), target_circuit=(),
         )
+
+
+def _count_full_builds(monkeypatch, n):
+    """Counter of flip-diagonal builds on ``n`` qubits (group sums are smaller)."""
+    build = HamiltonianSum.flip_diagonals
+    count = [0]
+
+    def counted(self):
+        count[0] += self.n == n
+        return build(self)
+
+    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", counted)
+    return count
+
+
+def test_instance_and_verify_build_flip_diagonals_once(monkeypatch):
+    h = HamiltonianSum.from_terms(2, [(-0.8, "ZZ"), (0.3, "XI"), (-0.4, "XZ")])
+    count = _count_full_builds(monkeypatch, 8)
+    build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
+    assert count[0] == 1
+    steps = witness_traversal(build, [])
+    count[0] = 0
+    verdict = verify_path(build.instance, steps)
+    assert count[0] == 1
+    assert len(verdict.energies) == len(steps)
+    # the energies are those of the assembled matrix
+    hm = build.hamiltonian.to_matrix()
+    state = build.instance.start_state()
+    for step, e in zip(steps, verdict.energies):
+        state = apply_gate(state, step, build.instance.n)
+        assert e == pytest.approx(float(np.real(np.vdot(state, hm @ state))), abs=1e-12)
+
+
+def test_instance_keeps_no_cache():
+    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    inst = build_stoquastic_gscon(h, alpha=0.0, beta=0.5).instance
+    verify_path(inst, [])
+    assert set(vars(inst)) == {f.name for f in dataclasses.fields(inst)}
