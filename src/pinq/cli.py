@@ -9,6 +9,7 @@ report as JSON: {"subcommand", "seed", "inputs" (sha256 digests), "payload",
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -309,7 +310,9 @@ def _cmd_ff_path(args, t0) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pinq",
         description="Pinning reductions, Zeno-pinned evolution, and ground-space paths",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -46,6 +47,7 @@ class UnitaryStep:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "targets", tuple(index(q) for q in self.targets))
         k = len(self.targets)
         if mat.shape != (1 << k, 1 << k):
             raise PreconditionError(
@@ -107,6 +109,8 @@ class GsconInstance:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("k", "l", "m"):
+            setattr(self, name, index(getattr(self, name)))  # TypeError unless an integer
         if self.eta2 - self.eta1 < self.delta - 1e-12:
             raise PreconditionError("eta2 - eta1 must be at least Delta")
         if self.eta4 - self.eta3 < self.delta - 1e-12:

@@ -13,6 +13,12 @@ Conventions used throughout the package:
   gadget expanded into strings); structural checks (stoquasticity,
   commutation, permutation form) operate at group granularity.  Without an
   explicit grouping every string is its own group.
+* A sum's one matrix realization is its flip-diagonal form,
+  H = sum_f P_f diag(D_f), behind ``apply`` and ``to_matrix``.  Group norms
+  and termwise checks read the same form per group, on the group's own
+  support and batched by support width (``_local_flip_forms``); no group is
+  built as a matrix of its own.  Norms stop at the 12-qubit dense ceiling,
+  checks at the 16-qubit sparse ceiling.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ from .errors import ResourceLimitError
 DENSE_QUBIT_CEILING = 12
 SPARSE_QUBIT_CEILING = 16
 DEFAULT_TOL = 1e-12
+# bytes of one complex matrix at the dense ceiling: a stack of group-local
+# forms, or of their dense matrices, holds no more than one group may alone
+_STACK_BYTES = 16 << (2 * DENSE_QUBIT_CEILING)
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _LETTER_INV = {v: k for k, v in _LETTER.items()}
@@ -177,6 +186,10 @@ class HamiltonianSum:
                 coeff, s = t
                 if isinstance(s, str):
                     s = PauliString.from_label(s)
+                elif not isinstance(s, PauliString):
+                    raise TypeError(
+                        f"term string must be a label or a PauliString, not {type(s).__name__}"
+                    )
                 term = PauliTerm(float(coeff), s)
             if term.string.n != self._n:
                 raise ValueError("term qubit count mismatch")
@@ -227,35 +240,28 @@ class HamiltonianSum:
         for i in g:
             s = self._terms[i].string
             m |= s.x | s.z
-        return tuple(q for q in range(self._n) if (m >> q) & 1)
-
-    def group_sum(self, g) -> "HamiltonianSum":
-        """One group as a sum on its own union support, qubits renumbered in order.
-
-        An identity-only (or empty) group becomes a sum on zero qubits.
-        """
-        supp = self.group_support(g)
-
-        def squeeze(mask):
-            return sum(((mask >> q) & 1) << k for k, q in enumerate(supp))
-
-        return HamiltonianSum(
-            len(supp),
-            [
-                PauliTerm(t.coeff, PauliString(len(supp), squeeze(t.string.x), squeeze(t.string.z)))
-                for t in self.group_terms(g)
-            ],
-        )
+        supp = []
+        while m:
+            low = m & -m
+            supp.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(supp)
 
     def group_norms(self) -> list:
-        """Exact spectral norm of each group, by dense diagonalization on its support."""
-        norms = []
-        for g in self.group_indices():
-            m = self.group_sum(g).to_matrix(dense=True)
-            if m.shape[0] == 1:
-                norms.append(abs(m[0, 0]))
-            else:
-                norms.append(float(np.max(np.abs(np.linalg.eigvalsh(m)))))
+        """Exact spectral norm of each group, by dense diagonalization on its support.
+
+        The groups of one width are scattered into a stack of 2^w x 2^w
+        matrices, and each stack takes one ``eigvalsh`` call.
+        """
+        norms = [0.0] * len(self.group_indices())
+        for members, part, flips, diags in _local_flip_forms(self, DENSE_QUBIT_CEILING, "dense"):
+            dim = diags.shape[1]
+            cols = np.arange(dim)
+            mats = np.zeros((len(members), dim, dim), dtype=diags.dtype)
+            mats[part[:, None], cols ^ flips[:, None], cols] = diags
+            vals = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
+            for gi, v in zip(members, vals):
+                norms[gi] = float(v)
         return norms
 
     @property
@@ -376,6 +382,89 @@ class HamiltonianSum:
         return f"HamiltonianSum(n={self._n}, {inner})"
 
 
+def _local_flip_forms(h: HamiltonianSum, ceiling: int, kind: str):
+    """Yield every group's flip-diagonal form on its own support, in stacks.
+
+    A group on w qubits is renumbered in qubit order, with qubit 0 the most
+    significant bit, as ``to_matrix`` numbers a whole sum.  Groups of one
+    width and dtype come in stacks of at most ``_STACK_BYTES`` / (itemsize *
+    4^w) groups, and at least one.  A stack is (members, part, flips, diags):
+    ``members`` lists its group indices in increasing order, and row k holds
+    the local flip mask ``flips[k]`` of group ``members[part[k]]`` with its
+    diagonal ``diags[k]``, so entry (r, r ^ f) of that group is D_f[r ^ f].
+    A group's rows come in increasing f, each summed in term order.
+
+    Raises ``ResourceLimitError`` before anything is allocated when a group
+    spans more than ``ceiling`` qubits.
+    """
+    groups = h.group_indices()
+    supports = [h.group_support(g) for g in groups]
+    for supp in supports:
+        if len(supp) > ceiling:
+            raise ResourceLimitError(f"{len(supp)} qubits exceeds the {kind} ceiling of {ceiling}")
+    local, buckets = [], {}
+    for g, supp in zip(groups, supports):
+        local.append(_local_strings(h.terms, g, supp))
+        dtype = complex if any(ny for _, _, ny, _ in local[-1]) else float
+        buckets.setdefault((len(supp), dtype), []).append(len(local) - 1)
+    for (width, dtype), members in buckets.items():
+        per_stack = max(1, _STACK_BYTES // (np.dtype(dtype).itemsize << 2 * width))
+        for start in range(0, len(members), per_stack):
+            chunk = members[start:start + per_stack]
+            part, flips, strings = [], [], []
+            for p, gi in enumerate(chunk):
+                row_of = {f: len(flips) + k for k, f in enumerate(sorted({t[0] for t in local[gi]}))}
+                part += [p] * len(row_of)
+                flips += row_of
+                strings += [(row_of[flip], sign, ny, coeff) for flip, sign, ny, coeff in local[gi]]
+            diags = _stacked_diagonals(strings, len(flips), width, dtype)
+            yield chunk, np.array(part, dtype=np.intp), np.array(flips, dtype=np.intp), diags
+
+
+def _local_strings(terms, g, supp) -> list:
+    """(flip, sign, #Y, coeff) of each string of group ``g``, term order kept.
+
+    The masks are in the state-index bits of the group's support: qubit
+    ``supp[k]`` is bit w-1-k, so the first support qubit is the most
+    significant.
+    """
+    bits = [(q, len(supp) - 1 - k) for k, q in enumerate(supp)]
+    out = []
+    for i in g:
+        x, z = terms[i].string.x, terms[i].string.z
+        flip = sign = 0
+        for q, b in bits:
+            flip |= (x >> q & 1) << b
+            sign |= (z >> q & 1) << b
+        out.append((flip, sign, _popcount(flip & sign), terms[i].coeff))
+    return out
+
+
+def _stacked_diagonals(strings, rows: int, width: int, dtype) -> np.ndarray:
+    """Flip-diagonal rows from (row, sign, ny, coeff) strings in term order.
+
+    Pass r adds the r-th string of every row at once, so each row is summed
+    from zero in term order, and each string's factor is computed as
+    ``_string_diagonal`` computes it: the sums are those of ``flip_diagonals``.
+    """
+    diags = np.zeros((rows, 1 << width), dtype=dtype)
+    if not strings:
+        return diags
+    row, sign, ny, coeff = (np.array(c) for c in zip(*strings))
+    sign = sign.astype(np.uint64)
+    phase = np.array([1j ** k if k % 4 else 1 for k in ny.tolist()])
+    order = np.argsort(row, kind="stable")
+    rank = np.empty(len(row), dtype=np.intp)
+    rank[order] = np.arange(len(row)) - np.searchsorted(row[order], row[order])
+    idx = np.arange(1 << width, dtype=np.uint64)
+    for r in range(int(rank.max()) + 1):
+        k = np.flatnonzero(rank == r)
+        par = np.bitwise_count(idx & sign[k, None]) & np.uint8(1)
+        vals = coeff[k, None] * (1.0 - 2.0 * par)
+        diags[row[k]] += vals * phase[k, None] if np.iscomplexobj(diags) else vals
+    return diags
+
+
 # ---------------------------------------------------------------------------
 # structural property checks
 # ---------------------------------------------------------------------------
@@ -403,40 +492,62 @@ class PermutationReport:
 
 
 def _check_parts(h: HamiltonianSum, assembled: bool):
-    """(group index, CSR matrix) pairs: each group on its own support, built
-    one at a time, or the whole sum with group index None."""
-    if assembled:
-        return [(None, h.to_matrix())]
-    return ((gi, h.group_sum(g).to_matrix()) for gi, g in enumerate(h.group_indices()))
+    """Stacks (members, part, flips, diags) as ``_local_flip_forms`` yields
+    them: every group on its own support, or the whole sum as one part, number
+    0.  Both run up to the sparse ceiling."""
+    if not assembled:
+        yield from _local_flip_forms(h, SPARSE_QUBIT_CEILING, "sparse")
+        return
+    if h.n > SPARSE_QUBIT_CEILING:
+        raise ResourceLimitError(f"{h.n} qubits exceeds the sparse ceiling of {SPARSE_QUBIT_CEILING}")
+    pairs = list(h.flip_diagonals())
+    diags = np.array([d for _, d in pairs], dtype=h.dtype).reshape(-1, 1 << h.n)
+    flips = np.array([f for f, _ in pairs], dtype=np.intp)
+    yield [0], np.zeros(len(pairs), dtype=np.intp), flips, diags
 
 
-def _offdiag_offender(mat, tol: float):
-    """Largest off-diagonal entry violating 'real and <= tol', or None.
+def _offdiag_offenders(part, flips, diags, count: int, tol: float) -> list:
+    """Per part, its largest off-diagonal entry violating 'real and <= tol',
+    as (entry, (row, col)), or None.
 
-    Reads the stored entries of a CSR matrix with sorted indices, which come
-    in row-major order, so ties go to the first such entry in row-major order.
+    Ties go to the first such entry in row-major order.
     """
-    coo = mat.tocoo()
-    off = coo.row != coo.col
-    rows, cols, vals = coo.row[off], coo.col[off], coo.data[off].astype(complex)
-    bad = (vals.real > tol) | (np.abs(vals.imag) > tol)
-    if not bad.any():
-        return None
-    k = int(np.argmax(np.where(bad, vals.real + np.abs(vals.imag), -np.inf)))
-    return vals[k], (int(rows[k]), int(cols[k]))
+    dim = diags.shape[1]
+    cols = np.arange(dim)
+    bad = ((diags.real > tol) | (np.abs(diags.imag) > tol)) & (flips != 0)[:, None]
+    score = np.where(bad, diags.real + np.abs(diags.imag), -np.inf)
+    best = np.full(count, -np.inf)
+    np.maximum.at(best, part, score.max(axis=1, initial=-np.inf))
+    # row-major position r * dim + c of each worst entry, which sits at c = r ^ f
+    last = dim * dim
+    pos = np.where(bad & (score == best[part][:, None]), (cols ^ flips[:, None]) * dim + cols, last)
+    row_first = pos.min(axis=1, initial=last)
+    first = np.full(count, last)
+    np.minimum.at(first, part, row_first)
+    hits = [None] * count
+    for k in np.flatnonzero((row_first < last) & (row_first == first[part])):
+        r, c = divmod(int(row_first[k]), dim)
+        hits[part[k]] = complex(diags[k, c]), (r, c)
+    return hits
 
 
 def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> StoquasticReport:
     """Check for non-positive off-diagonal entries in the computational basis.
 
     ``termwise`` checks every group's matrix on its own support; otherwise the
-    fully assembled matrix is checked.  Always returns a report.
+    fully assembled matrix is checked.  Across groups the larger real part
+    wins, the earlier group on ties.  Always returns a report.
     """
+    hits = {}
+    for members, part, flips, diags in _check_parts(h, assembled=not termwise):
+        for gi, hit in zip(members, _offdiag_offenders(part, flips, diags, len(members), tol)):
+            if hit is not None:
+                hits[gi] = hit
     worst = None
-    for gi, mat in _check_parts(h, assembled=not termwise):
-        hit = _offdiag_offender(mat, tol)
-        if hit is not None and (worst is None or hit[0].real > worst[0].real):
-            worst = (*hit, gi)
+    for gi in sorted(hits):
+        hit = hits[gi]
+        if worst is None or hit[0].real > worst[0].real:
+            worst = (*hit, gi if termwise else None)
     if worst is None:
         return StoquasticReport(True)
     return StoquasticReport(False, *worst)
@@ -490,32 +601,45 @@ def is_commuting(h: HamiltonianSum) -> CommutingReport:
     return CommutingReport(True)
 
 
-def _is_permutation_matrix(mat, tol: float):
-    """Why a CSR matrix is not a 0/1 permutation matrix, or None.
+def _permutation_defects(part, flips, diags, count: int, tol: float) -> list:
+    """Per part, why it is not a 0/1 permutation matrix, or None.
 
-    Entries that are not stored are exact zeros.
+    Entries off the flip masks' positions are exact zeros.
     """
-    coo = mat.tocoo()
-    vals = coo.data
+    dim = diags.shape[1]
+    cols = np.arange(dim)
+
+    def any_row(flags):
+        return np.bincount(part, weights=flags, minlength=count) > 0
+
+    def ones_per_line(line):
+        """Near-1 entries in each row (line = r) or column (line = c) of each part."""
+        return np.bincount((part[:, None] * dim + line)[near1], minlength=count * dim).reshape(count, dim)
+
+    vals, checks = diags, []
     if np.iscomplexobj(vals):
-        if np.any(np.abs(vals.imag) > tol):
-            return "complex entries"
+        checks.append(("complex entries", any_row(np.any(np.abs(vals.imag) > tol, axis=1))))
         vals = vals.real
     near1 = np.abs(vals - 1.0) <= tol
-    if not np.all((np.abs(vals) <= tol) | near1):
-        return "entry outside {0,1}"
-    dim = mat.shape[0]
-    row_ones = np.bincount(coo.row[near1], minlength=dim)
-    col_ones = np.bincount(coo.col[near1], minlength=dim)
-    if not (np.all(col_ones == 1) and np.all(row_ones == 1)):
-        return "row/column sums differ from 1"
-    return None
+    checks.append(("entry outside {0,1}", any_row(~np.all((np.abs(vals) <= tol) | near1, axis=1))))
+    lines = np.hstack([ones_per_line(cols ^ flips[:, None]), ones_per_line(cols)])
+    checks.append(("row/column sums differ from 1", ~np.all(lines == 1, axis=1)))
+    # a part's reason is the first check it fails
+    reasons = [None] * count
+    for reason, failed in reversed(checks):
+        for p in np.flatnonzero(failed):
+            reasons[p] = reason
+    return reasons
 
 
 def is_permutation(h: HamiltonianSum, per_term=True, tol=DEFAULT_TOL) -> PermutationReport:
     """Check that each group's matrix (or the assembled matrix) is a 0/1 permutation."""
-    for gi, mat in _check_parts(h, assembled=not per_term):
-        reason = _is_permutation_matrix(mat, tol)
-        if reason is not None:
-            return PermutationReport(False, reason, gi)
-    return PermutationReport(True)
+    failed = {}
+    for members, part, flips, diags in _check_parts(h, assembled=not per_term):
+        for gi, reason in zip(members, _permutation_defects(part, flips, diags, len(members), tol)):
+            if reason is not None:
+                failed[gi] = reason
+    if not failed:
+        return PermutationReport(True)
+    gi = min(failed)
+    return PermutationReport(False, failed[gi], gi if per_term else None)

@@ -47,6 +47,8 @@ class PinState:
         if self.kind == "angle":
             if self.angle is None:
                 raise ValueError("angle state requires an angle")
+            if not math.isfinite(self.angle):
+                raise ValueError(f"pin angle {self.angle!r} is not finite")
         elif self.kind not in _NAMED_STATES:
             raise ValueError(f"unknown pin state {self.kind!r}")
 
@@ -356,16 +358,23 @@ def pin_penalty_lift(
     if every pinned state has energy >= b, the unpinned minimum is >= (a+b)/2,
     so the promise becomes (a, (a+b)/2).  ``d`` must upper-bound ||G'||; the
     default is the sum of exact per-group norms, or the dense norm when
-    ``exact_norm`` is set.
+    ``exact_norm`` is set.  A given ``d`` that is not finite, or is below the
+    2-norm of the merged coefficients (a lower bound on ||G'||), raises
+    ``PreconditionError``.
     """
     if not (0 <= pin_qubit < gprime.n):
         raise PreconditionError(f"pin qubit {pin_qubit} outside register")
-    if d is None:
-        if exact_norm:
-            mat = gprime.to_matrix(dense=True)
-            d = float(np.max(np.abs(np.linalg.eigvalsh(mat)))) if mat.size > 1 else abs(float(mat[0, 0]))
-        else:
-            d = float(sum(gprime.group_norms()))
+    if d is not None:
+        # ||G'|| is at least the root mean square of its eigenvalues, the
+        # 2-norm of its merged coefficients
+        rms = math.hypot(*(t.coeff for t in gprime.merged().terms))
+        if not (math.isfinite(d) and d >= rms * (1.0 - 1e-12)):
+            raise PreconditionError(f"norm bound {d!r} is not a finite bound >= {rms!r} on ||G'||")
+    elif exact_norm:
+        mat = gprime.to_matrix(dense=True)
+        d = float(np.max(np.abs(np.linalg.eigvalsh(mat)))) if mat.size > 1 else abs(float(mat[0, 0]))
+    else:
+        d = float(sum(gprime.group_norms()))
     delta = penalty_delta(bounds, d)
     # Delta * |1><1| = Delta/2 * (I - Z) on the pin qubit
     penalty = HamiltonianSum(

@@ -8,6 +8,7 @@ expectations from dense Jordan-Wigner operators in Fock space.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from pinq.ffgauss import givens_decompose, pure_orthogonal_factor
 
@@ -60,20 +61,38 @@ def _kron_chain(ops):
     return out
 
 
-def _check_parts(n, terms, groups, assembled):
-    """(group index, dense matrix) pairs that a structural check reads.
+def pauli_sparse(n, terms):
+    """CSR matrix of (coeff, label) terms: ``pauli_matrix`` with sparse Kronecker chains."""
+    out = sp.csr_matrix((1 << n, 1 << n), dtype=complex)
+    for coeff, label in terms:
+        chain = sp.identity(1, dtype=complex, format="csr")
+        for letter in label:
+            chain = sp.kron(chain, _LETTER_MAT[letter], format="csr")
+        out = out + coeff * chain
+    return out
+
+
+def _check_parts(n, terms, groups, assembled, sparse=False):
+    """(group index, matrix) pairs that a structural check reads.
 
     Each group is realized on its own union support, qubits kept in order;
-    ``assembled`` gives the whole sum once, with group index None.
+    ``assembled`` gives the whole sum once, with group index None.  Matrices
+    are dense, or CSR from ``pauli_sparse`` when ``sparse`` is set.
     """
+    build = pauli_sparse if sparse else pauli_matrix
     if assembled:
-        return [(None, pauli_matrix(n, terms))]
+        return [(None, build(n, terms))]
     parts = []
     for gi, g in enumerate(groups):
         supp = [q for q in range(n) if any(terms[i][1][q] != "I" for i in g)]
         local = [(terms[i][0], "".join(terms[i][1][q] for q in supp)) for i in g]
-        parts.append((gi, pauli_matrix(len(supp), local)))
+        parts.append((gi, build(len(supp), local)))
     return parts
+
+
+def group_norms(n, terms, groups):
+    """Spectral norm of each group: dense eigvalsh on its own support."""
+    return [float(np.max(np.abs(np.linalg.eigvalsh(mat)))) for _, mat in _check_parts(n, terms, groups, False)]
 
 
 def _dense_offdiag_offender(mat, tol):
@@ -87,17 +106,31 @@ def _dense_offdiag_offender(mat, tol):
     return m[pos], (int(pos[0]), int(pos[1]))
 
 
-def stoquastic_report(n, terms, groups, assembled, tol=1e-12):
-    """(verdict, worst entry, its position, its group) by a full dense scan.
+def _sparse_offdiag_offender(mat, tol):
+    """``_dense_offdiag_offender`` over the stored entries of a sparse matrix."""
+    coo = mat.tocoo()
+    order = np.lexsort((coo.col, coo.row))  # row-major
+    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+    bad = (rows != cols) & ((vals.real > tol) | (np.abs(vals.imag) > tol))
+    if not bad.any():
+        return None
+    k = int(np.argmax(np.where(bad, vals.real + np.abs(vals.imag), -np.inf)))
+    return vals[k], (int(rows[k]), int(cols[k]))
+
+
+def stoquastic_report(n, terms, groups, assembled, tol=1e-12, sparse=False):
+    """(verdict, worst entry, its position, its group) by a full scan: of
+    every entry, or of the stored ones of ``pauli_sparse`` when ``sparse``.
 
     The worst offender is the largest real part plus |imaginary part| among
     off-diagonal entries that are not real and <= tol, the first in row-major
     order on ties; across groups the larger real part wins, the earlier group
     on ties.
     """
+    offender = _sparse_offdiag_offender if sparse else _dense_offdiag_offender
     worst = None
-    for gi, mat in _check_parts(n, terms, groups, assembled):
-        hit = _dense_offdiag_offender(mat, tol)
+    for gi, mat in _check_parts(n, terms, groups, assembled, sparse):
+        hit = offender(mat, tol)
         if hit is not None and (worst is None or hit[0].real > worst[0].real):
             worst = (*hit, gi)
     return (True, None, None, None) if worst is None else (False, *worst)
@@ -116,10 +149,27 @@ def _dense_permutation_defect(mat, tol):
     return None
 
 
-def permutation_report(n, terms, groups, assembled, tol=1e-12):
+def _sparse_permutation_defect(mat, tol):
+    """``_dense_permutation_defect`` over the stored entries; the rest are zeros."""
+    coo = mat.tocoo()
+    if np.max(np.abs(coo.data.imag), initial=0.0) > tol:
+        return "complex entries"
+    vals = coo.data.real
+    near1 = np.abs(vals - 1.0) <= tol
+    if not np.all((np.abs(vals) <= tol) | near1):
+        return "entry outside {0,1}"
+    dim = mat.shape[0]
+    if not (np.all(np.bincount(coo.col[near1], minlength=dim) == 1)
+            and np.all(np.bincount(coo.row[near1], minlength=dim) == 1)):
+        return "row/column sums differ from 1"
+    return None
+
+
+def permutation_report(n, terms, groups, assembled, tol=1e-12, sparse=False):
     """(verdict, reason, group) from the first part that is not a 0/1 permutation."""
-    for gi, mat in _check_parts(n, terms, groups, assembled):
-        reason = _dense_permutation_defect(mat, tol)
+    defect = _sparse_permutation_defect if sparse else _dense_permutation_defect
+    for gi, mat in _check_parts(n, terms, groups, assembled, sparse):
+        reason = defect(mat, tol)
         if reason is not None:
             return False, reason, gi
     return True, None, None

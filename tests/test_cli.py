@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, composition, determinism."""
 
+import argparse
 import json
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import pinq.cli
 import pinq.gscon
 import pinq.spectral
 from pinq.cli import main
@@ -135,6 +137,60 @@ def test_unpin_penalty(tmp_path, capsys):
     assert report["payload"]["delta"] == pytest.approx(0.5 + 0.5 * (2 * 0.5 / 1 + 1))
     lifted = load_hamiltonian(out)
     assert lifted.n == 2
+
+
+@pytest.mark.parametrize("bound", ["-1", "0", "nan", "inf"])
+def test_unpin_penalty_rejects_impossible_norm_bounds(tmp_path, capsys, bound):
+    # ||0.5 ZI|| = 0.5: no bound below it, and no bound that is not finite
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.5 ZI\n")
+    code = main(["unpin-penalty", f, "--pin-qubit", "1", "--bounds", "0,1",
+                 f"--norm-bound={bound}", "--out", str(tmp_path / "lift.txt")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: norm bound")
+
+
+def test_unpin_penalty_accepts_the_exact_norm_as_bound(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.5 ZI\n0.5 IX\n")
+    code, report = _run(capsys, "unpin-penalty", f, "--pin-qubit", "1", "--bounds", "0,1",
+                        "--norm-bound", str(np.sqrt(0.5)), "--out", str(tmp_path / "lift.txt"))
+    assert code == 0
+    assert report["payload"]["norm_bound"] == np.sqrt(0.5)
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "1e400"])
+def test_non_finite_pin_angle_is_malformed(tmp_path, capsys, angle):
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.5 ZX\n")
+    code = main(["effective", f, "--pin", f"0=angle:{angle}", "--out", str(tmp_path / "e.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "pin angle" in captured.err and "not finite" in captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "pinq":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    pinq.cli._build_parser.cache_clear()
+    try:
+        f = _write(tmp_path, "h.txt", "qubits 3\n1 ZZZ\n")
+        report_file = tmp_path / "report.json"
+        code, first = _run(capsys, "--json", str(report_file), "effective", f,
+                           "--pin", "0=0", "--pin", "1=+", "--out", str(tmp_path / "a.txt"))
+        assert code == 0 and first["payload"]["qubits"] == 1
+        report_file.unlink()
+        code, second = _run(capsys, "effective", f, "--pin", "2=1", "--out", str(tmp_path / "b.txt"))
+        assert code == 0 and second["payload"]["qubits"] == 2
+        assert not report_file.exists()
+        assert len(built) == 1
+    finally:
+        pinq.cli._build_parser.cache_clear()
 
 
 def test_zeno_csv(tmp_path, capsys):
@@ -272,6 +328,13 @@ def _rewrite_json(path, edit):
     pytest.param("instance", lambda d: d.update(format="2"), id="instance-unknown-format"),
     pytest.param("path", lambda d: d["steps"][0].pop("matrix"), id="step-without-matrix"),
     pytest.param("path", lambda d: d.update(format="2"), id="path-unknown-format"),
+    # mistyped fields that escaped as AttributeError or TypeError tracebacks
+    pytest.param("instance", lambda d: d["hamiltonian"]["terms"][0].__setitem__(1, None),
+                 id="term-label-not-a-string"),
+    pytest.param("instance", lambda d: d.update(l=None), id="locality-bound-null"),
+    pytest.param("path", lambda d: d["steps"][0].update(targets=[0.5]), id="float-target"),
+    pytest.param("path", lambda d: d["steps"][0].update(targets=[None]), id="null-target"),
+    pytest.param("path", lambda d: d["steps"][0].update(targets=["1"]), id="string-target"),
 ])
 def test_gscon_verify_malformed_json_exit_2(tmp_path, capsys, which, edit):
     inst, path = _gscon_files(tmp_path, capsys)

@@ -1,0 +1,199 @@
+"""Property tests of the exit-code contract: every input, malformed ones
+included, ends in exit 0, 1, 2 or 3 with no exception escaping ``main``.
+
+Valid headers stay at 5 qubits or fewer, so each example is cheap; the
+out-of-range headers must be turned away before anything is allocated.
+"""
+
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pinq.cli import main
+
+EXIT_CODES = {0, 1, 2, 3}
+
+_BIG_HEADERS = ["qubits 17", "qubits 40", "qubits 100000", "qubits 99999999999999999999"]
+_BAD_HEADERS = ["qubits -2", "qubits x", "qubit 3", "qubits 3 4", ""]
+_COEFFS = ["1", "-0.5", "0", "0.25", "-1e-320", "1e300", "1e400", "-inf", "nan", "abc", "0x10"]
+_REALS = ["0", "1", "-1", "0.5", "2.5", "1e400", "-1e400", "nan", "x", ""]
+
+
+def _label(draw, n):
+    size = draw(st.sampled_from([n] * 6 + [max(n - 1, 0), n + 1]))
+    return draw(st.text(st.sampled_from("IXYZ" * 4 + "Qx"), min_size=size, max_size=size))
+
+
+@st.composite
+def hamiltonian_text(draw):
+    """A Hamiltonian file: header, terms, ``#!group`` lines and comments."""
+    header = draw(st.one_of(
+        st.integers(0, 5).map(lambda n: f"qubits {n}"),
+        st.sampled_from(_BIG_HEADERS + _BAD_HEADERS),
+    ))
+    try:
+        n = int(header.split()[1])
+    except (IndexError, ValueError):
+        n = 2
+    lines = [header]
+    count = draw(st.integers(0, 5)) if 0 <= n <= 64 else 0
+    for _ in range(count):
+        coeff = draw(st.one_of(st.sampled_from(_COEFFS), st.floats().map(repr)))
+        lines.append(f"{coeff} {_label(draw, n)}")
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("# a comment")
+    indices = list(range(count))
+    grouping = draw(st.sampled_from(["none", "single", "pairs", "random"]))
+    if grouping == "single":
+        lines += [f"#!group {i}" for i in indices]
+    elif grouping == "pairs":
+        lines += ["#!group " + " ".join(map(str, indices[i:i + 2])) for i in range(0, count, 2)]
+    elif grouping == "random":
+        tokens = st.one_of(st.integers(-1, count + 1).map(str), st.just("a"))
+        lines += ["#!group " + " ".join(draw(st.lists(tokens, max_size=3)))]
+    return "\n".join(lines) + "\n"
+
+
+_PIN_STATES = ["0", "1", "+", "-", "angle:0.3", "angle:nan", "angle:inf", "angle:1e400",
+               "angle:", "angle:x", "2"]
+pin_token = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["0", "1", "4", "-1", "x"]), st.sampled_from(_PIN_STATES)),
+    st.just("0"),
+)
+bounds_text = st.one_of(
+    st.builds("{},{}".format, st.sampled_from(_REALS), st.sampled_from(_REALS)),
+    st.sampled_from(["-1,1", "1", "0,1,2"]),
+)
+
+
+@st.composite
+def hamiltonian_argv(draw, path, out):
+    """argv of one subcommand that reads a Hamiltonian file."""
+    command = draw(st.sampled_from(
+        ["check", "pin-commuting", "pin-stoquastic", "pin-permutation", "unpin-penalty",
+         "effective", "spectrum"]
+    ))
+    argv = [command, path]
+    if command == "check":
+        if draw(st.booleans()):
+            argv.append("--assembled")
+        argv += ["--tol", draw(st.sampled_from(["1e-12", "0", "-1", "nan", "1e300"]))]
+    if command in ("pin-commuting", "pin-stoquastic", "pin-permutation", "spectrum") and draw(st.booleans()):
+        argv += ["--bounds", draw(bounds_text)]
+    if command == "pin-permutation" and draw(st.booleans()):
+        argv += ["--bits", draw(st.sampled_from(["1", "2", "3", "0", "-1"]))]
+    if command == "unpin-penalty":
+        argv += ["--pin-qubit", draw(st.sampled_from(["0", "1", "-1", "9"])),
+                 "--bounds", draw(bounds_text)]
+        if draw(st.booleans()):
+            argv += ["--norm-bound", draw(st.sampled_from(_REALS))]
+        if draw(st.booleans()):
+            argv.append("--exact-norm")
+    if command in ("effective", "spectrum"):
+        for token in draw(st.lists(pin_token, max_size=2)):
+            argv.append(f"--pin={token}")
+    if command == "spectrum" and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--dense", "--iterative"])))
+    if command != "check" and command != "spectrum":
+        argv += ["--out", out]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def workdir():
+    with tempfile.TemporaryDirectory() as d:
+        yield d
+
+
+def _write(path, text):
+    with open(path, "w") as f:
+        f.write(text)
+    return path
+
+
+@settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_hamiltonian_commands_keep_the_exit_contract(workdir, data):
+    path = _write(os.path.join(workdir, "h.txt"), data.draw(hamiltonian_text()))
+    argv = data.draw(hamiltonian_argv(path, os.path.join(workdir, "out.txt")))
+    assert main(argv) in EXIT_CODES
+
+
+@pytest.fixture(scope="module")
+def gscon_files(workdir):
+    """A small planted instance and its empty witness, as parsed JSON."""
+    h = _write(os.path.join(workdir, "g.txt"), "qubits 1\n-0.5 Z\n0.25 X\n")
+    inst, path = os.path.join(workdir, "inst.json"), os.path.join(workdir, "path.json")
+    assert main(["gscon-build", h, "--alpha", "1e-9", "--beta", "0.5", "--out", inst,
+                 "--path-out", path]) == 0
+    with open(inst) as fi, open(path) as fp:
+        return json.load(fi), json.load(fp)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _sites(doc):
+    """Key paths grouped by shape (list indices as '*'), so that a field of
+    every list entry is as likely a target as a top-level key."""
+    sites = {}
+    for path in _paths(doc):
+        shape = tuple("*" if isinstance(k, int) else k for k in path)
+        sites.setdefault(shape, []).append(path)
+    return [sites[shape] for shape in sorted(sites, key=lambda s: (-len(s), repr(s)))]
+
+
+# type confusions first: a wrong scalar where a number, a label or a list is due
+_CONFUSIONS = st.sampled_from([None, True, -1, 0.5, 10**30, float("nan"), float("inf"), "", "x", "1", [], {}])
+json_value = st.one_of(
+    _CONFUSIONS,
+    _CONFUSIONS,
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.sampled_from(["1", "IZ"])),
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+        max_leaves=4,
+    ),
+)
+
+
+def _mutate(doc, data):
+    """doc with one subtree replaced or deleted; the document is copied."""
+    doc = json.loads(json.dumps(doc))
+    path = data.draw(st.sampled_from(data.draw(st.sampled_from(_sites(doc)))))
+    if not path:
+        return data.draw(json_value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        parent[path[-1]] = data.draw(json_value)
+    elif isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent.pop(path[-1])
+    return doc
+
+
+@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_gscon_verify_keeps_the_exit_contract(workdir, gscon_files, data):
+    docs = list(gscon_files)
+    which = data.draw(st.sampled_from([0, 1]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        docs[which] = _mutate(docs[which], data)
+    texts = [json.dumps(d) for d in docs]
+    if data.draw(st.integers(0, 9)) == 0:
+        texts[which] = texts[which][: data.draw(st.integers(0, len(texts[which])))]
+    inst = _write(os.path.join(workdir, "fuzz-inst.json"), texts[0])
+    path = _write(os.path.join(workdir, "fuzz-path.json"), texts[1])
+    assert main(["gscon-verify", "--instance", inst, "--path", path]) in EXIT_CODES

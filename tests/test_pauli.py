@@ -5,10 +5,18 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from oracles import pauli_entry, pauli_matrix, permutation_report, stoquastic_report
+from oracles import (
+    group_norms,
+    pauli_entry,
+    pauli_matrix,
+    permutation_report,
+    stoquastic_report,
+)
 
+import pinq.pauli
 from pinq.errors import ResourceLimitError
 from pinq.pauli import (
+    DENSE_QUBIT_CEILING,
     HamiltonianSum,
     PauliString,
     PauliTerm,
@@ -397,6 +405,77 @@ def test_weight_13_group_norm_hits_dense_ceiling_but_checks_answer(monkeypatch):
             h.group_norms()
     assert astuple(is_stoquastic(h)) == (False, 1.0, (0, (1 << n) - 1), 0)
     assert astuple(is_permutation(h)) == (False, "entry outside {0,1}", 0)
+
+
+def _wide_group_case(seed):
+    """16 qubits: a random 14-qubit group with Y letters, a 14-qubit
+    controlled flip (a permutation, and not stoquastic) and a 2-qubit group."""
+    rng = np.random.default_rng(seed)
+    n = 16
+    wide = [(float(rng.choice([-1.0, -0.5, 0.5, 1.0])),
+             "I" + "".join(rng.choice(list("IXYZ"), 14)) + "I") for _ in range(3)]
+    wide.append((0.25, "I" + "X" * 14 + "I"))  # pins the support to qubits 1..14
+    flips = "I" * 2 + "X" * 13 + "I"
+    gadget = [(0.5, "I" * n), (0.5, "IZ" + "I" * 14), (0.5, flips), (-0.5, "IZ" + flips[2:])]
+    small = [(1.0, "I" * 14 + "XX")]
+    blocks = [wide, gadget, small] if seed % 2 else [gadget, small, wide]
+    terms = [t for b in blocks for t in b]
+    groups, start = [], 0
+    for b in blocks:
+        groups.append(tuple(range(start, start + len(b))))
+        start += len(b)
+    return n, terms, tuple(groups)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_termwise_checks_on_wide_groups_match_sparse_oracle(seed):
+    n, terms, groups = _wide_group_case(seed)
+    h = HamiltonianSum.from_terms(n, terms, groups)
+    assert max(len(h.group_support(g)) for g in groups) == 14
+    assert astuple(is_stoquastic(h)) == stoquastic_report(n, terms, groups, False, sparse=True)
+    assert astuple(is_permutation(h)) == permutation_report(n, terms, groups, False, sparse=True)
+
+
+def test_termwise_checks_stop_at_the_sparse_ceiling(monkeypatch):
+    n = 17
+    h = HamiltonianSum.from_terms(n, [(1.0, "X" * n)])
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", _no_dense)
+    with pytest.raises(ResourceLimitError, match="sparse ceiling"):
+        is_stoquastic(h)
+    with pytest.raises(ResourceLimitError, match="sparse ceiling"):
+        is_permutation(h)
+    with pytest.raises(ResourceLimitError, match="dense ceiling"):
+        h.group_norms()
+
+
+_NORM_CASES = {
+    **_FIXED_CHECK_CASES,
+    "duplicate strings": (3, [(0.5, "XYZ"), (0.5, "XYZ"), (0.25, "ZII"), (0.25, "YYI")], ((0, 1, 2), (3,))),
+}
+
+
+@pytest.mark.parametrize("case", [*_NORM_CASES, *range(60)])
+def test_group_norms_match_dense_oracle(case):
+    if isinstance(case, str):
+        n, terms, groups = _NORM_CASES[case]
+    else:
+        n, terms, groups = _random_check_case(case)
+    h = HamiltonianSum.from_terms(n, terms, groups)
+    want = group_norms(n, terms, h.group_indices())
+    np.testing.assert_allclose(h.group_norms(), want, rtol=0, atol=1e-12)
+
+
+def test_group_norm_stacks_fit_one_dense_matrix_at_the_ceiling():
+    # 10-qubit groups: 32 real (16 complex) 1024 x 1024 matrices fill one stack
+    n, w = 12, 10
+    blocks = [[(0.5, "X" * w + "II")]] * 40 + [[(0.5, "Y" * w + "II")]] * 20
+    h = HamiltonianSum.from_groups(n, blocks)
+    limit = 16 << (2 * DENSE_QUBIT_CEILING)
+    stacks = list(pinq.pauli._local_flip_forms(h, DENSE_QUBIT_CEILING, "dense"))
+    assert [len(members) for members, *_ in stacks] == [32, 8, 16, 4]
+    for members, _, _, diags in stacks:
+        assert len(members) * diags.itemsize << (2 * w) <= limit
+    assert sorted(gi for members, *_ in stacks for gi in members) == list(range(60))
 
 
 # ---------------------------------------------------------------------------
