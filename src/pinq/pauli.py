@@ -19,6 +19,9 @@ Conventions used throughout the package:
   support and batched by support width (``_local_flip_forms``); no group is
   built as a matrix of its own.  Norms stop at the 12-qubit dense ceiling,
   checks at the 16-qubit sparse ceiling.
+* One builder makes every form: ``_local_strings`` maps a string's masks to
+  the state-index bits of a support (the whole register is ``range(n)``),
+  and ``_stacked_diagonals`` sums the strings into diagonal rows.
 """
 
 from __future__ import annotations
@@ -37,20 +40,12 @@ DEFAULT_TOL = 1e-12
 # bytes of one complex matrix at the dense ceiling: a stack of group-local
 # forms, or of their dense matrices, holds no more than one group may alone
 _STACK_BYTES = 16 << (2 * DENSE_QUBIT_CEILING)
+# rows that one pass of ``_stacked_diagonals`` handles at a time, in bytes:
+# their temporaries stay cache-sized (8 real or 4 complex rows at 12 qubits)
+_CHUNK_BYTES = 256 << 10
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _LETTER_INV = {v: k for k, v in _LETTER.items()}
-
-
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
-def _string_diagonal(idx: np.ndarray, sign: int, ny: int, coeff=1.0) -> np.ndarray:
-    """coeff * i**ny * (-1)**popcount(idx & sign): one string's diagonal factor."""
-    par = np.bitwise_count(idx & np.uint64(sign)) & np.uint8(1)
-    diag = coeff * (1.0 - 2.0 * par)
-    return diag * (1j ** ny) if ny % 4 else diag
 
 
 def apply_flip_diagonals(pairs, vec: np.ndarray, dtype=float) -> np.ndarray:
@@ -104,15 +99,6 @@ class PauliString:
         )
 
     @property
-    def support(self) -> tuple:
-        m = self.x | self.z
-        return tuple(q for q in range(self.n) if (m >> q) & 1)
-
-    @property
-    def weight(self) -> int:
-        return _popcount(self.x | self.z)
-
-    @property
     def has_y(self) -> bool:
         return bool(self.x & self.z)
 
@@ -122,7 +108,7 @@ class PauliString:
 
     def commutes_with(self, other: "PauliString") -> bool:
         """Exact symplectic test: even overlap count means commuting."""
-        s = _popcount(self.x & other.z) + _popcount(self.z & other.x)
+        s = (self.x & other.z).bit_count() + (self.z & other.x).bit_count()
         return s % 2 == 0
 
     def compose(self, other: "PauliString") -> tuple["PauliString", int]:
@@ -130,25 +116,16 @@ class PauliString:
         x3 = self.x ^ other.x
         z3 = self.z ^ other.z
         k = (
-            _popcount(self.x & self.z)
-            + _popcount(other.x & other.z)
-            + 2 * _popcount(self.z & other.x)
-            - _popcount(x3 & z3)
+            (self.x & self.z).bit_count()
+            + (other.x & other.z).bit_count()
+            + 2 * (self.z & other.x).bit_count()
+            - (x3 & z3).bit_count()
         ) % 4
         return PauliString(self.n, x3, z3), k
 
-    def _index_masks(self) -> tuple[int, int]:
-        """(flip, sign) masks in state-index bit positions (qubit 0 = MSB)."""
-        return tuple(int(f"{m:0{self.n}b}"[::-1], 2) for m in (self.x, self.z))
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free action of the string on a state vector."""
-        dim = 1 << self.n
-        if vec.shape[0] != dim:
-            raise ValueError("state dimension mismatch")
-        flip, sign = self._index_masks()
-        diag = _string_diagonal(np.arange(dim, dtype=np.uint64), sign, _popcount(self.x & self.z))
-        return apply_flip_diagonals([(flip, diag)], vec, diag.dtype)
+        """Matrix-free action of the string on a state vector: a one-term sum's."""
+        return HamiltonianSum(self.n, [PauliTerm(1.0, self)]).apply(vec)
 
 
 @dataclass(frozen=True)
@@ -232,9 +209,6 @@ class HamiltonianSum:
             return self._groups
         return tuple((i,) for i in range(len(self._terms)))
 
-    def group_terms(self, g) -> tuple:
-        return tuple(self._terms[i] for i in g)
-
     def group_support(self, g) -> tuple:
         m = 0
         for i in g:
@@ -288,19 +262,14 @@ class HamiltonianSum:
 
         ``f`` is an X flip mask in state-index bit positions and
         (P_f v)[i] = v[i ^ f].  Each D_f sums its strings' diagonal factors in
-        term order; one 2^n vector is built at a time.
+        term order.  The D_f are the rows of one (#flips, 2^n) stack, built
+        at once by ``_stacked_diagonals`` on the support ``range(n)``.
         """
-        by_flip = {}
-        for t in self._terms:
-            flip, sign = t.string._index_masks()
-            by_flip.setdefault(flip, []).append((sign, _popcount(t.string.x & t.string.z), t.coeff))
-        dim, dtype = 1 << self._n, self.dtype
-        idx = np.arange(dim, dtype=np.uint64)
-        for flip in sorted(by_flip):
-            diag = np.zeros(dim, dtype=dtype)
-            for sign, ny, coeff in by_flip[flip]:
-                diag += _string_diagonal(idx, sign, ny, coeff)
-            yield flip, diag
+        strings = _local_strings(self._terms, range(len(self._terms)), range(self._n))
+        flips = sorted({flip for flip, _, _, _ in strings})
+        row_of = {f: k for k, f in enumerate(flips)}
+        rows = [(row_of[flip], sign, ny, coeff) for flip, sign, ny, coeff in strings]
+        yield from zip(flips, _stacked_diagonals(rows, len(flips), self._n, self.dtype))
 
     def to_matrix(self, dense=False):
         """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray).
@@ -331,7 +300,11 @@ class HamiltonianSum:
         return mat.toarray() if dense else mat
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free matvec over the flip diagonals, built one at a time."""
+        """Matrix-free matvec over the flip diagonals.
+
+        All #flips diagonals of 2^n entries are held at once, as
+        ``spectral.operator`` holds them.
+        """
         if vec.shape[0] != 1 << self._n:
             raise ValueError("state dimension mismatch")
         return apply_flip_diagonals(self.flip_diagonals(), vec, self.dtype)
@@ -422,11 +395,12 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int, kind: str):
 
 
 def _local_strings(terms, g, supp) -> list:
-    """(flip, sign, #Y, coeff) of each string of group ``g``, term order kept.
+    """(flip, sign, #Y, coeff) of each term ``terms[i]``, i in ``g``, in order.
 
-    The masks are in the state-index bits of the group's support: qubit
-    ``supp[k]`` is bit w-1-k, so the first support qubit is the most
-    significant.
+    The masks are in the state-index bits of the support ``supp``, which
+    holds every qubit the strings act on: qubit ``supp[k]`` is bit w-1-k, so
+    the first support qubit is the most significant.  A group passes its own
+    support, a whole sum ``range(n)``.
     """
     bits = [(q, len(supp) - 1 - k) for k, q in enumerate(supp)]
     out = []
@@ -436,32 +410,38 @@ def _local_strings(terms, g, supp) -> list:
         for q, b in bits:
             flip |= (x >> q & 1) << b
             sign |= (z >> q & 1) << b
-        out.append((flip, sign, _popcount(flip & sign), terms[i].coeff))
+        out.append((flip, sign, (flip & sign).bit_count(), terms[i].coeff))
     return out
 
 
 def _stacked_diagonals(strings, rows: int, width: int, dtype) -> np.ndarray:
     """Flip-diagonal rows from (row, sign, ny, coeff) strings in term order.
 
-    Pass r adds the r-th string of every row at once, so each row is summed
-    from zero in term order, and each string's factor is computed as
-    ``_string_diagonal`` computes it: the sums are those of ``flip_diagonals``.
+    String (row, sign, ny, coeff) adds coeff * i**ny * (-1)**popcount(j & sign)
+    at entry j of its row; ``sign`` is in the state-index bits of a
+    ``width``-qubit support.  Pass r adds the r-th string of every row, so each
+    row is summed from zero in term order, over chunks of at most
+    ``_CHUNK_BYTES`` of rows (and at least one row).  A sum started at +0
+    never turns -0, so only the nonzero parts of each +-weight count, and
+    they are exact: the rows are the per-string sums bit for bit.
     """
     diags = np.zeros((rows, 1 << width), dtype=dtype)
     if not strings:
         return diags
-    row, sign, ny, coeff = (np.array(c) for c in zip(*strings))
-    sign = sign.astype(np.uint64)
-    phase = np.array([1j ** k if k % 4 else 1 for k in ny.tolist()])
+    row = np.array([r for r, _, _, _ in strings])
+    sign = np.array([s for _, s, _, _ in strings], dtype=np.uint64)
+    weight = np.array([c * 1j ** ny if ny % 4 else c for _, _, ny, c in strings], dtype=dtype)
     order = np.argsort(row, kind="stable")
     rank = np.empty(len(row), dtype=np.intp)
     rank[order] = np.arange(len(row)) - np.searchsorted(row[order], row[order])
     idx = np.arange(1 << width, dtype=np.uint64)
+    chunk = max(1, _CHUNK_BYTES // (diags.itemsize << width))
     for r in range(int(rank.max()) + 1):
-        k = np.flatnonzero(rank == r)
-        par = np.bitwise_count(idx & sign[k, None]) & np.uint8(1)
-        vals = coeff[k, None] * (1.0 - 2.0 * par)
-        diags[row[k]] += vals * phase[k, None] if np.iscomplexobj(diags) else vals
+        pass_k = np.flatnonzero(rank == r)
+        for start in range(0, len(pass_k), chunk):
+            k = pass_k[start:start + chunk]
+            odd = (np.bitwise_count(idx & sign[k, None]) & np.uint8(1)).view(bool)
+            diags[row[k]] += np.where(odd, -weight[k, None], weight[k, None])
     return diags
 
 

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, ResourceLimitError, UnsupportedTermError
+from .errors import PreconditionError, UnsupportedTermError
 from .pauli import (
-    DENSE_QUBIT_CEILING,
     HamiltonianSum,
     PauliString,
     PauliTerm,
     _LETTER,
+    _LETTER_INV,
 )
 
 _NAMED_STATES = {"0", "1", "+", "-"}
@@ -190,13 +190,12 @@ def effective_sum(h: HamiltonianSum, pin: PinSpec, merge=True) -> HamiltonianSum
 
 
 def effective_hamiltonian(h: HamiltonianSum, pin: PinSpec, dense=True):
-    """Matrix of the pinned operator on the unpinned qubits."""
-    eff = effective_sum(h, pin)
-    if dense and eff.n > DENSE_QUBIT_CEILING:
-        raise ResourceLimitError(
-            f"effective operator on {eff.n} qubits exceeds the dense ceiling"
-        )
-    return eff.to_matrix(dense=dense)
+    """Matrix of the pinned operator on the unpinned qubits.
+
+    ``to_matrix`` raises ``ResourceLimitError`` above its ceiling before
+    anything is allocated.
+    """
+    return effective_sum(h, pin).to_matrix(dense=dense)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +222,6 @@ def _factor_images(state: PinState, letter: str):
     return [(1.0, "Y")]
 
 
-_AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-
-
 def rotate_pin_to_zero(h: HamiltonianSum, pin: PinSpec):
     """Conjugate by the single-qubit unitaries sending each pin state to |0>.
 
@@ -246,7 +242,7 @@ def rotate_pin_to_zero(h: HamiltonianSum, pin: PinSpec):
             new_exp = []
             for coeff, x, z in expansion:
                 for fac, axis in _factor_images(state, letter):
-                    nx, nz = _AXIS_BITS[axis]
+                    nx, nz = _LETTER_INV[axis]
                     x2 = (x & ~(1 << q)) | (nx << q)
                     z2 = (z & ~(1 << q)) | (nz << q)
                     new_exp.append((coeff * fac, x2, z2))
@@ -466,29 +462,22 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
                 blocks.append([PauliTerm(c, PauliString(n_out, x, 0))])
         elif bin(z).count("1") == 1:
             # c * X^x Z_b: split on |0><0|_b and |1><1|_b; the half with
-            # positive entries gets the ancilla X, the other the identity.
-            if c > 0:
-                # -c X^x (|0><0| X_q + |1><1| I_q)
-                blocks.append(
-                    [
-                        PauliTerm(-c / 2.0, PauliString(n_out, x | anc_bit, 0)),
-                        PauliTerm(-c / 2.0, PauliString(n_out, x | anc_bit, z)),
-                        PauliTerm(-c / 2.0, PauliString(n_out, x, 0)),
-                        PauliTerm(c / 2.0, PauliString(n_out, x, z)),
-                    ]
-                )
-            elif c < 0:
-                # -|c| X^x (|0><0| I_q + |1><1| X_q)
-                blocks.append(
-                    [
-                        PauliTerm(c / 2.0, PauliString(n_out, x, 0)),
-                        PauliTerm(c / 2.0, PauliString(n_out, x, z)),
-                        PauliTerm(c / 2.0, PauliString(n_out, x | anc_bit, 0)),
-                        PauliTerm(-c / 2.0, PauliString(n_out, x | anc_bit, z)),
-                    ]
-                )
-            else:
+            # positive entries gets the ancilla X, the other the identity:
+            # -|c| X^x (|0><0| X_q + |1><1| I_q) for c > 0, mirrored for c < 0.
+            if c == 0:
                 blocks.append([PauliTerm(0.0, PauliString(n_out, x, z))])
+            else:
+                # X masks of the |0><0|_b and |1><1|_b halves
+                flip0, flip1 = (x | anc_bit, x) if c > 0 else (x, x | anc_bit)
+                a = -abs(c) / 2.0
+                blocks.append(
+                    [
+                        PauliTerm(a, PauliString(n_out, flip0, 0)),
+                        PauliTerm(a, PauliString(n_out, flip0, z)),
+                        PauliTerm(a, PauliString(n_out, flip1, 0)),
+                        PauliTerm(-a, PauliString(n_out, flip1, z)),
+                    ]
+                )
         else:
             raise UnsupportedTermError(
                 f"term {t.string.label()} has more than one Z factor on an off-diagonal string"

@@ -61,6 +61,32 @@ def _kron_chain(ops):
     return out
 
 
+def flip_diagonals(n, terms):
+    """(f, D_f) pairs in increasing f for (coeff, label) terms, with
+    H = sum_f P_f diag(D_f) and (P_f v)[i] = v[i ^ f]: the literal per-term build.
+
+    Masks are read off the letters (qubit q is index bit n-1-q).  Each D_f is
+    one 2^n vector, summed from zero in term order, one string at a time; it is
+    complex when any term carries a Y.
+    """
+    by_flip = {}
+    for coeff, label in terms:
+        flip = sum(1 << (n - 1 - q) for q, letter in enumerate(label) if letter in "XY")
+        sign = sum(1 << (n - 1 - q) for q, letter in enumerate(label) if letter in "ZY")
+        by_flip.setdefault(flip, []).append((sign, label.count("Y"), coeff))
+    dtype = complex if any("Y" in label for _, label in terms) else float
+    idx = np.arange(1 << n, dtype=np.uint64)
+    pairs = []
+    for flip in sorted(by_flip):
+        diag = np.zeros(1 << n, dtype=dtype)
+        for sign, ny, coeff in by_flip[flip]:
+            par = np.bitwise_count(idx & np.uint64(sign)) & np.uint8(1)
+            term = coeff * (1.0 - 2.0 * par)
+            diag += term * (1j ** ny) if ny % 4 else term
+        pairs.append((flip, diag))
+    return pairs
+
+
 def pauli_sparse(n, terms):
     """CSR matrix of (coeff, label) terms: ``pauli_matrix`` with sparse Kronecker chains."""
     out = sp.csr_matrix((1 << n, 1 << n), dtype=complex)

@@ -346,6 +346,21 @@ def test_gscon_verify_malformed_json_exit_2(tmp_path, capsys, which, edit):
     assert "Traceback" not in captured.err
 
 
+def test_gscon_verify_overflowing_step_exit_3_without_warnings(tmp_path, capsys):
+    inst, path = _gscon_files(tmp_path, capsys)
+    # the product m^H m overflows to inf, and inf * 0 gives nan
+    huge = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    _rewrite_json(path, lambda d: d.update(steps=[{"targets": [0], "matrix": huge}]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["gscon-verify", "--instance", inst, "--path", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "step 0 is not unitary" in captured.err
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_gscon_byte_ceiling_checked_before_build(tmp_path, capsys, monkeypatch):
     # 65 flip masks on 20 qubits need 520 MiB of diagonals, above the 512 MiB
     # ceiling of the spectral layer

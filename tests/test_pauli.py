@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import (
+    flip_diagonals,
     group_norms,
     pauli_entry,
     pauli_matrix,
@@ -148,6 +149,52 @@ def test_flip_form_matches_per_term_oracle(n):
         v_cplx = v_real + 1j * rng.standard_normal(1 << n)
         for v in (v_real, v_cplx):
             np.testing.assert_allclose(h.apply(v), ref @ v, atol=1e-13)
+
+
+def _wide_sum(rng, n, flip_letters):
+    """5n terms on n random flip masks, so most masks carry several strings;
+    a flipped qubit takes one of ``flip_letters``, the others I or Z."""
+    patterns = ["".join(rng.choice(["I", "X"], n)) for _ in range(n)]
+    terms = []
+    for _ in range(5 * n):
+        pattern = patterns[rng.integers(n)]
+        label = "".join(rng.choice(flip_letters if p == "X" else ["I", "Z"]) for p in pattern)
+        terms.append((float(rng.uniform(-1, 1)), label))
+    return terms
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(400)
+    cases = [pytest.param(n, _edge_case_terms(rng, n), id=f"edge-{n}") for n in range(1, 7)]
+    cases.append(pytest.param(3, [(-0.0, "XZY"), (0.5, "XZI"), (-0.0, "ZZI")], id="negative-zero"))
+    cases.append(pytest.param(4, [], id="empty"))
+    for n in (12, 16):  # several rows per chunk at 12 qubits, one at 16
+        for kind, flip_letters in (("real", ["X"]), ("complex", ["X", "Y"])):
+            cases.append(pytest.param(n, _wide_sum(rng, n, flip_letters), id=f"{kind}-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("n, terms", _bit_identity_cases())
+def test_flip_diagonals_bit_identical_to_per_term_oracle(n, terms):
+    got = list(HamiltonianSum.from_terms(n, terms).flip_diagonals())
+    want = flip_diagonals(n, terms)
+    assert [f for f, _ in got] == [f for f, _ in want]
+    for (_, d), (_, ref) in zip(got, want):
+        assert d.dtype == ref.dtype
+        np.testing.assert_array_equal(d, ref)
+        assert d.tobytes() == ref.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("label", ["XYZ", "IZX", "YYI", "ZZZ", "YYYY", "I"])
+def test_string_apply_matches_per_term_oracle(label):
+    n = len(label)
+    rng = np.random.default_rng(len(label))
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    ref = np.zeros(1 << n, dtype=complex)
+    idx = np.arange(1 << n)
+    for flip, diag in flip_diagonals(n, [(1.0, label)]):
+        ref += (diag * v)[idx ^ flip]  # (P_f w)[i] = w[i ^ f]
+    np.testing.assert_array_equal(PauliString.from_label(label).apply(v), ref)
 
 
 def test_flip_diagonals_come_in_increasing_mask_order():
