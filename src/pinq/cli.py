@@ -283,7 +283,7 @@ def _cmd_ff_path(args, t0) -> int:
     start = CovMatrix(load_matrix_csv(args.start))
     end = CovMatrix(load_matrix_csv(args.end))
     h = HamMatrix(load_matrix_csv(args.h))
-    path = interpolation_path(start, end, h, args.n, seed=args.seed)
+    path = interpolation_path(start, end, h, args.n)
     out = {
         "format": FORMAT_VERSIONS["ff_path_json"],
         "rotations": [[r.p, r.q, r.theta] for r in path.rotations],

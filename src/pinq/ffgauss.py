@@ -25,33 +25,50 @@ planes (a *tilt*); rotations in the planes (a, b) and (c, d) turn them the
 same way about axis 1 (a *frame* turn), which leaves every block value, hence
 the energy, unchanged.  A target (c_j', c_l') is therefore reachable with at
 most four rotations exactly when |u_1'| <= |u| and |v_1'| <= |v|.  The modes
-whose block values move are paired in index order; a step with an odd number
-of moving modes, or with a pair out of reach, falls back to a seeded damped
-least-squares solve over all planes.  At two modes every pure state has one
-unit and one zero vector, so every step is closed form; block-diagonal
-endpoints are closed form at any mode count; generic endpoints at three or
-more modes fall back.
+whose block values move are paired in index order.  At two modes every pure
+state has one unit and one zero vector, so every step is closed form;
+block-diagonal endpoints are closed form at any mode count.
 
-A final alignment segment rotates the off-block frame onto the end state; it
-must leave the energy essentially unchanged, and this is verified, not
-assumed.  At two modes a frame turn is tried first.  Otherwise, or if that
-fails, a Givens decomposition of the residual frame is tried, and then a
-block-pinned descent.
+A step with an odd number of moving modes, or with a pair out of reach (most
+steps of generic endpoints at three or more modes), falls back to energy
+moves, and so does a step whose pair moves would take a micro-state out of
+the energy band between its two ramp energies.  A plane rotation G(p, q, t)
+gives tr(G gamma G^T h) = tr(gamma h) + alpha (cos t - 1) + beta sin t, with
+alpha and beta read from rows p and q, so the fallback turns the plane with
+the smallest angle that lands on the ramp energy (or, when none reaches it,
+the closest plane first); its micro-states never leave the band.
+
+The alignment segment rotates the grid state onto the end state; no state on
+it may rise above the end energy by more than a tolerance (checked, not
+assumed).  It tries a frame turn at two modes, then a Givens decomposition of
+the residual frame, then descends both states to the ground state of h by
+cyclic energy-minimising plane rotations, joins the two minima and runs the
+end's descent backwards.  A linear function on an adjoint orbit of SO(2n) has
+no local minima that are not global (Duistermaat, Kolk & Varadarajan,
+Compositio Math. 49 (1983)), so descent stalls only at saddles; when a
+degenerate ground space leaves the descents apart, the path is refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import PathConstructionError, PreconditionError
 
 PURITY_TOL = 1e-8
 ANTISYM_TOL = 1e-10
+# closed-form fallbacks of ``interpolation_path``: rounds of one energy move,
+# descent sweeps, a descent's energy floor per unit of max|h|, and the largest
+# distance at which two descended states are joined
+_MOVE_CAP = 64
+_SWEEP_CAP = 200
+_DESCENT_TOL = 1e-13
+_MEET_TOL = 1e-4
 
 
 def _as_array(obj) -> np.ndarray:
@@ -63,8 +80,11 @@ def _as_array(obj) -> np.ndarray:
 def _check_antisymmetric(mat: np.ndarray, tol=ANTISYM_TOL, what="matrix"):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise PreconditionError(f"{what} must be square with even dimension")
-    if np.max(np.abs(mat + mat.T)) > tol:
-        raise PreconditionError(f"{what} is not antisymmetric")
+    if not np.isfinite(mat).all():
+        raise PreconditionError(f"{what} has a non-finite entry")
+    with np.errstate(over="ignore"):  # a sum too large for a float is not antisymmetric
+        if np.max(np.abs(mat + mat.T)) > tol:
+            raise PreconditionError(f"{what} is not antisymmetric")
 
 
 class CovMatrix:
@@ -78,7 +98,8 @@ class CovMatrix:
 
     def purity_defect(self) -> float:
         g = self.mat
-        return float(np.linalg.norm(g.T @ g - np.eye(2 * self.n)))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, impure
+            return float(np.linalg.norm(g.T @ g - np.eye(2 * self.n)))
 
     def is_pure(self, tol=PURITY_TOL) -> bool:
         return self.purity_defect() <= tol
@@ -328,7 +349,6 @@ class FermionPath:
     alignment_deviation: float
     max_angle: float
     requested_steps: int
-    solver_residual: float = 0.0
 
     def macro_slices(self):
         out = []
@@ -337,10 +357,6 @@ class FermionPath:
             out.append(slice(start, start + c))
             start += c
         return out
-
-
-def _all_planes(dim: int) -> list:
-    return [(p, q) for p in range(dim) for q in range(p + 1, dim)]
 
 
 def _pair_vectors(m: np.ndarray, j: int, l: int):
@@ -436,92 +452,93 @@ def _frame_alignment(gamma: np.ndarray, target: np.ndarray) -> list:
     return _pair_rotations(((0, 1), (2, 3)), *turns)
 
 
-def _solve_block_move(gamma: np.ndarray, c_target: np.ndarray, planes, rng,
-                      tol: float) -> np.ndarray | None:
-    """Angles (one per plane) with block_values(R gamma R^T) = c_target."""
-
-    def conjugate(thetas):
-        g = gamma
-        for (p, q), th in zip(planes, thetas):
-            if th != 0.0:
-                g = _plane_conjugate(g, p, q, th)
-        return g
-
-    def residual(thetas):
-        g = conjugate(thetas)
-        return g[0::2, 1::2].diagonal() - c_target
-
-    n_param = len(planes)
-    scale = max(float(np.max(np.abs(residual(np.zeros(n_param))))), 1e-6)
-    inits = [np.zeros(n_param)]
-    for _ in range(6):
-        inits.append(rng.normal(scale=min(0.5, 2.0 * math.sqrt(scale)), size=n_param))
-    # an init that already hits the target wins outright
-    for x0 in inits:
-        if np.max(np.abs(residual(x0))) <= tol:
-            return x0
-    solutions = []
-    for x0 in inits:
-        sol = scipy.optimize.least_squares(
-            residual, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400
-        )
-        if float(np.max(np.abs(sol.fun))) <= tol:
-            solutions.append(sol.x)
-    if not solutions:
-        return None
-    # smallest total rotation keeps intermediate energies near the ramp
-    return min(solutions, key=lambda x: float(np.sum(np.abs(x))))
+def _plane_coefficients(gamma: np.ndarray, h: np.ndarray, p: int, q: int):
+    """(alpha, beta) with tr(G gamma G^T h) = tr(gamma h) + alpha (cos t - 1)
+    + beta sin t for G = G(p, q, t), from rows p and q in O(dim)."""
+    alpha = 4.0 * gamma[p, q] * h[p, q] - 2.0 * (gamma[p] @ h[p] + gamma[q] @ h[q])
+    beta = 2.0 * (gamma[q] @ h[p] - gamma[p] @ h[q])
+    return float(alpha), float(beta)
 
 
-def _fiber_descent(gamma, target, planes, frame_tol=1e-9, max_iters=400,
-                   step_bound=0.15, block_weight=30.0):
-    """Best-effort rotations moving ``gamma`` onto ``target`` while holding the
-    diagonal blocks (hence the energy) near the shared end value.
+def _energy_move(gamma: np.ndarray, h: np.ndarray, target: float) -> list:
+    """Plane rotations taking tr(gamma h) to ``target``.
 
-    Returns (rotations, final gamma, reached).  Each iteration solves a
-    bounded-angle least-squares step whose residual combines the frame
-    mismatch with a heavily weighted block mismatch.
+    Each round turns the plane with the smallest angle that lands on the
+    target and stops; when no plane reaches it, it turns the plane that gets
+    closest to its extreme and tries again, for at most ``_MOVE_CAP`` rounds.
     """
-    c_end = target[0::2, 1::2].diagonal().copy()
-    rotations = []
-    stall = 0
-    dist = float(np.linalg.norm(gamma - target))
-    for _ in range(max_iters):
-        if dist <= frame_tol:
-            return rotations, gamma, True
+    rots = []
+    for _ in range(_MOVE_CAP):
+        gap = target - energy(gamma, h)
+        best = (math.inf,)  # (shortfall, |angle|, p, q, angle)
+        for p, q in itertools.combinations(range(gamma.shape[0]), 2):
+            alpha, beta = _plane_coefficients(gamma, h, p, q)
+            radius = math.hypot(alpha, beta)
+            if radius == 0.0:
+                continue
+            # E(t) - E(0) = radius cos(t - phi) - alpha
+            phi, x = math.atan2(beta, alpha), (gap + alpha) / radius
+            turns = (math.acos(x), -math.acos(x)) if abs(x) <= 1.0 else (0.0 if x > 0 else math.pi,)
+            theta = min((math.remainder(phi + t, 2 * math.pi) for t in turns), key=abs)
+            best = min(best, (max(abs(gap + alpha) - radius, 0.0), abs(theta), p, q, theta))
+        if best[0] == math.inf:
+            break
+        shortfall, _, p, q, theta = best
+        if abs(theta) > 1e-14:
+            gamma = _plane_conjugate(gamma, p, q, theta)
+            rots.append(GivensRotation(p, q, theta))
+        if shortfall == 0.0:
+            return rots
+    raise PathConstructionError(f"no plane rotations reach the ramp energy {target:.6g}")
 
-        def residual(thetas):
-            g = gamma
-            for (p, q), th in zip(planes, thetas):
-                if th != 0.0:
-                    g = _plane_conjugate(g, p, q, th)
-            frame = (g - target).ravel()
-            blocks = block_weight * (g[0::2, 1::2].diagonal() - c_end)
-            return np.concatenate([frame, blocks])
 
-        sol = scipy.optimize.least_squares(
-            residual,
-            np.zeros(len(planes)),
-            bounds=(-step_bound, step_bound),
-            method="trf",
-            max_nfev=80,
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
+def _descend(gamma: np.ndarray, h: np.ndarray):
+    """(rotations, final state) of cyclic sweeps that turn each plane to its
+    energy minimum, until a sweep lowers no plane by more than the floor."""
+    floor = _DESCENT_TOL * float(np.max(np.abs(h)))
+    rots = []
+    for _ in range(_SWEEP_CAP):
+        before = len(rots)
+        for p, q in itertools.combinations(range(gamma.shape[0]), 2):
+            alpha, beta = _plane_coefficients(gamma, h, p, q)
+            # the in-plane minimum lies radius + alpha below the current energy
+            if math.hypot(alpha, beta) + alpha <= floor:
+                continue
+            theta = math.atan2(-beta, -alpha)
+            gamma = _plane_conjugate(gamma, p, q, theta)
+            rots.append(GivensRotation(p, q, theta))
+        if len(rots) == before:
+            return rots, gamma
+    raise PathConstructionError(f"energy descent did not settle within {_SWEEP_CAP} sweeps")
+
+
+def _walk(gamma: np.ndarray, rots, h: np.ndarray):
+    """(final state, energy after each rotation) along the rotations."""
+    energies = []
+    for rot in rots:
+        gamma = _plane_conjugate(gamma, rot.p, rot.q, rot.theta)
+        energies.append(energy(gamma, h))
+    return gamma, energies
+
+
+def _descend_and_meet(gamma: np.ndarray, target: np.ndarray, h: np.ndarray) -> list:
+    """Rotations from ``gamma`` to ``target`` through the ground state: the
+    descent of ``gamma``, a Givens join of the two minima, and the reverse of
+    ``target``'s descent.
+
+    The join factors the polar part of X = I - b a, which satisfies
+    X a = b X for pure a and b and is close to 2I when they are close.
+    """
+    down, a = _descend(gamma, h)
+    up, b = _descend(target, h)
+    gap = float(np.linalg.norm(a - b))
+    if gap > _MEET_TOL:
+        raise PathConstructionError(
+            f"the descents end {gap:.3e} apart; the ground space of h is degenerate"
         )
-        for (p, q), th in zip(planes, sol.x):
-            if abs(th) > 1e-14:
-                gamma = _plane_conjugate(gamma, p, q, th)
-                rotations.append(GivensRotation(p, q, float(th)))
-        new_dist = float(np.linalg.norm(gamma - target))
-        if new_dist >= dist - 1e-13:
-            stall += 1
-            if stall >= 3:
-                break
-        else:
-            stall = 0
-        dist = new_dist
-    return rotations, gamma, dist <= frame_tol
+    w, _, vt = np.linalg.svd(np.eye(a.shape[0]) - b @ a)
+    join = givens_decompose(w @ vt, tol=1e-7)
+    return down + join + [GivensRotation(r.p, r.q, -r.theta) for r in reversed(up)]
 
 
 def interpolation_path(
@@ -529,7 +546,6 @@ def interpolation_path(
     gamma_end: CovMatrix,
     h: HamMatrix,
     n_steps: int,
-    seed: int = 0,
     solver_tol: float = 1e-11,
     alignment_tol: float = 1e-6,
 ) -> FermionPath:
@@ -538,8 +554,9 @@ def interpolation_path(
 
     Preconditions: both states pure, equal parity, h 2x2 block diagonal (use
     ``block_diagonal_form`` first and conjugate the states accordingly).
-    Raises PathConstructionError when a macro-step target cannot be realized
-    by two-mode rotations or the final alignment is not energy-trivial.
+    Raises PathConstructionError when a macro-step's energy is not reached,
+    or when no alignment onto gamma_end stays within ``alignment_tol`` above
+    the end energy (a degenerate ground space, for one).
     """
     if n_steps < 1:
         raise PreconditionError("step count must be at least 1")
@@ -550,6 +567,9 @@ def interpolation_path(
             raise PreconditionError(f"{name} state is not pure")
     if not h.is_block_diagonal:
         raise PreconditionError("h must be 2x2 block diagonal (pre-rotate it first)")
+    # bounds every energy and plane coefficient of pure states under h
+    if not math.isfinite(8.0 * h.mat.shape[0] * float(np.max(np.abs(h.mat)))):
+        raise PreconditionError("h is too large: its energies would overflow")
     if gamma_start.parity() != gamma_end.parity():
         raise PreconditionError("states lie in different parity sectors")
 
@@ -570,95 +590,65 @@ def interpolation_path(
             requested_steps=n_steps,
         )
 
-    rng = np.random.default_rng(seed)
-    planes = _all_planes(dim)
-    c0 = gamma_start.block_values()
-    c1 = gamma_end.block_values()
+    c0, c1 = gamma_start.block_values(), gamma_end.block_values()
 
     gamma = gamma_start.mat.copy()
     rotations = []
     macro_counts = []
     grid_energies = [e_start]
     ramp_dev = 0.0
-    max_angle = 0.0
-    worst_residual = 0.0
 
     def ramp(t):
         return (1.0 - t) * e_start + t * e_end
 
+    band = solver_tol * float(np.sum(np.abs(h.mat)))  # energy slack of solver_tol in c
     for k in range(1, n_steps + 1):
         c_tgt = (1.0 - k / n_steps) * c0 + (k / n_steps) * c1
+        t_prev, t_next = (k - 1) / n_steps, k / n_steps
+        lo, hi = sorted((ramp(t_prev), ramp(t_next)))
+        # pair moves that leave the step's energy band (their tilts can, once
+        # an energy move has left the straight c-line) give way to an energy move
         step_rots = _pair_moves(gamma, c_tgt, solver_tol)
+        if step_rots is not None:
+            g_next, micro = _walk(gamma, step_rots, h.mat)
+            if min(micro, default=lo) < lo - band or max(micro, default=hi) > hi + band:
+                step_rots = None
         if step_rots is None:
-            thetas = _solve_block_move(gamma, c_tgt, planes, rng, solver_tol)
-            if thetas is None:
-                raise PathConstructionError(
-                    f"macro-step {k}/{n_steps}: block target {c_tgt} not realizable "
-                    "by two-mode rotations from the current state"
-                )
-            step_rots = [
-                GivensRotation(p, q, float(th))
-                for (p, q), th in zip(planes, thetas)
-                if abs(th) > 1e-14
-            ]
-        # micro replay: energies tracked against the ramp within the step
-        t_prev = (k - 1) / n_steps
-        t_next = k / n_steps
-        for i, rot in enumerate(step_rots, start=1):
-            gamma = _plane_conjugate(gamma, rot.p, rot.q, rot.theta)
+            step_rots = _energy_move(gamma, h.mat, ramp(t_next))
+            g_next, micro = _walk(gamma, step_rots, h.mat)
+        for i, e in enumerate(micro, start=1):
             t_micro = t_prev + (t_next - t_prev) * i / len(step_rots)
-            ramp_dev = max(ramp_dev, abs(energy(gamma, h) - ramp(t_micro)))
-            max_angle = max(max_angle, abs(rot.theta))
+            ramp_dev = max(ramp_dev, abs(e - ramp(t_micro)))
+        gamma = g_next
         rotations.extend(step_rots)
         macro_counts.append(len(step_rots))
         grid_energies.append(energy(gamma, h))
-        worst_residual = max(worst_residual, float(np.max(np.abs(gamma[0::2, 1::2].diagonal() - c_tgt))))
 
-    # alignment: rotate the off-block frame onto gamma_end; energy must not
-    # move (checked, not assumed).  At two modes an energy-free frame turn is
-    # tried first.  Then a direct Givens decomposition of the residual frame
-    # (exact and short when the macro-steps already ended frame-aligned);
-    # otherwise a block-pinned descent walks to the end state within the
-    # constant-energy fiber.
-    def walk(rots):
-        """(state, largest energy deviation from e_end) along the rotations."""
-        g, dev = gamma, 0.0
-        for rot in rots:
-            g = _plane_conjugate(g, rot.p, rot.q, rot.theta)
-            dev = max(dev, abs(energy(g, h) - e_end))
-        return g, dev
-
+    # alignment onto gamma_end: the first candidate whose states rise at most
+    # alignment_tol above e_end (checked, not assumed) -- the two-mode frame
+    # turn, a direct Givens decomposition of the residual frame (exact and
+    # short when the macro-steps ended frame-aligned), descend-and-meet.
     def direct():
         o_res = pure_orthogonal_factor(gamma_end) @ pure_orthogonal_factor(CovMatrix(gamma)).T
         return givens_decompose(o_res, tol=1e-7)
 
-    candidates = [direct]
+    candidates = [direct, lambda: _descend_and_meet(gamma, gamma_end.mat, h.mat)]
     if dim == 4:
         candidates.insert(0, lambda: _frame_alignment(gamma, gamma_end.mat))
     for candidate in candidates:
         align_rots = candidate()
-        g_try, align_dev = walk(align_rots)
-        if align_dev <= alignment_tol and np.linalg.norm(g_try - gamma_end.mat) <= 1e-8:
-            gamma = g_try
+        g_try, micro = _walk(gamma, align_rots, h.mat)
+        diffs = [0.0] + [e - e_end for e in micro]
+        align_rise = max(diffs)
+        endpoint_error = float(np.linalg.norm(g_try - gamma_end.mat))
+        if align_rise <= alignment_tol and endpoint_error <= 1e-8:
             break
     else:
-        align_rots, g_end, reached = _fiber_descent(gamma, gamma_end.mat, planes)
-        if not reached:
-            raise PathConstructionError(
-                "final frame alignment did not converge; the end state is not "
-                "reachable from the constructed grid state within tolerance"
-            )
-        align_dev = walk(align_rots)[1]
-        gamma = g_end
-    for rot in align_rots:
-        max_angle = max(max_angle, abs(rot.theta))
-    if align_dev > alignment_tol:
         raise PathConstructionError(
-            f"alignment segment moves the energy by {align_dev:.3e} "
-            f"(> {alignment_tol:.1e}); the off-block frames are not energy-compatible"
+            f"alignment rises {align_rise:.3e} above the end energy (tolerance "
+            f"{alignment_tol:.1e}) and misses the end state by {endpoint_error:.3e}"
         )
-    if np.linalg.norm(gamma - gamma_end.mat) > 1e-8:
-        raise PathConstructionError("endpoint not reproduced after alignment")
+    align_dev = max(abs(d) for d in diffs)
     rotations.extend(align_rots)
     macro_counts.append(len(align_rots))
 
@@ -668,11 +658,10 @@ def interpolation_path(
         rotations=tuple(rotations),
         macro_counts=tuple(macro_counts),
         grid_energies=tuple(grid_energies),
-        ramp_deviation=max(ramp_dev, align_dev),
+        ramp_deviation=max(ramp_dev, align_rise),
         alignment_deviation=align_dev,
-        max_angle=max_angle,
+        max_angle=max((abs(r.theta) for r in rotations), default=0.0),
         requested_steps=n_steps,
-        solver_residual=worst_residual,
     )
 
 

@@ -19,6 +19,8 @@ still parse the identical term list.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import ParseError
@@ -158,10 +160,15 @@ def load_state(path, n: int | None = None) -> np.ndarray:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """2n rows of 2n comma-separated reals."""
-    mat = np.loadtxt(path, delimiter=",", ndmin=2)
+    """2n rows of 2n comma-separated finite reals."""
+    with warnings.catch_warnings():
+        # an empty file reads as 0x1 and is refused below, without loadtxt's warning
+        warnings.simplefilter("ignore", UserWarning)
+        mat = np.loadtxt(path, delimiter=",", ndmin=2)
     if mat.shape[0] != mat.shape[1]:
         raise ParseError(0, f"matrix is {mat.shape[0]}x{mat.shape[1]}, expected square")
+    if not np.isfinite(mat).all():
+        raise ParseError(0, "matrix has a non-finite entry")
     return mat
 
 

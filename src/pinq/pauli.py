@@ -265,11 +265,16 @@ class HamiltonianSum:
         term order.  The D_f are the rows of one (#flips, 2^n) stack, built
         at once by ``_stacked_diagonals`` on the support ``range(n)``.
         """
+        yield from zip(*self._flip_stack())
+
+    def _flip_stack(self):
+        """(flips, diags): the increasing flip masks as a list and the
+        (#flips, 2^n) stack whose rows ``flip_diagonals`` yields."""
         strings = _local_strings(self._terms, range(len(self._terms)), range(self._n))
         flips = sorted({flip for flip, _, _, _ in strings})
         row_of = {f: k for k, f in enumerate(flips)}
         rows = [(row_of[flip], sign, ny, coeff) for flip, sign, ny, coeff in strings]
-        yield from zip(flips, _stacked_diagonals(rows, len(flips), self._n, self.dtype))
+        return flips, _stacked_diagonals(rows, len(flips), self._n, self.dtype)
 
     def to_matrix(self, dense=False):
         """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray).
@@ -284,15 +289,13 @@ class HamiltonianSum:
                 f"ceiling of {ceiling}"
             )
         dim = 1 << self._n
-        pairs = list(self.flip_diagonals())
-        flips = np.array([f for f, _ in pairs], dtype=np.uint64)
-        cols = np.arange(dim, dtype=np.uint64)[:, None] ^ flips
-        data = np.array([d for _, d in pairs], dtype=self.dtype).reshape(-1, dim)
+        flips, data = self._flip_stack()
+        cols = np.arange(dim, dtype=np.uint64)[:, None] ^ np.array(flips, dtype=np.uint64)
         mat = sp.csr_matrix(
             (
-                data[np.arange(len(pairs)), cols].ravel(),
+                data[np.arange(len(flips)), cols].ravel(),
                 cols.astype(np.int64).ravel(),
-                np.arange(dim + 1) * len(pairs),
+                np.arange(dim + 1) * len(flips),
             ),
             shape=(dim, dim),
         )
@@ -480,10 +483,8 @@ def _check_parts(h: HamiltonianSum, assembled: bool):
         return
     if h.n > SPARSE_QUBIT_CEILING:
         raise ResourceLimitError(f"{h.n} qubits exceeds the sparse ceiling of {SPARSE_QUBIT_CEILING}")
-    pairs = list(h.flip_diagonals())
-    diags = np.array([d for _, d in pairs], dtype=h.dtype).reshape(-1, 1 << h.n)
-    flips = np.array([f for f, _ in pairs], dtype=np.intp)
-    yield [0], np.zeros(len(pairs), dtype=np.intp), flips, diags
+    flips, diags = h._flip_stack()
+    yield [0], np.zeros(len(flips), dtype=np.intp), np.array(flips, dtype=np.intp), diags
 
 
 def _offdiag_offenders(part, flips, diags, count: int, tol: float) -> list:

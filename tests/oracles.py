@@ -3,7 +3,8 @@
 These deliberately avoid the package's own matrix-assembly and covariance
 paths: Pauli-sum matrices come from per-qubit Pauli action, term by term
 (no flip-mask grouping), and fermionic
-expectations from dense Jordan-Wigner operators in Fock space.
+expectations from dense Jordan-Wigner operators in Fock space.  The
+generic free-fermion endpoints used by several suites are built here too.
 """
 
 import numpy as np
@@ -290,3 +291,21 @@ def fock_covariance(state, ms):
             out[a, b] = val.real
             out[b, a] = -val.real
     return out
+
+
+def random_so(dim, seed):
+    """A random special orthogonal matrix (QR of a seeded Gaussian matrix)."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1
+    return q
+
+
+def generic_three_mode():
+    """(start, end, h) arrays: two generic pure even 3-mode states, the vacuum
+    frame turned by ``random_so`` of seeds 1 and 2, under the block-diagonal h
+    of weights 1, 0.7, 0.4."""
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    g0 = np.kron(np.eye(3), j)
+    q1, q2 = random_so(6, 1), random_so(6, 2)
+    return q1 @ g0 @ q1.T, q2 @ g0 @ q2.T, np.kron(np.diag([1.0, 0.7, 0.4]), j)

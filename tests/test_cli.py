@@ -11,7 +11,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import pinq.cli
 import pinq.gscon
 import pinq.spectral
+from oracles import generic_three_mode
 from pinq.cli import main
+from pinq.ffgauss import CovMatrix, FermionPath, GivensRotation, energy, verify_ff_path
 from pinq.io import FORMAT_VERSIONS, format_hamiltonian, load_hamiltonian, parse_hamiltonian
 from pinq.pauli import HamiltonianSum
 
@@ -279,7 +281,7 @@ def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypa
     # 13 system qubits: a dense generator would take 512 MiB
     a = _write(tmp_path, "a.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n")
     b = _write(tmp_path, "b.txt", f"qubits 13\n{b_coeff} XIIIIIIIIIIII\n")
-    build = HamiltonianSum.flip_diagonals
+    build = HamiltonianSum._flip_stack
 
     def small_only(self):
         # the termwise stoquastic check builds each group on its own support
@@ -287,7 +289,7 @@ def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypa
             raise AssertionError("flip diagonals built before the ceiling check")
         return build(self)
 
-    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", small_only)
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", small_only)
     code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--n", "5"])
     captured = capsys.readouterr()
     assert code == 3
@@ -377,7 +379,7 @@ def test_gscon_byte_ceiling_checked_before_build(tmp_path, capsys, monkeypatch):
     }))
     path = _write(tmp_path, "path.json",
                   json.dumps({"format": FORMAT_VERSIONS["gscon_path_json"], "steps": []}))
-    build = HamiltonianSum.flip_diagonals
+    build = HamiltonianSum._flip_stack
 
     def small_only(self):
         # group norms build each group on its own support
@@ -388,7 +390,7 @@ def test_gscon_byte_ceiling_checked_before_build(tmp_path, capsys, monkeypatch):
     def no_state(*args, **kwargs):
         raise AssertionError("state built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", small_only)
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", small_only)
     monkeypatch.setattr(pinq.gscon, "run_circuit", no_state)
     code = main(["gscon-verify", "--instance", str(inst), "--path", path])
     captured = capsys.readouterr()
@@ -403,7 +405,7 @@ def test_exact_norm_dense_ceiling_checked_before_allocation(tmp_path, capsys, mo
     def no_build(self):
         raise AssertionError("flip diagonals built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", no_build)
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
     code = main(["unpin-penalty", f, "--pin-qubit", "1", "--bounds", "0,1", "--exact-norm",
                  "--out", str(tmp_path / "lift.txt")])
     captured = capsys.readouterr()
@@ -427,6 +429,77 @@ def test_ff_path_subcommand(tmp_path, capsys):
     data = json.load(open(out))
     assert len(data["grid_energies"]) == 9
     np.testing.assert_allclose(data["grid_energies"], np.linspace(-4, 4, 9), atol=1e-9)
+
+
+def _ff_files(tmp_path, start, end, h):
+    files = []
+    for name, mat in (("start", start), ("end", end), ("h", h)):
+        files.append(str(tmp_path / f"{name}.csv"))
+        np.savetxt(files[-1], mat, delimiter=",", fmt="%.17g")
+    return files
+
+
+def test_ff_path_generic_three_modes(tmp_path, capsys):
+    # generic endpoints take the energy moves and the descend-and-meet
+    # alignment; the payload does not depend on --seed
+    start, end, h = generic_three_mode()
+    files = _ff_files(tmp_path, start, end, h)
+    out = str(tmp_path / "path.json")
+    argv = ["ff-path", "--start", files[0], "--end", files[1], "--h", files[2], "--n", "8", "--out", out]
+    payloads = []
+    for seed in ("0", "7"):
+        code, report = _run(capsys, "--seed", seed, *argv)
+        assert code == 0
+        payloads.append(json.dumps(report["payload"], sort_keys=True))
+    assert payloads[0] == payloads[1]
+    data = json.load(open(out))
+    path = FermionPath(
+        start=CovMatrix(start), end=CovMatrix(end),
+        rotations=tuple(GivensRotation(int(p), int(q), th) for p, q, th in data["rotations"]),
+        macro_counts=tuple(data["macro_counts"]), grid_energies=tuple(data["grid_energies"]),
+        ramp_deviation=data["ramp_deviation"], alignment_deviation=data["alignment_deviation"],
+        max_angle=data["max_angle"], requested_steps=8)
+    eta1 = max(energy(start, h), energy(end, h)) + 1e-9
+    verdict = verify_ff_path(path, h, eta1=eta1)
+    assert verdict.ok, verdict.failures
+    assert verdict.max_micro_energy <= eta1
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 2])
+def test_ff_path_non_finite_entry_exit_2(tmp_path, capsys, entry, which):
+    g = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    mats = [g, -g, g.copy()]
+    mats[which][0, 1] = entry
+    files = _ff_files(tmp_path, *mats)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ff-path", "--start", files[0], "--end", files[1], "--h", files[2],
+                     "--n", "4", "--out", str(tmp_path / "path.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "non-finite" in captured.err and not captured.out
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("which, value, mirror, message", [
+    (2, 1e308, 1e308, "not antisymmetric"),  # the antisymmetry sum overflows
+    (0, 1e200, -1e200, "not pure"),  # squaring overflows
+    (2, 1e308, -1e308, "overflow"),  # the energies overflow
+])
+def test_ff_path_overflowing_entry_exit_3_without_warnings(tmp_path, capsys, which, value, mirror, message):
+    g = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    mats = [g, -g, g.copy()]
+    mats[which][0, 1], mats[which][1, 0] = value, mirror
+    files = _ff_files(tmp_path, *mats)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ff-path", "--start", files[0], "--end", files[1], "--h", files[2],
+                     "--n", "4", "--out", str(tmp_path / "path.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert message in captured.err and not captured.out
+    assert [str(w.message) for w in caught] == []
 
 
 def test_seeded_payloads_are_byte_identical(tmp_path, capsys):

@@ -5,14 +5,18 @@ Valid headers stay at 5 qubits or fewer, so each example is cheap; the
 out-of-range headers must be turned away before anything is allocated.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import generic_three_mode
 from pinq.cli import main
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -197,3 +201,82 @@ def test_gscon_verify_keeps_the_exit_contract(workdir, gscon_files, data):
     inst = _write(os.path.join(workdir, "fuzz-inst.json"), texts[0])
     path = _write(os.path.join(workdir, "fuzz-path.json"), texts[1])
     assert main(["gscon-verify", "--instance", inst, "--path", path]) in EXIT_CODES
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _ff_cases():
+    """(start, end, h) triples: generic 3-mode pure endpoints of even parity,
+    and the block-diagonal 2-mode flip, each under a block-diagonal h."""
+    flip = np.kron(np.diag([-1.0, 1.0]), [[0.0, 1.0], [-1.0, 0.0]])
+    return [generic_three_mode(), (flip, -flip, np.kron(np.diag([0.8, 1.3]), [[0.0, 1.0], [-1.0, 0.0]]))]
+
+
+def _csv(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+_ENTRIES = ["nan", "inf", "-inf", "1e400", "-1e400", "1e308", "-1e-320", "0", "x", "", "0x10", "1;2"]
+
+
+@st.composite
+def matrix_csv(draw, mat):
+    """The CSV text of ``mat`` after one to three mutations.  A mirrored
+    mutation writes -v opposite v, so antisymmetry survives; a block mutation
+    is mirrored onto a diagonal 2x2 block, which a block-diagonal h keeps."""
+    rows = [[repr(float(x)) for x in row] for row in mat]
+    value = st.one_of(st.sampled_from(_ENTRIES), st.floats().map(repr))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["entry", "mirror", "block", "scale", "drop_row", "drop_cell", "extra_cell"]))
+        i = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        if kind in ("entry", "mirror", "block") and len(rows) == len(mat) and all(len(r) == len(mat) for r in rows):
+            j = i ^ 1 if kind == "block" else draw(st.integers(0, len(rows) - 1))
+            v = draw(value)
+            rows[i][j] = v
+            if kind != "entry":
+                rows[j][i] = v[1:] if v.startswith("-") else "-" + v
+        elif kind == "scale":
+            factor = draw(st.sampled_from([-1.0, 0.0, 0.5, 1e-300, 1e300]))
+            rows = [[repr(float(mat[r, c]) * factor) for c in range(mat.shape[1])] for r in range(len(rows))]
+        elif kind == "drop_row" and rows:
+            rows.pop(i)
+        elif kind == "drop_cell" and rows and rows[i]:
+            rows[i].pop()
+        elif kind == "extra_cell" and rows:
+            rows[i].append("0")
+    text = _csv(rows)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_ff_path_keeps_the_exit_contract(workdir, data):
+    mats = data.draw(st.sampled_from(_ff_cases()))
+    which = data.draw(st.sampled_from([0, 1, 2]))
+    files = []
+    for k, (name, mat) in enumerate(zip(("start", "end", "h"), mats)):
+        text = data.draw(matrix_csv(mat)) if k == which else _csv([[repr(float(x)) for x in row] for row in mat])
+        files.append(_write(os.path.join(workdir, f"ff-{name}.csv"), text))
+    out = os.path.join(workdir, "ff-path.json")
+    steps = data.draw(st.sampled_from(["1", "4", "8", "0", "-2", "x"]))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["ff-path", "--start", files[0], "--end", files[1], "--h", files[2],
+                     "--n", steps, "--out", out])
+    assert code in EXIT_CODES
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        _strict_json(stdout.getvalue())
+        with open(out) as f:
+            _strict_json(f.read())
+    else:
+        assert not stdout.getvalue()

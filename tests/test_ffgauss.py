@@ -16,9 +16,11 @@ import scipy.optimize
 from oracles import fock_covariance as _fock_covariance
 from oracles import fock_hamiltonian as _fock_hamiltonian
 from oracles import fock_state as _fock_state
+from oracles import generic_three_mode
 from oracles import majoranas as _majoranas
+from oracles import random_so as _random_so
 
-from pinq.errors import PreconditionError
+from pinq.errors import PathConstructionError, PreconditionError
 from pinq.ffgauss import (
     CovMatrix,
     GivensRotation,
@@ -34,6 +36,7 @@ from pinq.ffgauss import (
     reconstruct,
     verify_ff_path,
 )
+from pinq.ffgauss import _plane_coefficients
 
 
 def test_fock_conventions_vacuum():
@@ -168,14 +171,6 @@ def test_energy_depends_only_on_diagonal_blocks():
 # ---------------------------------------------------------------------------
 # Givens decomposition
 # ---------------------------------------------------------------------------
-
-
-def _random_so(dim, seed):
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1
-    return q
 
 
 def test_decompose_identity_is_empty():
@@ -340,17 +335,16 @@ def test_path_energy_band():
 
 
 def test_generic_three_mode_path():
-    g0 = canonical_gamma0(3, "even")
-    q1 = _random_so(6, 1)
-    q2 = _random_so(6, 2)
-    gs = CovMatrix(q1 @ g0.mat @ q1.T)
-    ge = CovMatrix(q2 @ g0.mat @ q2.T)
-    h = _block_h([1.0, 0.7, 0.4])
-    path = interpolation_path(gs, ge, h, 8, alignment_tol=1.0)
+    # default alignment_tol; no re-walked state rises above the higher endpoint
+    start, end, hm = generic_three_mode()
+    gs, ge, h = CovMatrix(start), CovMatrix(end), HamMatrix(hm)
+    path = interpolation_path(gs, ge, h, 8)
     grid = np.array(path.grid_energies)
     ramp = np.linspace(energy(gs, h), energy(ge, h), 9)
     np.testing.assert_allclose(grid, ramp, atol=1e-9)
-    verdict = verify_ff_path(path, h, eta1=float(np.max(grid)) + path.ramp_deviation + 1e-9)
+    eta1 = max(energy(gs, h), energy(ge, h)) + 1e-9
+    assert max(_dense_energies(path, h)) <= eta1
+    verdict = verify_ff_path(path, h, eta1=eta1)
     assert verdict.ok, verdict.failures
     assert verdict.endpoint_error <= 1e-8
 
@@ -401,6 +395,19 @@ def _dense_rewalk(path):
             gamma = r @ gamma @ r.T
         grid_blocks.append(gamma[0::2, 1::2].diagonal().copy())
     return np.array(grid_blocks), gamma
+
+
+def _dense_energies(path, h):
+    """tr(gamma h) at the start and after every rotation, re-walked with
+    dense rotation matrices."""
+    dim = path.start.mat.shape[0]
+    gamma = path.start.mat.copy()
+    out = [float(np.trace(gamma @ h.mat))]
+    for rot in path.rotations:
+        r = rot.matrix(dim)
+        gamma = r @ gamma @ r.T
+        out.append(float(np.trace(gamma @ h.mat)))
+    return np.array(out)
 
 
 def _check_against_oracle(path, h, n_steps):
@@ -484,3 +491,76 @@ def test_verify_flags_wrong_endpoint():
     verdict = verify_ff_path(path, h, eta1=10.0)
     assert not verdict.ok
     assert any("endpoint" in f for f in verdict.failures)
+
+
+# ---------------------------------------------------------------------------
+# closed-form energy moves and the descend-and-meet alignment
+# ---------------------------------------------------------------------------
+
+
+def test_plane_coefficients_match_dense_energy():
+    # E(G gamma G^T) = E + alpha (cos t - 1) + beta sin t for every plane,
+    # under an h that is not block diagonal
+    rng = np.random.default_rng(21)
+    n = 3
+    a = rng.standard_normal((2 * n, 2 * n))
+    h = a - a.T
+    q = _random_so(2 * n, 22)
+    gamma = q @ canonical_gamma0(n, "odd").mat @ q.T
+    e0 = np.trace(gamma @ h)
+    for p in range(2 * n):
+        for r in range(p + 1, 2 * n):
+            alpha, beta = _plane_coefficients(gamma, h, p, r)
+            for t in (0.4, -1.3, 2.9):
+                g = GivensRotation(p, r, t).matrix(2 * n)
+                dense = np.trace(g @ gamma @ g.T @ h)
+                assert dense == pytest.approx(e0 + alpha * (math.cos(t) - 1) + beta * math.sin(t), abs=1e-12)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_generic_paths_verify(n, parity, seed):
+    g0 = canonical_gamma0(n, parity).mat
+    q1, q2 = _random_so(2 * n, 400 + seed), _random_so(2 * n, 500 + seed)
+    gs, ge = CovMatrix(q1 @ g0 @ q1.T), CovMatrix(q2 @ g0 @ q2.T)
+    h = _block_h(np.random.default_rng(seed).uniform(0.3, 1.5, n))
+    n_steps = 8
+    path = interpolation_path(gs, ge, h, n_steps)
+    energies = _dense_energies(path, h)
+    e_start, e_end = energy(gs, h), energy(ge, h)
+    grid_at = np.cumsum((0,) + path.macro_counts[:-1])
+    np.testing.assert_allclose(energies[grid_at], np.linspace(e_start, e_end, n_steps + 1), rtol=0, atol=1e-9)
+    assert np.max(energies[grid_at[-1]:]) - e_end <= 1e-6  # alignment rise, default alignment_tol
+    assert np.max(energies) <= max(e_start, e_end) + 1e-9
+    assert np.linalg.norm(_dense_rewalk(path)[1] - ge.mat) <= 1e-8
+    assert all(len(r.modes) <= 2 for r in path.rotations)
+    verdict = verify_ff_path(path, h, eta1=max(e_start, e_end) + 1e-9)
+    assert verdict.ok, verdict.failures
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_degenerate_ground_space_verifies_or_is_refused(seed):
+    # odd sector, equal weights: any one mode may carry the flip, so the
+    # descents of the two ends can settle on different ground states
+    g0 = canonical_gamma0(3, "odd").mat
+    q1, q2 = _random_so(6, 600 + seed), _random_so(6, 700 + seed)
+    gs, ge = CovMatrix(q1 @ g0 @ q1.T), CovMatrix(q2 @ g0 @ q2.T)
+    h = _block_h([1.0, 1.0, 1.0])
+    try:
+        path = interpolation_path(gs, ge, h, 8)
+    except PathConstructionError:
+        return
+    eta1 = max(energy(gs, h), energy(ge, h)) + path.ramp_deviation + 1e-9
+    verdict = verify_ff_path(path, h, eta1=eta1)
+    assert verdict.ok, verdict.failures
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_rejected(bad):
+    m = canonical_gamma0(2, "even").mat.copy()
+    m[0, 1] = bad
+    for cls in (CovMatrix, HamMatrix):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            cls(m)
+

@@ -270,14 +270,14 @@ def test_eta_relation_validation():
 
 def _count_full_builds(monkeypatch, n):
     """Counter of flip-diagonal builds on ``n`` qubits (group sums are smaller)."""
-    build = HamiltonianSum.flip_diagonals
+    build = HamiltonianSum._flip_stack
     count = [0]
 
     def counted(self):
         count[0] += self.n == n
         return build(self)
 
-    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", counted)
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", counted)
     return count
 
 

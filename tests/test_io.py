@@ -1,11 +1,14 @@
 """Hamiltonian text format round-trips and parse failures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pinq.errors import ParseError
 from pinq.io import (
     format_hamiltonian,
+    load_matrix_csv,
     parse_hamiltonian,
     parse_state_file,
 )
@@ -88,3 +91,22 @@ def test_state_file_formats():
     np.testing.assert_array_equal(vec, [1.0 + 2.0j, 0.0])
     with pytest.raises(ParseError):
         parse_state_file("1 0\n", n=2)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+def test_matrix_csv_rejects_non_finite_entries(tmp_path, entry):
+    path = tmp_path / "m.csv"
+    path.write_text(f"0,{entry}\n-1,0\n")
+    with pytest.raises(ParseError, match="non-finite"):
+        load_matrix_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_matrix_csv_rejects_empty_file_without_warning(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="expected square"):
+            load_matrix_csv(path)
+    assert not caught

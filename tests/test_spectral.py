@@ -78,7 +78,7 @@ def test_iterative_byte_ceiling_checked_before_allocation(monkeypatch):
     def no_build(self):
         raise AssertionError("flip diagonals built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "flip_diagonals", no_build)
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
     with pytest.raises(ResourceLimitError):
         min_eig(h, method="iterative")
 
