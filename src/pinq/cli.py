@@ -130,28 +130,17 @@ def _cmd_check(args, t0) -> int:
     return EXIT_OK
 
 
-def _run_reduction(args, t0, name, result) -> int:
+def _cmd_pin(args, t0) -> int:
+    """pin-commuting, pin-stoquastic and pin-permutation: one reduction each."""
+    h = load_hamiltonian(args.file)
+    extra = {"q_bits": args.bits} if "bits" in args else {}
+    # looked up by name at call time, so a wrapped module attribute is the one called
+    result = globals()[args.reduction](h, bounds=_parse_bounds(args.bounds), **extra)
     save_hamiltonian(result.hamiltonian, args.out)
     payload = result.report.to_json()
     payload["output_file"] = args.out
-    _emit(args, name, [args.file], payload, t0)
+    _emit(args, args.subcommand, [args.file], payload, t0)
     return EXIT_OK
-
-
-def _cmd_pin_commuting(args, t0) -> int:
-    h = load_hamiltonian(args.file)
-    return _run_reduction(args, t0, "pin-commuting", commuting_pin(h, _parse_bounds(args.bounds)))
-
-
-def _cmd_pin_stoquastic(args, t0) -> int:
-    h = load_hamiltonian(args.file)
-    return _run_reduction(args, t0, "pin-stoquastic", stoquastic_pin(h, _parse_bounds(args.bounds)))
-
-
-def _cmd_pin_permutation(args, t0) -> int:
-    h = load_hamiltonian(args.file)
-    result = permutation_pin(h, q_bits=args.bits, bounds=_parse_bounds(args.bounds))
-    return _run_reduction(args, t0, "pin-permutation", result)
 
 
 def _cmd_unpin_penalty(args, t0) -> int:
@@ -329,22 +318,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", help="comma list of properties that must hold (exit 1 otherwise)")
     p.set_defaults(func=_cmd_check)
 
-    for name, func in (
-        ("pin-commuting", _cmd_pin_commuting),
-        ("pin-stoquastic", _cmd_pin_stoquastic),
+    for name, reduction, help_text in (
+        ("pin-commuting", "commuting_pin", "pin commuting reduction"),
+        ("pin-stoquastic", "stoquastic_pin", "pin stoquastic reduction"),
+        ("pin-permutation", "permutation_pin", "permutation-matrix reduction"),
     ):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} reduction")
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
+        if reduction == "permutation_pin":
+            p.add_argument("--bits", type=int, default=None, help="binary-expansion bit count Q")
         p.add_argument("--bounds", help="promise bounds 'a,b'")
         p.add_argument("--out", required=True, help="output Hamiltonian file")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("pin-permutation", help="permutation-matrix reduction")
-    p.add_argument("file")
-    p.add_argument("--bits", type=int, default=None, help="binary-expansion bit count Q")
-    p.add_argument("--bounds", help="promise bounds 'a,b'")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pin_permutation)
+        p.set_defaults(func=_cmd_pin, reduction=reduction)
 
     p = sub.add_parser("unpin-penalty", help="replace a |0> pin by an energy penalty")
     p.add_argument("file")

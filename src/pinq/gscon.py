@@ -15,10 +15,10 @@ registers:
 
 where H (x) R3 = O' + P' is split so that O' collects the diagonal and
 negative off-diagonal pieces and P' the strictly positive off-diagonal ones
-(projector splits on the Z support keep every piece single-signed).  R3
-vanishes on |---> and |+++> and is 1 on the other six X-basis strings, so
-states |psi>|x>|---> with non-uniform x reproduce <psi|H|psi> exactly while
-the two uniform strings have expectation zero.
+(projector splits on the Z support, by ``pauli.projector_terms``, keep every
+piece single-signed).  R3 vanishes on |---> and |+++> and is 1 on the other
+six X-basis strings, so states |psi>|x>|---> with non-uniform x reproduce
+<psi|H|psi> exactly while the two uniform strings have expectation zero.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ParseError, PreconditionError, UnsupportedTermError
 from .io import FORMAT_VERSIONS
-from .pauli import HamiltonianSum, PauliString, PauliTerm
+from .pauli import HamiltonianSum, PauliString, PauliTerm, projector_terms
 from .spectral import operator
 
 UNITARITY_TOL = 1e-10
@@ -113,6 +113,10 @@ class GsconInstance:
     def __post_init__(self):
         for name in ("k", "l", "m"):
             setattr(self, name, index(getattr(self, name)))  # TypeError unless an integer
+        for name in ("eta1", "eta2", "eta3", "eta4", "delta"):
+            # a NaN threshold would pass every comparison it meets
+            if not np.isfinite(getattr(self, name)):
+                raise PreconditionError(f"{name}={getattr(self, name)!r} is not finite")
         if self.eta2 - self.eta1 < self.delta - 1e-12:
             raise PreconditionError("eta2 - eta1 must be at least Delta")
         if self.eta4 - self.eta3 < self.delta - 1e-12:
@@ -217,32 +221,6 @@ class StoqGsconBuild:
     beta: float
 
 
-def _split_strings(n_out, x, z, coeff):
-    """Route one off-diagonal string into single-signed projector pieces.
-
-    Returns a list of (destination, [terms]) with destination "O" or "P".
-    ``x`` is nonzero.  With z = 0 the string is single-signed already; with
-    z != 0 the entries are +-coeff on the even/odd parity sectors of the Z
-    support, so c X^x Z^z = (c X^x P_even) + (-c X^x P_odd) splits it into a
-    strictly positive and a strictly negative piece.
-    """
-    out = []
-    if z == 0:
-        dest = "P" if coeff > 0 else "O"
-        out.append((dest, [PauliTerm(coeff, PauliString(n_out, x, 0))]))
-        return out
-    half = coeff / 2.0
-    even = [PauliTerm(half, PauliString(n_out, x, 0)), PauliTerm(half, PauliString(n_out, x, z))]
-    odd = [PauliTerm(-half, PauliString(n_out, x, 0)), PauliTerm(half, PauliString(n_out, x, z))]
-    if coeff > 0:
-        out.append(("P", even))
-        out.append(("O", odd))
-    else:
-        out.append(("O", even))
-        out.append(("P", odd))
-    return out
-
-
 def build_stoquastic_gscon(
     h: HamiltonianSum,
     alpha: float,
@@ -259,13 +237,24 @@ def build_stoquastic_gscon(
     H; intermediate flip-phase states reach energy <= alpha only when the
     first register holds a witness of energy <= alpha.  The start and target
     states (|0..0>|---|--- and |0..0>|+++|---) have energy zero, so a valid
-    instance needs alpha >= 0.
+    instance needs alpha >= 0.  A ``max_steps`` below 1, or a soundness scale
+    beta^2/m^6 that is not finite, raises ``PreconditionError``.
     """
     for t in h.terms:
         if t.string.has_y:
             raise UnsupportedTermError(f"term {t.string.label()}: {_SUPPORTED_INPUT}")
         if t.string.x and bin(t.string.z).count("1") > 1:
             raise UnsupportedTermError(f"term {t.string.label()}: {_SUPPORTED_INPUT}")
+    if max_steps < 1:
+        raise PreconditionError(f"path length bound {max_steps} must be at least 1")
+    try:
+        soundness = beta * beta / float(max_steps) ** 6
+    except OverflowError:  # m^6 beyond the float range
+        soundness = float("nan")
+    if not np.isfinite(soundness):
+        raise PreconditionError(
+            f"soundness scale beta^2/m^6 is not finite for beta={beta!r}, m={max_steps}"
+        )
     n_sys = h.n
     n_out = n_sys + 6
     middle = tuple(range(n_sys, n_sys + 3))
@@ -290,11 +279,18 @@ def build_stoquastic_gscon(
             # diagonal piece of O', tensored with identity on the third register
             blocks.append([PauliTerm(coeff, PauliString(n_out, x, z))])
             continue
-        for dest, piece in _split_strings(n_out, x, z, coeff):
-            if dest == "O":
-                blocks.append(piece)
-            else:
-                p_pieces.append(piece)
+        if z == 0:
+            pieces = [(coeff, [PauliTerm(coeff, PauliString(n_out, x, 0))])]
+        else:
+            # the entries are +-coeff on the even/odd parity sectors of the Z
+            # support: c X^x Z^z = c X^x P_even + (-c) X^x P_odd
+            pieces = [
+                (coeff, projector_terms(n_out, coeff, x, 0, 1, 0, z)),
+                (-coeff, projector_terms(n_out, -coeff, x, 0, -1, 0, z)),
+            ]
+        # strictly positive pieces go to P', the others to O'
+        for sign, piece in pieces:
+            (p_pieces if sign > 0 else blocks).append(piece)
 
     # - P' (x) Q with Q = (X1 + X2 + X3)/3 on the third register
     for piece in p_pieces:
@@ -309,10 +305,6 @@ def build_stoquastic_gscon(
         blocks.append([PauliTerm(-0.25, PauliString(n_out, third_bits[i] | third_bits[j], 0))])
 
     hpp = HamiltonianSum.from_groups(n_out, blocks)
-
-    # structural guard: every P' piece must be strictly off-diagonal
-    for piece in p_pieces:
-        assert all(t.string.x != 0 for t in piece)
 
     start_circuit = tuple(UnitaryStep((q,), _MINUS_PREP) for q in middle + third)
     target_circuit = tuple(UnitaryStep((q,), _H_GATE) for q in middle) + tuple(
@@ -341,7 +333,7 @@ def build_stoquastic_gscon(
             "alpha": alpha,
             "beta": beta,
             # soundness floor of the NO case, recorded but not verified here
-            "eta2_soundness_scale": beta * beta / float(max_steps) ** 6,
+            "eta2_soundness_scale": soundness,
         },
     )
     return StoqGsconBuild(hpp, instance, n_sys, middle, third, alpha, beta)

@@ -10,9 +10,9 @@ Conventions used throughout the package:
   ``to_matrix`` is the Kronecker product taken in qubit order.
 * Hamiltonians are flat lists of weighted strings, optionally partitioned
   into *groups*.  A group is one local operator (for instance a projector
-  gadget expanded into strings); structural checks (stoquasticity,
-  commutation, permutation form) operate at group granularity.  Without an
-  explicit grouping every string is its own group.
+  gadget expanded into strings by ``projector_terms``); structural checks
+  (stoquasticity, commutation, permutation form) operate at group
+  granularity.  Without an explicit grouping every string is its own group.
 * A sum's one matrix realization is its flip-diagonal form,
   H = sum_f P_f diag(D_f), behind ``apply`` and ``to_matrix``.  Group norms
   and termwise checks read the same form per group, on the group's own
@@ -143,6 +143,19 @@ class PauliTerm:
     def is_complex_valued(self) -> bool:
         """True when the matrix realization has complex entries (carries a Y)."""
         return self.string.has_y
+
+
+def projector_terms(n: int, coeff: float, x: int, z: int, sign: int, px: int, pz: int) -> list:
+    """The two terms of coeff * X^x Z^z (I + sign * X^px Z^pz) / 2, in that order.
+
+    ``sign`` is +1 or -1, so the second factor projects onto one eigenspace
+    of X^px Z^pz.  Callers pass two strings on disjoint qubits, so their
+    product is the string with masks (x | px, z | pz), free of any phase.
+    """
+    return [
+        PauliTerm(coeff / 2.0, PauliString(n, x, z)),
+        PauliTerm(sign * coeff / 2.0, PauliString(n, x | px, z | pz)),
+    ]
 
 
 class HamiltonianSum:
@@ -315,14 +328,6 @@ class HamiltonianSum:
     def expectation(self, vec: np.ndarray) -> float:
         val = np.vdot(vec, self.apply(vec))
         return float(np.real(val))
-
-    def canonical(self) -> "HamiltonianSum":
-        """Terms sorted by (x, z, coeff); grouping is dropped."""
-        order = sorted(
-            range(len(self._terms)),
-            key=lambda i: (self._terms[i].string.x, self._terms[i].string.z, self._terms[i].coeff),
-        )
-        return HamiltonianSum(self._n, [self._terms[i] for i in order])
 
     def merged(self, drop_zero=True) -> "HamiltonianSum":
         """Collect duplicate strings, summing coefficients; grouping is dropped."""

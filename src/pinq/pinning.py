@@ -15,12 +15,18 @@ The four constructions here trade restrictions for pins:
                              an ancilla pinned to |->.
 * ``permutation_pin``     -- 0/1 permutation blocks with coefficients encoded
                              in pinned ancilla rotation angles.
+
+Each of them, and the O'/P' split of ``gscon.build_stoquastic_gscon``,
+attaches a projector to a string through one gadget,
+``pauli.projector_terms``: the two terms of c X^x Z^z (I +- X^px Z^pz)/2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +37,27 @@ from .pauli import (
     PauliTerm,
     _LETTER,
     _LETTER_INV,
+    projector_terms,
 )
 
-_NAMED_STATES = {"0", "1", "+", "-"}
+
+class _PinRow(NamedTuple):
+    """One pin state: its amplitudes, <X>, <Z>, and the images of the Pauli
+    letters, as [(coeff, letter)], under the real rotation sending it to |0>."""
+
+    amplitudes: tuple
+    exp_x: float
+    exp_z: float
+    images: dict
+
+
+_R = 1.0 / math.sqrt(2.0)
+_NAMED_STATES = {
+    "0": _PinRow((1.0, 0.0), 0.0, 1.0, {"X": [(1.0, "X")], "Z": [(1.0, "Z")], "Y": [(1.0, "Y")]}),
+    "1": _PinRow((0.0, 1.0), 0.0, -1.0, {"X": [(1.0, "X")], "Z": [(-1.0, "Z")], "Y": [(-1.0, "Y")]}),
+    "+": _PinRow((_R, _R), 1.0, 0.0, {"X": [(1.0, "Z")], "Z": [(1.0, "X")], "Y": [(-1.0, "Y")]}),
+    "-": _PinRow((_R, -_R), -1.0, 0.0, {"X": [(-1.0, "Z")], "Z": [(1.0, "X")], "Y": [(1.0, "Y")]}),
+}
 
 
 @dataclass(frozen=True)
@@ -64,43 +88,30 @@ class PinState:
     def label(self) -> str:
         return self.kind if self.kind != "angle" else f"angle:{self.angle!r}"
 
+    @cached_property
+    def _row(self) -> _PinRow:
+        """The state's row of ``_NAMED_STATES``, or that of an angle state."""
+        if self.kind != "angle":
+            return _NAMED_STATES[self.kind]
+        c2, s2 = math.cos(2.0 * self.angle), math.sin(2.0 * self.angle)
+        images = {"X": [(s2, "Z"), (c2, "X")], "Z": [(c2, "Z"), (-s2, "X")], "Y": [(1.0, "Y")]}
+        return _PinRow((math.cos(self.angle), math.sin(self.angle)), s2, c2, images)
+
     @property
     def exp_x(self) -> float:
         """<phi|X|phi>; exact for the named states."""
-        if self.kind in ("0", "1"):
-            return 0.0
-        if self.kind == "+":
-            return 1.0
-        if self.kind == "-":
-            return -1.0
-        return math.sin(2.0 * self.angle)
+        return self._row.exp_x
 
     @property
     def exp_z(self) -> float:
         """<phi|Z|phi>; exact for the named states."""
-        if self.kind == "0":
-            return 1.0
-        if self.kind == "1":
-            return -1.0
-        if self.kind in ("+", "-"):
-            return 0.0
-        return math.cos(2.0 * self.angle)
+        return self._row.exp_z
 
     def vector(self) -> np.ndarray:
-        if self.kind == "0":
-            return np.array([1.0, 0.0])
-        if self.kind == "1":
-            return np.array([0.0, 1.0])
-        if self.kind == "+":
-            return np.array([1.0, 1.0]) / math.sqrt(2.0)
-        if self.kind == "-":
-            return np.array([1.0, -1.0]) / math.sqrt(2.0)
-        return np.array([math.cos(self.angle), math.sin(self.angle)])
+        return np.array(self._row.amplitudes)
 
 
 PIN_ZERO = PinState("0")
-PIN_ONE = PinState("1")
-PIN_PLUS = PinState("+")
 PIN_MINUS = PinState("-")
 
 
@@ -202,26 +213,6 @@ def effective_hamiltonian(h: HamiltonianSum, pin: PinSpec, dense=True):
 # local basis rotation of pins onto |0>
 # ---------------------------------------------------------------------------
 
-# conjugation tables: pin state -> {X: [(coeff, axis)], Z: [...]} with axes X/Z
-_ROT_NAMED = {
-    "0": {"X": [(1.0, "X")], "Z": [(1.0, "Z")], "Y": [(1.0, "Y")]},
-    "1": {"X": [(1.0, "X")], "Z": [(-1.0, "Z")], "Y": [(-1.0, "Y")]},
-    "+": {"X": [(1.0, "Z")], "Z": [(1.0, "X")], "Y": [(-1.0, "Y")]},
-    "-": {"X": [(-1.0, "Z")], "Z": [(1.0, "X")], "Y": [(1.0, "Y")]},
-}
-
-
-def _factor_images(state: PinState, letter: str):
-    if state.kind != "angle":
-        return _ROT_NAMED[state.kind][letter]
-    c2, s2 = math.cos(2 * state.angle), math.sin(2 * state.angle)
-    if letter == "X":
-        return [(s2, "Z"), (c2, "X")]
-    if letter == "Z":
-        return [(c2, "Z"), (-s2, "X")]
-    return [(1.0, "Y")]
-
-
 def rotate_pin_to_zero(h: HamiltonianSum, pin: PinSpec):
     """Conjugate by the single-qubit unitaries sending each pin state to |0>.
 
@@ -241,7 +232,7 @@ def rotate_pin_to_zero(h: HamiltonianSum, pin: PinSpec):
                 continue
             new_exp = []
             for coeff, x, z in expansion:
-                for fac, axis in _factor_images(state, letter):
+                for fac, axis in state._row.images[letter]:
                     nx, nz = _LETTER_INV[axis]
                     x2 = (x & ~(1 << q)) | (nx << q)
                     z2 = (z & ~(1 << q)) | (nz << q)
@@ -261,20 +252,19 @@ def rotate_pin_to_zero(h: HamiltonianSum, pin: PinSpec):
 
 @dataclass(frozen=True)
 class PromiseBounds:
-    """YES threshold a, NO threshold b, with b - a >= gap_floor > 0."""
+    """Finite YES threshold a and NO threshold b, with b > a."""
 
     a: float
     b: float
-    gap_floor: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise PreconditionError(f"bounds must be finite, got a={self.a}, b={self.b}")
         if not (self.b > self.a):
             raise PreconditionError(f"bounds require b > a, got a={self.a}, b={self.b}")
-        if self.gap_floor and self.b - self.a < self.gap_floor:
-            raise PreconditionError("promise gap below its declared floor")
 
     def scaled(self, s: float) -> "PromiseBounds":
-        return PromiseBounds(self.a * s, self.b * s, self.gap_floor * s)
+        return PromiseBounds(self.a * s, self.b * s)
 
 
 @dataclass
@@ -320,6 +310,27 @@ class ReductionResult:
     pin: PinSpec
     bounds: PromiseBounds | None
     report: ReductionReport
+
+
+def _reduction(name, h, n_out, blocks, pin, bounds, factor=1.0, **extra) -> ReductionResult:
+    """Result of a reduction of ``h``: the sum with one group per block, the
+    pin, the bounds times ``factor``, and the report; ``extra`` fills the
+    report's optional fields."""
+    out = HamiltonianSum.from_groups(n_out, blocks)
+    new_bounds = bounds.scaled(factor) if bounds is not None else None
+    report = ReductionReport(
+        reduction=name,
+        input_qubits=h.n,
+        output_qubits=n_out,
+        input_locality=h.locality,
+        output_locality=out.locality,
+        term_count=len(blocks),
+        pin=pin.labels(),
+        input_bounds=(bounds.a, bounds.b) if bounds else None,
+        output_bounds=(new_bounds.a, new_bounds.b) if new_bounds else None,
+        **extra,
+    )
+    return ReductionResult(out, pin, new_bounds, report)
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +383,9 @@ def pin_penalty_lift(
     else:
         d = float(sum(gprime.group_norms()))
     delta = penalty_delta(bounds, d)
-    # Delta * |1><1| = Delta/2 * (I - Z) on the pin qubit
-    penalty = HamiltonianSum(
-        gprime.n,
-        [
-            (delta / 2.0, PauliString(gprime.n, 0, 0)),
-            (-delta / 2.0, PauliString(gprime.n, 0, 1 << pin_qubit)),
-        ],
-        groups=((0, 1),),
-    )
-    lifted = gprime + penalty
+    # Delta * |1><1| = Delta * (I - Z)/2 on the pin qubit
+    penalty = projector_terms(gprime.n, delta, 0, 0, -1, 0, 1 << pin_qubit)
+    lifted = gprime + HamiltonianSum.from_groups(gprime.n, [penalty])
     new_bounds = PromiseBounds(bounds.a, (bounds.a + bounds.b) / 2.0)
     return PenaltyLiftResult(lifted, new_bounds, delta, d)
 
@@ -404,30 +408,14 @@ def commuting_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Red
                 f"term {t.string.label()} is neither diagonal nor pure X-type"
             )
     n_out = h.n + 1
-    anc = h.n
+    # a header-only input may name more qubits than a mask can hold
+    anc_bit = 1 << h.n if h.terms else 0
     blocks = []
     for t in h.terms:
-        x, z = t.string.x, t.string.z
-        sign = 1.0 if t.string.is_diagonal else -1.0  # |+><+| = (I+X)/2, |-><-| = (I-X)/2
-        blocks.append([
-            PauliTerm(t.coeff / 2.0, PauliString(n_out, x, z)),
-            PauliTerm(sign * t.coeff / 2.0, PauliString(n_out, x | (1 << anc), z)),
-        ])
-    out = HamiltonianSum.from_groups(n_out, blocks)
-    pin = PinSpec(((anc, PIN_ZERO),))
-    new_bounds = bounds.scaled(0.5) if bounds is not None else None
-    report = ReductionReport(
-        reduction="commuting_pin",
-        input_qubits=h.n,
-        output_qubits=n_out,
-        input_locality=h.locality,
-        output_locality=out.locality,
-        term_count=len(blocks),
-        pin=pin.labels(),
-        input_bounds=(bounds.a, bounds.b) if bounds else None,
-        output_bounds=(new_bounds.a, new_bounds.b) if new_bounds else None,
-    )
-    return ReductionResult(out, pin, new_bounds, report)
+        sign = 1 if t.string.is_diagonal else -1  # |+><+| = (I+X)/2, |-><-| = (I-X)/2
+        blocks.append(projector_terms(n_out, t.coeff, t.string.x, t.string.z, sign, anc_bit, 0))
+    pin = PinSpec(((h.n, PIN_ZERO),))
+    return _reduction("commuting_pin", h, n_out, blocks, pin, bounds, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +433,8 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
     operator equals the input exactly and the promise is unchanged.
     """
     n_out = h.n + 1
-    anc_bit = 1 << h.n
+    # a header-only input may name more qubits than a mask can hold
+    anc_bit = 1 << h.n if h.terms else 0
     blocks = []
     for t in h.terms:
         x, z = t.string.x, t.string.z
@@ -469,33 +458,15 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
             else:
                 # X masks of the |0><0|_b and |1><1|_b halves
                 flip0, flip1 = (x | anc_bit, x) if c > 0 else (x, x | anc_bit)
-                a = -abs(c) / 2.0
                 blocks.append(
-                    [
-                        PauliTerm(a, PauliString(n_out, flip0, 0)),
-                        PauliTerm(a, PauliString(n_out, flip0, z)),
-                        PauliTerm(a, PauliString(n_out, flip1, 0)),
-                        PauliTerm(-a, PauliString(n_out, flip1, z)),
-                    ]
+                    projector_terms(n_out, -abs(c), flip0, 0, 1, 0, z)
+                    + projector_terms(n_out, -abs(c), flip1, 0, -1, 0, z)
                 )
         else:
             raise UnsupportedTermError(
                 f"term {t.string.label()} has more than one Z factor on an off-diagonal string"
             )
-    out = HamiltonianSum.from_groups(n_out, blocks)
-    pin = PinSpec(((h.n, PIN_MINUS),))
-    report = ReductionReport(
-        reduction="stoquastic_pin",
-        input_qubits=h.n,
-        output_qubits=n_out,
-        input_locality=h.locality,
-        output_locality=out.locality,
-        term_count=len(blocks),
-        pin=pin.labels(),
-        input_bounds=(bounds.a, bounds.b) if bounds else None,
-        output_bounds=(bounds.a, bounds.b) if bounds else None,
-    )
-    return ReductionResult(out, pin, bounds, report)
+    return _reduction("stoquastic_pin", h, n_out, blocks, PinSpec(((h.n, PIN_MINUS),)), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +479,8 @@ def _binary_bits(x: float, q: int) -> list:
 
     Truncation rounds down, so dyadic inputs with <= q bits expand exactly.
     """
-    m = int(math.floor(x * (1 << q)))
+    num, den = x.as_integer_ratio()
+    m = (num << q) // den  # floor(x * 2^q), exact at any q
     return [j for j in range(1, q + 1) if (m >> (q - j)) & 1]
 
 
@@ -554,6 +526,8 @@ def permutation_pin(
     # Rescale only when needed: magnitudes already in (0, 1) expand as-is so
     # dyadic coefficients stay exact.
     scale = max_mag * (1.0 + 1e-9) if max_mag >= 1.0 else 1.0
+    if not math.isfinite(scale):
+        raise PreconditionError(f"largest magnitude {max_mag!r} leaves no finite scale")
 
     if q_bits is None:
         q_bits = default_truncation_bits(len(nonzero), bounds, scale)
@@ -578,17 +552,12 @@ def permutation_pin(
             if negative:
                 anc_x |= 1 << q0_anc
             if t.string.is_diagonal and t.string.z:
-                # parity gadget: (even projector) (x) I_z + (odd projector) (x) X_z,
-                # expanded as (I + Z-string)/2 + (I - Z-string)/2 * X_z
+                # parity gadget: (even projector) (x) I_z + (odd projector) (x) X_z
                 zmask = t.string.z
                 xz = 1 << z_anc
                 blocks.append(
-                    [
-                        PauliTerm(0.5, PauliString(n_out, anc_x, 0)),
-                        PauliTerm(0.5, PauliString(n_out, anc_x, zmask)),
-                        PauliTerm(0.5, PauliString(n_out, anc_x | xz, 0)),
-                        PauliTerm(-0.5, PauliString(n_out, anc_x | xz, zmask)),
-                    ]
+                    projector_terms(n_out, 1.0, anc_x, 0, 1, 0, zmask)
+                    + projector_terms(n_out, 1.0, anc_x | xz, 0, -1, 0, zmask)
                 )
             else:
                 blocks.append([PauliTerm(1.0, PauliString(n_out, t.string.x | anc_x, 0))])
@@ -598,21 +567,6 @@ def permutation_pin(
         pins.append((q_anc(j), PinState("angle", 0.5 * math.asin(2.0 ** (-j)))))
     pin = PinSpec(tuple(pins))
 
-    out = HamiltonianSum.from_groups(n_out, blocks)
-    new_bounds = bounds.scaled(1.0 / scale) if bounds is not None else None
-    report = ReductionReport(
-        reduction="permutation_pin",
-        input_qubits=h.n,
-        output_qubits=n_out,
-        input_locality=h.locality,
-        output_locality=out.locality,
-        term_count=len(blocks),
-        pin=pin.labels(),
-        input_bounds=(bounds.a, bounds.b) if bounds else None,
-        output_bounds=(new_bounds.a, new_bounds.b) if new_bounds else None,
-        truncation_bound=len(nonzero) * 2.0 ** (-q_bits),
-        scale=scale,
-        dropped_terms=dropped,
-        notes=[f"q_bits={q_bits}"],
-    )
-    return ReductionResult(out, pin, new_bounds, report)
+    return _reduction("permutation_pin", h, n_out, blocks, pin, bounds, 1.0 / scale,
+                      truncation_bound=len(nonzero) * 2.0 ** (-q_bits), scale=scale,
+                      dropped_terms=dropped, notes=[f"q_bits={q_bits}"])

@@ -88,14 +88,26 @@ def _dense_matrix(obj) -> np.ndarray:
     return obj.toarray() if sp.issparse(obj) else np.asarray(obj)
 
 
+def _residual(matvec, val: float, vec: np.ndarray) -> float:
+    """||H vec - val vec||; ``ConvergenceError`` unless it and ``val`` are finite.
+
+    Entries above about 1e154 overflow the norm's sum of squares.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.linalg.norm(matvec(vec) - val * vec))
+    if not (np.isfinite(val) and np.isfinite(resid)):
+        raise ConvergenceError(f"eigenpair not finite: value {val!r}, residual {resid!r}")
+    return resid
+
+
 def _lowest_pair(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
     """(value, vector, residual) of the lowest eigenpair of a dense matrix."""
     if mat.shape[0] == 1:
-        return float(np.real(mat[0, 0])), np.ones(1), 0.0
-    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
-    val = float(evals[0])
-    vec = evecs[:, 0]
-    return val, vec, float(np.linalg.norm(mat @ vec - val * vec))
+        val, vec = float(np.real(mat[0, 0])), np.ones(1)
+    else:
+        evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
+        val, vec = float(evals[0]), evecs[:, 0]
+    return val, vec, _residual(lambda v: mat @ v, val, vec)
 
 
 def _arpack_min(matvec, dim, dtype, seed) -> SpectralResult:
@@ -128,7 +140,7 @@ def _arpack_min(matvec, dim, dtype, seed) -> SpectralResult:
         ) from None
     val = float(np.real(evals[0]))
     vec = evecs[:, 0]
-    resid = float(np.linalg.norm(counted(vec) - val * vec))
+    resid = _residual(counted, val, vec)
     if resid > RESIDUAL_TOL:
         raise ConvergenceError(
             f"ARPACK residual {resid:.2e} above {RESIDUAL_TOL:.0e} after {count[0]} matvecs"

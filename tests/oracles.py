@@ -4,8 +4,11 @@ These deliberately avoid the package's own matrix-assembly and covariance
 paths: Pauli-sum matrices come from per-qubit Pauli action, term by term
 (no flip-mask grouping), and fermionic
 expectations from dense Jordan-Wigner operators in Fock space.  The
-generic free-fermion endpoints used by several suites are built here too.
+generic free-fermion endpoints used by several suites are built here too,
+and so is the strict JSON reader that CLI reports are held to.
 """
+
+import json
 
 import numpy as np
 import scipy.linalg
@@ -309,3 +312,12 @@ def generic_three_mode():
     g0 = np.kron(np.eye(3), j)
     q1, q2 = random_so(6, 1), random_so(6, 2)
     return q1 @ g0 @ q1.T, q2 @ g0 @ q2.T, np.kron(np.diag([1.0, 0.7, 0.4]), j)
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import pinq.cli
 import pinq.gscon
 import pinq.spectral
-from oracles import generic_three_mode
+from oracles import generic_three_mode, strict_json
 from pinq.cli import main
 from pinq.ffgauss import CovMatrix, FermionPath, GivensRotation, energy, verify_ff_path
 from pinq.io import FORMAT_VERSIONS, format_hamiltonian, load_hamiltonian, parse_hamiltonian
@@ -70,6 +70,84 @@ def test_reduction_output_reparses_identically(tmp_path, capsys):
     text = open(out).read()
     reparsed = parse_hamiltonian(text)
     assert format_hamiltonian(reparsed) == text
+
+
+@pytest.mark.parametrize("command, reduction, extra", [
+    ("pin-commuting", "commuting_pin", []),
+    ("pin-stoquastic", "stoquastic_pin", []),
+    ("pin-permutation", "permutation_pin", ["--bits", "3"]),
+])
+def test_pin_commands_call_the_module_attribute(tmp_path, capsys, monkeypatch, command, reduction, extra):
+    # the handler looks the reduction up at call time, so a wrapper installed
+    # on the module (as a tracer does) sees every call
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.25 ZZ\n-0.5 XI\n")
+    calls = []
+    reduce = getattr(pinq.cli, reduction)
+
+    def wrapped(*args, **kwargs):
+        calls.append(kwargs)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(pinq.cli, reduction, wrapped)
+    code, report = _run(capsys, command, f, "--bounds=-1,1", "--out", str(tmp_path / "o.txt"), *extra)
+    assert code == 0 and report["subcommand"] == command
+    assert report["payload"]["reduction"] == reduction
+    assert len(calls) == 1
+    assert calls[0].get("q_bits") == (3 if extra else None)
+
+
+@pytest.mark.parametrize("command", ["pin-commuting", "pin-stoquastic", "pin-permutation", "spectrum"])
+@pytest.mark.parametrize("bounds", ["-inf,0", "0,inf", "-1e400,0", "nan,1"])
+def test_non_finite_bounds_exit_3(tmp_path, capsys, command, bounds):
+    f = _write(tmp_path, "h.txt", "qubits 1\n0.5 Z\n")
+    argv = [command, f, f"--bounds={bounds}"]
+    if command != "spectrum":
+        argv += ["--out", str(tmp_path / "o.txt")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err.startswith("error: bounds must be finite")
+
+
+@pytest.mark.parametrize("command", ["pin-commuting", "pin-stoquastic", "pin-permutation"])
+def test_pin_header_only_register_beyond_any_mask(tmp_path, capsys, command):
+    # 1 << n cannot be formed here; a term-free input needs no ancilla mask
+    f = _write(tmp_path, "h.txt", "qubits 99999999999999999999\n")
+    code, report = _run(capsys, command, f, "--out", str(tmp_path / "o.txt"))
+    assert code == 0
+    assert report["payload"]["term_count"] == 0
+    assert report["payload"]["output_qubits"] > 99999999999999999999
+
+
+def test_pin_permutation_at_1024_bits(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 1\n0.75 X\n-0.5 Z\n")
+    out = tmp_path / "p.txt"
+    code = main(["pin-permutation", f, "--bits", "1024", "--out", str(out)])
+    report = strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert report["payload"]["output_qubits"] == 1 + 2 + 1024
+    assert report["payload"]["term_count"] == 3
+    assert load_hamiltonian(str(out)).n == 1027
+
+
+def test_pin_permutation_without_finite_scale_exit_3(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 2\n1.7976931348623157e308 XX\n0.5 ZI\n")
+    code = main(["pin-permutation", f, "--out", str(tmp_path / "p.txt")])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "no finite scale" in captured.err
+
+
+@pytest.mark.parametrize("route", [[], ["--dense"], ["--iterative"]])
+def test_spectrum_overflowing_residual_exit_3_without_warnings(tmp_path, capsys, route):
+    f = _write(tmp_path, "h.txt", "qubits 2\n1e200 XX\n-0.25 ZZ\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["spectrum", f, *route])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "not finite" in captured.err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_check_on_reduction_output_sees_term_structure(tmp_path, capsys):
@@ -317,6 +395,21 @@ def _gscon_files(tmp_path, capsys):
     return inst, path
 
 
+@pytest.mark.parametrize("option", [["--alpha", "nan"], ["--beta", "inf"], ["--delta", "nan"],
+                                    ["--eta2", "inf"], ["--eta3", "nan"], ["--eta4", "-inf"],
+                                    ["--beta", "1e200"], ["--m", "0"], ["--m", "-5"]])
+def test_gscon_build_non_finite_or_empty_bound_exit_3(tmp_path, capsys, option):
+    f = _write(tmp_path, "h.txt", "qubits 1\n0.5 Z\n")
+    args = {"--alpha": "1e-9", "--beta": "0.5"}
+    args[option[0]] = option[1]
+    inst = tmp_path / "inst.json"
+    code = main(["gscon-build", f, *[f"{k}={v}" for k, v in args.items()], "--out", str(inst)])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not inst.exists()
+
+
 def _rewrite_json(path, edit):
     with open(path) as f:
         data = json.load(f)
@@ -346,6 +439,30 @@ def test_gscon_verify_malformed_json_exit_2(tmp_path, capsys, which, edit):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_gscon_verify_non_finite_threshold_exit_3(tmp_path, capsys, index):
+    # with eta1 = NaN every energy test was false and the walk said YES
+    f = _write(tmp_path, "h.txt", "qubits 1\n0.5 Z\n")
+    inst, path = str(tmp_path / "inst.json"), str(tmp_path / "path.json")
+    code, _ = _run(capsys, "gscon-build", f, "--alpha", "1e-9", "--beta", "0.5",
+                   "--out", inst, "--path-out", path)
+    assert code == 0
+    code, report = _run(capsys, "gscon-verify", "--instance", inst, "--path", path)
+    assert code == 1 and report["payload"]["outcome"] == "energy-violation"
+
+    def poison(d):
+        if index < 4:
+            d["eta"][index] = float("nan")
+        else:
+            d["delta"] = float("nan")
+
+    _rewrite_json(inst, poison)
+    code = main(["gscon-verify", "--instance", inst, "--path", path])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "is not finite" in captured.err
 
 
 def test_gscon_verify_overflowing_step_exit_3_without_warnings(tmp_path, capsys):

@@ -16,14 +16,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import generic_three_mode
+from oracles import generic_three_mode, strict_json
 from pinq.cli import main
 
 EXIT_CODES = {0, 1, 2, 3}
 
 _BIG_HEADERS = ["qubits 17", "qubits 40", "qubits 100000", "qubits 99999999999999999999"]
 _BAD_HEADERS = ["qubits -2", "qubits x", "qubit 3", "qubits 3 4", ""]
-_COEFFS = ["1", "-0.5", "0", "0.25", "-1e-320", "1e300", "1e400", "-inf", "nan", "abc", "0x10"]
+_COEFFS = ["1", "-0.5", "0", "0.25", "-1e-320", "1e200", "1e300", "1.7976931348623157e308", "1e400",
+           "-inf", "nan", "abc", "0x10"]
 _REALS = ["0", "1", "-1", "0.5", "2.5", "1e400", "-1e400", "nan", "x", ""]
 
 
@@ -89,7 +90,7 @@ def hamiltonian_argv(draw, path, out):
     if command in ("pin-commuting", "pin-stoquastic", "pin-permutation", "spectrum") and draw(st.booleans()):
         argv += ["--bounds", draw(bounds_text)]
     if command == "pin-permutation" and draw(st.booleans()):
-        argv += ["--bits", draw(st.sampled_from(["1", "2", "3", "0", "-1"]))]
+        argv += ["--bits", draw(st.sampled_from(["1", "2", "3", "1024", "0", "-1"]))]
     if command == "unpin-penalty":
         argv += ["--pin-qubit", draw(st.sampled_from(["0", "1", "-1", "9"])),
                  "--bounds", draw(bounds_text)]
@@ -105,6 +106,19 @@ def hamiltonian_argv(draw, path, out):
     if command != "check" and command != "spectrum":
         argv += ["--out", out]
     return argv
+
+
+def _run_contract(argv):
+    """Run ``main``; check the exit code, that no traceback escapes and that
+    any report printed is strict JSON.  Returns (exit code, stdout)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in EXIT_CODES
+    assert "Traceback" not in stderr.getvalue()
+    if stdout.getvalue():
+        strict_json(stdout.getvalue())
+    return code, stdout.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +138,7 @@ def _write(path, text):
 def test_hamiltonian_commands_keep_the_exit_contract(workdir, data):
     path = _write(os.path.join(workdir, "h.txt"), data.draw(hamiltonian_text()))
     argv = data.draw(hamiltonian_argv(path, os.path.join(workdir, "out.txt")))
-    assert main(argv) in EXIT_CODES
+    _run_contract(argv)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +150,28 @@ def gscon_files(workdir):
                  "--path-out", path]) == 0
     with open(inst) as fi, open(path) as fp:
         return json.load(fi), json.load(fp)
+
+
+_GSCON_OPTIONS = ["--alpha", "--beta", "--eta2", "--eta3", "--eta4", "--delta", "--m"]
+
+
+@settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_gscon_build_keeps_the_exit_contract(workdir, data):
+    h = _write(os.path.join(workdir, "gb.txt"), "qubits 1\n-0.5 Z\n0.25 X\n")
+    inst = os.path.join(workdir, "gb-inst.json")
+    if os.path.exists(inst):
+        os.remove(inst)
+    values = {"--alpha": "1e-9", "--beta": "0.5"}
+    for option in data.draw(st.lists(st.sampled_from(_GSCON_OPTIONS), min_size=1, max_size=3, unique=True)):
+        values[option] = data.draw(st.sampled_from(_REALS + ["-5", "1e200"]))
+    code, out = _run_contract(["gscon-build", h, *[f"{k}={v}" for k, v in values.items()], "--out", inst])
+    if code == 0:
+        strict_json(out)
+        with open(inst) as f:
+            strict_json(f.read())
+    else:
+        assert not out
 
 
 def _paths(node, prefix=()):
@@ -203,15 +239,6 @@ def test_gscon_verify_keeps_the_exit_contract(workdir, gscon_files, data):
     assert main(["gscon-verify", "--instance", inst, "--path", path]) in EXIT_CODES
 
 
-def _strict_json(text):
-    """json.loads that refuses the NaN and Infinity tokens."""
-
-    def refuse(token):
-        raise ValueError(f"non-standard JSON token {token}")
-
-    return json.loads(text, parse_constant=refuse)
-
-
 def _ff_cases():
     """(start, end, h) triples: generic 3-mode pure endpoints of even parity,
     and the block-diagonal 2-mode flip, each under a block-diagonal h."""
@@ -268,15 +295,11 @@ def test_ff_path_keeps_the_exit_contract(workdir, data):
         files.append(_write(os.path.join(workdir, f"ff-{name}.csv"), text))
     out = os.path.join(workdir, "ff-path.json")
     steps = data.draw(st.sampled_from(["1", "4", "8", "0", "-2", "x"]))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["ff-path", "--start", files[0], "--end", files[1], "--h", files[2],
-                     "--n", steps, "--out", out])
-    assert code in EXIT_CODES
-    assert "Traceback" not in stderr.getvalue()
+    code, stdout = _run_contract(["ff-path", "--start", files[0], "--end", files[1], "--h", files[2],
+                                  "--n", steps, "--out", out])
     if code == 0:
-        _strict_json(stdout.getvalue())
+        strict_json(stdout)
         with open(out) as f:
-            _strict_json(f.read())
+            strict_json(f.read())
     else:
-        assert not stdout.getvalue()
+        assert not stdout

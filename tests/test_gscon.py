@@ -268,6 +268,30 @@ def test_eta_relation_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["eta1", "eta2", "eta3", "eta4", "delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_instance_refuses_non_finite_thresholds(field, value):
+    h = HamiltonianSum.from_terms(1, [(0.5, "Z")])
+    kwargs = dict(eta1=0.6, eta2=1.0, eta3=1e-6, eta4=1.0, delta=0.1)
+    kwargs[field] = value
+    with pytest.raises(PreconditionError, match=f"{field}=.* is not finite"):
+        GsconInstance(hamiltonian=h, k=1, l=2, m=10, start_circuit=(), target_circuit=(), **kwargs)
+
+
+@pytest.mark.parametrize("beta, max_steps", [
+    pytest.param(0.5, 0, id="no-steps"),
+    pytest.param(0.5, -3, id="negative-steps"),
+    pytest.param(1e200, 1024, id="beta-squared-overflows"),
+    pytest.param(float("inf"), 1024, id="infinite-beta"),
+    pytest.param(0.5, 10**60, id="m-sixth-overflows"),
+    pytest.param(0.5, 10**400, id="m-beyond-floats"),
+])
+def test_build_refuses_bad_step_bounds_and_soundness_scales(beta, max_steps):
+    h = HamiltonianSum.from_terms(1, [(-0.5, "Z")])
+    with pytest.raises(PreconditionError):
+        build_stoquastic_gscon(h, alpha=0.0, beta=beta, max_steps=max_steps)
+
+
 def _count_full_builds(monkeypatch, n):
     """Counter of flip-diagonal builds on ``n`` qubits (group sums are smaller)."""
     build = HamiltonianSum._flip_stack

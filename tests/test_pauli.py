@@ -24,6 +24,7 @@ from pinq.pauli import (
     is_commuting,
     is_permutation,
     is_stoquastic,
+    projector_terms,
 )
 
 # ---------------------------------------------------------------------------
@@ -557,3 +558,14 @@ def test_merged_collects_duplicates():
     assert len(m.terms) == 1
     assert m.terms[0].coeff == 1.0
     assert m.terms[0].string.label() == "X"
+
+
+@pytest.mark.parametrize("string, proj", [("XIZ", "IXI"), ("ZXI", "IIZ"), ("III", "ZIZ"), ("XZI", "IIY")])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_projector_terms_match_the_matrix_product(string, proj, sign):
+    p, q = PauliString.from_label(string), PauliString.from_label(proj)
+    terms = projector_terms(3, -0.75, p.x, p.z, sign, q.x, q.z)
+    assert [t.string for t in terms] == [p, PauliString(3, p.x | q.x, p.z | q.z)]
+    got = pauli_matrix(3, [(t.coeff, t.string.label()) for t in terms])
+    a, b = pauli_matrix(3, [(1.0, string)]), pauli_matrix(3, [(1.0, proj)])
+    np.testing.assert_allclose(got, -0.75 * a @ (np.eye(8) + sign * b) / 2, atol=1e-15)

@@ -18,6 +18,7 @@ from pinq.pinning import (
     rotate_pin_to_zero,
     stoquastic_pin,
 )
+from pinq.pinning import _binary_bits
 from pinq.spectral import min_eig, pinned_min_energy
 
 
@@ -145,6 +146,30 @@ def test_penalty_delta_values():
     a, b = 0.0, 1.0
     c = penalty_delta(PromiseBounds(a, b), 0.0)  # Delta = c + d = c
     assert c - abs(c - b) == pytest.approx(a)
+
+
+@pytest.mark.parametrize("state", ["0", "1", "+", "-", "angle:0.3", "angle:-2.1"])
+def test_pin_state_table_matches_its_amplitudes(state):
+    s = PinState.parse(state)
+    v = s.vector()
+    assert s.exp_x == pytest.approx(2 * v[0] * v[1], abs=1e-15)
+    assert s.exp_z == pytest.approx(v[0] ** 2 - v[1] ** 2, abs=1e-15)
+    # the images are those of a real orthogonal U sending v to |0>, a rotation
+    # or a reflection (Y stands for the real matrix -iY)
+    paulis = {"X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1]), "Y": np.array([[0, -1], [1, 0]])}
+
+    def conjugates_by(u):
+        return all(np.allclose(sum(c * paulis[a] for c, a in image), u @ paulis[letter] @ u.T, atol=1e-15)
+                   for letter, image in s._row.images.items())
+
+    assert conjugates_by(np.array([[v[0], v[1]], [-v[1], v[0]]])) or conjugates_by(
+        np.array([[v[0], v[1]], [v[1], -v[0]]]))
+
+
+@pytest.mark.parametrize("a, b", [(float("-inf"), 0.0), (0.0, float("inf")), (float("nan"), 1.0)])
+def test_promise_bounds_must_be_finite(a, b):
+    with pytest.raises(PreconditionError, match="finite"):
+        PromiseBounds(a, b)
 
 
 def test_penalty_lift_requires_valid_bounds():
@@ -416,3 +441,25 @@ def test_permutation_pin_drops_zero_terms():
 def test_permutation_pin_rejects_bad_bits():
     with pytest.raises(PreconditionError):
         permutation_pin(HamiltonianSum.from_terms(1, [(0.5, "X")]), q_bits=0)
+
+
+def test_binary_bits_are_exact_at_any_bit_count():
+    rng = np.random.default_rng(3)
+    for x in [0.0, 0.625, 5e-324, 1 - 2 ** -53] + list(rng.random(50)):
+        for q in (1, 7, 53, 200, 1023):
+            m = int(np.floor(x * (1 << q)))
+            assert _binary_bits(x, q) == [j for j in range(1, q + 1) if (m >> (q - j)) & 1]
+    assert _binary_bits(0.75, 1024) == [1, 2]
+    assert _binary_bits(5e-324, 1100) == [1074]
+
+
+def test_permutation_pin_at_1024_bits():
+    res = permutation_pin(HamiltonianSum.from_terms(2, [(0.75, "XX"), (-0.5, "ZZ")]), q_bits=1024)
+    assert res.hamiltonian.n == 2 + 2 + 1024
+    assert len(res.hamiltonian.group_indices()) == 3
+
+
+def test_permutation_pin_rejects_a_magnitude_without_finite_scale():
+    h = HamiltonianSum.from_terms(2, [(1.7976931348623157e308, "XX"), (0.5, "ZI")])
+    with pytest.raises(PreconditionError, match="finite scale"):
+        permutation_pin(h)

@@ -147,3 +147,11 @@ def test_lanczos_handles_degenerate_spectrum():
     # heavily degenerate: single ZZ on 6 qubits
     h = HamiltonianSum.from_terms(6, [(1.0, "ZZIIII")])
     assert min_eig(h, method="iterative").value == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_overflowing_residual_is_a_convergence_error(method):
+    # entries near 1e200 overflow the residual norm's sum of squares
+    h = HamiltonianSum.from_terms(2, [(1e200, "XX"), (-0.25, "ZZ")])
+    with pytest.raises(ConvergenceError, match="not finite"):
+        min_eig(h, method=method)
