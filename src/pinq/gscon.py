@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ParseError, PreconditionError, UnsupportedTermError
 from .io import FORMAT_VERSIONS
 from .pauli import HamiltonianSum, PauliString, PauliTerm, projector_terms
-from .spectral import operator
+from .spectral import check_qubit_ceiling, operator
 
 UNITARITY_TOL = 1e-10
 
@@ -123,7 +123,7 @@ class GsconInstance:
             raise PreconditionError("eta4 - eta3 must be at least Delta")
         if self.m < 0:
             raise PreconditionError("path length bound must be non-negative")
-        # one build of the flip diagonals, checked against the byte ceiling
+        # one build of the CSR operator, checked against the byte ceiling
         # before any 2^n vector exists and dropped on return: the instance
         # holds no cache
         matvec, _ = operator(self.hamiltonian)
@@ -168,7 +168,7 @@ class PathVerdict:
 def verify_path(instance: GsconInstance, steps) -> PathVerdict:
     """Walk the path, recording every intermediate energy and the final distance.
 
-    The flip diagonals of the instance's Hamiltonian are built once per call.
+    The CSR operator of the instance's Hamiltonian is built once per call.
     Malformed steps (non-unitary or over-local) are rejected with their index.
     """
     steps = list(steps)
@@ -238,7 +238,9 @@ def build_stoquastic_gscon(
     first register holds a witness of energy <= alpha.  The start and target
     states (|0..0>|---|--- and |0..0>|+++|---) have energy zero, so a valid
     instance needs alpha >= 0.  A ``max_steps`` below 1, or a soundness scale
-    beta^2/m^6 that is not finite, raises ``PreconditionError``.
+    beta^2/m^6 that is not finite, raises ``PreconditionError``; an output
+    register of h.n + 6 qubits above the iterative ceiling raises
+    ``ResourceLimitError``.
     """
     for t in h.terms:
         if t.string.has_y:
@@ -257,6 +259,7 @@ def build_stoquastic_gscon(
         )
     n_sys = h.n
     n_out = n_sys + 6
+    check_qubit_ceiling(n_out)  # before any 1 << q on the output register
     middle = tuple(range(n_sys, n_sys + 3))
     third = tuple(range(n_sys + 3, n_sys + 6))
     mid_bits = [1 << q for q in middle]
@@ -440,7 +443,9 @@ def _load_json(path, kind: str, from_json):
         if data["format"] != FORMAT_VERSIONS[kind]:
             raise ParseError(0, f"unsupported {kind} format {data['format']!r}")
         return from_json(data)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        # ValueError and OverflowError: a value of the right type out of range,
+        # such as a non-finite qubit count
         raise ParseError(0, f"malformed {kind}: {type(exc).__name__}: {exc}") from None
 
 

@@ -14,14 +14,21 @@ Conventions used throughout the package:
   (stoquasticity, commutation, permutation form) operate at group
   granularity.  Without an explicit grouping every string is its own group.
 * A sum's one matrix realization is its flip-diagonal form,
-  H = sum_f P_f diag(D_f), behind ``apply`` and ``to_matrix``.  Group norms
-  and termwise checks read the same form per group, on the group's own
-  support and batched by support width (``_local_flip_forms``); no group is
-  built as a matrix of its own.  Norms stop at the 12-qubit dense ceiling,
-  checks at the 16-qubit sparse ceiling.
+  H = sum_f P_f diag(D_f), stored as one flip-ordered CSR matrix
+  (``HamiltonianSum._flip_stack``): row r holds D_f[r ^ f] at column r ^ f
+  for every flip mask f, in increasing f.  ``apply``, ``to_matrix``,
+  ``spectral.operator``, ``flip_diagonals`` and the assembled checks all read
+  it, and its products run in scipy's compiled CSR kernel (``flip_matvec``),
+  which adds each row in the order of the per-flip sum.  Group norms and
+  termwise checks read the same form per group, on the group's own support
+  and batched by support width (``_local_flip_forms``); no group is built
+  as a matrix of its own.  Norms stop at the 12-qubit dense ceiling, checks
+  at the 16-qubit sparse ceiling.
 * One builder makes every form: ``_local_strings`` maps a string's masks to
-  the state-index bits of a support (the whole register is ``range(n)``),
-  and ``_stacked_diagonals`` sums the strings into diagonal rows.
+  the state-index bits of a support (by bit reversal for the whole
+  register, by a table of the support for a group), and
+  ``_stacked_diagonals`` sums the strings into diagonal rows, or into the
+  columns of the CSR data.
 """
 
 from __future__ import annotations
@@ -40,30 +47,30 @@ DEFAULT_TOL = 1e-12
 # bytes of one complex matrix at the dense ceiling: a stack of group-local
 # forms, or of their dense matrices, holds no more than one group may alone
 _STACK_BYTES = 16 << (2 * DENSE_QUBIT_CEILING)
-# rows that one pass of ``_stacked_diagonals`` handles at a time, in bytes:
-# their temporaries stay cache-sized (8 real or 4 complex rows at 12 qubits)
+# bytes of one tile that ``_stacked_diagonals`` sums at a time, so that its
+# temporaries stay cache-sized (8 real rows of 12 qubits)
 _CHUNK_BYTES = 256 << 10
+# rows of a tile at the least: 8 entries of one (2^n, #flips) row fill a
+# 64-byte cache line
+_BLOCK_ROWS = 8
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _LETTER_INV = {v: k for k, v in _LETTER.items()}
 
 
-def apply_flip_diagonals(pairs, vec: np.ndarray, dtype=float) -> np.ndarray:
-    """Apply H = sum_f P_f diag(D_f) to a vector, where (P_f v)[i] = v[i ^ f].
+def flip_matvec(mat, vec: np.ndarray) -> np.ndarray:
+    """H @ v for the flip-ordered CSR matrix of ``HamiltonianSum._flip_stack``.
 
-    ``pairs`` is an iterable of (f, D_f), as yielded by
-    ``HamiltonianSum.flip_diagonals``; ``dtype`` is the operator's own dtype.
-    Seen as a (2,)*n array with qubit q on axis q, P_f reverses the axes of
-    the bits set in f, so each term is a strided view, not a gather.
+    scipy's compiled product adds each row's entries in stored order, which
+    is increasing flip mask.  A real matrix applied to a complex vector runs
+    as two real products, so scipy never upcasts the whole data array.
     """
-    n = vec.shape[0].bit_length() - 1
-    shape = (2,) * n
-    out = np.zeros(vec.shape, dtype=np.result_type(dtype, vec.dtype))
-    acc = out.reshape(shape)
-    for flip, diag in pairs:
-        axes = tuple(q for q in range(n) if (flip >> (n - 1 - q)) & 1)
-        acc += np.flip((diag * vec).reshape(shape), axis=axes)
-    return out
+    if np.iscomplexobj(vec) and not np.iscomplexobj(mat.data):
+        out = np.empty(vec.shape, dtype=np.result_type(mat.dtype, vec.dtype))
+        out.real = mat @ vec.real
+        out.imag = mat @ vec.imag
+        return out
+    return mat @ vec
 
 
 @dataclass(frozen=True)
@@ -275,25 +282,39 @@ class HamiltonianSum:
 
         ``f`` is an X flip mask in state-index bit positions and
         (P_f v)[i] = v[i ^ f].  Each D_f sums its strings' diagonal factors in
-        term order.  The D_f are the rows of one (#flips, 2^n) stack, built
-        at once by ``_stacked_diagonals`` on the support ``range(n)``.
+        term order.  The D_f are gathered from the matrix of ``_flip_stack``,
+        whose entry (c ^ f, c) is D_f[c].
         """
-        yield from zip(*self._flip_stack())
+        flips, diags = _column_rows(self._flip_stack())
+        yield from zip(flips.tolist(), diags)
 
     def _flip_stack(self):
-        """(flips, diags): the increasing flip masks as a list and the
-        (#flips, 2^n) stack whose rows ``flip_diagonals`` yields."""
-        strings = _local_strings(self._terms, range(len(self._terms)), range(self._n))
+        """The sum as a flip-ordered CSR matrix: the one full-register build.
+
+        Row r holds D_f[r ^ f] at column r ^ f for every flip mask f, in
+        increasing f, so a row-by-row product adds its terms in the order of
+        the per-flip sum.  The data array is (2^n, #flips) with int32 column
+        indices, and ``_stacked_diagonals`` writes it in place: a string's
+        row-side weight is its weight negated when popcount(f & z), its Y
+        count, is odd, which is exact.
+        """
+        strings = _local_strings(self._terms, range(len(self._terms)), _register_bits(self._n))
         flips = sorted({flip for flip, _, _, _ in strings})
         row_of = {f: k for k, f in enumerate(flips)}
-        rows = [(row_of[flip], sign, ny, coeff) for flip, sign, ny, coeff in strings]
-        return flips, _stacked_diagonals(rows, len(flips), self._n, self.dtype)
+        rows = [(row_of[flip], sign, ny, -coeff if ny & 1 else coeff) for flip, sign, ny, coeff in strings]
+        dim = 1 << self._n
+        data = np.empty((dim, len(flips)), dtype=self.dtype)
+        _stacked_diagonals(rows, data.T)
+        index = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
+        cols = np.arange(dim, dtype=index)[:, None] ^ np.array(flips, dtype=index)
+        indptr = np.arange(dim + 1, dtype=index) * len(flips)
+        return sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
 
     def to_matrix(self, dense=False):
         """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray).
 
         Row r of the CSR matrix holds one entry per flip mask f, at column
-        r ^ f, so it stores (#flip masks) * 2^n entries.
+        r ^ f, so it stores (#flip masks) * 2^n entries, sorted by column.
         """
         ceiling = DENSE_QUBIT_CEILING if dense else SPARSE_QUBIT_CEILING
         if self._n > ceiling:
@@ -301,29 +322,21 @@ class HamiltonianSum:
                 f"{self._n} qubits exceeds the {'dense' if dense else 'sparse'} "
                 f"ceiling of {ceiling}"
             )
-        dim = 1 << self._n
-        flips, data = self._flip_stack()
-        cols = np.arange(dim, dtype=np.uint64)[:, None] ^ np.array(flips, dtype=np.uint64)
-        mat = sp.csr_matrix(
-            (
-                data[np.arange(len(flips)), cols].ravel(),
-                cols.astype(np.int64).ravel(),
-                np.arange(dim + 1) * len(flips),
-            ),
-            shape=(dim, dim),
-        )
+        mat = self._flip_stack()
+        if dense:
+            return mat.toarray()
         mat.sort_indices()
-        return mat.toarray() if dense else mat
+        return mat
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free matvec over the flip diagonals.
+        """H @ v by the compiled product of the ``_flip_stack`` matrix.
 
-        All #flips diagonals of 2^n entries are held at once, as
-        ``spectral.operator`` holds them.
+        All #flips * 2^n entries are held at once, as ``spectral.operator``
+        holds them.
         """
         if vec.shape[0] != 1 << self._n:
             raise ValueError("state dimension mismatch")
-        return apply_flip_diagonals(self.flip_diagonals(), vec, self.dtype)
+        return flip_matvec(self._flip_stack(), vec)
 
     def expectation(self, vec: np.ndarray) -> float:
         val = np.vdot(vec, self.apply(vec))
@@ -385,7 +398,7 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int, kind: str):
             raise ResourceLimitError(f"{len(supp)} qubits exceeds the {kind} ceiling of {ceiling}")
     local, buckets = [], {}
     for g, supp in zip(groups, supports):
-        local.append(_local_strings(h.terms, g, supp))
+        local.append(_local_strings(h.terms, g, _support_bits(supp)))
         dtype = complex if any(ny for _, _, ny, _ in local[-1]) else float
         buckets.setdefault((len(supp), dtype), []).append(len(local) - 1)
     for (width, dtype), members in buckets.items():
@@ -398,59 +411,112 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int, kind: str):
                 part += [p] * len(row_of)
                 flips += row_of
                 strings += [(row_of[flip], sign, ny, coeff) for flip, sign, ny, coeff in local[gi]]
-            diags = _stacked_diagonals(strings, len(flips), width, dtype)
+            diags = np.empty((len(flips), 1 << width), dtype=dtype)
+            _stacked_diagonals(strings, diags)
             yield chunk, np.array(part, dtype=np.intp), np.array(flips, dtype=np.intp), diags
 
 
-def _local_strings(terms, g, supp) -> list:
+def _column_rows(mat):
+    """(flips, diags) of a ``_flip_stack`` matrix: its increasing flip masks
+    and the (#flips, 2^n) stack of the D_f, gathered from entries (c ^ f, c)."""
+    dim = mat.shape[0]
+    flips = mat.indices[:mat.indptr[1]].astype(np.intp)  # row 0 holds column f of each f
+    data = mat.data.reshape(dim, len(flips))
+    return flips, data[np.arange(dim) ^ flips[:, None], np.arange(len(flips))[:, None]]
+
+
+def _local_strings(terms, g, local) -> list:
     """(flip, sign, #Y, coeff) of each term ``terms[i]``, i in ``g``, in order.
 
-    The masks are in the state-index bits of the support ``supp``, which
-    holds every qubit the strings act on: qubit ``supp[k]`` is bit w-1-k, so
-    the first support qubit is the most significant.  A group passes its own
-    support, a whole sum ``range(n)``.
+    ``local`` maps a mask to the state-index bits of a support that holds
+    every qubit the strings act on: ``_register_bits(n)`` for a whole sum,
+    ``_support_bits(supp)`` for a group.
     """
-    bits = [(q, len(supp) - 1 - k) for k, q in enumerate(supp)]
     out = []
     for i in g:
-        x, z = terms[i].string.x, terms[i].string.z
-        flip = sign = 0
-        for q, b in bits:
-            flip |= (x >> q & 1) << b
-            sign |= (z >> q & 1) << b
+        flip, sign = local(terms[i].string.x), local(terms[i].string.z)
         out.append((flip, sign, (flip & sign).bit_count(), terms[i].coeff))
     return out
 
 
-def _stacked_diagonals(strings, rows: int, width: int, dtype) -> np.ndarray:
-    """Flip-diagonal rows from (row, sign, ny, coeff) strings in term order.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-    String (row, sign, ny, coeff) adds coeff * i**ny * (-1)**popcount(j & sign)
-    at entry j of its row; ``sign`` is in the state-index bits of a
-    ``width``-qubit support.  Pass r adds the r-th string of every row, so each
-    row is summed from zero in term order, over chunks of at most
-    ``_CHUNK_BYTES`` of rows (and at least one row).  A sum started at +0
-    never turns -0, so only the nonzero parts of each +-weight count, and
-    they are exact: the rows are the per-string sums bit for bit.
+
+def _register_bits(n: int):
+    """Mask map onto the support ``range(n)``, where qubit q is bit n-1-q:
+    an n-bit reversal, one byte at a time."""
+    size = (n + 7) // 8
+    shift = 8 * size - n
+    return lambda m: int.from_bytes(m.to_bytes(size, "little").translate(_REVERSED_BYTES), "big") >> shift
+
+
+def _support_bits(supp):
+    """Mask map onto the support ``supp`` (increasing qubits): qubit
+    ``supp[k]`` is bit w-1-k, so the first support qubit is the most
+    significant.  One table lookup per set bit."""
+    bit_of = {1 << q: 1 << (len(supp) - 1 - k) for k, q in enumerate(supp)}
+
+    def local(m):
+        out = 0
+        while m:
+            low = m & -m
+            out |= bit_of[low]
+            m ^= low
+        return out
+
+    return local
+
+
+def _stacked_diagonals(strings, diags) -> None:
+    """Fill flip-diagonal rows from (row, sign, ny, coeff) strings in term order.
+
+    ``diags`` is (rows, 2^w), or the transposed view of a (2^w, rows) array,
+    and every row has a string.  String (row, sign, ny, coeff) adds
+    coeff * i**ny * (-1)**popcount(j & sign) at entry j of its row; ``sign``
+    is in the state-index bits of a w-qubit support.  Rows go in blocks of
+    at least ``_BLOCK_ROWS`` and entries in tiles, so that a block's tile
+    takes about ``_CHUNK_BYTES``.  Each tile is summed from zero in a
+    cache-sized temporary, pass r adding the r-th string of each of its
+    rows, then written once.  A sum started at +0 never turns -0, so only
+    the nonzero parts of each +-weight count, and they are exact: the rows
+    are the per-string sums bit for bit.
     """
-    diags = np.zeros((rows, 1 << width), dtype=dtype)
-    if not strings:
-        return diags
-    row = np.array([r for r, _, _, _ in strings])
+    rows, dim = diags.shape
+    if not rows:
+        return
+    row = np.array([r for r, _, _, _ in strings], dtype=np.intp)
     sign = np.array([s for _, s, _, _ in strings], dtype=np.uint64)
-    weight = np.array([c * 1j ** ny if ny % 4 else c for _, _, ny, c in strings], dtype=dtype)
+    weight = np.array([c * 1j ** ny if ny % 4 else c for _, _, ny, c in strings], dtype=diags.dtype)
     order = np.argsort(row, kind="stable")
-    rank = np.empty(len(row), dtype=np.intp)
-    rank[order] = np.arange(len(row)) - np.searchsorted(row[order], row[order])
-    idx = np.arange(1 << width, dtype=np.uint64)
-    chunk = max(1, _CHUNK_BYTES // (diags.itemsize << width))
-    for r in range(int(rank.max()) + 1):
-        pass_k = np.flatnonzero(rank == r)
-        for start in range(0, len(pass_k), chunk):
-            k = pass_k[start:start + chunk]
-            odd = (np.bitwise_count(idx & sign[k, None]) & np.uint8(1)).view(bool)
-            diags[row[k]] += np.where(odd, -weight[k, None], weight[k, None])
-    return diags
+    row, sign, weight = row[order], sign[order], weight[order]
+    first = np.searchsorted(row, np.arange(rows + 1))
+    rank = np.arange(len(row)) - first[row]
+    idx = np.arange(dim, dtype=np.uint64)
+    block = max(_BLOCK_ROWS, _CHUNK_BYTES // (diags.itemsize * dim))
+    tile = max(1, _CHUNK_BYTES // (diags.itemsize * block))
+    blocks = []
+    for k0 in range(0, rows, block):
+        k1 = min(k0 + block, rows)
+        lo, hi = first[k0], first[k1]
+        blocks.append((k0, k1, [lo + np.flatnonzero(rank[lo:hi] == r) for r in range(int(rank[lo:hi].max()) + 1)]))
+    # tile by tile, so that a transposed target's rows stay cached while
+    # every block writes its part of them
+    for j0 in range(0, dim, tile):
+        j = idx[j0:j0 + tile]
+        for k0, k1, passes in blocks:
+            acc = np.zeros((k1 - k0, len(j)), dtype=diags.dtype)
+            for k in passes:
+                vals = np.where(_odd(j, sign[k, None]), -weight[k, None], weight[k, None])
+                if len(k) == k1 - k0:  # one string of every row, in row order
+                    acc += vals
+                else:
+                    acc[row[k] - k0] += vals
+            diags[k0:k1, j0:j0 + len(j)] = acc
+
+
+def _odd(j, sign):
+    """popcount(j & sign) is odd, elementwise."""
+    return (np.bitwise_count(j & sign) & np.uint8(1)).view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +554,8 @@ def _check_parts(h: HamiltonianSum, assembled: bool):
         return
     if h.n > SPARSE_QUBIT_CEILING:
         raise ResourceLimitError(f"{h.n} qubits exceeds the sparse ceiling of {SPARSE_QUBIT_CEILING}")
-    flips, diags = h._flip_stack()
-    yield [0], np.zeros(len(flips), dtype=np.intp), np.array(flips, dtype=np.intp), diags
+    flips, diags = _column_rows(h._flip_stack())
+    yield [0], np.zeros(len(flips), dtype=np.intp), flips, diags
 
 
 def _offdiag_offenders(part, flips, diags, count: int, tol: float) -> list:

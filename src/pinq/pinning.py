@@ -24,6 +24,7 @@ attaches a projector to a string through one gadget,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -171,32 +172,36 @@ def effective_sum(h: HamiltonianSum, pin: PinSpec, merge=True) -> HamiltonianSum
     qubit count; only the unpinned register survives.
     """
     pin.validate_for(h.n)
-    pinned = set(pin.qubits)
-    keep = [q for q in range(h.n) if q not in pinned]
-    pos = {q: i for i, q in enumerate(keep)}
+    pinned = sorted(pin.qubits)
     out_terms = []
     for t in h.terms:
         coeff = t.coeff
         x_new = z_new = 0
         dead = False
-        for q in range(h.n):
+        rest = t.string.x | t.string.z
+        while rest:  # the qubits the string acts on, never all n
+            low = rest & -rest
+            rest ^= low
+            q = low.bit_length() - 1
             xb = (t.string.x >> q) & 1
             zb = (t.string.z >> q) & 1
-            if q in pinned:
+            below = bisect_left(pinned, q)
+            if below < len(pinned) and pinned[below] == q:
                 if xb and zb:
                     dead = True  # <Y> = 0 for real pin states
                     break
                 if xb:
                     coeff *= pin.state_for(q).exp_x
-                elif zb:
+                else:
                     coeff *= pin.state_for(q).exp_z
             else:
-                x_new |= xb << pos[q]
-                z_new |= zb << pos[q]
+                # an unpinned qubit moves down past the pinned qubits below it
+                x_new |= xb << (q - below)
+                z_new |= zb << (q - below)
         if dead or coeff == 0.0:
             continue
-        out_terms.append(PauliTerm(coeff, PauliString(len(keep), x_new, z_new)))
-    out = HamiltonianSum(len(keep), out_terms)
+        out_terms.append(PauliTerm(coeff, PauliString(h.n - len(pinned), x_new, z_new)))
+    out = HamiltonianSum(h.n - len(pinned), out_terms)
     return out.merged() if merge else out
 
 

@@ -4,8 +4,10 @@ The dense route (LAPACK ``eigh``, lowest eigenpair only) is the authoritative
 oracle at small sizes.  The iterative route runs ARPACK's implicitly restarted
 Lanczos (``eigsh``) on a matrix-free operator with a seeded start vector, so
 results are deterministic for a fixed seed.  For a Pauli sum the operator is
-the flip-diagonal form H = sum_f P_f diag(D_f), built once per solve and
-dropped when the solve returns.
+the flip-ordered CSR matrix of its flip-diagonal form H = sum_f P_f diag(D_f),
+built once per solve, applied by scipy's compiled product and dropped when
+the solve returns.  An operator with no nonzero entry has ground energy 0
+and never reaches ARPACK, which refuses its zero Krylov space.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
 from .errors import ConvergenceError, PreconditionError, ResourceLimitError
-from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, apply_flip_diagonals
+from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, flip_matvec
 from .pinning import PinSpec, PromiseBounds, effective_sum
 
 ITERATIVE_QUBIT_CEILING = 20
-# bytes the flip diagonals of one iterative solve may take (64 x 2^20 doubles)
+# bytes the CSR operator of one iterative solve may take, data plus int32
+# column index (42 real flip masks at 20 qubits)
 ITERATIVE_BYTE_CEILING = 512 * 2**20
 RESIDUAL_TOL = 1e-8
 
@@ -40,9 +43,17 @@ class SpectralResult:
     iterations: int = 0
 
 
+def check_qubit_ceiling(n: int) -> None:
+    """``ResourceLimitError`` when an n-qubit operator is above every ceiling,
+    before anything of size 2^n is formed."""
+    if n > ITERATIVE_QUBIT_CEILING:
+        raise ResourceLimitError(f"{n} qubits exceeds the iterative ceiling of {ITERATIVE_QUBIT_CEILING}")
+
+
 def _check_hermitian(obj) -> int:
     """Dimension of a sum or matrix input; matrices must be square and Hermitian."""
     if isinstance(obj, HamiltonianSum):
+        check_qubit_ceiling(obj.n)
         return 1 << obj.n
     if sp.issparse(obj):
         if (abs(obj - obj.getH()) > 1e-10).nnz:
@@ -57,29 +68,26 @@ def _check_hermitian(obj) -> int:
 
 
 def operator(obj):
-    """(matvec, dtype) of a Hamiltonian sum or an explicit matrix.
+    """(matvec, matrix) of a Hamiltonian sum or an explicit matrix.
 
-    A sum's flip diagonals are checked against ``ITERATIVE_BYTE_CEILING``
-    before they are built, then built once and held by the matvec.  This is
-    the operator of the iterative route, and of every caller that applies
-    one sum many times.
+    A sum's CSR matrix, data plus column index, is checked against
+    ``ITERATIVE_BYTE_CEILING`` before it is built, then built once and held
+    by the matvec.  This is the operator of the iterative route, and of
+    every caller that applies one sum many times.
     """
     if isinstance(obj, HamiltonianSum):
-        if obj.n > ITERATIVE_QUBIT_CEILING:
-            raise ResourceLimitError(
-                f"{obj.n} qubits exceeds the iterative ceiling of {ITERATIVE_QUBIT_CEILING}"
-            )
+        check_qubit_ceiling(obj.n)
         flips = obj.flip_count()
-        need = flips * (1 << obj.n) * np.dtype(obj.dtype).itemsize
+        need = flips * (1 << obj.n) * (np.dtype(obj.dtype).itemsize + np.dtype(np.int32).itemsize)
         if need > ITERATIVE_BYTE_CEILING:
             raise ResourceLimitError(
-                f"{flips} flip diagonals on {obj.n} qubits need {need} bytes, "
+                f"{flips} flip masks on {obj.n} qubits need {need} bytes, "
                 f"above the iterative ceiling of {ITERATIVE_BYTE_CEILING}"
             )
-        pairs, dtype = list(obj.flip_diagonals()), obj.dtype
-        return (lambda v: apply_flip_diagonals(pairs, v, dtype)), dtype
+        mat = obj._flip_stack()
+        return (lambda v: flip_matvec(mat, v)), mat
     mat = obj if sp.issparse(obj) else np.asarray(obj)
-    return (lambda v: mat @ v), np.result_type(mat.dtype, float)
+    return (lambda v: mat @ v), mat
 
 
 def _dense_matrix(obj) -> np.ndarray:
@@ -110,8 +118,15 @@ def _lowest_pair(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
     return val, vec, _residual(lambda v: mat @ v, val, vec)
 
 
-def _arpack_min(matvec, dim, dtype, seed) -> SpectralResult:
+def _arpack_min(matvec, mat, seed) -> SpectralResult:
     """Smallest eigenpair by ARPACK, counting every operator application."""
+    dim = mat.shape[0]
+    dtype = np.result_type(mat.dtype, float)
+    if not (mat.data if sp.issparse(mat) else mat).any():
+        # every vector is a ground state of the zero operator
+        vec = np.zeros(dim, dtype=dtype)
+        vec[0] = 1.0
+        return SpectralResult(0.0, vec, "iterative", 0.0)
     count = [0]
 
     def counted(v):
@@ -120,8 +135,7 @@ def _arpack_min(matvec, dim, dtype, seed) -> SpectralResult:
 
     if dim <= 2:
         # ARPACK needs k < dim - 1 for complex operators: apply H to the basis
-        mat = np.column_stack([counted(e) for e in np.eye(dim)])
-        val, vec, resid = _lowest_pair(mat)
+        val, vec, resid = _lowest_pair(np.column_stack([counted(e) for e in np.eye(dim)]))
         return SpectralResult(val, vec, "iterative", resid, count[0])
     # the generator also draws ARPACK's restart vectors, which it would
     # otherwise seed from OS entropy when a Krylov space closes early
@@ -134,10 +148,8 @@ def _arpack_min(matvec, dim, dtype, seed) -> SpectralResult:
             evals, evecs = eigs(op, k=1, which="SR", v0=v0, rng=rng)
         else:
             evals, evecs = eigsh(op, k=1, which="SA", v0=v0, rng=rng)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"ARPACK did not converge after {count[0]} matvecs: {exc}"
-        ) from None
+    except ArpackError as exc:  # no convergence, or any other ARPACK failure
+        raise ConvergenceError(f"ARPACK did not converge after {count[0]} matvecs: {exc}") from None
     val = float(np.real(evals[0]))
     vec = evecs[:, 0]
     resid = _residual(counted, val, vec)
@@ -161,8 +173,7 @@ def min_eig(obj, method="auto", seed=0, with_vector=True) -> SpectralResult:
         val, vec, resid = _lowest_pair(_dense_matrix(obj))
         res = SpectralResult(val, vec, "dense", resid)
     elif method == "iterative":
-        matvec, dtype = operator(obj)
-        res = _arpack_min(matvec, dim, dtype, seed)
+        res = _arpack_min(*operator(obj), seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     if not with_vector:

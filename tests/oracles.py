@@ -91,6 +91,24 @@ def flip_diagonals(n, terms):
     return pairs
 
 
+def apply_flip_diagonals(pairs, vec, dtype=float):
+    """Apply H = sum_f P_f diag(D_f) to a vector, where (P_f v)[i] = v[i ^ f]:
+    the literal per-flip loop, one strided add per flip mask.
+
+    ``pairs`` is an iterable of (f, D_f) in increasing f; ``dtype`` is the
+    operator's own dtype.  Seen as a (2,)*n array with qubit q on axis q,
+    P_f reverses the axes of the bits set in f.
+    """
+    n = vec.shape[0].bit_length() - 1
+    shape = (2,) * n
+    out = np.zeros(vec.shape, dtype=np.result_type(dtype, vec.dtype))
+    acc = out.reshape(shape)
+    for flip, diag in pairs:
+        axes = tuple(q for q in range(n) if (flip >> (n - 1 - q)) & 1)
+        acc += np.flip((diag * vec).reshape(shape), axis=axes)
+    return out
+
+
 def pauli_sparse(n, terms):
     """CSR matrix of (coeff, label) terms: ``pauli_matrix`` with sparse Kronecker chains."""
     out = sp.csr_matrix((1 << n, 1 << n), dtype=complex)

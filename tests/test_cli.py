@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -478,6 +481,43 @@ def test_gscon_verify_overflowing_step_exit_3_without_warnings(tmp_path, capsys)
     assert "step 0 is not unitary" in captured.err
     assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
     assert [str(w.message) for w in caught] == []
+
+
+_HUGE_HEADER = "qubits 99999999999999999999\n"
+
+
+@pytest.mark.parametrize("command, options", [
+    ("spectrum", []),
+    ("spectrum", ["--iterative"]),
+    ("gscon-build", ["--alpha", "0", "--beta", "0.5", "--out"]),
+])
+def test_huge_register_hits_the_qubit_ceiling(tmp_path, capsys, command, options):
+    f = _write(tmp_path, "h.txt", _HUGE_HEADER)
+    if options and options[-1] == "--out":
+        options = options + [str(tmp_path / "inst.json")]
+    code = main([command, f, *options])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "iterative ceiling" in captured.err and "Traceback" not in captured.err
+
+
+def test_effective_on_a_huge_register_touches_only_the_strings(tmp_path):
+    # a register-wide loop would run until memory is gone, so the command runs
+    # in a child process whose address space is capped at 2.5 GiB
+    f = _write(tmp_path, "h.txt", _HUGE_HEADER)
+    out = str(tmp_path / "eff.txt")
+    cap = 5 << 29
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+              "from pinq.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script, "effective", f, "--pin=0=0", "--pin=5=+", "--out", out],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["qubits"] == 10**20 - 3
+    assert load_hamiltonian(out).n == 10**20 - 3
 
 
 def test_gscon_byte_ceiling_checked_before_build(tmp_path, capsys, monkeypatch):

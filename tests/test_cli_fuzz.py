@@ -6,6 +6,7 @@ out-of-range headers must be turned away before anything is allocated.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -13,11 +14,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import generic_three_mode, strict_json
 from pinq.cli import main
+from pinq.io import FORMAT_VERSIONS
 
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -75,14 +77,18 @@ bounds_text = st.one_of(
 )
 
 
+# file names in the work directory, put in place of the paths of argv
+_H, _OUT = "h.txt", "out.txt"
+
+
 @st.composite
-def hamiltonian_argv(draw, path, out):
-    """argv of one subcommand that reads a Hamiltonian file."""
+def hamiltonian_argv(draw):
+    """argv of one subcommand that reads the Hamiltonian file ``_H``."""
     command = draw(st.sampled_from(
         ["check", "pin-commuting", "pin-stoquastic", "pin-permutation", "unpin-penalty",
          "effective", "spectrum"]
     ))
-    argv = [command, path]
+    argv = [command, _H]
     if command == "check":
         if draw(st.booleans()):
             argv.append("--assembled")
@@ -104,7 +110,7 @@ def hamiltonian_argv(draw, path, out):
     if command == "spectrum" and draw(st.booleans()):
         argv.append(draw(st.sampled_from(["--dense", "--iterative"])))
     if command != "check" and command != "spectrum":
-        argv += ["--out", out]
+        argv += ["--out", _OUT]
     return argv
 
 
@@ -134,22 +140,25 @@ def _write(path, text):
 
 
 @settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_hamiltonian_commands_keep_the_exit_contract(workdir, data):
-    path = _write(os.path.join(workdir, "h.txt"), data.draw(hamiltonian_text()))
-    argv = data.draw(hamiltonian_argv(path, os.path.join(workdir, "out.txt")))
-    _run_contract(argv)
+@given(text=hamiltonian_text(), argv=hamiltonian_argv())
+# operators with no terms, which ARPACK would start from a zero vector
+@example(text="qubits 3\n", argv=["spectrum", _H, "--iterative"])
+@example(text="qubits 17\n", argv=["spectrum", _H])
+def test_hamiltonian_commands_keep_the_exit_contract(workdir, text, argv):
+    _write(os.path.join(workdir, _H), text)
+    _run_contract([os.path.join(workdir, a) if a in (_H, _OUT) else a for a in argv])
 
 
-@pytest.fixture(scope="module")
-def gscon_files(workdir):
+@functools.cache
+def _gscon_docs():
     """A small planted instance and its empty witness, as parsed JSON."""
-    h = _write(os.path.join(workdir, "g.txt"), "qubits 1\n-0.5 Z\n0.25 X\n")
-    inst, path = os.path.join(workdir, "inst.json"), os.path.join(workdir, "path.json")
-    assert main(["gscon-build", h, "--alpha", "1e-9", "--beta", "0.5", "--out", inst,
-                 "--path-out", path]) == 0
-    with open(inst) as fi, open(path) as fp:
-        return json.load(fi), json.load(fp)
+    with tempfile.TemporaryDirectory() as d:
+        h = _write(os.path.join(d, "g.txt"), "qubits 1\n-0.5 Z\n0.25 X\n")
+        inst, path = os.path.join(d, "inst.json"), os.path.join(d, "path.json")
+        assert main(["gscon-build", h, "--alpha", "1e-9", "--beta", "0.5", "--out", inst,
+                     "--path-out", path]) == 0
+        with open(inst) as fi, open(path) as fp:
+            return json.load(fi), json.load(fp)
 
 
 _GSCON_OPTIONS = ["--alpha", "--beta", "--eta2", "--eta3", "--eta4", "--delta", "--m"]
@@ -206,17 +215,17 @@ json_value = st.one_of(
 )
 
 
-def _mutate(doc, data):
+def _mutate(doc, draw):
     """doc with one subtree replaced or deleted; the document is copied."""
     doc = json.loads(json.dumps(doc))
-    path = data.draw(st.sampled_from(data.draw(st.sampled_from(_sites(doc)))))
+    path = draw(st.sampled_from(draw(st.sampled_from(_sites(doc)))))
     if not path:
-        return data.draw(json_value)
+        return draw(json_value)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if data.draw(st.booleans()):
-        parent[path[-1]] = data.draw(json_value)
+    if draw(st.booleans()):
+        parent[path[-1]] = draw(json_value)
     elif isinstance(parent, dict):
         del parent[path[-1]]
     else:
@@ -224,16 +233,36 @@ def _mutate(doc, data):
     return doc
 
 
-@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_gscon_verify_keeps_the_exit_contract(workdir, gscon_files, data):
-    docs = list(gscon_files)
-    which = data.draw(st.sampled_from([0, 1]))
-    for _ in range(data.draw(st.integers(1, 3))):
-        docs[which] = _mutate(docs[which], data)
+@st.composite
+def gscon_texts(draw):
+    """(instance, path) JSON texts: the planted pair with one of the two
+    documents mutated one to three times, and sometimes cut short."""
+    docs = list(_gscon_docs())
+    which = draw(st.sampled_from([0, 1]))
+    for _ in range(draw(st.integers(1, 3))):
+        docs[which] = _mutate(docs[which], draw)
     texts = [json.dumps(d) for d in docs]
-    if data.draw(st.integers(0, 9)) == 0:
-        texts[which] = texts[which][: data.draw(st.integers(0, len(texts[which])))]
+    if draw(st.integers(0, 9)) == 0:
+        texts[which] = texts[which][: draw(st.integers(0, len(texts[which])))]
+    return texts
+
+
+def _instance_text(qubits):
+    """Instance JSON text with no terms and the qubit count written as ``qubits``."""
+    return (f'{{"format": "{FORMAT_VERSIONS["gscon_instance_json"]}", "qubits": {qubits}, '
+            '"hamiltonian": {"terms": [], "groups": []}, "k": 2, "l": 2, "m": 4, '
+            '"eta": [0.0, 1.0, 1e-6, 1.0], "delta": 1e-6, "start_circuit": [], "target_circuit": []}')
+
+
+_EMPTY_PATH = json.dumps({"format": FORMAT_VERSIONS["gscon_path_json"], "steps": []})
+
+
+@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
+@given(texts=gscon_texts())
+# a qubit count that no integer holds
+@example(texts=[_instance_text("Infinity"), _EMPTY_PATH])
+@example(texts=[_instance_text("1e400"), _EMPTY_PATH])
+def test_gscon_verify_keeps_the_exit_contract(workdir, texts):
     inst = _write(os.path.join(workdir, "fuzz-inst.json"), texts[0])
     path = _write(os.path.join(workdir, "fuzz-path.json"), texts[1])
     assert main(["gscon-verify", "--instance", inst, "--path", path]) in EXIT_CODES

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from oracles import (
+    apply_flip_diagonals,
     flip_diagonals,
     group_norms,
     pauli_entry,
@@ -26,6 +27,7 @@ from pinq.pauli import (
     is_stoquastic,
     projector_terms,
 )
+from pinq.spectral import operator
 
 # ---------------------------------------------------------------------------
 # independent oracle: <row|H|col> from per-qubit Pauli action
@@ -114,9 +116,9 @@ def test_string_apply_matches_matrix():
         np.testing.assert_allclose(s.apply(v), mat @ v, atol=1e-14)
 
 
-def _edge_case_terms(rng, n):
-    """Random terms with Y letters, a repeated string, a cancelling pair and a zero weight."""
-    labels = ["".join(rng.choice(list("IXYZ")) for _ in range(n)) for _ in range(2 * n + 1)]
+def _edge_case_terms(rng, n, letters="IXYZ"):
+    """Random terms with a repeated string, a cancelling pair and a zero weight."""
+    labels = ["".join(rng.choice(list(letters)) for _ in range(n)) for _ in range(2 * n + 1)]
     terms = [(float(rng.uniform(-1, 1)), lab) for lab in labels]
     terms.append((float(rng.uniform(-1, 1)), labels[0]))  # repeated string
     c = float(rng.uniform(-1, 1))
@@ -203,6 +205,58 @@ def test_flip_diagonals_come_in_increasing_mask_order():
     flips = [f for f, _ in h.flip_diagonals()]
     assert flips == [0, 1, 4]  # qubit 0 is the most significant index bit
     assert h.flip_count() == 3
+
+
+def _signed_zero_vectors(rng, n):
+    """A real vector and a complex one, each holding +0 and -0 entries."""
+    real = rng.standard_normal(1 << n)
+    cplx = real + 1j * rng.standard_normal(1 << n)
+    real[::3] = 0.0
+    real[1::3] = -0.0
+    cplx.real[::4] = -0.0
+    cplx.imag[1::4] = -0.0
+    cplx[2::5] = complex(-0.0, 0.0)
+    return real, cplx
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matvec_bytes_match_per_flip_loop_on_real_sums(n):
+    rng = np.random.default_rng(500 + n)
+    terms = _edge_case_terms(rng, n, letters="IXZ") + [(-0.0, "X" * n)]
+    for case in ([], terms):
+        h = HamiltonianSum.from_terms(n, case)
+        matvec, _ = operator(h)
+        for v in _signed_zero_vectors(rng, n):
+            want = apply_flip_diagonals(flip_diagonals(n, case), v)
+            for got in (h.apply(v), matvec(v)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matvec_matches_per_flip_loop_on_sums_with_y(n):
+    # scipy rounds complex products on its own, not in numpy's SIMD loop
+    rng = np.random.default_rng(600 + n)
+    terms = _edge_case_terms(rng, n) + [(0.5, "Y" * n)]
+    h = HamiltonianSum.from_terms(n, terms)
+    assert h.has_y
+    for v in _signed_zero_vectors(rng, n):
+        want = apply_flip_diagonals(flip_diagonals(n, terms), v, complex)
+        np.testing.assert_allclose(h.apply(v), want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+
+def test_mask_maps_match_per_qubit_loop():
+    rng = np.random.default_rng(700)
+    for n in (0, 1, 7, 8, 9, 16, 70):
+        masks = [int(m) for m in rng.integers(0, 1 << min(n, 62), 20)] + [(1 << n) - 1]
+        if n > 62:
+            masks += [(1 << (n - 1)) | 5, 1 << 63]
+        supp = sorted({int(q) for q in rng.integers(0, n, 5)}) if n else []
+        for local, qubits in ((pinq.pauli._register_bits(n), range(n)), (pinq.pauli._support_bits(supp), supp)):
+            for m in masks:
+                m &= sum(1 << q for q in qubits)
+                want = sum(((m >> q) & 1) << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
+                assert local(m) == want
 
 
 def test_apply_keeps_no_cache():

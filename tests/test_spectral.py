@@ -3,7 +3,7 @@ convergence errors, promise decisions."""
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import pinq.spectral
 from pinq.errors import ConvergenceError, PreconditionError, ResourceLimitError
@@ -80,6 +80,51 @@ def test_iterative_byte_ceiling_checked_before_allocation(monkeypatch):
 
     monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
     with pytest.raises(ResourceLimitError):
+        min_eig(h, method="iterative")
+
+
+def test_iterative_byte_ceiling_counts_the_column_index(monkeypatch):
+    # 43 flip masks x 2^20 x (8 data + 4 index bytes) = 516 MiB, over the
+    # ceiling; 42 masks fit, so that sum reaches the (patched) builder
+    n = 20
+    labels = [format(x, f"0{n}b").replace("0", "I").replace("1", "X") for x in range(43)]
+
+    class Built(Exception):
+        pass
+
+    def no_build(self):
+        raise Built
+
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    with pytest.raises(ResourceLimitError):
+        min_eig(HamiltonianSum.from_terms(n, [(1.0, lbl) for lbl in labels]), method="iterative")
+    with pytest.raises(Built):
+        min_eig(HamiltonianSum.from_terms(n, [(1.0, lbl) for lbl in labels[:42]]), method="iterative")
+
+
+@pytest.mark.parametrize("n, terms", [
+    (3, []),
+    (17, []),
+    (3, [(1.0, "XII"), (0.5, "ZZI"), (-1.0, "XII"), (-0.5, "ZZI")]),
+])
+def test_zero_operator_has_energy_zero_without_arpack(monkeypatch, n, terms):
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK called on the zero operator")
+
+    monkeypatch.setattr(pinq.spectral, "eigsh", no_arpack)
+    monkeypatch.setattr(pinq.spectral, "eigs", no_arpack)
+    res = min_eig(HamiltonianSum.from_terms(n, terms), method="iterative")
+    assert (res.value, res.residual, res.iterations) == (0.0, 0.0, 0)
+    assert np.linalg.norm(res.vector) == 1.0
+
+
+def test_other_arpack_errors_map_to_convergence_error(monkeypatch):
+    def refused(*args, **kwargs):
+        raise ArpackError(-9)
+
+    monkeypatch.setattr(pinq.spectral, "eigsh", refused)
+    h = HamiltonianSum.from_terms(3, [(1.0, "XII"), (0.5, "ZZI"), (0.2, "IIZ")])
+    with pytest.raises(ConvergenceError):
         min_eig(h, method="iterative")
 
 
