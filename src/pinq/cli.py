@@ -198,13 +198,14 @@ def _cmd_zeno(args, t0) -> int:
     a = load_hamiltonian(args.a)
     b = load_hamiltonian(args.b)
     kind = {"stoq": "stoquastic", "comm": "commuting"}[args.kind]
+    # the protocol checks the register against the dense ceiling first
+    protocol = ZenoProtocol(kind, a, b, args.t, args.n)
     if args.state:
         psi0 = load_state(args.state, a.n)
     else:
         psi0 = np.zeros(1 << a.n, dtype=complex)
         psi0[0] = 1.0
     inputs = [args.a, args.b] + ([args.state] if args.state else [])
-    protocol = ZenoProtocol(kind, a, b, args.t, args.n)
     if args.sweep:
         counts = [int(s) for s in args.sweep.split(",")]
         sweep = zeno_scaling_sweep(protocol, psi0, counts)

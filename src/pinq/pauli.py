@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 
 DENSE_QUBIT_CEILING = 12
 SPARSE_QUBIT_CEILING = 16
@@ -479,7 +479,8 @@ def _stacked_diagonals(strings, diags) -> None:
     cache-sized temporary, pass r adding the r-th string of each of its
     rows, then written once.  A sum started at +0 never turns -0, so only
     the nonzero parts of each +-weight count, and they are exact: the rows
-    are the per-string sums bit for bit.
+    are the per-string sums bit for bit.  A sum of finite weights that
+    overflows raises ``PreconditionError``.
     """
     rows, dim = diags.shape
     if not rows:
@@ -501,17 +502,21 @@ def _stacked_diagonals(strings, diags) -> None:
         blocks.append((k0, k1, [lo + np.flatnonzero(rank[lo:hi] == r) for r in range(int(rank[lo:hi].max()) + 1)]))
     # tile by tile, so that a transposed target's rows stay cached while
     # every block writes its part of them
-    for j0 in range(0, dim, tile):
-        j = idx[j0:j0 + tile]
-        for k0, k1, passes in blocks:
-            acc = np.zeros((k1 - k0, len(j)), dtype=diags.dtype)
-            for k in passes:
-                vals = np.where(_odd(j, sign[k, None]), -weight[k, None], weight[k, None])
-                if len(k) == k1 - k0:  # one string of every row, in row order
-                    acc += vals
-                else:
-                    acc[row[k] - k0] += vals
-            diags[k0:k1, j0:j0 + len(j)] = acc
+    try:
+        with np.errstate(over="raise"):
+            for j0 in range(0, dim, tile):
+                j = idx[j0:j0 + tile]
+                for k0, k1, passes in blocks:
+                    acc = np.zeros((k1 - k0, len(j)), dtype=diags.dtype)
+                    for k in passes:
+                        vals = np.where(_odd(j, sign[k, None]), -weight[k, None], weight[k, None])
+                        if len(k) == k1 - k0:  # one string of every row, in row order
+                            acc += vals
+                        else:
+                            acc[row[k] - k0] += vals
+                    diags[k0:k1, j0:j0 + len(j)] = acc
+    except FloatingPointError:
+        raise PreconditionError("a sum of Pauli weights overflows a double") from None
 
 
 def _odd(j, sign):

@@ -20,14 +20,19 @@ H' is block-diagonal in the ancilla X basis, so neither protocol needs the
 * commuting: psi <- (exp(-2i delta A) + exp(-2i delta B)) psi / 2, since
   |0> = (|+> + |->)/sqrt(2) and <0|+> = <0|-> = 1/sqrt(2).
 
-The exponentials come from one dense eigendecomposition per generator, done
-once for every step count: the stoquastic step is a phase multiply in the
-eigenbasis of A - B, the commuting step one matvec with a 2^n x 2^n step
-matrix.  Each is exact up to round-off, not a product formula, so the
-measured scaling isolates the projection error.  The reference
-exp(-i t (A +- B)) psi comes from ``scipy.linalg.expm``, independently of the
-eigendecompositions; a t so large that the reference is not finite is
-rejected.  The literal (n+1)-qubit simulation the identities replace is
+Every exponential comes from one dense eigendecomposition of its Hermitian
+generator G = V diag(w) V^H, done once for every step count, so that
+exp(-i s G) psi = V (exp(-i s w) * (V^H psi)).  The stoquastic protocol
+needs one, of A - B: its step is a phase multiply in that eigenbasis, and
+its reference exp(-i t (A - B)) psi shares it.  The commuting protocol needs
+three, of A, B and A + B: its step is one matvec with a 2^n x 2^n step
+matrix, and its reference exp(-i t (A + B)) psi does not depend on the
+step's decompositions.  No propagator is formed for the reference.  Each
+route is exact up to round-off, not a product formula, so the measured
+scaling isolates the projection error.  A phase s * w keeps fractional bits
+only while |s w| < 2^52; a time that takes a phase of the run past that is
+rejected before the phase is formed.  The literal (n+1)-qubit simulation the
+identities replace, with a dense ``expm`` reference, is
 ``zeno_register_evolve`` in ``tests/oracles.py``.  Post-selection is
 deterministic projection plus renormalization with survival bookkeeping; no
 trajectory sampling.
@@ -41,11 +46,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import PreconditionError, SurvivalUnderflowError
-from .pauli import HamiltonianSum, PauliTerm, is_commuting, is_stoquastic
+from .errors import PreconditionError, ResourceLimitError, SurvivalUnderflowError
+from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, PauliTerm, is_commuting, is_stoquastic
 
 # below the square of propagator round-off the kept branch is numerical noise
 _SURVIVAL_FLOOR = 1e-24
+# steps of one trajectory at most: the step loop is sequential, and it keeps
+# one survival probability per step (80 MB at the ceiling)
+_STEP_CEILING = 10**7
+# a double of this magnitude or more has no fractional bits, so a phase
+# s * w beyond it no longer resolves exp(-i s w)
+_PHASE_CEILING = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -66,10 +77,16 @@ class ZenoProtocol:
             raise PreconditionError(f"unknown protocol kind {self.kind!r}")
         if self.a.n != self.b.n:
             raise PreconditionError("A and B must act on the same register")
+        # every run holds dense 2^n x 2^n generators
+        if self.a.n > DENSE_QUBIT_CEILING:
+            raise ResourceLimitError(
+                f"{self.a.n} qubits exceeds the dense ceiling of {DENSE_QUBIT_CEILING}"
+            )
         if not math.isfinite(self.t):
             raise PreconditionError(f"total time must be finite, got {self.t}")
         if self.steps < 1:
             raise PreconditionError("step count must be at least 1")
+        _check_step_count(self.steps)
         if self.kind == "stoquastic":
             for name, ham in (("A", self.a), ("B", self.b)):
                 rep = is_stoquastic(ham, termwise=True)
@@ -119,12 +136,37 @@ class TrajectoryResult:
     step_survivals: np.ndarray = field(repr=False, default=None)
 
 
+def _check_step_count(steps: int) -> None:
+    if steps > _STEP_CEILING:
+        raise ResourceLimitError(f"{steps} steps exceed the step ceiling of {_STEP_CEILING}")
+
+
+def _phases(time: float, w: np.ndarray, what: str) -> np.ndarray:
+    """exp(-i time w) for the eigenvalues ``w`` of a Hermitian generator.
+
+    Raises ``PreconditionError`` before any phase is formed when
+    |time| * max|w| >= 2^52, or when ``w`` is not finite (a NaN from
+    ``eigh``).  The product is tested as a quotient by the larger factor,
+    which is above 1, so the test cannot overflow.
+    """
+    scale = float(np.max(np.abs(w), initial=0.0))
+    if not math.isfinite(scale):
+        raise PreconditionError(f"{what} is not finite: its generator has a non-finite eigenvalue")
+    big, small = max(abs(time), scale), min(abs(time), scale)
+    if big > 1.0 and small >= _PHASE_CEILING / big:
+        raise PreconditionError(
+            f"{what} is not finite at time {time:g}: a phase reaches 2^52, "
+            "where a double keeps no fractional bits"
+        )
+    return np.exp(-1j * time * w)
+
+
 class _PreparedProtocol:
     """The step-count-independent part of a protocol run on one start state.
 
     Holds the normalized start state, the reference state and the
     eigendecompositions of the step generators: A - B for the stoquastic
-    protocol, A and B for the commuting one.
+    protocol, whose reference shares it, and A and B for the commuting one.
     """
 
     def __init__(self, protocol: ZenoProtocol, psi0: np.ndarray):
@@ -132,25 +174,23 @@ class _PreparedProtocol:
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (dim,):
             raise PreconditionError(f"initial state must have length {dim}")
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-8:
+        # a normalized state has no amplitude above 1, so one above 2 fails
+        # before a norm that could overflow; a NaN fails both tests
+        amp = float(np.max(np.abs(psi), initial=0.0))
+        nrm = np.linalg.norm(psi) if amp <= 2.0 else math.inf
+        if not abs(nrm - 1.0) <= 1e-8:
             raise PreconditionError("initial state must be normalized")
         self.protocol = protocol
         self.psi = psi / nrm
-        # to_matrix(dense=True) checks the dense ceiling before allocating
-        gen = protocol.reference_generator().to_matrix(dense=True)
+        w, v = scipy.linalg.eigh(protocol.reference_generator().to_matrix(dense=True))
         if protocol.kind == "stoquastic":
-            self.eigs = [scipy.linalg.eigh(gen)]
+            self.eigs = [(w, v)]
         else:
             self.eigs = [scipy.linalg.eigh(h.to_matrix(dense=True)) for h in (protocol.a, protocol.b)]
-        # a large enough t overflows expm's scaling and squaring
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.ref = scipy.linalg.expm(-1j * protocol.t * gen) @ self.psi
+        what = f"reference exp(-i t ({protocol.reference_label})) psi"
+        self.ref = v @ (_phases(protocol.t, w, what) * (v.conj().T @ self.psi))
         if not np.all(np.isfinite(self.ref)):
-            raise PreconditionError(
-                f"reference exp(-i t ({protocol.reference_label})) psi is not finite "
-                f"at t={protocol.t:g}"
-            )
+            raise PreconditionError(f"{what} is not finite at t={protocol.t:g}")
 
     def run(self, steps: int) -> TrajectoryResult:
         """Post-selected trajectory with ``steps`` (>= 1) projections in total time t."""
@@ -159,10 +199,13 @@ class _PreparedProtocol:
         if protocol.kind == "stoquastic":
             # the state stays in the eigenbasis of A - B until the last step
             w, v = self.eigs[0]
-            phases = np.exp(-1j * delta * w)
+            phases = _phases(delta, w, "step exp(-i delta (A-B))")
             state, step = v.conj().T @ self.psi, lambda s: phases * s
         else:
-            u_step = sum((v * np.exp(-2j * delta * w)) @ v.conj().T for w, v in self.eigs) / 2.0
+            u_step = sum(
+                (v * _phases(2.0 * delta, w, f"step exp(-2i delta {name})")) @ v.conj().T
+                for name, (w, v) in zip("AB", self.eigs)
+            ) / 2.0
             state, step = self.psi, lambda s: u_step @ s
         survival = 1.0
         step_survivals = np.empty(steps)
@@ -224,13 +267,15 @@ def zeno_scaling_sweep(protocol: ZenoProtocol, psi0: np.ndarray, step_counts) ->
     """Rerun the protocol over increasing step counts and fit log-log slopes.
 
     The ``steps`` field of ``protocol`` is ignored; total time is fixed.  The
-    eigendecompositions and the reference state are computed once per sweep.
+    eigendecompositions and the reference state are computed once per sweep,
+    after every step count is checked against the step ceiling.
     """
     counts = list(step_counts)
     if not counts or min(counts) < 1:
         raise PreconditionError("a sweep needs step counts, each at least 1")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise PreconditionError("step counts must be strictly increasing")
+    _check_step_count(counts[-1])
     prepared = _PreparedProtocol(protocol, psi0)
     results = [prepared.run(n_steps) for n_steps in counts]
     steps = np.array(counts, dtype=float)

@@ -327,6 +327,54 @@ def test_zeno_non_finite_reference_exit_3(tmp_path, capsys, t):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("kind, b_text", [("comm", "qubits 1\n1 X\n"), ("stoq", "qubits 1\n-1 X\n")])
+def test_zeno_unresolved_reference_phase_exit_3(tmp_path, capsys, kind, b_text):
+    # |t| * sqrt(2) >= 2^52: the phases of the reference have no fractional bits
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", b_text)
+    code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1e16", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "not finite" in captured.err and "Traceback" not in captured.err
+
+
+_OVERFLOWING_SUM = "qubits 1\n1e308 Z\n1e308 Z\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "{h}"], ["check", "--assembled", "{h}"],
+     ["zeno", "--kind", "comm", "--a", "{h}", "--b", "{h}", "--t", "1", "--n", "5"],
+     ["zeno", "--kind", "comm", "--a", "{z}", "--b", "{z}", "--t", "1", "--n", "5"]],
+)
+def test_overflowing_pauli_sum_exit_3(tmp_path, capsys, argv):
+    # the sum of two finite weights is not a double; the last case
+    # overflows only in the reference generator A + B
+    h = _write(tmp_path, "h.txt", _OVERFLOWING_SUM)
+    z = _write(tmp_path, "z.txt", "qubits 1\n1.5e308 Z\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([a.format(h=h, z=z) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "overflows" in captured.err and "Traceback" not in captured.err
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("counts", [["--n", "100000000000000000000"], ["--n", "10000001"],
+                                    ["--sweep", "1,100000000000000000000"]])
+def test_zeno_step_ceiling_exit_3(tmp_path, capsys, counts):
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", "qubits 1\n1 X\n")
+    code = main(["zeno", "--kind", "comm", "--a", a, "--b", b, "--t", "1", *counts])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "step ceiling" in captured.err and "Traceback" not in captured.err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -36,10 +36,12 @@ def _label(draw, n):
 
 
 @st.composite
-def hamiltonian_text(draw):
-    """A Hamiltonian file: header, terms, ``#!group`` lines and comments."""
+def hamiltonian_text(draw, max_qubits=5):
+    """A Hamiltonian file: header, terms, ``#!group`` lines and comments.
+
+    Valid headers name at most ``max_qubits`` qubits."""
     header = draw(st.one_of(
-        st.integers(0, 5).map(lambda n: f"qubits {n}"),
+        st.integers(0, max_qubits).map(lambda n: f"qubits {n}"),
         st.sampled_from(_BIG_HEADERS + _BAD_HEADERS),
     ))
     try:
@@ -332,3 +334,65 @@ def test_ff_path_keeps_the_exit_contract(workdir, data):
             strict_json(f.read())
     else:
         assert not stdout
+
+
+_TIMES = ["0", "1", "-1", "1e16", "1e300", "nan"]
+_STEP_COUNTS = ["1", "7", "40", "0", "-3", "100000000000000000000"]
+_SWEEPS = ["1,7,40", "40,7", "1,100000000000000000000", "0,10", "5", "1,x"]
+_STATES = ["0.6\n0 0.8\n", "1e200\n0\n", "nan\n0\n", "0\n0\n", "x\n"]
+_ZENO_COEFFS = ["1", "-1", "-0.5", "0.25", "0", "-1e-320", "1e300", "-1e308", "1.7976931348623157e308"]
+# file names in the work directory, put in place of the paths of argv
+_A, _B, _STATE = "za.txt", "zb.txt", "zpsi.txt"
+_ZENO_Z, _ZENO_X = "qubits 1\n1 Z\n", "qubits 1\n1 X\n"
+
+
+@st.composite
+def zeno_group_text(draw, n):
+    """A well-formed n-qubit file of one to three strings over one alphabet,
+    so that it is often commuting, stoquastic or strictly off-diagonal."""
+    letters = draw(st.sampled_from(["IZ", "IX", "IXYZ"]))
+    lines = [f"qubits {n}"]
+    for _ in range(draw(st.integers(1, 3))):
+        label = "".join(draw(st.sampled_from(letters)) for _ in range(n))
+        lines.append(f"{draw(st.sampled_from(_ZENO_COEFFS))} {label}")
+    return "\n".join(lines) + "\n"
+
+
+def _zeno_files(n):
+    """(A, B, state) texts; A and B are mostly well-formed n-qubit files, and
+    the state is mostly a normalized n-qubit state."""
+    text = st.one_of(zeno_group_text(n), zeno_group_text(n), hamiltonian_text(max_qubits=3))
+    uniform = f"{2 ** (-n / 2)!r}\n" * (1 << n)
+    return st.tuples(text, text, st.one_of(st.just(uniform), st.just(uniform), st.sampled_from(_STATES)))
+
+
+@st.composite
+def zeno_argv(draw):
+    """argv of ``zeno`` on the Hamiltonian files ``_A`` and ``_B``, and the
+    optional state file ``_STATE``."""
+    argv = ["zeno", "--kind", draw(st.sampled_from(["comm", "stoq"])), "--a", _A, "--b", _B,
+            f"--t={draw(st.sampled_from(_TIMES))}"]
+    if draw(st.booleans()):
+        argv.append(f"--n={draw(st.sampled_from(_STEP_COUNTS))}")
+    else:
+        argv.append(f"--sweep={draw(st.sampled_from(_SWEEPS))}")
+    if draw(st.booleans()):
+        argv += ["--state", _STATE]
+    return argv
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(files=st.integers(1, 3).flatmap(_zeno_files), argv=zeno_argv())
+# a reference phase past 2^52, a sum of two finite weights that overflows,
+# and a step count above the ceiling
+@example(files=(_ZENO_Z, _ZENO_X, _STATES[0]), argv=["zeno", "--kind", "comm", "--a", _A, "--b", _B, "--t=1e16"])
+@example(files=("qubits 1\n1e308 Z\n1e308 Z\n", _ZENO_X, _STATES[0]),
+         argv=["zeno", "--kind", "comm", "--a", _A, "--b", _B, "--t=1"])
+@example(files=(_ZENO_Z, _ZENO_X, _STATES[0]),
+         argv=["zeno", "--kind", "comm", "--a", _A, "--b", _B, "--t=1", "--n=100000000000000000000"])
+def test_zeno_keeps_the_exit_contract(workdir, files, argv):
+    for name, text in zip((_A, _B, _STATE), files):
+        _write(os.path.join(workdir, name), text)
+    code, out = _run_contract([os.path.join(workdir, x) if x in (_A, _B, _STATE) else x for x in argv])
+    if code != 0:
+        assert not out

@@ -16,7 +16,7 @@ from oracles import (
 )
 
 import pinq.pauli
-from pinq.errors import ResourceLimitError
+from pinq.errors import PreconditionError, ResourceLimitError
 from pinq.pauli import (
     DENSE_QUBIT_CEILING,
     HamiltonianSum,
@@ -598,6 +598,22 @@ def test_group_norms():
     norms = h.group_norms()
     assert norms[0] == pytest.approx(2.0)
     assert norms[1] == pytest.approx(1.0)  # (I + ZZ)/2 is a projector
+
+
+@pytest.mark.parametrize("labels", [("Z", "Z"), ("YY", "YY"), ("XZ", "XZ")])
+def test_overflowing_sum_raises_without_warning(labels):
+    # two finite weights whose sum is not a double, in a real diagonal, a
+    # complex and an off-diagonal row
+    terms = [(1e308, lab) for lab in labels]
+    h = HamiltonianSum.from_terms(len(labels[0]), terms)
+    for build in (h.to_matrix, lambda: list(h.flip_diagonals()), lambda: is_stoquastic(h, termwise=False)):
+        with pytest.raises(PreconditionError, match="overflows"):
+            build()
+    grouped = HamiltonianSum.from_terms(len(labels[0]), terms, groups=((0, 1),))
+    with pytest.raises(PreconditionError, match="overflows"):
+        grouped.group_norms()
+    # the termwise check builds each string on its own, so it answers
+    assert is_stoquastic(h, termwise=True).verdict == (labels[0] == "Z")
 
 
 def test_term_y_flagging():

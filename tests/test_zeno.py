@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import zeno_register_evolve
+from oracles import pauli_matrix, zeno_register_evolve
 
 import pinq.zeno
-from pinq.errors import PreconditionError
+from pinq.errors import PreconditionError, ResourceLimitError
 from pinq.pauli import HamiltonianSum, PauliString
 from pinq.zeno import ZenoProtocol, zeno_evolve, zeno_scaling_sweep
 
@@ -230,3 +230,88 @@ def test_sweep_checks_preconditions_once(kind, check, b_terms, monkeypatch):
     protocol = ZenoProtocol(kind, _ham(1, [(1.0, "Z")]), _ham(1, b_terms), 1.0, 10)
     zeno_scaling_sweep(protocol, np.array([1.0, 0.0]), [10, 20, 40, 80, 160])
     assert len(calls) == 2  # once for A, once for B
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("kind", ["commuting", "stoquastic"])
+def test_reference_matches_dense_expm(kind, t):
+    # the eigenbasis reference against expm of the per-term Kronecker sum;
+    # commuting groups carry Y letters (complex generators), and stoquastic
+    # B carries a -(XX + YY) group
+    tol = 1e-11
+    rng = np.random.default_rng(7 + len(kind))
+    for n in (1, 2, 3):
+        if kind == "commuting":
+            a, b = _random_commuting(rng, n, "IXYZ"), _random_commuting(rng, n, "IXYZ")
+        else:
+            a, b = _random_stoquastic_pair(rng, n)
+        psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi0 /= np.linalg.norm(psi0)
+        sign = -1.0 if kind == "stoquastic" else 1.0
+        gen = pauli_matrix(n, _labels(a) + [(sign * c, lab) for c, lab in _labels(b)])
+        res = zeno_evolve(ZenoProtocol(kind, a, b, t, 3), psi0)
+        assert np.max(np.abs(res.reference_state - scipy.linalg.expm(-1j * t * gen) @ psi0)) <= tol
+
+
+@pytest.mark.parametrize("kind, b_coeff", [("commuting", 1.0), ("stoquastic", -1.0)])
+def test_sweep_calls_no_expm(kind, b_coeff, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    protocol = ZenoProtocol(kind, _ham(2, [(1.0, "ZI"), (0.5, "ZZ")]), _ham(2, [(b_coeff, "XX")]), 1.0, 10)
+    sweep = zeno_scaling_sweep(protocol, np.full(4, 0.5), [10, 20, 40])
+    assert np.all(np.isfinite(sweep.errors))
+
+
+@pytest.mark.parametrize("t", [1e16, -1e16, 1e20, 1e300])
+def test_unresolved_reference_phase_rejected(t):
+    # |t| * sqrt(2) >= 2^52: a double keeps no fractional bits of the phase
+    protocol = ZenoProtocol("commuting", _ham(1, [(1.0, "Z")]), _ham(1, [(1.0, "X")]), t, 5)
+    with pytest.raises(PreconditionError, match="not finite"):
+        zeno_evolve(protocol, np.array([1.0, 0.0]))
+
+
+def test_phase_ceiling_is_tested_without_overflow():
+    w = np.array([-2.0, 1.0])
+    phases = pinq.zeno._phases
+    assert np.allclose(phases(2.0**50, w, "x"), np.exp(-1j * 2.0**50 * w))
+    with pytest.raises(PreconditionError):
+        phases(2.0**51, w, "x")
+    # products that overflow, underflow or vanish, and a NaN eigenvalue
+    with pytest.raises(PreconditionError):
+        phases(1e308, np.array([1e308]), "x")
+    assert phases(5e-324, np.array([1e308]), "x")[0] == pytest.approx(1.0, abs=1e-15)
+    assert phases(1e300, np.zeros(2), "x").tolist() == [1.0, 1.0]
+    with pytest.raises(PreconditionError):
+        phases(1.0, np.array([0.0, np.nan]), "x")
+
+
+def test_commuting_step_phases_guarded_when_the_reference_vanishes():
+    # A + B = 0 leaves the reference trivial, but each step still forms
+    # exp(-2i delta A) with |2 delta A| far beyond 2^52
+    protocol = ZenoProtocol("commuting", _ham(1, [(1e300, "Z")]), _ham(1, [(-1e300, "Z")]), 1e300, 5)
+    with pytest.raises(PreconditionError, match="step"):
+        zeno_evolve(protocol, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("amps", [[1e200, 0.0], [float("nan"), 0.0], [1e-200, 0.0]])
+def test_start_state_with_huge_or_nan_amplitudes_rejected(amps):
+    protocol = ZenoProtocol("commuting", _ham(1, [(1.0, "Z")]), _ham(1, [(1.0, "X")]), 1.0, 5)
+    with pytest.raises(PreconditionError, match="normalized"):
+        zeno_evolve(protocol, np.array(amps))
+
+
+def test_step_ceiling_checked_before_allocation(monkeypatch):
+    a, b = _ham(1, [(1.0, "Z")]), _ham(1, [(1.0, "X")])
+    ceiling = pinq.zeno._STEP_CEILING
+    with pytest.raises(ResourceLimitError, match="step ceiling"):
+        ZenoProtocol("commuting", a, b, 1.0, ceiling + 1)
+
+    def refuse(*args):
+        raise AssertionError("protocol prepared before the step ceiling was checked")
+
+    monkeypatch.setattr(pinq.zeno, "_PreparedProtocol", refuse)
+    protocol = ZenoProtocol("commuting", a, b, 1.0, ceiling)
+    with pytest.raises(ResourceLimitError, match="step ceiling"):
+        zeno_scaling_sweep(protocol, np.array([1.0, 0.0]), [1, 10**20])
