@@ -198,16 +198,17 @@ def _cmd_zeno(args, t0) -> int:
     a = load_hamiltonian(args.a)
     b = load_hamiltonian(args.b)
     kind = {"stoq": "stoquastic", "comm": "commuting"}[args.kind]
-    # the protocol checks the register against the dense ceiling first
-    protocol = ZenoProtocol(kind, a, b, args.t, args.n)
+    counts = [int(s) for s in args.sweep.split(",")] if args.sweep else None
+    # the protocol checks the register against the dense ceiling first; a
+    # sweep's largest count stands in for the --n it does not read
+    protocol = ZenoProtocol(kind, a, b, args.t, max(counts) if counts else args.n)
     if args.state:
         psi0 = load_state(args.state, a.n)
     else:
         psi0 = np.zeros(1 << a.n, dtype=complex)
         psi0[0] = 1.0
     inputs = [args.a, args.b] + ([args.state] if args.state else [])
-    if args.sweep:
-        counts = [int(s) for s in args.sweep.split(",")]
+    if counts:
         sweep = zeno_scaling_sweep(protocol, psi0, counts)
         rows = sweep.rows()
         # a slope fitted to fewer than two positive points is NaN, which is not JSON

@@ -68,6 +68,10 @@ ANTISYM_TOL = 1e-10
 _MOVE_CAP = 64
 _SWEEP_CAP = 200
 _DESCENT_TOL = 1e-13
+# block-value slack of a closed-form macro-step, and how far above the end
+# energy an alignment state may rise
+_SOLVER_TOL = 1e-11
+_ALIGNMENT_TOL = 1e-6
 _MEET_TOL = 1e-4
 
 
@@ -546,8 +550,6 @@ def interpolation_path(
     gamma_end: CovMatrix,
     h: HamMatrix,
     n_steps: int,
-    solver_tol: float = 1e-11,
-    alignment_tol: float = 1e-6,
 ) -> FermionPath:
     """Discrete path whose grid energies follow the straight line between
     tr(gamma_start h) and tr(gamma_end h).
@@ -555,7 +557,7 @@ def interpolation_path(
     Preconditions: both states pure, equal parity, h 2x2 block diagonal (use
     ``block_diagonal_form`` first and conjugate the states accordingly).
     Raises PathConstructionError when a macro-step's energy is not reached,
-    or when no alignment onto gamma_end stays within ``alignment_tol`` above
+    or when no alignment onto gamma_end stays within ``_ALIGNMENT_TOL`` above
     the end energy (a degenerate ground space, for one).
     """
     if n_steps < 1:
@@ -601,14 +603,14 @@ def interpolation_path(
     def ramp(t):
         return (1.0 - t) * e_start + t * e_end
 
-    band = solver_tol * float(np.sum(np.abs(h.mat)))  # energy slack of solver_tol in c
+    band = _SOLVER_TOL * float(np.sum(np.abs(h.mat)))  # energy slack of _SOLVER_TOL in c
     for k in range(1, n_steps + 1):
         c_tgt = (1.0 - k / n_steps) * c0 + (k / n_steps) * c1
         t_prev, t_next = (k - 1) / n_steps, k / n_steps
         lo, hi = sorted((ramp(t_prev), ramp(t_next)))
         # pair moves that leave the step's energy band (their tilts can, once
         # an energy move has left the straight c-line) give way to an energy move
-        step_rots = _pair_moves(gamma, c_tgt, solver_tol)
+        step_rots = _pair_moves(gamma, c_tgt, _SOLVER_TOL)
         if step_rots is not None:
             g_next, micro = _walk(gamma, step_rots, h.mat)
             if min(micro, default=lo) < lo - band or max(micro, default=hi) > hi + band:
@@ -625,7 +627,7 @@ def interpolation_path(
         grid_energies.append(energy(gamma, h))
 
     # alignment onto gamma_end: the first candidate whose states rise at most
-    # alignment_tol above e_end (checked, not assumed) -- the two-mode frame
+    # _ALIGNMENT_TOL above e_end (checked, not assumed) -- the two-mode frame
     # turn, a direct Givens decomposition of the residual frame (exact and
     # short when the macro-steps ended frame-aligned), descend-and-meet.
     def direct():
@@ -641,12 +643,12 @@ def interpolation_path(
         diffs = [0.0] + [e - e_end for e in micro]
         align_rise = max(diffs)
         endpoint_error = float(np.linalg.norm(g_try - gamma_end.mat))
-        if align_rise <= alignment_tol and endpoint_error <= 1e-8:
+        if align_rise <= _ALIGNMENT_TOL and endpoint_error <= 1e-8:
             break
     else:
         raise PathConstructionError(
             f"alignment rises {align_rise:.3e} above the end energy (tolerance "
-            f"{alignment_tol:.1e}) and misses the end state by {endpoint_error:.3e}"
+            f"{_ALIGNMENT_TOL:.1e}) and misses the end state by {endpoint_error:.3e}"
         )
     align_dev = max(abs(d) for d in diffs)
     rotations.extend(align_rots)
@@ -675,14 +677,14 @@ class FfPathVerdict:
     max_purity_defect: float = 0.0
 
 
-def verify_ff_path(path: FermionPath, h, eta1: float, locality: int = 2) -> FfPathVerdict:
-    """Re-walk the path and check purity, rotation locality, endpoint match,
-    and the energy bound at every macro grid point."""
+def verify_ff_path(path: FermionPath, h, eta1: float) -> FfPathVerdict:
+    """Re-walk the path and check purity, rotation locality (two modes),
+    endpoint match, and the energy bound at every macro grid point."""
     hm = _as_array(h)
     failures = []
     for i, rot in enumerate(path.rotations):
-        if len(rot.modes) > locality:
-            failures.append(f"rotation {i} touches {len(rot.modes)} modes (> {locality})")
+        if len(rot.modes) > 2:
+            failures.append(f"rotation {i} touches {len(rot.modes)} modes (> 2)")
     gamma = path.start.mat.copy()
     eye = np.eye(gamma.shape[0])
     max_defect = float(np.linalg.norm(gamma.T @ gamma - eye))

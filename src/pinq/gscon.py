@@ -84,10 +84,10 @@ def _expectation(matvec, state: np.ndarray) -> float:
     return float(np.real(np.vdot(state, matvec(state))))
 
 
-def run_circuit(circuit, n: int, state: np.ndarray | None = None) -> np.ndarray:
-    if state is None:
-        state = np.zeros(1 << n, dtype=complex)
-        state[0] = 1.0
+def run_circuit(circuit, n: int) -> np.ndarray:
+    """The circuit's steps applied in order to |0...0> on n qubits."""
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
     for step in circuit:
         state = apply_gate(state, step, n)
     return state
@@ -342,7 +342,7 @@ def build_stoquastic_gscon(
     return StoqGsconBuild(hpp, instance, n_sys, middle, third, alpha, beta)
 
 
-def witness_traversal(build: StoqGsconBuild, witness_circuit, flip_order=None):
+def witness_traversal(build: StoqGsconBuild, witness_circuit):
     """The three-phase path: prepare the witness, flip the middle register
     qubit by qubit with Z gates (Z|-> = |+>), then uncompute the witness.
 
@@ -356,12 +356,8 @@ def witness_traversal(build: StoqGsconBuild, witness_circuit, flip_order=None):
             raise PreconditionError(f"witness gate {i} exceeds locality {l}")
         if any(q >= build.n_sys for q in step.targets):
             raise PreconditionError(f"witness gate {i} leaves the system register")
-    if flip_order is None:
-        flip_order = build.middle
-    if sorted(flip_order) != sorted(build.middle):
-        raise PreconditionError("flip order must be a permutation of the middle register")
     steps = list(witness_circuit)
-    steps.extend(UnitaryStep((q,), _Z_GATE) for q in flip_order)
+    steps.extend(UnitaryStep((q,), _Z_GATE) for q in build.middle)
     steps.extend(step.inverse() for step in reversed(witness_circuit))
     return steps
 

@@ -13,20 +13,24 @@ Conventions used throughout the package:
   gadget expanded into strings by ``projector_terms``); structural checks
   (stoquasticity, commutation, permutation form) operate at group
   granularity.  Without an explicit grouping every string is its own group.
-* A sum's one matrix realization is its flip-diagonal form,
-  H = sum_f P_f diag(D_f), stored as one flip-ordered CSR matrix
-  (``HamiltonianSum._flip_stack``): row r holds D_f[r ^ f] at column r ^ f
-  for every flip mask f, in increasing f.  ``apply``, ``to_matrix``,
-  ``spectral.operator``, ``flip_diagonals`` and the assembled checks all read
-  it, and its products run in scipy's compiled CSR kernel (``flip_matvec``),
-  which adds each row in the order of the per-flip sum.  Group norms and
-  termwise checks read the same form per group, on the group's own support
-  and batched by support width (``_local_flip_forms``); no group is built
-  as a matrix of its own.  Norms stop at the 12-qubit dense ceiling, checks
-  at the 16-qubit sparse ceiling.
-* One builder makes every form: ``_local_strings`` maps a string's masks to
-  the state-index bits of a support (by bit reversal for the whole
-  register, by a table of the support for a group), and
+* One builder makes every matrix realization of a sum from its
+  flip-diagonal form, H = sum_f P_f diag(D_f): ``_local_flip_forms`` builds
+  its parts, either every group on its own support, batched by support
+  width, or all the terms as one part on the whole register.  Group norms
+  and termwise checks read the groups; ``flip_diagonals``, dense
+  ``to_matrix``, the assembled checks and the exact norm of a whole sum
+  read the whole-register part.  Dense matrices and norms come from one
+  scatter of a stack (``_dense_stacks``) and stop at the 12-qubit dense
+  ceiling; checks run up to the 16-qubit sparse ceiling.  No group is
+  built as a matrix of its own.
+* The compiled operator is the same form stored as one flip-ordered CSR
+  matrix (``HamiltonianSum._flip_stack``): row r holds D_f[r ^ f] at column
+  r ^ f for every flip mask f, in increasing f.  ``apply``, sparse
+  ``to_matrix`` and ``spectral.operator`` read it, and its products run in
+  scipy's compiled CSR kernel (``flip_matvec``), which adds each row in the
+  order of the per-flip sum.
+* Every form maps each string's masks to the state-index bits of a support
+  by a table of its qubits (``_local_strings``, ``_support_bits``), and
   ``_stacked_diagonals`` sums the strings into diagonal rows, or into the
   columns of the CSR data.
 """
@@ -247,16 +251,7 @@ class HamiltonianSum:
         The groups of one width are scattered into a stack of 2^w x 2^w
         matrices, and each stack takes one ``eigvalsh`` call.
         """
-        norms = [0.0] * len(self.group_indices())
-        for members, part, flips, diags in _local_flip_forms(self, DENSE_QUBIT_CEILING, "dense"):
-            dim = diags.shape[1]
-            cols = np.arange(dim)
-            mats = np.zeros((len(members), dim, dim), dtype=diags.dtype)
-            mats[part[:, None], cols ^ flips[:, None], cols] = diags
-            vals = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
-            for gi, v in zip(members, vals):
-                norms[gi] = float(v)
-        return norms
+        return _part_norms(self)
 
     @property
     def locality(self) -> int:
@@ -282,14 +277,14 @@ class HamiltonianSum:
 
         ``f`` is an X flip mask in state-index bit positions and
         (P_f v)[i] = v[i ^ f].  Each D_f sums its strings' diagonal factors in
-        term order.  The D_f are gathered from the matrix of ``_flip_stack``,
-        whose entry (c ^ f, c) is D_f[c].
+        term order.  They are the rows of the whole-register part of
+        ``_local_flip_forms``, built under no ceiling.
         """
-        flips, diags = _column_rows(self._flip_stack())
+        (_, _, flips, diags), = _local_flip_forms(self, whole=True)
         yield from zip(flips.tolist(), diags)
 
     def _flip_stack(self):
-        """The sum as a flip-ordered CSR matrix: the one full-register build.
+        """The sum as a flip-ordered CSR matrix: the compiled operator.
 
         Row r holds D_f[r ^ f] at column r ^ f for every flip mask f, in
         increasing f, so a row-by-row product adds its terms in the order of
@@ -298,7 +293,7 @@ class HamiltonianSum:
         row-side weight is its weight negated when popcount(f & z), its Y
         count, is odd, which is exact.
         """
-        strings = _local_strings(self._terms, range(len(self._terms)), _register_bits(self._n))
+        strings = _local_strings(self._terms, range(len(self._terms)), _support_bits(range(self._n)))
         flips = sorted({flip for flip, _, _, _ in strings})
         row_of = {f: k for k, f in enumerate(flips)}
         rows = [(row_of[flip], sign, ny, -coeff if ny & 1 else coeff) for flip, sign, ny, coeff in strings]
@@ -313,18 +308,16 @@ class HamiltonianSum:
     def to_matrix(self, dense=False):
         """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray).
 
-        Row r of the CSR matrix holds one entry per flip mask f, at column
-        r ^ f, so it stores (#flip masks) * 2^n entries, sorted by column.
+        The dense matrix is the whole-register part of ``_local_flip_forms``
+        scattered by ``_dense_stacks``.  The CSR matrix is ``_flip_stack``'s:
+        row r holds one entry per flip mask f, at column r ^ f, so it stores
+        (#flip masks) * 2^n entries, sorted by column.
         """
-        ceiling = DENSE_QUBIT_CEILING if dense else SPARSE_QUBIT_CEILING
-        if self._n > ceiling:
-            raise ResourceLimitError(
-                f"{self._n} qubits exceeds the {'dense' if dense else 'sparse'} "
-                f"ceiling of {ceiling}"
-            )
-        mat = self._flip_stack()
         if dense:
-            return mat.toarray()
+            (_, mats), = _dense_stacks(self, whole=True)
+            return mats[0]
+        _check_ceiling(self._n, SPARSE_QUBIT_CEILING, "sparse")
+        mat = self._flip_stack()
         mat.sort_indices()
         return mat
 
@@ -376,26 +369,37 @@ class HamiltonianSum:
         return f"HamiltonianSum(n={self._n}, {inner})"
 
 
-def _local_flip_forms(h: HamiltonianSum, ceiling: int, kind: str):
-    """Yield every group's flip-diagonal form on its own support, in stacks.
+def _check_ceiling(n: int, ceiling: int, kind: str) -> None:
+    """``ResourceLimitError`` when n qubits are above the ``kind`` ceiling."""
+    if n > ceiling:
+        raise ResourceLimitError(f"{n} qubits exceeds the {kind} ceiling of {ceiling}")
 
-    A group on w qubits is renumbered in qubit order, with qubit 0 the most
-    significant bit, as ``to_matrix`` numbers a whole sum.  Groups of one
-    width and dtype come in stacks of at most ``_STACK_BYTES`` / (itemsize *
-    4^w) groups, and at least one.  A stack is (members, part, flips, diags):
-    ``members`` lists its group indices in increasing order, and row k holds
-    the local flip mask ``flips[k]`` of group ``members[part[k]]`` with its
-    diagonal ``diags[k]``, so entry (r, r ^ f) of that group is D_f[r ^ f].
-    A group's rows come in increasing f, each summed in term order.
 
-    Raises ``ResourceLimitError`` before anything is allocated when a group
-    spans more than ``ceiling`` qubits.
+def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str = "", whole=False):
+    """Yield the flip-diagonal form of each part of ``h``, in stacks.
+
+    The parts are the groups, each on its own support, or with ``whole``
+    one part, number 0: all the terms on the whole register ``range(n)``,
+    the form of the assembled matrix.  A part on w qubits is renumbered in
+    qubit order, with qubit 0 the most significant bit.  Parts of one width
+    and dtype come in stacks of at most ``_STACK_BYTES`` / (itemsize * 4^w)
+    parts, and at least one.  A stack is (members, part, flips, diags):
+    ``members`` lists its part indices in increasing order, and row k holds
+    the local flip mask ``flips[k]`` of part ``members[part[k]]`` with its
+    diagonal ``diags[k]``, so entry (r, r ^ f) of that part is D_f[r ^ f].
+    A part's rows come in increasing f, each summed in term order.
+
+    Raises ``ResourceLimitError`` before anything is allocated when a part
+    spans more than ``ceiling`` qubits; a ``ceiling`` of None checks none.
     """
-    groups = h.group_indices()
-    supports = [h.group_support(g) for g in groups]
-    for supp in supports:
-        if len(supp) > ceiling:
-            raise ResourceLimitError(f"{len(supp)} qubits exceeds the {kind} ceiling of {ceiling}")
+    if whole:
+        groups, supports = [range(len(h.terms))], [range(h.n)]
+    else:
+        groups = h.group_indices()
+        supports = [h.group_support(g) for g in groups]
+    if ceiling is not None:
+        for supp in supports:
+            _check_ceiling(len(supp), ceiling, kind)
     local, buckets = [], {}
     for g, supp in zip(groups, supports):
         local.append(_local_strings(h.terms, g, _support_bits(supp)))
@@ -416,38 +420,39 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int, kind: str):
             yield chunk, np.array(part, dtype=np.intp), np.array(flips, dtype=np.intp), diags
 
 
-def _column_rows(mat):
-    """(flips, diags) of a ``_flip_stack`` matrix: its increasing flip masks
-    and the (#flips, 2^n) stack of the D_f, gathered from entries (c ^ f, c)."""
-    dim = mat.shape[0]
-    flips = mat.indices[:mat.indptr[1]].astype(np.intp)  # row 0 holds column f of each f
-    data = mat.data.reshape(dim, len(flips))
-    return flips, data[np.arange(dim) ^ flips[:, None], np.arange(len(flips))[:, None]]
+def _dense_stacks(h: HamiltonianSum, whole=False):
+    """Yield (members, mats) for each stack of ``_local_flip_forms`` under
+    the dense ceiling: mats[p] is the dense matrix of part ``members[p]``,
+    with D_f[c] at entry (c ^ f, c) and zeros elsewhere."""
+    for members, part, flips, diags in _local_flip_forms(h, DENSE_QUBIT_CEILING, "dense", whole):
+        dim = diags.shape[1]
+        cols = np.arange(dim)
+        mats = np.zeros((len(members), dim, dim), dtype=diags.dtype)
+        mats[part[:, None], cols ^ flips[:, None], cols] = diags
+        yield members, mats
+
+
+def _part_norms(h: HamiltonianSum, whole=False) -> list:
+    """Exact spectral norm of each part of ``_local_flip_forms``, in part
+    order: one ``eigvalsh`` call per stack of ``_dense_stacks``."""
+    norms = {}
+    for members, mats in _dense_stacks(h, whole):
+        norms.update(zip(members, np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1).tolist()))
+    return [norms[p] for p in range(len(norms))]
 
 
 def _local_strings(terms, g, local) -> list:
     """(flip, sign, #Y, coeff) of each term ``terms[i]``, i in ``g``, in order.
 
     ``local`` maps a mask to the state-index bits of a support that holds
-    every qubit the strings act on: ``_register_bits(n)`` for a whole sum,
-    ``_support_bits(supp)`` for a group.
+    every qubit the strings act on: ``_support_bits(supp)`` for a group, or
+    ``_support_bits(range(n))`` for a whole sum.
     """
     out = []
     for i in g:
         flip, sign = local(terms[i].string.x), local(terms[i].string.z)
         out.append((flip, sign, (flip & sign).bit_count(), terms[i].coeff))
     return out
-
-
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _register_bits(n: int):
-    """Mask map onto the support ``range(n)``, where qubit q is bit n-1-q:
-    an n-bit reversal, one byte at a time."""
-    size = (n + 7) // 8
-    shift = 8 * size - n
-    return lambda m: int.from_bytes(m.to_bytes(size, "little").translate(_REVERSED_BYTES), "big") >> shift
 
 
 def _support_bits(supp):
@@ -550,19 +555,6 @@ class PermutationReport:
     group: int | None = None
 
 
-def _check_parts(h: HamiltonianSum, assembled: bool):
-    """Stacks (members, part, flips, diags) as ``_local_flip_forms`` yields
-    them: every group on its own support, or the whole sum as one part, number
-    0.  Both run up to the sparse ceiling."""
-    if not assembled:
-        yield from _local_flip_forms(h, SPARSE_QUBIT_CEILING, "sparse")
-        return
-    if h.n > SPARSE_QUBIT_CEILING:
-        raise ResourceLimitError(f"{h.n} qubits exceeds the sparse ceiling of {SPARSE_QUBIT_CEILING}")
-    flips, diags = _column_rows(h._flip_stack())
-    yield [0], np.zeros(len(flips), dtype=np.intp), flips, diags
-
-
 def _offdiag_offenders(part, flips, diags, count: int, tol: float) -> list:
     """Per part, its largest off-diagonal entry violating 'real and <= tol',
     as (entry, (row, col)), or None.
@@ -596,7 +588,7 @@ def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> Stoquast
     wins, the earlier group on ties.  Always returns a report.
     """
     hits = {}
-    for members, part, flips, diags in _check_parts(h, assembled=not termwise):
+    for members, part, flips, diags in _local_flip_forms(h, SPARSE_QUBIT_CEILING, "sparse", not termwise):
         for gi, hit in zip(members, _offdiag_offenders(part, flips, diags, len(members), tol)):
             if hit is not None:
                 hits[gi] = hit
@@ -692,7 +684,7 @@ def _permutation_defects(part, flips, diags, count: int, tol: float) -> list:
 def is_permutation(h: HamiltonianSum, per_term=True, tol=DEFAULT_TOL) -> PermutationReport:
     """Check that each group's matrix (or the assembled matrix) is a 0/1 permutation."""
     failed = {}
-    for members, part, flips, diags in _check_parts(h, assembled=not per_term):
+    for members, part, flips, diags in _local_flip_forms(h, SPARSE_QUBIT_CEILING, "sparse", not per_term):
         for gi, reason in zip(members, _permutation_defects(part, flips, diags, len(members), tol)):
             if reason is not None:
                 failed[gi] = reason

@@ -38,6 +38,7 @@ from .pauli import (
     PauliTerm,
     _LETTER,
     _LETTER_INV,
+    _part_norms,
     projector_terms,
 )
 
@@ -164,12 +165,13 @@ class PinSpec:
 # ---------------------------------------------------------------------------
 
 
-def effective_sum(h: HamiltonianSum, pin: PinSpec, merge=True) -> HamiltonianSum:
-    """Exact term-by-term contraction onto the unpinned qubits.
+def effective_sum(h: HamiltonianSum, pin: PinSpec) -> HamiltonianSum:
+    """Exact term-by-term contraction onto the unpinned qubits, merged.
 
     Each pinned Pauli factor is replaced by its expectation in the pin state
-    (<Y> = 0 for the real pin states, so Y factors kill a term).  Works at any
-    qubit count; only the unpinned register survives.
+    (<Y> = 0 for the real pin states, so Y factors kill a term), and equal
+    strings are merged.  Works at any qubit count; only the unpinned
+    register survives.
     """
     pin.validate_for(h.n)
     pinned = sorted(pin.qubits)
@@ -201,17 +203,16 @@ def effective_sum(h: HamiltonianSum, pin: PinSpec, merge=True) -> HamiltonianSum
         if dead or coeff == 0.0:
             continue
         out_terms.append(PauliTerm(coeff, PauliString(h.n - len(pinned), x_new, z_new)))
-    out = HamiltonianSum(h.n - len(pinned), out_terms)
-    return out.merged() if merge else out
+    return HamiltonianSum(h.n - len(pinned), out_terms).merged()
 
 
-def effective_hamiltonian(h: HamiltonianSum, pin: PinSpec, dense=True):
-    """Matrix of the pinned operator on the unpinned qubits.
+def effective_hamiltonian(h: HamiltonianSum, pin: PinSpec):
+    """Dense matrix of the pinned operator on the unpinned qubits.
 
-    ``to_matrix`` raises ``ResourceLimitError`` above its ceiling before
-    anything is allocated.
+    ``to_matrix`` raises ``ResourceLimitError`` above the 12-qubit dense
+    ceiling before anything is allocated.
     """
-    return effective_sum(h, pin).to_matrix(dense=dense)
+    return effective_sum(h, pin).to_matrix(dense=True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +370,10 @@ def pin_penalty_lift(
     Guarantees: a pinned state of energy <= a stays a witness with energy <= a;
     if every pinned state has energy >= b, the unpinned minimum is >= (a+b)/2,
     so the promise becomes (a, (a+b)/2).  ``d`` must upper-bound ||G'||; the
-    default is the sum of exact per-group norms, or the dense norm when
-    ``exact_norm`` is set.  A given ``d`` that is not finite, or is below the
-    2-norm of the merged coefficients (a lower bound on ||G'||), raises
-    ``PreconditionError``.
+    default is the sum of exact per-group norms, or the exact norm of the
+    whole sum when ``exact_norm`` is set, taken as each group's is.  A given
+    ``d`` that is not finite, or is below the 2-norm of the merged
+    coefficients (a lower bound on ||G'||), raises ``PreconditionError``.
     """
     if not (0 <= pin_qubit < gprime.n):
         raise PreconditionError(f"pin qubit {pin_qubit} outside register")
@@ -383,8 +384,7 @@ def pin_penalty_lift(
         if not (math.isfinite(d) and d >= rms * (1.0 - 1e-12)):
             raise PreconditionError(f"norm bound {d!r} is not a finite bound >= {rms!r} on ||G'||")
     elif exact_norm:
-        mat = gprime.to_matrix(dense=True)
-        d = float(np.max(np.abs(np.linalg.eigvalsh(mat)))) if mat.size > 1 else abs(float(mat[0, 0]))
+        (d,) = _part_norms(gprime, whole=True)
     else:
         d = float(sum(gprime.group_norms()))
     delta = penalty_delta(bounds, d)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
 from .errors import ConvergenceError, PreconditionError, ResourceLimitError
-from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, flip_matvec
+from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, _check_ceiling, flip_matvec
 from .pinning import PinSpec, PromiseBounds, effective_sum
 
 ITERATIVE_QUBIT_CEILING = 20
@@ -46,8 +46,7 @@ class SpectralResult:
 def check_qubit_ceiling(n: int) -> None:
     """``ResourceLimitError`` when an n-qubit operator is above every ceiling,
     before anything of size 2^n is formed."""
-    if n > ITERATIVE_QUBIT_CEILING:
-        raise ResourceLimitError(f"{n} qubits exceeds the iterative ceiling of {ITERATIVE_QUBIT_CEILING}")
+    _check_ceiling(n, ITERATIVE_QUBIT_CEILING, "iterative")
 
 
 def _check_hermitian(obj) -> int:
@@ -160,7 +159,7 @@ def _arpack_min(matvec, mat, seed) -> SpectralResult:
     return SpectralResult(val, vec, "iterative", resid, count[0])
 
 
-def min_eig(obj, method="auto", seed=0, with_vector=True) -> SpectralResult:
+def min_eig(obj, method="auto", seed=0) -> SpectralResult:
     """Smallest eigenvalue of a Hamiltonian sum or an explicit Hermitian matrix.
 
     ``method`` is one of ``auto`` (dense when it fits, else iterative),
@@ -176,8 +175,6 @@ def min_eig(obj, method="auto", seed=0, with_vector=True) -> SpectralResult:
         res = _arpack_min(*operator(obj), seed)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if not with_vector:
-        res.vector = None
     return res
 
 

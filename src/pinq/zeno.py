@@ -47,7 +47,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import PreconditionError, ResourceLimitError, SurvivalUnderflowError
-from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, PauliTerm, is_commuting, is_stoquastic
+from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, PauliTerm, _check_ceiling, is_commuting, is_stoquastic
 
 # below the square of propagator round-off the kept branch is numerical noise
 _SURVIVAL_FLOOR = 1e-24
@@ -78,10 +78,7 @@ class ZenoProtocol:
         if self.a.n != self.b.n:
             raise PreconditionError("A and B must act on the same register")
         # every run holds dense 2^n x 2^n generators
-        if self.a.n > DENSE_QUBIT_CEILING:
-            raise ResourceLimitError(
-                f"{self.a.n} qubits exceeds the dense ceiling of {DENSE_QUBIT_CEILING}"
-            )
+        _check_ceiling(self.a.n, DENSE_QUBIT_CEILING, "dense")
         if not math.isfinite(self.t):
             raise PreconditionError(f"total time must be finite, got {self.t}")
         if self.steps < 1:

@@ -13,6 +13,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import pinq.cli
 import pinq.gscon
+import pinq.pauli
 import pinq.spectral
 from oracles import generic_three_mode, strict_json
 from pinq.cli import main
@@ -405,6 +406,17 @@ def test_zeno_sweep_nonpositive_count_exit_3(tmp_path, capsys):
     assert "sweep" in captured.err and "Traceback" not in captured.err
 
 
+def test_zeno_sweep_reads_no_single_run_step_count(tmp_path, capsys):
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", "qubits 1\n1 X\n")
+    argv = ["zeno", "--kind", "comm", "--a", a, "--b", b, "--t", "1", "--sweep", "10,20"]
+    code, plain = _run(capsys, *argv)
+    assert code == 0
+    code, with_n = _run(capsys, *argv, "--n", "0")
+    assert code == 0
+    assert with_n["payload"] == plain["payload"]
+
+
 @pytest.mark.parametrize("kind, b_coeff", [("comm", "1"), ("stoq", "-1")])
 def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
     # 13 system qubits: a dense generator would take 512 MiB
@@ -418,7 +430,11 @@ def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypa
             raise AssertionError("flip diagonals built before the ceiling check")
         return build(self)
 
+    def no_diagonals(*args):
+        raise AssertionError("flip diagonals built before the ceiling check")
+
     monkeypatch.setattr(HamiltonianSum, "_flip_stack", small_only)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_diagonals)
     code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--n", "5"])
     captured = capsys.readouterr()
     assert code == 3
@@ -607,10 +623,11 @@ def test_exact_norm_dense_ceiling_checked_before_allocation(tmp_path, capsys, mo
     # 13 qubits: a dense matrix would take 512 MiB
     f = _write(tmp_path, "h.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n")
 
-    def no_build(self):
+    def no_build(*args):
         raise AssertionError("flip diagonals built before the ceiling check")
 
     monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     code = main(["unpin-penalty", f, "--pin-qubit", "1", "--bounds", "0,1", "--exact-norm",
                  "--out", str(tmp_path / "lift.txt")])
     captured = capsys.readouterr()

@@ -27,6 +27,7 @@ from pinq.pauli import (
     is_stoquastic,
     projector_terms,
 )
+from pinq.pinning import PromiseBounds, pin_penalty_lift
 from pinq.spectral import operator
 
 # ---------------------------------------------------------------------------
@@ -252,7 +253,7 @@ def test_mask_maps_match_per_qubit_loop():
         if n > 62:
             masks += [(1 << (n - 1)) | 5, 1 << 63]
         supp = sorted({int(q) for q in rng.integers(0, n, 5)}) if n else []
-        for local, qubits in ((pinq.pauli._register_bits(n), range(n)), (pinq.pauli._support_bits(supp), supp)):
+        for local, qubits in ((pinq.pauli._support_bits(range(n)), range(n)), (pinq.pauli._support_bits(supp), supp)):
             for m in masks:
                 m &= sum(1 << q for q in qubits)
                 want = sum(((m >> q) & 1) << (len(qubits) - 1 - k) for k, q in enumerate(qubits))
@@ -565,6 +566,30 @@ def test_group_norms_match_dense_oracle(case):
     h = HamiltonianSum.from_terms(n, terms, groups)
     want = group_norms(n, terms, h.group_indices())
     np.testing.assert_allclose(h.group_norms(), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", [*_NORM_CASES, *range(20)])
+def test_whole_register_forms_read_the_group_form_builder(monkeypatch, case):
+    # everything but the compiled operator is built by ``_local_flip_forms``
+    if isinstance(case, str):
+        n, terms, groups = _NORM_CASES[case]
+    else:
+        n, terms, groups = _random_check_case(case)
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", _no_dense)
+    h = HamiltonianSum.from_terms(n, terms, groups)
+    assert astuple(is_stoquastic(h, termwise=False)) == stoquastic_report(n, terms, h.group_indices(), True)
+    assert astuple(is_permutation(h, per_term=False)) == permutation_report(n, terms, h.group_indices(), True)
+    mat = h.to_matrix(dense=True)
+    assert mat.dtype == h.dtype
+    ref = pauli_matrix(n, terms)
+    np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-14)
+    got, want = list(h.flip_diagonals()), flip_diagonals(n, terms)
+    assert [f for f, _ in got] == [f for f, _ in want]
+    for (_, d), (_, d_ref) in zip(got, want):
+        assert d.tobytes() == d_ref.tobytes()
+    np.testing.assert_allclose(h.group_norms(), group_norms(n, terms, h.group_indices()), rtol=0, atol=1e-12)
+    lift = pin_penalty_lift(h, 0, PromiseBounds(0.0, 1.0), exact_norm=True)
+    assert lift.norm_bound == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(ref))), rel=0, abs=1e-12)
 
 
 def test_group_norm_stacks_fit_one_dense_matrix_at_the_ceiling():
