@@ -6,6 +6,13 @@ energies <psi|H|psi> = tr(gamma h).  Gaussian gates act as special orthogonal
 conjugations gamma -> O gamma O^T; a plane (Givens) rotation touches two
 Majorana coordinates and hence at most two modes.
 
+One in-place primitive, ``_rotate_rows`` (mat <- G mat), applies every
+rotation; a conjugation is that primitive on mat, then on mat.T.  A path is
+built on a walk that turns its own copy of the state and records each
+rotation with the energy after it, so each rotation is applied once; a trial
+that may be dropped runs on a fork.  ``givens_decompose`` eliminates in
+place; ``reconstruct`` and ``GivensRotation.matrix`` stay literal products.
+
 ``interpolation_path`` builds a discrete low-energy path between two pure
 states of equal parity under a 2x2 block-diagonal h: the diagonal block
 values c_j of gamma fully determine tr(gamma h), so the path walks the
@@ -105,8 +112,8 @@ class CovMatrix:
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, impure
             return float(np.linalg.norm(g.T @ g - np.eye(2 * self.n)))
 
-    def is_pure(self, tol=PURITY_TOL) -> bool:
-        return self.purity_defect() <= tol
+    def is_pure(self) -> bool:
+        return self.purity_defect() <= PURITY_TOL
 
     def block_values(self) -> np.ndarray:
         """Diagonal 2x2 block entries c_j = gamma[2j, 2j+1]."""
@@ -218,19 +225,18 @@ class GivensRotation:
         return r
 
 
-def _plane_conjugate(mat: np.ndarray, p: int, q: int, theta: float) -> np.ndarray:
-    """G mat G^T for the plane rotation G(p, q, theta)."""
+def _rotate_rows(mat: np.ndarray, p: int, q: int, theta: float) -> None:
+    """mat <- G mat in place for the plane rotation G = G(p, q, theta)."""
     c, s = math.cos(theta), math.sin(theta)
-    out = mat.copy()
-    rp = c * out[p, :] - s * out[q, :]
-    rq = s * out[p, :] + c * out[q, :]
-    out[p, :] = rp
-    out[q, :] = rq
-    cp = c * out[:, p] - s * out[:, q]
-    cq = s * out[:, p] + c * out[:, q]
-    out[:, p] = cp
-    out[:, q] = cq
-    return out
+    rp = c * mat[p] - s * mat[q]
+    mat[q] = s * mat[p] + c * mat[q]
+    mat[p] = rp
+
+
+def _conjugate(mat: np.ndarray, rot: GivensRotation) -> None:
+    """mat <- G mat G^T in place: rows, then columns (the rows of mat.T)."""
+    _rotate_rows(mat, rot.p, rot.q, rot.theta)
+    _rotate_rows(mat.T, rot.p, rot.q, rot.theta)
 
 
 def reconstruct(rotations, dim: int) -> np.ndarray:
@@ -266,16 +272,13 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-8) -> list:
                 continue
             a = r[j, j]
             hyp = math.hypot(a, b)
-            theta_e = math.atan2(-b / hyp, a / hyp)
-            rot = GivensRotation(j, i, theta_e)
-            r = rot.matrix(dim) @ r
-            eliminators.append(rot)
+            eliminators.append(GivensRotation(j, i, math.atan2(-b / hyp, a / hyp)))
+            _rotate_rows(r, j, i, eliminators[-1].theta)
     # fold any residual diag(-1,-1) pairs into rotations by pi
     neg = [i for i in range(dim) if r[i, i] < 0]
     for a, b in zip(neg[0::2], neg[1::2]):
-        rot = GivensRotation(a, b, math.pi)
-        r = rot.matrix(dim) @ r
-        eliminators.append(rot)
+        eliminators.append(GivensRotation(a, b, math.pi))
+        _rotate_rows(r, a, b, math.pi)
     if np.linalg.norm(r - np.eye(dim)) > 1e-9:
         raise PreconditionError("elimination did not terminate at the identity")
     return [GivensRotation(g.p, g.q, -g.theta) for g in reversed(eliminators)]
@@ -355,12 +358,8 @@ class FermionPath:
     requested_steps: int
 
     def macro_slices(self):
-        out = []
-        start = 0
-        for c in self.macro_counts:
-            out.append(slice(start, start + c))
-            start += c
-        return out
+        ends = itertools.accumulate(self.macro_counts)
+        return [slice(end - c, end) for c, end in zip(self.macro_counts, ends)]
 
 
 def _pair_vectors(m: np.ndarray, j: int, l: int):
@@ -399,63 +398,6 @@ def _tilt_turn(x: np.ndarray, target: float) -> float:
     return math.copysign(math.acos(min(1.0, max(-1.0, target / radius))), now) - now
 
 
-def _pair_move(gamma: np.ndarray, j: int, l: int, c_j: float, c_l: float, tol: float):
-    """At most four rotations on modes j < l taking their block values to
-    (c_j, c_l): a frame turn, then a tilt.  None when out of reach."""
-    a, b, c, d = 2 * j, 2 * j + 1, 2 * l, 2 * l + 1
-    targets = ((c_j + c_l) / 2.0, (c_j - c_l) / 2.0)
-    vectors = _pair_vectors(gamma, j, l)
-    if any(abs(t) > np.linalg.norm(x) + tol for x, t in zip(vectors, targets)):
-        return None
-    rots = _pair_rotations(((a, b), (c, d)), *map(_frame_turn, vectors, targets))
-    for rot in rots:
-        gamma = _plane_conjugate(gamma, rot.p, rot.q, rot.theta)
-    vectors = _pair_vectors(gamma, j, l)
-    return rots + _pair_rotations(((a, d), (b, c)), *map(_tilt_turn, vectors, targets))
-
-
-def _pair_moves(gamma: np.ndarray, c_target: np.ndarray, tol: float) -> list | None:
-    """Closed-form rotations for one macro-step, or None.
-
-    The modes whose block values move by more than ``tol`` are paired in
-    index order.  Pairs touch disjoint coordinates, so each move is solved on
-    the current state.  None when an odd number of modes move, a pair is out
-    of reach, or the moved block values miss the target by more than ``tol``.
-    """
-    c_now = gamma[0::2, 1::2].diagonal()
-    moving = [k for k in range(c_now.shape[0]) if abs(c_target[k] - c_now[k]) > tol]
-    if len(moving) % 2:
-        return None
-    rots = []
-    for j, l in zip(moving[0::2], moving[1::2]):
-        pair = _pair_move(gamma, j, l, c_target[j], c_target[l], tol)
-        if pair is None:
-            return None
-        rots.extend(pair)
-    g = gamma
-    for rot in rots:
-        g = _plane_conjugate(g, rot.p, rot.q, rot.theta)
-    if np.max(np.abs(g[0::2, 1::2].diagonal() - c_target)) > tol:
-        return None
-    return rots
-
-
-def _frame_alignment(gamma: np.ndarray, target: np.ndarray) -> list:
-    """Frame turns of a two-mode state onto ``target`` (energy-free).
-
-    Each turn is the change in the azimuth of u or v about axis 1; a vector
-    without a component off axis 1 is not turned.  The caller checks that
-    the target was reached.
-    """
-    turns = []
-    for x, y in zip(_pair_vectors(gamma, 0, 1), _pair_vectors(target, 0, 1)):
-        if min(math.hypot(x[1], x[2]), math.hypot(y[1], y[2])) <= 1e-14:
-            turns.append(0.0)
-        else:
-            turns.append(math.remainder(math.atan2(y[2], y[1]) - math.atan2(x[2], x[1]), 2 * math.pi))
-    return _pair_rotations(((0, 1), (2, 3)), *turns)
-
-
 def _plane_coefficients(gamma: np.ndarray, h: np.ndarray, p: int, q: int):
     """(alpha, beta) with tr(G gamma G^T h) = tr(gamma h) + alpha (cos t - 1)
     + beta sin t for G = G(p, q, t), from rows p and q in O(dim)."""
@@ -464,85 +406,150 @@ def _plane_coefficients(gamma: np.ndarray, h: np.ndarray, p: int, q: int):
     return float(alpha), float(beta)
 
 
-def _energy_move(gamma: np.ndarray, h: np.ndarray, target: float) -> list:
-    """Plane rotations taking tr(gamma h) to ``target``.
+class _Walk:
+    """A state turned in place by plane rotations.
 
-    Each round turns the plane with the smallest angle that lands on the
-    target and stops; when no plane reaches it, it turns the plane that gets
-    closest to its extreme and tries again, for at most ``_MOVE_CAP`` rounds.
+    The walk owns a copy of the covariance matrix and records each rotation
+    with the energy tr(gamma h) after it; ``e`` is the current energy.  A
+    trial that may be dropped runs on a ``fork``, which starts from the
+    current state with no records.
     """
-    rots = []
-    for _ in range(_MOVE_CAP):
-        gap = target - energy(gamma, h)
-        best = (math.inf,)  # (shortfall, |angle|, p, q, angle)
-        for p, q in itertools.combinations(range(gamma.shape[0]), 2):
-            alpha, beta = _plane_coefficients(gamma, h, p, q)
-            radius = math.hypot(alpha, beta)
-            if radius == 0.0:
-                continue
-            # E(t) - E(0) = radius cos(t - phi) - alpha
-            phi, x = math.atan2(beta, alpha), (gap + alpha) / radius
-            turns = (math.acos(x), -math.acos(x)) if abs(x) <= 1.0 else (0.0 if x > 0 else math.pi,)
-            theta = min((math.remainder(phi + t, 2 * math.pi) for t in turns), key=abs)
-            best = min(best, (max(abs(gap + alpha) - radius, 0.0), abs(theta), p, q, theta))
-        if best[0] == math.inf:
-            break
-        shortfall, _, p, q, theta = best
-        if abs(theta) > 1e-14:
-            gamma = _plane_conjugate(gamma, p, q, theta)
-            rots.append(GivensRotation(p, q, theta))
-        if shortfall == 0.0:
-            return rots
-    raise PathConstructionError(f"no plane rotations reach the ramp energy {target:.6g}")
 
+    def __init__(self, gamma: np.ndarray, h: np.ndarray, e: float | None = None):
+        self.gamma = gamma.copy()
+        self.h = h
+        self.e = energy(self.gamma, h) if e is None else e
+        self.rotations = []
+        self.energies = []
 
-def _descend(gamma: np.ndarray, h: np.ndarray):
-    """(rotations, final state) of cyclic sweeps that turn each plane to its
-    energy minimum, until a sweep lowers no plane by more than the floor."""
-    floor = _DESCENT_TOL * float(np.max(np.abs(h)))
-    rots = []
-    for _ in range(_SWEEP_CAP):
-        before = len(rots)
-        for p, q in itertools.combinations(range(gamma.shape[0]), 2):
-            alpha, beta = _plane_coefficients(gamma, h, p, q)
-            # the in-plane minimum lies radius + alpha below the current energy
-            if math.hypot(alpha, beta) + alpha <= floor:
-                continue
-            theta = math.atan2(-beta, -alpha)
-            gamma = _plane_conjugate(gamma, p, q, theta)
-            rots.append(GivensRotation(p, q, theta))
-        if len(rots) == before:
-            return rots, gamma
-    raise PathConstructionError(f"energy descent did not settle within {_SWEEP_CAP} sweeps")
+    def fork(self) -> "_Walk":
+        return _Walk(self.gamma, self.h, self.e)
 
+    def turn(self, rot: GivensRotation) -> None:
+        _conjugate(self.gamma, rot)
+        self.e = energy(self.gamma, self.h)
+        self.rotations.append(rot)
+        self.energies.append(self.e)
 
-def _walk(gamma: np.ndarray, rots, h: np.ndarray):
-    """(final state, energy after each rotation) along the rotations."""
-    energies = []
-    for rot in rots:
-        gamma = _plane_conjugate(gamma, rot.p, rot.q, rot.theta)
-        energies.append(energy(gamma, h))
-    return gamma, energies
+    def pair_move(self, j: int, l: int, c_j: float, c_l: float, tol: float) -> bool:
+        """At most four rotations on modes j < l taking their block values to
+        (c_j, c_l): a frame turn, then a tilt.  False when out of reach."""
+        a, b, c, d = 2 * j, 2 * j + 1, 2 * l, 2 * l + 1
+        targets = ((c_j + c_l) / 2.0, (c_j - c_l) / 2.0)
+        if any(abs(t) > np.linalg.norm(x) + tol for x, t in zip(_pair_vectors(self.gamma, j, l), targets)):
+            return False
+        for planes, turn in ((((a, b), (c, d)), _frame_turn), (((a, d), (b, c)), _tilt_turn)):
+            for rot in _pair_rotations(planes, *map(turn, _pair_vectors(self.gamma, j, l), targets)):
+                self.turn(rot)
+        return True
 
+    def pair_moves(self, c_target: np.ndarray, tol: float) -> bool:
+        """Closed-form rotations for one macro-step; False when there are none.
 
-def _descend_and_meet(gamma: np.ndarray, target: np.ndarray, h: np.ndarray) -> list:
-    """Rotations from ``gamma`` to ``target`` through the ground state: the
-    descent of ``gamma``, a Givens join of the two minima, and the reverse of
-    ``target``'s descent.
+        The modes whose block values move by more than ``tol`` are paired in
+        index order.  Pairs touch disjoint coordinates, so each move is solved
+        on the current state.  False when an odd number of modes move, a pair
+        is out of reach, or the moved block values miss the target by more
+        than ``tol``.
+        """
+        moving = [k for k, c in enumerate(self.gamma[0::2, 1::2].diagonal()) if abs(c_target[k] - c) > tol]
+        if len(moving) % 2:
+            return False
+        for j, l in zip(moving[0::2], moving[1::2]):
+            if not self.pair_move(j, l, c_target[j], c_target[l], tol):
+                return False
+        return bool(np.max(np.abs(self.gamma[0::2, 1::2].diagonal() - c_target)) <= tol)
 
-    The join factors the polar part of X = I - b a, which satisfies
-    X a = b X for pure a and b and is close to 2I when they are close.
-    """
-    down, a = _descend(gamma, h)
-    up, b = _descend(target, h)
-    gap = float(np.linalg.norm(a - b))
-    if gap > _MEET_TOL:
-        raise PathConstructionError(
-            f"the descents end {gap:.3e} apart; the ground space of h is degenerate"
-        )
-    w, _, vt = np.linalg.svd(np.eye(a.shape[0]) - b @ a)
-    join = givens_decompose(w @ vt, tol=1e-7)
-    return down + join + [GivensRotation(r.p, r.q, -r.theta) for r in reversed(up)]
+    def energy_move(self, target: float) -> None:
+        """Plane rotations taking the energy to ``target``.
+
+        Each round turns the plane with the smallest angle that lands on the
+        target and stops; when no plane reaches it, it turns the plane that
+        gets closest to its extreme and tries again, for at most ``_MOVE_CAP``
+        rounds.
+        """
+        for _ in range(_MOVE_CAP):
+            gap = target - self.e
+            best = (math.inf,)  # (shortfall, |angle|, p, q, angle)
+            for p, q in itertools.combinations(range(self.gamma.shape[0]), 2):
+                alpha, beta = _plane_coefficients(self.gamma, self.h, p, q)
+                radius = math.hypot(alpha, beta)
+                if radius == 0.0:
+                    continue
+                # E(t) - E(0) = radius cos(t - phi) - alpha
+                phi, x = math.atan2(beta, alpha), (gap + alpha) / radius
+                turns = (math.acos(x), -math.acos(x)) if abs(x) <= 1.0 else (0.0 if x > 0 else math.pi,)
+                theta = min((math.remainder(phi + t, 2 * math.pi) for t in turns), key=abs)
+                best = min(best, (max(abs(gap + alpha) - radius, 0.0), abs(theta), p, q, theta))
+            if best[0] == math.inf:
+                break
+            shortfall, _, p, q, theta = best
+            if abs(theta) > 1e-14:
+                self.turn(GivensRotation(p, q, theta))
+            if shortfall == 0.0:
+                return
+        raise PathConstructionError(f"no plane rotations reach the ramp energy {target:.6g}")
+
+    def descend(self) -> None:
+        """Cyclic sweeps that turn each plane to its energy minimum, until a
+        sweep lowers no plane by more than the floor."""
+        floor = _DESCENT_TOL * float(np.max(np.abs(self.h)))
+        for _ in range(_SWEEP_CAP):
+            before = len(self.rotations)
+            for p, q in itertools.combinations(range(self.gamma.shape[0]), 2):
+                alpha, beta = _plane_coefficients(self.gamma, self.h, p, q)
+                # the in-plane minimum lies radius + alpha below the current energy
+                if math.hypot(alpha, beta) + alpha <= floor:
+                    continue
+                self.turn(GivensRotation(p, q, math.atan2(-beta, -alpha)))
+            if len(self.rotations) == before:
+                return
+        raise PathConstructionError(f"energy descent did not settle within {_SWEEP_CAP} sweeps")
+
+    # the alignment candidates: each turns the walk towards ``end``, and the
+    # caller checks that it arrived
+
+    def frame_align(self, end: CovMatrix) -> None:
+        """Frame turns of a two-mode state onto ``end`` (energy-free).
+
+        Each turn is the change in the azimuth of u or v about axis 1; a
+        vector without a component off axis 1 is not turned.
+        """
+        turns = []
+        for x, y in zip(_pair_vectors(self.gamma, 0, 1), _pair_vectors(end.mat, 0, 1)):
+            if min(math.hypot(x[1], x[2]), math.hypot(y[1], y[2])) <= 1e-14:
+                turns.append(0.0)
+            else:
+                turns.append(math.remainder(math.atan2(y[2], y[1]) - math.atan2(x[2], x[1]), 2 * math.pi))
+        for rot in _pair_rotations(((0, 1), (2, 3)), *turns):
+            self.turn(rot)
+
+    def direct_align(self, end: CovMatrix) -> None:
+        """A Givens decomposition of the residual frame."""
+        o_res = pure_orthogonal_factor(end) @ pure_orthogonal_factor(CovMatrix(self.gamma)).T
+        for rot in givens_decompose(o_res, tol=1e-7):
+            self.turn(rot)
+
+    def descend_and_meet(self, end: CovMatrix) -> None:
+        """Through the ground state: this walk's descent, a Givens join of the
+        two minima, and the reverse of ``end``'s descent.
+
+        The join factors the polar part of X = I - b a, which satisfies
+        X a = b X for pure a and b and is close to 2I when they are close.
+        """
+        self.descend()
+        up = _Walk(end.mat, self.h)
+        up.descend()
+        a, b = self.gamma, up.gamma
+        gap = float(np.linalg.norm(a - b))
+        if gap > _MEET_TOL:
+            raise PathConstructionError(
+                f"the descents end {gap:.3e} apart; the ground space of h is degenerate"
+            )
+        w, _, vt = np.linalg.svd(np.eye(a.shape[0]) - b @ a)
+        back = [GivensRotation(r.p, r.q, -r.theta) for r in reversed(up.rotations)]
+        for rot in givens_decompose(w @ vt, tol=1e-7) + back:
+            self.turn(rot)
 
 
 def interpolation_path(
@@ -575,7 +582,6 @@ def interpolation_path(
     if gamma_start.parity() != gamma_end.parity():
         raise PreconditionError("states lie in different parity sectors")
 
-    dim = 2 * gamma_start.n
     e_start = energy(gamma_start, h)
     e_end = energy(gamma_end, h)
 
@@ -594,7 +600,7 @@ def interpolation_path(
 
     c0, c1 = gamma_start.block_values(), gamma_end.block_values()
 
-    gamma = gamma_start.mat.copy()
+    walk = _Walk(gamma_start.mat, h.mat)
     rotations = []
     macro_counts = []
     grid_energies = [e_start]
@@ -610,39 +616,30 @@ def interpolation_path(
         lo, hi = sorted((ramp(t_prev), ramp(t_next)))
         # pair moves that leave the step's energy band (their tilts can, once
         # an energy move has left the straight c-line) give way to an energy move
-        step_rots = _pair_moves(gamma, c_tgt, _SOLVER_TOL)
-        if step_rots is not None:
-            g_next, micro = _walk(gamma, step_rots, h.mat)
-            if min(micro, default=lo) < lo - band or max(micro, default=hi) > hi + band:
-                step_rots = None
-        if step_rots is None:
-            step_rots = _energy_move(gamma, h.mat, ramp(t_next))
-            g_next, micro = _walk(gamma, step_rots, h.mat)
-        for i, e in enumerate(micro, start=1):
-            t_micro = t_prev + (t_next - t_prev) * i / len(step_rots)
+        step = walk.fork()
+        if (not step.pair_moves(c_tgt, _SOLVER_TOL) or min(step.energies, default=lo) < lo - band
+                or max(step.energies, default=hi) > hi + band):
+            step = walk.fork()
+            step.energy_move(ramp(t_next))
+        for i, e in enumerate(step.energies, start=1):
+            t_micro = t_prev + (t_next - t_prev) * i / len(step.energies)
             ramp_dev = max(ramp_dev, abs(e - ramp(t_micro)))
-        gamma = g_next
-        rotations.extend(step_rots)
-        macro_counts.append(len(step_rots))
-        grid_energies.append(energy(gamma, h))
+        walk = step
+        rotations.extend(step.rotations)
+        macro_counts.append(len(step.rotations))
+        grid_energies.append(walk.e)
 
     # alignment onto gamma_end: the first candidate whose states rise at most
     # _ALIGNMENT_TOL above e_end (checked, not assumed) -- the two-mode frame
     # turn, a direct Givens decomposition of the residual frame (exact and
     # short when the macro-steps ended frame-aligned), descend-and-meet.
-    def direct():
-        o_res = pure_orthogonal_factor(gamma_end) @ pure_orthogonal_factor(CovMatrix(gamma)).T
-        return givens_decompose(o_res, tol=1e-7)
-
-    candidates = [direct, lambda: _descend_and_meet(gamma, gamma_end.mat, h.mat)]
-    if dim == 4:
-        candidates.insert(0, lambda: _frame_alignment(gamma, gamma_end.mat))
+    candidates = [_Walk.frame_align] * (gamma_end.n == 2) + [_Walk.direct_align, _Walk.descend_and_meet]
     for candidate in candidates:
-        align_rots = candidate()
-        g_try, micro = _walk(gamma, align_rots, h.mat)
-        diffs = [0.0] + [e - e_end for e in micro]
+        align = walk.fork()
+        candidate(align, gamma_end)
+        diffs = [0.0] + [e - e_end for e in align.energies]
         align_rise = max(diffs)
-        endpoint_error = float(np.linalg.norm(g_try - gamma_end.mat))
+        endpoint_error = float(np.linalg.norm(align.gamma - gamma_end.mat))
         if align_rise <= _ALIGNMENT_TOL and endpoint_error <= 1e-8:
             break
     else:
@@ -651,8 +648,8 @@ def interpolation_path(
             f"{_ALIGNMENT_TOL:.1e}) and misses the end state by {endpoint_error:.3e}"
         )
     align_dev = max(abs(d) for d in diffs)
-    rotations.extend(align_rots)
-    macro_counts.append(len(align_rots))
+    rotations.extend(align.rotations)
+    macro_counts.append(len(align.rotations))
 
     return FermionPath(
         start=gamma_start,
@@ -692,7 +689,7 @@ def verify_ff_path(path: FermionPath, h, eta1: float) -> FfPathVerdict:
     grid_energies = [float(np.trace(gamma @ hm))]
     for sl in path.macro_slices():
         for rot in path.rotations[sl]:
-            gamma = _plane_conjugate(gamma, rot.p, rot.q, rot.theta)
+            _conjugate(gamma, rot)
             max_defect = max(max_defect, float(np.linalg.norm(gamma.T @ gamma - eye)))
             max_micro = max(max_micro, float(np.trace(gamma @ hm)))
         grid_energies.append(float(np.trace(gamma @ hm)))

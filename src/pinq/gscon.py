@@ -56,11 +56,11 @@ class UnitaryStep:
         if len(set(self.targets)) != k:
             raise PreconditionError("gate targets must be distinct")
 
-    def is_unitary(self, tol=UNITARITY_TOL) -> bool:
+    def is_unitary(self) -> bool:
         m = self.matrix
         # huge entries overflow the product; inf or nan then fails the test
         with np.errstate(over="ignore", invalid="ignore"):
-            return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) <= tol)
+            return bool(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) <= UNITARITY_TOL)
 
     def inverse(self) -> "UnitaryStep":
         return UnitaryStep(self.targets, self.matrix.conj().T)

@@ -48,6 +48,9 @@ from .errors import PreconditionError, ResourceLimitError
 DENSE_QUBIT_CEILING = 12
 SPARSE_QUBIT_CEILING = 16
 DEFAULT_TOL = 1e-12
+# bytes the CSR operator of one sum may take, data plus int32 column index
+# (42 real flip masks at 20 qubits)
+ITERATIVE_BYTE_CEILING = 512 * 2**20
 # bytes of one complex matrix at the dense ceiling: a stack of group-local
 # forms, or of their dense matrices, holds no more than one group may alone
 _STACK_BYTES = 16 << (2 * DENSE_QUBIT_CEILING)
@@ -325,10 +328,11 @@ class HamiltonianSum:
         """H @ v by the compiled product of the ``_flip_stack`` matrix.
 
         All #flips * 2^n entries are held at once, as ``spectral.operator``
-        holds them.
+        holds them, under the same byte ceiling.
         """
         if vec.shape[0] != 1 << self._n:
             raise ValueError("state dimension mismatch")
+        _check_operator_bytes(self)
         return flip_matvec(self._flip_stack(), vec)
 
     def expectation(self, vec: np.ndarray) -> float:
@@ -373,6 +377,18 @@ def _check_ceiling(n: int, ceiling: int, kind: str) -> None:
     """``ResourceLimitError`` when n qubits are above the ``kind`` ceiling."""
     if n > ceiling:
         raise ResourceLimitError(f"{n} qubits exceeds the {kind} ceiling of {ceiling}")
+
+
+def _check_operator_bytes(h: HamiltonianSum) -> None:
+    """``ResourceLimitError`` when the CSR operator of ``h``, data plus int32
+    column index, is above ``ITERATIVE_BYTE_CEILING``, before it is built."""
+    flips = h.flip_count()
+    need = flips * (1 << h.n) * (np.dtype(h.dtype).itemsize + np.dtype(np.int32).itemsize)
+    if need > ITERATIVE_BYTE_CEILING:
+        raise ResourceLimitError(
+            f"{flips} flip masks on {h.n} qubits need {need} bytes, "
+            f"above the iterative ceiling of {ITERATIVE_BYTE_CEILING}"
+        )
 
 
 def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str = "", whole=False):

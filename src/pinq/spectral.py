@@ -19,14 +19,18 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
-from .errors import ConvergenceError, PreconditionError, ResourceLimitError
-from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, _check_ceiling, flip_matvec
+from .errors import ConvergenceError, PreconditionError
+from .pauli import (
+    DENSE_QUBIT_CEILING,
+    ITERATIVE_BYTE_CEILING,  # re-exported: the ceiling of the iterative route
+    HamiltonianSum,
+    _check_ceiling,
+    _check_operator_bytes,
+    flip_matvec,
+)
 from .pinning import PinSpec, PromiseBounds, effective_sum
 
 ITERATIVE_QUBIT_CEILING = 20
-# bytes the CSR operator of one iterative solve may take, data plus int32
-# column index (42 real flip masks at 20 qubits)
-ITERATIVE_BYTE_CEILING = 512 * 2**20
 RESIDUAL_TOL = 1e-8
 
 YES = "YES"
@@ -76,13 +80,7 @@ def operator(obj):
     """
     if isinstance(obj, HamiltonianSum):
         check_qubit_ceiling(obj.n)
-        flips = obj.flip_count()
-        need = flips * (1 << obj.n) * (np.dtype(obj.dtype).itemsize + np.dtype(np.int32).itemsize)
-        if need > ITERATIVE_BYTE_CEILING:
-            raise ResourceLimitError(
-                f"{flips} flip masks on {obj.n} qubits need {need} bytes, "
-                f"above the iterative ceiling of {ITERATIVE_BYTE_CEILING}"
-            )
+        _check_operator_bytes(obj)
         mat = obj._flip_stack()
         return (lambda v: flip_matvec(mat, v)), mat
     mat = obj if sp.issparse(obj) else np.asarray(obj)

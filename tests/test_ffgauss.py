@@ -7,11 +7,13 @@ expectations directly.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 
 from oracles import fock_covariance as _fock_covariance
 from oracles import fock_hamiltonian as _fock_hamiltonian
@@ -20,6 +22,7 @@ from oracles import generic_three_mode
 from oracles import majoranas as _majoranas
 from oracles import random_so as _random_so
 
+import pinq.ffgauss
 from pinq.errors import PathConstructionError, PreconditionError
 from pinq.ffgauss import (
     CovMatrix,
@@ -423,8 +426,15 @@ def _check_against_oracle(path, h, n_steps):
     assert all(len(r.modes) <= 2 for r in path.rotations)
 
 
-def _no_least_squares(*args, **kwargs):
-    raise AssertionError("least-squares fallback used")
+def test_no_least_squares_solver_is_loaded():
+    # every step is closed form: importing the package and its CLI loads no
+    # scipy.optimize, so no path can be seeded or solved by least squares
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    script = "import sys, pinq, pinq.cli\nprint('scipy.optimize' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
@@ -439,11 +449,19 @@ def _no_least_squares(*args, **kwargs):
     ],
 )
 def test_block_diagonal_paths_are_closed_form(monkeypatch, c_start, c_end, n_steps):
-    monkeypatch.setattr(scipy.optimize, "least_squares", _no_least_squares)
+    # each rotation is applied once, to the state it turns: no replay
+    conjugate, calls = pinq.ffgauss._conjugate, []
+
+    def counted(mat, rot):
+        calls.append(rot)
+        conjugate(mat, rot)
+
+    monkeypatch.setattr(pinq.ffgauss, "_conjugate", counted)
     weights = np.random.default_rng(len(c_start) + n_steps).uniform(0.5, 1.5, len(c_start))
     h = _block_h(weights)
     gs, ge = CovMatrix(_block_h(c_start).mat), CovMatrix(_block_h(c_end).mat)
     path = interpolation_path(gs, ge, h, n_steps)
+    assert calls == list(path.rotations)
     ramp = np.linspace(energy(gs, h), energy(ge, h), n_steps + 1)
     np.testing.assert_allclose(path.grid_energies, ramp, rtol=0, atol=1e-9)
     _check_against_oracle(path, h, n_steps)
@@ -451,10 +469,9 @@ def test_block_diagonal_paths_are_closed_form(monkeypatch, c_start, c_end, n_ste
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("seed", range(6))
-def test_generic_two_mode_path_aligns_without_energy_change(monkeypatch, parity, seed):
+def test_generic_two_mode_path_aligns_without_energy_change(parity, seed):
     # random pure endpoints, default alignment_tol: the frame turn closes
     # the path while the block values, hence the energy, stay put
-    monkeypatch.setattr(scipy.optimize, "least_squares", _no_least_squares)
     g0 = canonical_gamma0(2, parity).mat
     q1, q2 = _random_so(4, 200 + seed), _random_so(4, 300 + seed)
     gs, ge = CovMatrix(q1 @ g0 @ q1.T), CovMatrix(q2 @ g0 @ q2.T)

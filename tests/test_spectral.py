@@ -83,6 +83,23 @@ def test_iterative_byte_ceiling_checked_before_allocation(monkeypatch):
         min_eig(h, method="iterative")
 
 
+def test_apply_byte_ceiling_checked_before_allocation(monkeypatch):
+    # the 65-mask sum above: apply builds the same CSR matrix, so it is held
+    # to the same ceiling, with the same message
+    n = 20
+    h = HamiltonianSum.from_terms(n, [(1.0, format(x, f"0{n}b").replace("0", "I").replace("1", "X"))
+                                      for x in range(65)])
+
+    def no_build(self):
+        raise AssertionError("flip diagonals built before the ceiling check")
+
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    with pytest.raises(ResourceLimitError) as err:
+        h.apply(np.zeros(1 << n))
+    assert str(err.value) == (f"65 flip masks on 20 qubits need {65 * 12 << 20} bytes, "
+                              f"above the iterative ceiling of {ITERATIVE_BYTE_CEILING}")
+
+
 def test_iterative_byte_ceiling_counts_the_column_index(monkeypatch):
     # 43 flip masks x 2^20 x (8 data + 4 index bytes) = 516 MiB, over the
     # ceiling; 42 masks fit, so that sum reaches the (patched) builder
