@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import PathConstructionError, PreconditionError
+from .errors import PathConstructionError, PreconditionError, ResourceLimitError
 
 PURITY_TOL = 1e-8
 ANTISYM_TOL = 1e-10
@@ -75,6 +75,11 @@ ANTISYM_TOL = 1e-10
 _MOVE_CAP = 64
 _SWEEP_CAP = 200
 _DESCENT_TOL = 1e-13
+# macro-steps of one path at most: the step loop is sequential, and each
+# step records its grid energy, its macro count and its rotations; 10^4 steps
+# at two modes took about 7 s and 3.3 MB (2-vCPU x86, one BLAS thread), so
+# the ceiling is about a minute
+_STEP_CEILING = 10**5
 # block-value slack of a closed-form macro-step, and how far above the end
 # energy an alignment state may rise
 _SOLVER_TOL = 1e-11
@@ -563,12 +568,16 @@ def interpolation_path(
 
     Preconditions: both states pure, equal parity, h 2x2 block diagonal (use
     ``block_diagonal_form`` first and conjugate the states accordingly).
-    Raises PathConstructionError when a macro-step's energy is not reached,
-    or when no alignment onto gamma_end stays within ``_ALIGNMENT_TOL`` above
-    the end energy (a degenerate ground space, for one).
+    Raises ResourceLimitError above ``_STEP_CEILING`` macro-steps, before
+    any step is taken, and PathConstructionError when a macro-step's energy
+    is not reached, or when no alignment onto gamma_end stays within
+    ``_ALIGNMENT_TOL`` above the end energy (a degenerate ground space, for
+    one).
     """
     if n_steps < 1:
         raise PreconditionError("step count must be at least 1")
+    if n_steps > _STEP_CEILING:
+        raise ResourceLimitError(f"{n_steps} steps exceed the step ceiling of {_STEP_CEILING}")
     if gamma_start.n != gamma_end.n or gamma_start.n != h.n:
         raise PreconditionError("mode counts differ")
     for name, g in (("start", gamma_start), ("end", gamma_end)):

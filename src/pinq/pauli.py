@@ -23,16 +23,21 @@ Conventions used throughout the package:
   scatter of a stack (``_dense_stacks``) and stop at the 12-qubit dense
   ceiling; checks run up to the 16-qubit sparse ceiling.  No group is
   built as a matrix of its own.
-* The compiled operator is the same form stored as one flip-ordered CSR
-  matrix (``HamiltonianSum._flip_stack``): row r holds D_f[r ^ f] at column
-  r ^ f for every flip mask f, in increasing f.  ``apply``, sparse
-  ``to_matrix`` and ``spectral.operator`` read it, and its products run in
-  scipy's compiled CSR kernel (``flip_matvec``), which adds each row in the
-  order of the per-flip sum.
+* Every stack has one layout: its rows are the columns of a C-ordered
+  (2^w, rows) array, and the builder refuses a stack whose CSR operator,
+  data plus int32 column index, would be above ``ITERATIVE_BYTE_CEILING``
+  before it allocates anything.
+* The compiled operator is the whole-register part read through
+  Hermiticity: ``HamiltonianSum._flip_stack`` wraps that part's (2^n,
+  #flips) array, without a copy, as the data of one flip-ordered CSR
+  matrix.  Row r holds H[r, r ^ f] = conj(D_f[r]) at column r ^ f for
+  every flip mask f, in increasing f.  ``apply``, sparse ``to_matrix`` and
+  ``spectral.operator`` read it, and its products run in scipy's compiled
+  CSR kernel (``flip_matvec``), which adds each row in the order of the
+  per-flip sum.
 * Every form maps each string's masks to the state-index bits of a support
   by a table of its qubits (``_local_strings``, ``_support_bits``), and
-  ``_stacked_diagonals`` sums the strings into diagonal rows, or into the
-  columns of the CSR data.
+  ``_stacked_diagonals`` sums the strings into the diagonal rows.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from .errors import PreconditionError, ResourceLimitError
 DENSE_QUBIT_CEILING = 12
 SPARSE_QUBIT_CEILING = 16
 DEFAULT_TOL = 1e-12
-# bytes the CSR operator of one sum may take, data plus int32 column index
-# (42 real flip masks at 20 qubits)
+# bytes one stack of flip diagonals may take, charged as the CSR operator it
+# makes: data plus int32 column index (42 real flip masks at 20 qubits)
 ITERATIVE_BYTE_CEILING = 512 * 2**20
 # bytes of one complex matrix at the dense ceiling: a stack of group-local
 # forms, or of their dense matrices, holds no more than one group may alone
@@ -281,7 +286,7 @@ class HamiltonianSum:
         ``f`` is an X flip mask in state-index bit positions and
         (P_f v)[i] = v[i ^ f].  Each D_f sums its strings' diagonal factors in
         term order.  They are the rows of the whole-register part of
-        ``_local_flip_forms``, built under no ceiling.
+        ``_local_flip_forms``, built under its byte ceiling alone.
         """
         (_, _, flips, diags), = _local_flip_forms(self, whole=True)
         yield from zip(flips.tolist(), diags)
@@ -289,22 +294,24 @@ class HamiltonianSum:
     def _flip_stack(self):
         """The sum as a flip-ordered CSR matrix: the compiled operator.
 
-        Row r holds D_f[r ^ f] at column r ^ f for every flip mask f, in
+        Row r holds H[r, r ^ f] at column r ^ f for every flip mask f, in
         increasing f, so a row-by-row product adds its terms in the order of
-        the per-flip sum.  The data array is (2^n, #flips) with int32 column
-        indices, and ``_stacked_diagonals`` writes it in place: a string's
-        row-side weight is its weight negated when popcount(f & z), its Y
-        count, is odd, which is exact.
+        the per-flip sum.  The data array is the C-ordered (2^n, #flips) base
+        of the whole-register part of ``_local_flip_forms``, with int32 column
+        indices: entry (r, k) holds D_f[r], and H is Hermitian, so
+        H[r, r ^ f] = conj(H[r ^ f, r]) = conj(D_f[r]).  Complex data is
+        conjugated in place; conjugation turns the exact-zero imaginary parts
+        into -0, and adding +0 turns them back, so the data stays bit for bit
+        the sum of each entry's strings.
         """
-        strings = _local_strings(self._terms, range(len(self._terms)), _support_bits(range(self._n)))
-        flips = sorted({flip for flip, _, _, _ in strings})
-        row_of = {f: k for k, f in enumerate(flips)}
-        rows = [(row_of[flip], sign, ny, -coeff if ny & 1 else coeff) for flip, sign, ny, coeff in strings]
+        (_, _, flips, diags), = _local_flip_forms(self, whole=True)
+        data = diags.T
+        if np.iscomplexobj(data):
+            np.conjugate(data, out=data)
+            data.imag += 0.0
         dim = 1 << self._n
-        data = np.empty((dim, len(flips)), dtype=self.dtype)
-        _stacked_diagonals(rows, data.T)
         index = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
-        cols = np.arange(dim, dtype=index)[:, None] ^ np.array(flips, dtype=index)
+        cols = np.arange(dim, dtype=index)[:, None] ^ flips.astype(index)
         indptr = np.arange(dim + 1, dtype=index) * len(flips)
         return sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
 
@@ -312,14 +319,16 @@ class HamiltonianSum:
         """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray).
 
         The dense matrix is the whole-register part of ``_local_flip_forms``
-        scattered by ``_dense_stacks``.  The CSR matrix is ``_flip_stack``'s:
-        row r holds one entry per flip mask f, at column r ^ f, so it stores
+        scattered by ``_dense_stacks``.  The CSR matrix is ``_flip_stack``'s,
+        under the sparse qubit ceiling and the byte ceiling: row r holds one
+        entry per flip mask f, at column r ^ f, so it stores
         (#flip masks) * 2^n entries, sorted by column.
         """
         if dense:
             (_, mats), = _dense_stacks(self, whole=True)
             return mats[0]
         _check_ceiling(self._n, SPARSE_QUBIT_CEILING, "sparse")
+        _check_operator_bytes(self)
         mat = self._flip_stack()
         mat.sort_indices()
         return mat
@@ -382,11 +391,16 @@ def _check_ceiling(n: int, ceiling: int, kind: str) -> None:
 def _check_operator_bytes(h: HamiltonianSum) -> None:
     """``ResourceLimitError`` when the CSR operator of ``h``, data plus int32
     column index, is above ``ITERATIVE_BYTE_CEILING``, before it is built."""
-    flips = h.flip_count()
-    need = flips * (1 << h.n) * (np.dtype(h.dtype).itemsize + np.dtype(np.int32).itemsize)
+    _check_stack_bytes(h.flip_count(), h.n, h.dtype)
+
+
+def _check_stack_bytes(rows: int, width: int, dtype) -> None:
+    """``ResourceLimitError`` when ``rows`` flip diagonals on ``width`` qubits,
+    charged as the CSR operator they make, are above ``ITERATIVE_BYTE_CEILING``."""
+    need = rows * (1 << width) * (np.dtype(dtype).itemsize + np.dtype(np.int32).itemsize)
     if need > ITERATIVE_BYTE_CEILING:
         raise ResourceLimitError(
-            f"{flips} flip masks on {h.n} qubits need {need} bytes, "
+            f"{rows} flip masks on {width} qubits need {need} bytes, "
             f"above the iterative ceiling of {ITERATIVE_BYTE_CEILING}"
         )
 
@@ -403,10 +417,16 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str =
     ``members`` lists its part indices in increasing order, and row k holds
     the local flip mask ``flips[k]`` of part ``members[part[k]]`` with its
     diagonal ``diags[k]``, so entry (r, r ^ f) of that part is D_f[r ^ f].
-    A part's rows come in increasing f, each summed in term order.
+    A part's rows come in increasing f, each summed in term order.  Every
+    ``diags`` is the transposed view of a C-ordered (2^w, rows) array, the
+    data layout of the CSR operator (``HamiltonianSum._flip_stack``).
 
     Raises ``ResourceLimitError`` before anything is allocated when a part
-    spans more than ``ceiling`` qubits; a ``ceiling`` of None checks none.
+    spans more than ``ceiling`` qubits (a ``ceiling`` of None checks none),
+    and before a stack is allocated when it, charged as a CSR operator, is
+    above ``ITERATIVE_BYTE_CEILING``.  A stack of several parts is charged
+    at most 3/2 * ``_STACK_BYTES``, below that ceiling, so only a stack of
+    one part can be refused.
     """
     if whole:
         groups, supports = [range(len(h.terms))], [range(h.n)]
@@ -431,7 +451,8 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str =
                 part += [p] * len(row_of)
                 flips += row_of
                 strings += [(row_of[flip], sign, ny, coeff) for flip, sign, ny, coeff in local[gi]]
-            diags = np.empty((len(flips), 1 << width), dtype=dtype)
+            _check_stack_bytes(len(flips), width, dtype)
+            diags = np.empty((1 << width, len(flips)), dtype=dtype).T
             _stacked_diagonals(strings, diags)
             yield chunk, np.array(part, dtype=np.intp), np.array(flips, dtype=np.intp), diags
 
@@ -491,8 +512,8 @@ def _support_bits(supp):
 def _stacked_diagonals(strings, diags) -> None:
     """Fill flip-diagonal rows from (row, sign, ny, coeff) strings in term order.
 
-    ``diags`` is (rows, 2^w), or the transposed view of a (2^w, rows) array,
-    and every row has a string.  String (row, sign, ny, coeff) adds
+    ``diags`` is (rows, 2^w), the transposed view of a C-ordered (2^w, rows)
+    array, and every row has a string.  String (row, sign, ny, coeff) adds
     coeff * i**ny * (-1)**popcount(j & sign) at entry j of its row; ``sign``
     is in the state-index bits of a w-qubit support.  Rows go in blocks of
     at least ``_BLOCK_ROWS`` and entries in tiles, so that a block's tile
@@ -521,8 +542,8 @@ def _stacked_diagonals(strings, diags) -> None:
         k1 = min(k0 + block, rows)
         lo, hi = first[k0], first[k1]
         blocks.append((k0, k1, [lo + np.flatnonzero(rank[lo:hi] == r) for r in range(int(rank[lo:hi].max()) + 1)]))
-    # tile by tile, so that a transposed target's rows stay cached while
-    # every block writes its part of them
+    # tile by tile, so that the target's rows, strided in memory, stay
+    # cached while every block writes its part of them
     try:
         with np.errstate(over="raise"):
             for j0 in range(0, dim, tile):

@@ -479,6 +479,11 @@ def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Re
 # ---------------------------------------------------------------------------
 
 
+# a double's magnitude has no set bit below 2^-1074, the least subnormal, so
+# further expansion bits are all zero
+_BIT_CEILING = 1074
+
+
 def _binary_bits(x: float, q: int) -> list:
     """Indices j in 1..q with bit x_j set in the truncation x ~ sum x_j / 2^j.
 
@@ -516,6 +521,8 @@ def permutation_pin(
     effective operator is within M * 2^-Q of the (rescaled) input.
 
     Ancilla order is fixed: z, q_0, q_1..q_Q after the system qubits.
+    ``PreconditionError`` when Q is below 1 or above ``_BIT_CEILING``,
+    before any block is built.
     """
     for t in h.terms:
         if t.string.has_y or (t.string.x and t.string.z):
@@ -538,6 +545,8 @@ def permutation_pin(
         q_bits = default_truncation_bits(len(nonzero), bounds, scale)
     if q_bits < 1:
         raise PreconditionError("bit count must be at least 1")
+    if q_bits > _BIT_CEILING:
+        raise PreconditionError(f"{q_bits} bits exceed the {_BIT_CEILING} bits a double's magnitude holds")
 
     n_sys = h.n
     z_anc = n_sys

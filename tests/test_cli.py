@@ -12,8 +12,10 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import pinq.cli
+import pinq.ffgauss
 import pinq.gscon
 import pinq.pauli
+import pinq.pinning
 import pinq.spectral
 from oracles import generic_three_mode, strict_json
 from pinq.cli import main
@@ -132,6 +134,22 @@ def test_pin_permutation_at_1024_bits(tmp_path, capsys):
     assert report["payload"]["output_qubits"] == 1 + 2 + 1024
     assert report["payload"]["term_count"] == 3
     assert load_hamiltonian(str(out)).n == 1027
+
+
+@pytest.mark.parametrize("bits", ["1075", "4000000000", "100000000000000000000"])
+def test_pin_permutation_bit_ceiling_exit_3(tmp_path, capsys, monkeypatch, bits):
+    # no double has a set bit past 2^-1074, so more bits are refused before
+    # any coefficient is expanded
+    f = _write(tmp_path, "h.txt", "qubits 1\n0.75 X\n-0.5 Z\n")
+
+    def no_expansion(*args):
+        raise AssertionError("coefficients expanded before the bit ceiling check")
+
+    monkeypatch.setattr(pinq.pinning, "_binary_bits", no_expansion)
+    code = main(["pin-permutation", f, "--bits", bits, "--out", str(tmp_path / "p.txt")])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "1074" in captured.err and "Traceback" not in captured.err
 
 
 def test_pin_permutation_without_finite_scale_exit_3(tmp_path, capsys):
@@ -635,6 +653,22 @@ def test_exact_norm_dense_ceiling_checked_before_allocation(tmp_path, capsys, mo
     assert "dense ceiling" in captured.err
 
 
+def test_assembled_check_byte_ceiling_exit_3(tmp_path, capsys, monkeypatch):
+    # 700 X masks on 16 qubits: the assembled matrix would take 550502400
+    # bytes of CSR data and index, over the 512 MiB ceiling
+    labels = ["".join("X" if (m >> q) & 1 else "I" for q in range(16)) for m in [*range(1, 700), (1 << 16) - 1]]
+    f = _write(tmp_path, "h.txt", "qubits 16\n" + "".join(f"1 {lbl}\n" for lbl in labels))
+
+    def no_build(*args):
+        raise AssertionError("flip diagonals built before the byte ceiling check")
+
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
+    code = main(["check", f, "--assembled"])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "iterative ceiling" in captured.err and "Traceback" not in captured.err
+
+
 def test_ff_path_subcommand(tmp_path, capsys):
     g0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     gamma = np.kron(np.eye(2), g0)
@@ -685,6 +719,26 @@ def test_ff_path_generic_three_modes(tmp_path, capsys):
     verdict = verify_ff_path(path, h, eta1=eta1)
     assert verdict.ok, verdict.failures
     assert verdict.max_micro_energy <= eta1
+
+
+@pytest.mark.parametrize("steps", ["1000000000000", "100000000000000000000", "100001"])
+@pytest.mark.parametrize("flip_end", [False, True])
+def test_ff_path_step_ceiling_exit_3(tmp_path, capsys, monkeypatch, steps, flip_end):
+    # equal endpoints would record one grid energy per step, distinct ones
+    # walk every step: both are refused before either
+    g0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    gamma = np.kron(np.eye(2), g0)
+    files = _ff_files(tmp_path, gamma, -gamma if flip_end else gamma, gamma)
+
+    def no_walk(*args):
+        raise AssertionError("path walked before the step ceiling check")
+
+    monkeypatch.setattr(pinq.ffgauss, "_Walk", no_walk)
+    code = main(["ff-path", "--start", files[0], "--end", files[1], "--h", files[2], "--n", steps,
+                 "--out", str(tmp_path / "path.json")])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "step ceiling" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])

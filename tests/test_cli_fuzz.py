@@ -98,7 +98,7 @@ def hamiltonian_argv(draw):
     if command in ("pin-commuting", "pin-stoquastic", "pin-permutation", "spectrum") and draw(st.booleans()):
         argv += ["--bounds", draw(bounds_text)]
     if command == "pin-permutation" and draw(st.booleans()):
-        argv += ["--bits", draw(st.sampled_from(["1", "2", "3", "1024", "0", "-1"]))]
+        argv += ["--bits", draw(st.sampled_from(["1", "2", "3", "1024", "0", "-1", "100000000000000000000"]))]
     if command == "unpin-penalty":
         argv += ["--pin-qubit", draw(st.sampled_from(["0", "1", "-1", "9"])),
                  "--bounds", draw(bounds_text)]
@@ -325,7 +325,7 @@ def test_ff_path_keeps_the_exit_contract(workdir, data):
         text = data.draw(matrix_csv(mat)) if k == which else _csv([[repr(float(x)) for x in row] for row in mat])
         files.append(_write(os.path.join(workdir, f"ff-{name}.csv"), text))
     out = os.path.join(workdir, "ff-path.json")
-    steps = data.draw(st.sampled_from(["1", "4", "8", "0", "-2", "x"]))
+    steps = data.draw(st.sampled_from(["1", "4", "8", "0", "-2", "x", "100000000000000000000"]))
     code, stdout = _run_contract(["ff-path", "--start", files[0], "--end", files[1], "--h", files[2],
                                   "--n", steps, "--out", out])
     if code == 0:

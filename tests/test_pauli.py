@@ -246,6 +246,27 @@ def test_matvec_matches_per_flip_loop_on_sums_with_y(n):
         np.testing.assert_allclose(h.apply(v), want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flip_stack_rows_are_the_per_term_entries_bit_for_bit(n):
+    # the CSR rows are the column-side diagonals read through Hermiticity:
+    # entry (r, slot k) is H[r, r ^ f_k] = D_{f_k}[r ^ f_k], signed zeros included
+    rng = np.random.default_rng(900 + n)
+    y = "Y" * n
+    xy = "X" + "Y" * (n - 1)
+    terms = _edge_case_terms(rng, n) + [(0.5, y), (-0.5, y), (0.25, xy), (-0.25, xy), (0.0, y), (-0.0, xy)]
+    dim = 1 << n
+    rows = np.arange(dim)
+    for case in (terms, [(-0.0, y)], [(0.0, xy), (-0.0, "Z" * n)]):
+        want = flip_diagonals(n, case)
+        mat = HamiltonianSum.from_terms(n, case)._flip_stack()
+        assert mat.dtype == want[0][1].dtype
+        data = mat.data.reshape(dim, len(want))
+        cols = mat.indices.reshape(dim, len(want))
+        for k, (f, diag) in enumerate(want):
+            np.testing.assert_array_equal(cols[:, k], rows ^ f)
+            assert data[:, k].tobytes() == diag[rows ^ f].tobytes()
+
+
 def test_mask_maps_match_per_qubit_loop():
     rng = np.random.default_rng(700)
     for n in (0, 1, 7, 8, 9, 16, 70):
@@ -639,6 +660,28 @@ def test_overflowing_sum_raises_without_warning(labels):
         grouped.group_norms()
     # the termwise check builds each string on its own, so it answers
     assert is_stoquastic(h, termwise=True).verdict == (labels[0] == "Z")
+
+
+def test_every_stack_is_held_to_the_byte_ceiling_before_it_is_built(monkeypatch):
+    # 700 X masks spanning 16 qubits: 550502400 bytes of CSR data and index,
+    # over the 512 MiB ceiling, though the whole-register stack alone is 367001600
+    n = 16
+    terms = [PauliTerm(1.0, PauliString(n, m, 0)) for m in [*range(1, 700), (1 << n) - 1]]
+    h = HamiltonianSum(n, terms)
+    one_group = HamiltonianSum(n, terms, groups=(tuple(range(700)),))
+
+    def no_build(*args):
+        raise AssertionError("flip diagonals built before the byte ceiling check")
+
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
+    message = (f"700 flip masks on 16 qubits need {700 * 12 << 16} bytes, "
+               f"above the iterative ceiling of {pinq.pauli.ITERATIVE_BYTE_CEILING}")
+    for build in (h.to_matrix, lambda: is_stoquastic(h, termwise=False), lambda: is_permutation(h, per_term=False),
+                  lambda: list(h.flip_diagonals()), lambda: is_stoquastic(one_group, termwise=True),
+                  lambda: is_permutation(one_group, per_term=True)):
+        with pytest.raises(ResourceLimitError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_term_y_flagging():

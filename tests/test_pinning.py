@@ -459,6 +459,17 @@ def test_permutation_pin_at_1024_bits():
     assert len(res.hamiltonian.group_indices()) == 3
 
 
+def test_permutation_pin_bit_ceiling_is_the_least_subnormal():
+    # the least subnormal sets bit 1074, the last one any double sets
+    h = HamiltonianSum.from_terms(1, [(5e-324, "X")])
+    res = permutation_pin(h, q_bits=1074)
+    (block,) = [[res.hamiltonian.terms[i] for i in g] for g in res.hamiltonian.group_indices()]
+    assert [t.string.x for t in block] == [1 | 1 << (1 + 1 + 1074)]
+    for q_bits in (1075, 4 * 10**9, 10**20):
+        with pytest.raises(PreconditionError, match="1074"):
+            permutation_pin(h, q_bits=q_bits)
+
+
 def test_permutation_pin_rejects_a_magnitude_without_finite_scale():
     h = HamiltonianSum.from_terms(2, [(1.7976931348623157e308, "XX"), (0.5, "ZI")])
     with pytest.raises(PreconditionError, match="finite scale"):
