@@ -348,8 +348,8 @@ class HamiltonianSum:
         val = np.vdot(vec, self.apply(vec))
         return float(np.real(val))
 
-    def merged(self, drop_zero=True) -> "HamiltonianSum":
-        """Collect duplicate strings, summing coefficients; grouping is dropped."""
+    def merged(self) -> "HamiltonianSum":
+        """Collect duplicate strings, summing coefficients; zero sums and grouping are dropped."""
         acc = {}
         for t in self._terms:
             key = (t.string.x, t.string.z)
@@ -357,7 +357,7 @@ class HamiltonianSum:
         terms = [
             PauliTerm(c, PauliString(self._n, x, z))
             for (x, z), c in sorted(acc.items())
-            if not (drop_zero and c == 0.0)
+            if c != 0.0
         ]
         return HamiltonianSum(self._n, terms)
 
@@ -592,6 +592,13 @@ class PermutationReport:
     group: int | None = None
 
 
+def _check_tol(tol: float) -> None:
+    """``ValueError`` unless 0 <= tol < inf: a NaN or infinite tolerance
+    passes every entry, and a negative one fails exact zeros."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 def _offdiag_offenders(part, flips, diags, count: int, tol: float) -> list:
     """Per part, its largest off-diagonal entry violating 'real and <= tol',
     as (entry, (row, col)), or None.
@@ -624,6 +631,7 @@ def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> Stoquast
     fully assembled matrix is checked.  Across groups the larger real part
     wins, the earlier group on ties.  Always returns a report.
     """
+    _check_tol(tol)
     hits = {}
     for members, part, flips, diags in _local_flip_forms(h, SPARSE_QUBIT_CEILING, "sparse", not termwise):
         for gi, hit in zip(members, _offdiag_offenders(part, flips, diags, len(members), tol)):
@@ -720,6 +728,7 @@ def _permutation_defects(part, flips, diags, count: int, tol: float) -> list:
 
 def is_permutation(h: HamiltonianSum, per_term=True, tol=DEFAULT_TOL) -> PermutationReport:
     """Check that each group's matrix (or the assembled matrix) is a 0/1 permutation."""
+    _check_tol(tol)
     failed = {}
     for members, part, flips, diags in _local_flip_forms(h, SPARSE_QUBIT_CEILING, "sparse", not per_term):
         for gi, reason in zip(members, _permutation_defects(part, flips, diags, len(members), tol)):

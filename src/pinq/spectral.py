@@ -1,13 +1,14 @@
 """Ground-energy computation on full and pinned spaces.
 
+Every entry point takes a Pauli sum (``HamiltonianSum``), never a matrix.
 The dense route (LAPACK ``eigh``, lowest eigenpair only) is the authoritative
 oracle at small sizes.  The iterative route runs ARPACK's implicitly restarted
 Lanczos (``eigsh``) on a matrix-free operator with a seeded start vector, so
-results are deterministic for a fixed seed.  For a Pauli sum the operator is
-the flip-ordered CSR matrix of its flip-diagonal form H = sum_f P_f diag(D_f),
-built once per solve, applied by scipy's compiled product and dropped when
-the solve returns.  An operator with no nonzero entry has ground energy 0
-and never reaches ARPACK, which refuses its zero Krylov space.
+results are deterministic for a fixed seed.  The operator is the flip-ordered
+CSR matrix of the sum's flip-diagonal form H = sum_f P_f diag(D_f), built once
+per solve, applied by scipy's compiled product and dropped when the solve
+returns.  An operator with no nonzero entry has ground energy 0 and never
+reaches ARPACK, which refuses its zero Krylov space.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError
 from .pauli import (
     DENSE_QUBIT_CEILING,
     ITERATIVE_BYTE_CEILING,  # re-exported: the ceiling of the iterative route
@@ -53,44 +53,18 @@ def check_qubit_ceiling(n: int) -> None:
     _check_ceiling(n, ITERATIVE_QUBIT_CEILING, "iterative")
 
 
-def _check_hermitian(obj) -> int:
-    """Dimension of a sum or matrix input; matrices must be square and Hermitian."""
-    if isinstance(obj, HamiltonianSum):
-        check_qubit_ceiling(obj.n)
-        return 1 << obj.n
-    if sp.issparse(obj):
-        if (abs(obj - obj.getH()) > 1e-10).nnz:
-            raise PreconditionError("matrix input is not Hermitian")
-        return obj.shape[0]
-    mat = np.asarray(obj)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise PreconditionError("matrix input must be square")
-    if not np.allclose(mat, mat.conj().T, atol=1e-10):
-        raise PreconditionError("matrix input is not Hermitian")
-    return mat.shape[0]
+def operator(h: HamiltonianSum):
+    """(matvec, matrix) of a Hamiltonian sum.
 
-
-def operator(obj):
-    """(matvec, matrix) of a Hamiltonian sum or an explicit matrix.
-
-    A sum's CSR matrix, data plus column index, is checked against
+    The sum's CSR matrix, data plus column index, is checked against
     ``ITERATIVE_BYTE_CEILING`` before it is built, then built once and held
     by the matvec.  This is the operator of the iterative route, and of
     every caller that applies one sum many times.
     """
-    if isinstance(obj, HamiltonianSum):
-        check_qubit_ceiling(obj.n)
-        _check_operator_bytes(obj)
-        mat = obj._flip_stack()
-        return (lambda v: flip_matvec(mat, v)), mat
-    mat = obj if sp.issparse(obj) else np.asarray(obj)
-    return (lambda v: mat @ v), mat
-
-
-def _dense_matrix(obj) -> np.ndarray:
-    if isinstance(obj, HamiltonianSum):
-        return obj.to_matrix(dense=True)  # raises above the dense ceiling
-    return obj.toarray() if sp.issparse(obj) else np.asarray(obj)
+    check_qubit_ceiling(h.n)
+    _check_operator_bytes(h)
+    mat = h._flip_stack()
+    return (lambda v: flip_matvec(mat, v)), mat
 
 
 def _residual(matvec, val: float, vec: np.ndarray) -> float:
@@ -107,19 +81,15 @@ def _residual(matvec, val: float, vec: np.ndarray) -> float:
 
 def _lowest_pair(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
     """(value, vector, residual) of the lowest eigenpair of a dense matrix."""
-    if mat.shape[0] == 1:
-        val, vec = float(np.real(mat[0, 0])), np.ones(1)
-    else:
-        evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
-        val, vec = float(evals[0]), evecs[:, 0]
+    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
+    val, vec = float(evals[0]), evecs[:, 0]
     return val, vec, _residual(lambda v: mat @ v, val, vec)
 
 
 def _arpack_min(matvec, mat, seed) -> SpectralResult:
     """Smallest eigenpair by ARPACK, counting every operator application."""
-    dim = mat.shape[0]
-    dtype = np.result_type(mat.dtype, float)
-    if not (mat.data if sp.issparse(mat) else mat).any():
+    dim, dtype = mat.shape[0], mat.dtype
+    if not mat.data.any():
         # every vector is a ground state of the zero operator
         vec = np.zeros(dim, dtype=dtype)
         vec[0] = 1.0
@@ -157,20 +127,22 @@ def _arpack_min(matvec, mat, seed) -> SpectralResult:
     return SpectralResult(val, vec, "iterative", resid, count[0])
 
 
-def min_eig(obj, method="auto", seed=0) -> SpectralResult:
-    """Smallest eigenvalue of a Hamiltonian sum or an explicit Hermitian matrix.
+def min_eig(h: HamiltonianSum, method="auto", seed=0) -> SpectralResult:
+    """Smallest eigenvalue of a Hamiltonian sum.
 
     ``method`` is one of ``auto`` (dense when it fits, else iterative),
     ``dense``, or ``iterative``.
     """
-    dim = _check_hermitian(obj)
+    if not isinstance(h, HamiltonianSum):
+        raise TypeError(f"min_eig takes a HamiltonianSum, not {type(h).__name__}")
+    check_qubit_ceiling(h.n)
     if method == "auto":
-        method = "dense" if dim <= (1 << DENSE_QUBIT_CEILING) else "iterative"
+        method = "dense" if h.n <= DENSE_QUBIT_CEILING else "iterative"
     if method == "dense":
-        val, vec, resid = _lowest_pair(_dense_matrix(obj))
+        val, vec, resid = _lowest_pair(h.to_matrix(dense=True))  # raises above the dense ceiling
         res = SpectralResult(val, vec, "dense", resid)
     elif method == "iterative":
-        res = _arpack_min(*operator(obj), seed)
+        res = _arpack_min(*operator(h), seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     return res

@@ -119,15 +119,12 @@ class TrajectoryResult:
     ``final_state`` is normalized.  ``error_norm`` is the distance between the
     post-selected *branch* vector (the raw product of projections, whose norm
     squared is the survival probability) and the reference evolution; this is
-    the quantity with the advertised O(t^2/N) scaling.  ``direction_error_norm``
-    compares the renormalized final state instead, which can decay faster when
-    the second-order step error happens to be proportional to the identity.
+    the quantity with the advertised O(t^2/N) scaling.
     """
 
     final_state: np.ndarray
     survival_probability: float
     error_norm: float
-    direction_error_norm: float
     reference_label: str
     reference_state: np.ndarray
     step_survivals: np.ndarray = field(repr=False, default=None)
@@ -224,7 +221,6 @@ class _PreparedProtocol:
             final_state=state,
             survival_probability=survival,
             error_norm=float(np.linalg.norm(branch - self.ref)),
-            direction_error_norm=float(np.linalg.norm(state - self.ref)),
             reference_label=protocol.reference_label,
             reference_state=self.ref,
             step_survivals=step_survivals,

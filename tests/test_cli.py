@@ -50,6 +50,28 @@ def test_check_expect_failure_exit_code(tmp_path, capsys):
     assert report["payload"]["stoquastic"] is False
 
 
+@pytest.mark.parametrize("assembled", [False, True])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_non_finite_or_negative_tol_exit_2(tmp_path, capsys, tol, assembled):
+    # a NaN or infinite tolerance would pass every entry, a negative one
+    # would fail exact zeros
+    f = _write(tmp_path, "h.txt", "qubits 1\n1.0 X\n")
+    argv = ["check", f, "--tol", tol, "--expect", "stoquastic"] + ["--assembled"] * assembled
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tolerance" in captured.err and "Traceback" not in captured.err
+
+
+def test_check_zero_tol_still_answers(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 1\n1.0 X\n")
+    code, report = _run(capsys, "check", f, "--tol", "0")
+    assert code == 0
+    assert report["payload"]["stoquastic"] is False
+    assert report["payload"]["permutation"] is True
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     f = _write(tmp_path, "h.txt", "qubits 1\n1 X\noops\n")
     code = main(["spectrum", f])

@@ -404,6 +404,17 @@ def test_is_permutation_examples():
     assert not rep.verdict
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("check", [is_stoquastic, is_permutation])
+def test_checks_refuse_bad_tolerance_before_any_build(monkeypatch, check, tol):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a stack was built")
+
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
+    with pytest.raises(ValueError, match="tolerance"):
+        check(HamiltonianSum.from_terms(1, [(1.0, "X")]), True, tol)
+
+
 def test_controlled_flip_gadget_is_permutation():
     # |0><0| (x) I + |1><1| (x) X as one grouped term
     terms = [(0.5, "II"), (0.5, "ZI"), (0.5, "IX"), (-0.5, "ZX")]

@@ -186,7 +186,7 @@ def test_penalty_lift_no_case_mixing_angle_oracle():
     res = pin_penalty_lift(gp, pin_qubit=1, bounds=bounds)
     gmat = _dense(res.hamiltonian)
     floor = (bounds.a + bounds.b) / 2.0
-    assert min_eig(gmat).value >= floor - 1e-9
+    assert min_eig(res.hamiltonian).value >= floor - 1e-9
     # scan the mixing angle (cos t)|psi0>|0> + (sin t)|psi1>|1> over sector
     # ground states, the worst-case family from the penalty argument
     sector0 = gmat[np.ix_([0, 2], [0, 2])]  # pin qubit = |0>
@@ -419,7 +419,7 @@ def test_permutation_pin_truncation_bound():
             assert res.hamiltonian.locality <= 5
             assert len(res.hamiltonian.group_indices()) <= 2 * m_count * (q_bits + 1)
             eff = np.asarray(effective_hamiltonian(res.hamiltonian, res.pin))
-            target = _dense(h.merged(drop_zero=False)) / res.report.scale
+            target = _dense(h.merged()) / res.report.scale
             err = np.linalg.norm(eff - target, 2)
             assert err <= m_count * 2.0 ** (-q_bits) + 1e-15
 
