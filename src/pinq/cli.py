@@ -4,6 +4,8 @@ Exit codes: 0 = success / YES, 1 = NO or violation verdict, 2 = malformed
 input, 3 = precondition or promise violation.  Every subcommand prints a run
 report as JSON: {"subcommand", "seed", "inputs" (sha256 digests), "payload",
 "wall_time_s"}.  The payload is byte-stable for identical inputs and seed.
+An exit 2 or 3 prints ``error: <message>`` on stderr, then one JSON line
+{"error": {"type", "message", "exit_code"}}.
 """
 
 from __future__ import annotations
@@ -199,8 +201,8 @@ def _cmd_zeno(args, t0) -> int:
     b = load_hamiltonian(args.b)
     kind = {"stoq": "stoquastic", "comm": "commuting"}[args.kind]
     counts = [int(s) for s in args.sweep.split(",")] if args.sweep else None
-    # the protocol checks the register against the dense ceiling first; a
-    # sweep's largest count stands in for the --n it does not read
+    # the protocol checks the register against its qubit and byte ceilings
+    # first; a sweep's largest count stands in for the --n it does not read
     protocol = ZenoProtocol(kind, a, b, args.t, max(counts) if counts else args.n)
     if args.state:
         psi0 = load_state(args.state, a.n)
@@ -412,11 +414,18 @@ def main(argv=None) -> int:
     try:
         return args.func(args, t0)
     except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return _fail(exc, EXIT_MALFORMED)
     except PinqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return _fail(exc, EXIT_PRECONDITION)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Report an error on stderr, as an ``error: <message>`` line for people
+    and a one-line JSON object for scripts, and return its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    record = {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -415,26 +415,29 @@ class _Walk:
     """A state turned in place by plane rotations.
 
     The walk owns a copy of the covariance matrix and records each rotation
-    with the energy tr(gamma h) after it; ``e`` is the current energy.  A
-    trial that may be dropped runs on a ``fork``, which starts from the
-    current state with no records.
+    with the energy tr(gamma h) after it; ``e`` is the current energy.  An
+    untracked walk records the rotations alone and has no energy.  A trial
+    that may be dropped runs on a ``fork``, which starts from the current
+    state with no records.
     """
 
-    def __init__(self, gamma: np.ndarray, h: np.ndarray, e: float | None = None):
+    def __init__(self, gamma: np.ndarray, h: np.ndarray, e: float | None = None, tracked=True):
         self.gamma = gamma.copy()
         self.h = h
-        self.e = energy(self.gamma, h) if e is None else e
+        self.tracked = tracked
+        self.e = energy(self.gamma, h) if tracked and e is None else e
         self.rotations = []
         self.energies = []
 
     def fork(self) -> "_Walk":
-        return _Walk(self.gamma, self.h, self.e)
+        return _Walk(self.gamma, self.h, self.e, self.tracked)
 
     def turn(self, rot: GivensRotation) -> None:
         _conjugate(self.gamma, rot)
-        self.e = energy(self.gamma, self.h)
         self.rotations.append(rot)
-        self.energies.append(self.e)
+        if self.tracked:
+            self.e = energy(self.gamma, self.h)
+            self.energies.append(self.e)
 
     def pair_move(self, j: int, l: int, c_j: float, c_l: float, tol: float) -> bool:
         """At most four rotations on modes j < l taking their block values to
@@ -543,7 +546,8 @@ class _Walk:
         X a = b X for pure a and b and is close to 2I when they are close.
         """
         self.descend()
-        up = _Walk(end.mat, self.h)
+        # only the rotations of end's descent are replayed, so it is untracked
+        up = _Walk(end.mat, self.h, tracked=False)
         up.descend()
         a, b = self.gamma, up.gamma
         gap = float(np.linalg.norm(a - b))

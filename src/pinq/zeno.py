@@ -20,19 +20,32 @@ H' is block-diagonal in the ancilla X basis, so neither protocol needs the
 * commuting: psi <- (exp(-2i delta A) + exp(-2i delta B)) psi / 2, since
   |0> = (|+> + |->)/sqrt(2) and <0|+> = <0|-> = 1/sqrt(2).
 
-Every exponential comes from one dense eigendecomposition of its Hermitian
-generator G = V diag(w) V^H, done once for every step count, so that
-exp(-i s G) psi = V (exp(-i s w) * (V^H psi)).  The stoquastic protocol
-needs one, of A - B: its step is a phase multiply in that eigenbasis, and
-its reference exp(-i t (A - B)) psi shares it.  The commuting protocol needs
-three, of A, B and A + B: its step is one matvec with a 2^n x 2^n step
-matrix, and its reference exp(-i t (A + B)) psi does not depend on the
-step's decompositions.  No propagator is formed for the reference.  Each
-route is exact up to round-off, not a product formula, so the measured
+The stoquastic protocol takes one dense eigendecomposition of its generator,
+A - B = V diag(w) V^H, once for every step count: its step is a phase
+multiply exp(-i delta w) in that eigenbasis, and its reference
+exp(-i t (A - B)) psi shares it.  Its register obeys the 12-qubit dense
+ceiling.
+
+The commuting protocol holds no dense matrix.  A and B are each applied from
+their flip-diagonal form G = D_0 + sum_{f != 0} P_f diag(D_f), built once:
+D_0 is one phase vector, and each flip mask f is one closed-form rotation
+pass over the 2^n amplitudes, exact because (P_f diag D_f)^2 = diag|D_f|^2;
+the strings commute pairwise, so the passes multiply exactly in any order.  A
+group of an explicit grouping whose strings do not commute with every string
+of its generator is applied as its own 2^w propagator on its support, by one
+``tensordot``.  The reference exp(-i t (A + B)) psi comes from scipy's
+``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011)) on
+the CSR matrix of A + B, independent of the step route; its cost, about
+t * ||A + B||_1 Taylor steps, is held to the step ceiling before the call.
+The register obeys the 16-qubit sparse ceiling, and A, B and A + B the byte
+ceiling of their CSR operators, all checked before anything is built.
+
+Each route is exact up to round-off, not a product formula, so the measured
 scaling isolates the projection error.  A phase s * w keeps fractional bits
 only while |s w| < 2^52; a time that takes a phase of the run past that is
-rejected before the phase is formed.  The literal (n+1)-qubit simulation the
-identities replace, with a dense ``expm`` reference, is
+rejected before the phase is formed (for the commuting reference, a bound
+t * ||A + B||_1 stands for the largest phase).  The literal (n+1)-qubit
+simulation the identities replace, with a dense ``expm`` reference, is
 ``zeno_register_evolve`` in ``tests/oracles.py``.  Post-selection is
 deterministic projection plus renormalization with survival bookkeeping; no
 trajectory sampling.
@@ -45,9 +58,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import PreconditionError, ResourceLimitError, SurvivalUnderflowError
-from .pauli import DENSE_QUBIT_CEILING, HamiltonianSum, PauliTerm, _check_ceiling, is_commuting, is_stoquastic
+from .pauli import (
+    DENSE_QUBIT_CEILING,
+    SPARSE_QUBIT_CEILING,
+    HamiltonianSum,
+    PauliTerm,
+    _check_ceiling,
+    _check_operator_bytes,
+    _dense_stacks,
+    is_commuting,
+    is_stoquastic,
+)
 
 # below the square of propagator round-off the kept branch is numerical noise
 _SURVIVAL_FLOOR = 1e-24
@@ -77,8 +101,15 @@ class ZenoProtocol:
             raise PreconditionError(f"unknown protocol kind {self.kind!r}")
         if self.a.n != self.b.n:
             raise PreconditionError("A and B must act on the same register")
-        # every run holds dense 2^n x 2^n generators
-        _check_ceiling(self.a.n, DENSE_QUBIT_CEILING, "dense")
+        # a stoquastic run holds the dense 2^n x 2^n generator A - B; a
+        # commuting one holds the flip diagonals of A and B and the CSR
+        # matrix of A + B
+        if self.kind == "stoquastic":
+            _check_ceiling(self.a.n, DENSE_QUBIT_CEILING, "dense")
+        else:
+            _check_ceiling(self.a.n, SPARSE_QUBIT_CEILING, "sparse")
+            for ham in (self.a, self.b, self.reference_generator()):
+                _check_operator_bytes(ham)
         if not math.isfinite(self.t):
             raise PreconditionError(f"total time must be finite, got {self.t}")
         if self.steps < 1:
@@ -135,15 +166,13 @@ def _check_step_count(steps: int) -> None:
         raise ResourceLimitError(f"{steps} steps exceed the step ceiling of {_STEP_CEILING}")
 
 
-def _phases(time: float, w: np.ndarray, what: str) -> np.ndarray:
-    """exp(-i time w) for the eigenvalues ``w`` of a Hermitian generator.
+def _check_phase(time: float, scale: float, what: str) -> None:
+    """``PreconditionError`` when |time| * scale >= 2^52 or ``scale`` is not
+    finite, where ``scale`` bounds the magnitude of a generator's spectrum.
 
-    Raises ``PreconditionError`` before any phase is formed when
-    |time| * max|w| >= 2^52, or when ``w`` is not finite (a NaN from
-    ``eigh``).  The product is tested as a quotient by the larger factor,
-    which is above 1, so the test cannot overflow.
+    The product is tested as a quotient by the larger factor, which is above
+    1, so the test cannot overflow.
     """
-    scale = float(np.max(np.abs(w), initial=0.0))
     if not math.isfinite(scale):
         raise PreconditionError(f"{what} is not finite: its generator has a non-finite eigenvalue")
     big, small = max(abs(time), scale), min(abs(time), scale)
@@ -152,15 +181,132 @@ def _phases(time: float, w: np.ndarray, what: str) -> np.ndarray:
             f"{what} is not finite at time {time:g}: a phase reaches 2^52, "
             "where a double keeps no fractional bits"
         )
+
+
+def _phases(time: float, w: np.ndarray, what: str) -> np.ndarray:
+    """exp(-i time w) for the eigenvalues ``w`` of a Hermitian generator.
+
+    Raises ``PreconditionError`` before any phase is formed when
+    |time| * max|w| >= 2^52, or when ``w`` is not finite (a NaN from
+    ``eigh``).
+    """
+    _check_phase(time, float(np.max(np.abs(w), initial=0.0)), what)
     return np.exp(-1j * time * w)
+
+
+class _CommutingPropagator:
+    """psi -> exp(-i theta G) psi for a generator G whose groups commute
+    pairwise, without a 2^n x 2^n matrix.
+
+    The strings that commute with every string of G make one flip-diagonal
+    form D_0 + sum_{f != 0} P_f diag(D_f), which commutes with the rest of G.
+    D_0 gives one phase vector.  Each P_f diag(D_f) is Hermitian with square
+    diag|D_f|^2, so its exponential is one pass
+    psi[r] <- cos(theta |D_f[r]|) psi[r]
+              - i sin(theta |D_f[r]|) / |D_f[r]| * D_f[r ^ f] psi[r ^ f],
+    with D_f[r ^ f] = conj(D_f[r]); the strings commute pairwise, so the
+    passes multiply exactly in any order.  A group holding a string that
+    anticommutes with some string of G (only an explicit grouping makes one)
+    still commutes with every other group, so it is applied exactly as its
+    own 2^w propagator on its support, from one batched ``eigh`` per stack
+    of ``_dense_stacks``.
+    """
+
+    def __init__(self, g: HamiltonianSum):
+        x = np.array([t.string.x for t in g.terms], dtype=np.int64)
+        z = np.array([t.string.z for t in g.terms], dtype=np.int64)
+        # clash[i]: string i anticommutes with some string of G, by the
+        # symplectic test, one row at a time
+        clash = [bool(((np.bitwise_count(xi & z) + np.bitwise_count(zi & x)) & 1).any()) for xi, zi in zip(x, z)]
+        local = [gi for gi in g.group_indices() if any(clash[i] for i in gi)]
+        in_local = {i for gi in local for i in gi}
+        strings = HamiltonianSum(g.n, [t for i, t in enumerate(g.terms) if i not in in_local])
+        self.diag, self.masks = None, []
+        index = np.arange(1 << g.n)
+        for f, d in strings.flip_diagonals():
+            if f == 0:
+                self.diag = d.real
+            else:
+                self.masks.append((index ^ f, d))
+        sub = HamiltonianSum.from_groups(g.n, [[g.terms[i] for i in gi] for gi in local])
+        self.local = []
+        for members, mats in _dense_stacks(sub):
+            w, v = np.linalg.eigh(mats)
+            self.local += [(sub.group_support(sub.group_indices()[m]), w[p], v[p]) for p, m in enumerate(members)]
+        parts = [d for _, d in self.masks] + [w for _, w, _ in self.local]
+        if self.diag is not None:
+            parts.append(self.diag)
+        self.scale = max((float(np.max(np.abs(a), initial=0.0)) for a in parts), default=0.0)
+
+    def at(self, theta: float, what: str):
+        """The map psi -> exp(-i theta G) psi; ``PreconditionError`` (naming
+        ``what``) before any phase is formed when one reaches 2^52."""
+        _check_phase(theta, self.scale, what)
+        phase = None if self.diag is None else np.exp(-1j * theta * self.diag)
+        passes = []
+        for perm, d in self.masks:
+            a = np.abs(d)
+            # sin(theta a) / a, with its limit theta where a = 0
+            ratio = np.divide(np.sin(theta * a), a, out=np.full(a.shape, theta), where=a > 0.0)
+            passes.append((perm, np.cos(theta * a).astype(complex), -1j * ratio * np.conj(d)))
+        props = [(supp, (v * np.exp(-1j * theta * w)) @ v.conj().T) for supp, w, v in self.local]
+
+        def apply(psi: np.ndarray) -> np.ndarray:
+            # each pass updates a fresh array in place
+            out = psi.copy() if phase is None else phase * psi
+            for perm, c, k in passes:
+                flipped = out[perm]
+                flipped *= k
+                out *= c
+                out += flipped
+            for supp, u in props:
+                out = _apply_local(u, supp, out)
+            return out
+
+        return apply
+
+
+def _apply_local(u: np.ndarray, supp, psi: np.ndarray) -> np.ndarray:
+    """u psi for a 2^w x 2^w matrix ``u`` on the qubits ``supp`` (increasing,
+    the first the most significant bit of u's index), by one ``tensordot``."""
+    w, n = len(supp), psi.size.bit_length() - 1
+    out = np.tensordot(u.reshape((2,) * 2 * w), psi.reshape((2,) * n), axes=(range(w, 2 * w), supp))
+    return np.moveaxis(out, range(w), supp).reshape(-1)
+
+
+def _commuting_reference(h: HamiltonianSum, t: float, psi: np.ndarray, what: str) -> np.ndarray:
+    """exp(-i t h) psi by ``expm_multiply`` on the CSR matrix of ``h``.
+
+    Its Taylor steps number about t * ||h||_1, so that product is held to
+    the phase guard and then to the step ceiling before the call.
+    ``onenormest`` draws from numpy's global generator once t * ||h||_1
+    passes about 63, so the call runs on a fixed seed, and the caller's
+    generator state is restored.
+    """
+    mat = h.to_matrix()
+    with np.errstate(over="ignore"):
+        norm = float(scipy.sparse.linalg.norm(mat, 1))
+    _check_phase(t, norm, what)
+    if abs(t) * norm > _STEP_CEILING:
+        raise ResourceLimitError(
+            f"{what} takes about {abs(t) * norm:.3g} Taylor steps, t times the 1-norm of its "
+            f"generator, above the step ceiling of {_STEP_CEILING}"
+        )
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return scipy.sparse.linalg.expm_multiply(-1j * t * mat, psi)
+    finally:
+        np.random.set_state(state)
 
 
 class _PreparedProtocol:
     """The step-count-independent part of a protocol run on one start state.
 
-    Holds the normalized start state, the reference state and the
-    eigendecompositions of the step generators: A - B for the stoquastic
-    protocol, whose reference shares it, and A and B for the commuting one.
+    Holds the normalized start state, the reference state and the step
+    generators: the eigendecomposition of A - B for the stoquastic protocol,
+    whose reference shares it, and the matrix-free propagators of A and B
+    for the commuting one.
     """
 
     def __init__(self, protocol: ZenoProtocol, psi0: np.ndarray):
@@ -176,13 +322,13 @@ class _PreparedProtocol:
             raise PreconditionError("initial state must be normalized")
         self.protocol = protocol
         self.psi = psi / nrm
-        w, v = scipy.linalg.eigh(protocol.reference_generator().to_matrix(dense=True))
-        if protocol.kind == "stoquastic":
-            self.eigs = [(w, v)]
-        else:
-            self.eigs = [scipy.linalg.eigh(h.to_matrix(dense=True)) for h in (protocol.a, protocol.b)]
         what = f"reference exp(-i t ({protocol.reference_label})) psi"
-        self.ref = v @ (_phases(protocol.t, w, what) * (v.conj().T @ self.psi))
+        if protocol.kind == "stoquastic":
+            self.w, self.v = scipy.linalg.eigh(protocol.reference_generator().to_matrix(dense=True))
+            self.ref = self.v @ (_phases(protocol.t, self.w, what) * (self.v.conj().T @ self.psi))
+        else:
+            self.ref = _commuting_reference(protocol.reference_generator(), protocol.t, self.psi, what)
+            self.props = [_CommutingPropagator(h) for h in (protocol.a, protocol.b)]
         if not np.all(np.isfinite(self.ref)):
             raise PreconditionError(f"{what} is not finite at t={protocol.t:g}")
 
@@ -192,15 +338,11 @@ class _PreparedProtocol:
         delta = protocol.t / steps
         if protocol.kind == "stoquastic":
             # the state stays in the eigenbasis of A - B until the last step
-            w, v = self.eigs[0]
-            phases = _phases(delta, w, "step exp(-i delta (A-B))")
-            state, step = v.conj().T @ self.psi, lambda s: phases * s
+            phases = _phases(delta, self.w, "step exp(-i delta (A-B))")
+            state, step = self.v.conj().T @ self.psi, lambda s: phases * s
         else:
-            u_step = sum(
-                (v * _phases(2.0 * delta, w, f"step exp(-2i delta {name})")) @ v.conj().T
-                for name, (w, v) in zip("AB", self.eigs)
-            ) / 2.0
-            state, step = self.psi, lambda s: u_step @ s
+            u_a, u_b = (p.at(2.0 * delta, f"step exp(-2i delta {name})") for name, p in zip("AB", self.props))
+            state, step = self.psi, lambda s: (u_a(s) + u_b(s)) / 2.0
         survival = 1.0
         step_survivals = np.empty(steps)
         for k in range(steps):
@@ -214,7 +356,7 @@ class _PreparedProtocol:
             step_survivals[k] = p
             state = kept / np.sqrt(p)
         if protocol.kind == "stoquastic":
-            state = v @ state
+            state = self.v @ state
 
         branch = np.sqrt(survival) * state
         return TrajectoryResult(
@@ -260,7 +402,7 @@ def zeno_scaling_sweep(protocol: ZenoProtocol, psi0: np.ndarray, step_counts) ->
     """Rerun the protocol over increasing step counts and fit log-log slopes.
 
     The ``steps`` field of ``protocol`` is ignored; total time is fixed.  The
-    eigendecompositions and the reference state are computed once per sweep,
+    step generators and the reference state are prepared once per sweep,
     after every step count is checked against the step ceiling.
     """
     counts = list(step_counts)

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import pinq.cli
@@ -457,11 +458,11 @@ def test_zeno_sweep_reads_no_single_run_step_count(tmp_path, capsys):
     assert with_n["payload"] == plain["payload"]
 
 
-@pytest.mark.parametrize("kind, b_coeff", [("comm", "1"), ("stoq", "-1")])
-def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
-    # 13 system qubits: a dense generator would take 512 MiB
-    a = _write(tmp_path, "a.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n")
-    b = _write(tmp_path, "b.txt", f"qubits 13\n{b_coeff} XIIIIIIIIIIII\n")
+def _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, qubits, b_coeff):
+    """exit code and stderr of a one-flip ``zeno`` run on ``qubits`` system
+    qubits, with every flip-diagonal build above 2 qubits made to fail."""
+    a = _write(tmp_path, "a.txt", f"qubits {qubits}\n0.5 Z{'I' * (qubits - 1)}\n")
+    b = _write(tmp_path, "b.txt", f"qubits {qubits}\n{b_coeff} X{'I' * (qubits - 1)}\n")
     build = HamiltonianSum._flip_stack
 
     def small_only(self):
@@ -476,9 +477,64 @@ def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypa
     monkeypatch.setattr(HamiltonianSum, "_flip_stack", small_only)
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_diagonals)
     code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--n", "5"])
-    captured = capsys.readouterr()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, b_coeff", [("stoq", "-1")])
+def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
+    # 13 system qubits: the dense generator A - B would take 512 MiB
+    code, err = _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, 13, b_coeff)
     assert code == 3
-    assert "dense ceiling" in captured.err
+    assert "dense ceiling" in err
+
+
+def test_zeno_commuting_sparse_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch):
+    # the commuting protocol holds no dense matrix; 17 system qubits are
+    # above the sparse ceiling of its flip diagonals and CSR reference
+    code, err = _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, "comm", 17, "1")
+    assert code == 3
+    assert "sparse ceiling" in err
+
+
+def test_zeno_commuting_runs_above_the_dense_ceiling(tmp_path, capsys):
+    a = _write(tmp_path, "a.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n-0.3 ZZIIIIIIIIIII\n")
+    b = _write(tmp_path, "b.txt", "qubits 13\n1 XIIIIIIIIIIII\n0.4 IIIIIIIIIIIXY\n")
+    code, report = _run(capsys, "zeno", "--kind", "comm", "--a", a, "--b", b, "--t", "1", "--n", "50")
+    assert code == 0
+    assert report["payload"]["reference"] == "A+B"
+    assert 0.0 < report["payload"]["error"] < 0.1
+    assert 0.9 < report["payload"]["survival"] < 1.0
+
+
+def test_zeno_reference_cost_checked_before_expm_multiply(tmp_path, capsys, monkeypatch):
+    # ||Z + X||_1 = 2, so t = 6e6 asks expm_multiply for about 1.2e7 Taylor
+    # steps, above the step ceiling of 10^7
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", "qubits 1\n1 X\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_multiply called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+    code = main(["zeno", "--kind", "comm", "--a", a, "--b", b, "--t", "6e6", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "step ceiling" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [(["spectrum", "{h}", "--bounds", "1"], 2, "ParseError"),
+     (["zeno", "--kind", "comm", "--a", "{h}", "--b", "{h}", "--t", "1", "--n", "10000001"], 3, "ResourceLimitError")],
+)
+def test_errors_carry_a_json_line(tmp_path, capsys, argv, code, kind):
+    h = _write(tmp_path, "h.txt", "qubits 1\n1 Z\n")
+    assert main([a.format(h=h) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert not captured.out
+    human, record = captured.err.splitlines()
+    assert human.startswith("error: ")
+    assert json.loads(record) == {"error": {"type": kind, "message": human[len("error: "):], "exit_code": code}}
 
 
 def test_gscon_build_and_verify(tmp_path, capsys):

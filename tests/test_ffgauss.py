@@ -581,3 +581,21 @@ def test_non_finite_matrices_rejected(bad):
         with pytest.raises(PreconditionError, match="non-finite"):
             cls(m)
 
+
+
+def test_end_state_descent_computes_no_energies(monkeypatch):
+    # the walk records one energy per rotation it makes; the end state's
+    # descent is replayed by its rotations alone, so it computes none
+    start, end, h = generic_three_mode()
+    walk = pinq.ffgauss._Walk(start, h)
+    calls = []
+    original = pinq.ffgauss.energy
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pinq.ffgauss, "energy", counted)
+    walk.descend_and_meet(CovMatrix(end))
+    assert walk.rotations
+    assert len(calls) == len(walk.rotations) == len(walk.energies)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from oracles import pauli_matrix, zeno_register_evolve
 
+import pinq.pauli
 import pinq.zeno
 from pinq.errors import PreconditionError, ResourceLimitError
 from pinq.pauli import HamiltonianSum, PauliString
@@ -315,3 +317,116 @@ def test_step_ceiling_checked_before_allocation(monkeypatch):
     protocol = ZenoProtocol("commuting", a, b, 1.0, ceiling)
     with pytest.raises(ResourceLimitError, match="step ceiling"):
         zeno_scaling_sweep(protocol, np.array([1.0, 0.0]), [1, 10**20])
+
+
+def _mixed_commuting(rng, n):
+    """Pairwise-commuting strings, most of them off-diagonal with a Z or a Y
+    beside an X, so that the flip diagonals carry signs and phases."""
+    terms = []
+    for _ in range(6 * n):
+        label = _random_label(rng, n, "IXYZ" if n > 1 else "XYZ")
+        s = PauliString.from_label(label)
+        if all(s.commutes_with(PauliString.from_label(kept)) for _, kept in terms):
+            terms.append((float(rng.uniform(-1.0, 1.0)), label))
+    return HamiltonianSum.from_terms(n, terms)
+
+
+def _assert_matches_register_oracle(a, b, t, psi0, steps=(1, 6, 40)):
+    for n_steps in steps:
+        res = zeno_evolve(ZenoProtocol("commuting", a, b, t, n_steps), psi0)
+        state, survival, step_survivals, error = zeno_register_evolve(
+            "commuting", _labels(a), _labels(b), t, n_steps, psi0
+        )
+        assert np.max(np.abs(res.final_state - state)) <= 1e-10
+        assert abs(res.survival_probability - survival) <= 1e-10
+        assert np.max(np.abs(res.step_survivals - step_survivals)) <= 1e-10
+        assert abs(res.error_norm - error) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_commuting_flip_passes_match_register_oracle(n):
+    # one rotation per flip mask, against the literal (n+1)-qubit simulation
+    rng = np.random.default_rng(900 + n)
+    with_y = beside_x = 0
+    for _ in range(8):
+        a, b = _mixed_commuting(rng, n), _mixed_commuting(rng, n)
+        strings = [t.string for t in a.terms + b.terms]
+        with_y += sum(s.has_y for s in strings)
+        beside_x += sum(bool(s.x & ~s.z and s.z) for s in strings)
+        psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi0 /= np.linalg.norm(psi0)
+        _assert_matches_register_oracle(a, b, float(rng.uniform(0.3, 1.5)), psi0)
+    assert with_y > 0 and (beside_x > 0 or n == 1)
+
+
+def test_grouped_generator_takes_local_propagators():
+    # {X0/2, X0 Z2/2} and {Z0/2, -Z0 Z2/2} commute as groups although X0 and
+    # Z0 anticommute: each is exp(-i theta H_g) on its support, (0, 2) for
+    # the first and (0, 1, 2) for the second, which also holds a Y string
+    # that commutes with every string; the group of Z2 is one phase vector
+    a = HamiltonianSum.from_groups(3, [
+        [(0.5, "XII"), (0.5, "XIZ")],
+        [(0.5, "ZII"), (0.3, "IYI"), (-0.5, "ZIZ")],
+        [(-0.8, "IIZ")],
+    ])
+    b = HamiltonianSum.from_terms(3, [(0.7, "XXI"), (0.4, "IXX"), (0.5, "ZZZ")])
+    prop = pinq.zeno._CommutingPropagator(a)
+    assert sorted(supp for supp, _, _ in prop.local) == [(0, 1, 2), (0, 2)]
+    assert not prop.masks and prop.diag is not None
+    rng = np.random.default_rng(3)
+    psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi0 /= np.linalg.norm(psi0)
+    _assert_matches_register_oracle(a, b, 0.9, psi0)
+    _assert_matches_register_oracle(b, a, 0.9, psi0)
+
+
+def test_reference_ignores_the_global_random_state(monkeypatch):
+    # t * ||A + B||_1 is far above 63, where expm_multiply's onenormest draws
+    # from numpy's global generator
+    rng = np.random.default_rng(11)
+    a, b = _mixed_commuting(rng, 4), _mixed_commuting(rng, 4)
+    psi0 = np.full(16, 0.25)
+    protocol = ZenoProtocol("commuting", a, b, 40.0, 3)
+    draws = []
+    randint = np.random.randint
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return randint(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "randint", counted)
+    refs = []
+    for seed in (1, 12345):
+        np.random.seed(seed)
+        refs.append(zeno_evolve(protocol, psi0).reference_state)
+        after = np.random.random()
+        np.random.seed(seed)
+        assert after == np.random.random()  # the caller's generator state is kept
+    assert draws
+    assert refs[0].tobytes() == refs[1].tobytes()
+    gen = pauli_matrix(4, _labels(a) + _labels(b))
+    assert np.max(np.abs(refs[0] - scipy.linalg.expm(-40j * gen) @ psi0)) <= 1e-10
+
+
+def test_reference_cost_checked_before_expm_multiply(monkeypatch):
+    # ||Z + X||_1 = 2: t = 6e6 would take about 1.2e7 Taylor steps
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm_multiply called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+    protocol = ZenoProtocol("commuting", _ham(1, [(1.0, "Z")]), _ham(1, [(1.0, "X")]), 6e6, 5)
+    with pytest.raises(ResourceLimitError, match="step ceiling"):
+        zeno_evolve(protocol, np.array([1.0, 0.0]))
+
+
+def test_commuting_byte_ceiling_checked_before_allocation(monkeypatch):
+    # 683 X masks on 16 qubits: the CSR matrix of B would take 537133056
+    # bytes of data and index, over the 512 MiB ceiling
+    def no_diagonals(*args):
+        raise AssertionError("flip diagonals built before the ceiling check")
+
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_diagonals)
+    masks = [PauliString(16, x, 0) for x in range(1, 684)]
+    b = HamiltonianSum(16, [(1.0, s) for s in masks])
+    with pytest.raises(ResourceLimitError, match="iterative ceiling"):
+        ZenoProtocol("commuting", _ham(16, [(1.0, "Z" + "I" * 15)]), b, 1.0, 5)
