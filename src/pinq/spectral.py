@@ -2,9 +2,18 @@
 
 Every entry point takes a Pauli sum (``HamiltonianSum``), never a matrix.
 The dense route (LAPACK ``eigh``, lowest eigenpair only) is the authoritative
-oracle at small sizes.  The iterative route runs ARPACK's implicitly restarted
-Lanczos (``eigsh``) on a matrix-free operator with a seeded start vector, so
-results are deterministic for a fixed seed.  The operator is the flip-ordered
+oracle at small sizes.  It solves each symmetry sector on its own: with
+H = sum_f P_f diag(D_f) and V the GF(2) span of the flip masks f, H[r, s]
+is nonzero only when r ^ s is in V, so the cosets r ^ V (the joint
+eigenspaces of the Z strings that commute with every term) are invariant.
+A span of rank k gives 2^(n-k) blocks of 2^k states, one ``eigh`` each, for
+2^(n-k) * 8^k work instead of 8^n; the lowest block value wins, the first
+block on ties.  The residual is taken on the whole matrix, an independent
+check that the split was exact.
+
+The iterative route runs ARPACK's implicitly restarted Lanczos (``eigsh``)
+on a matrix-free operator with a seeded start vector, so results are
+deterministic for a fixed seed.  The operator is the flip-ordered
 CSR matrix of the sum's flip-diagonal form H = sum_f P_f diag(D_f), built once
 per solve, applied by scipy's compiled product and dropped when the solve
 returns.  An operator with no nonzero entry has ground energy 0 and never
@@ -26,6 +35,7 @@ from .pauli import (
     HamiltonianSum,
     _check_ceiling,
     _check_operator_bytes,
+    _support_bits,
     flip_matvec,
 )
 from .pinning import PinSpec, PromiseBounds, effective_sum
@@ -45,6 +55,7 @@ class SpectralResult:
     method: str
     residual: float
     iterations: int = 0
+    blocks: int = 0  # dense eigensolves: one per symmetry sector
 
 
 def check_qubit_ceiling(n: int) -> None:
@@ -79,10 +90,46 @@ def _residual(matvec, val: float, vec: np.ndarray) -> float:
     return resid
 
 
-def _lowest_pair(mat: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(value, vector, residual) of the lowest eigenpair of a dense matrix."""
-    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
-    val, vec = float(evals[0]), evecs[:, 0]
+def _sectors(h: HamiltonianSum) -> np.ndarray:
+    """State indices of each symmetry sector of ``h``, one row per sector.
+
+    The flip masks of the terms, in state-index bits, are reduced to an
+    echelon basis of their GF(2) span V, of rank k.  Each state is labelled
+    by its coset representative, the one element of r ^ V that is zero at
+    every leading bit; a stable sort by label gives 2^(n-k) rows of 2^k
+    increasing states, in increasing label order.
+    """
+    local = _support_bits(range(h.n))
+    basis = []
+    for f in sorted({local(t.string.x) for t in h.terms}):
+        for b in basis:
+            f = min(f, f ^ b)
+        if f:
+            # f is zero at the leading bit of every earlier basis mask
+            basis.append(f)
+    labels = np.arange(1 << h.n)
+    for b in basis:
+        np.minimum(labels, labels ^ b, out=labels)
+    return np.argsort(labels, kind="stable").reshape(-1, 1 << len(basis))
+
+
+def _lowest_pair(mat: np.ndarray, sectors: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(value, vector, residual) of the lowest eigenpair of a dense matrix
+    that leaves the span of each row of ``sectors`` invariant.
+
+    One ``eigh`` per sector block; a single sector is solved on ``mat``
+    itself.  ``argmin`` keeps the first sector on ties and a NaN value if
+    any block has one.  The residual is taken on the whole matrix.
+    """
+    # one block copy at a time
+    blocks = [mat] if len(sectors) == 1 else (mat[np.ix_(idx, idx)] for idx in sectors)
+    pairs = [scipy.linalg.eigh(block, subset_by_index=[0, 0]) for block in blocks]
+    best = int(np.argmin([evals[0] for evals, _ in pairs]))
+    val, vec = float(pairs[best][0][0]), pairs[best][1][:, 0]
+    if len(sectors) > 1:
+        full = np.zeros(mat.shape[0], dtype=vec.dtype)
+        full[sectors[best]] = vec
+        vec = full
     return val, vec, _residual(lambda v: mat @ v, val, vec)
 
 
@@ -102,7 +149,8 @@ def _arpack_min(matvec, mat, seed) -> SpectralResult:
 
     if dim <= 2:
         # ARPACK needs k < dim - 1 for complex operators: apply H to the basis
-        val, vec, resid = _lowest_pair(np.column_stack([counted(e) for e in np.eye(dim)]))
+        mat = np.column_stack([counted(e) for e in np.eye(dim)])
+        val, vec, resid = _lowest_pair(mat, np.arange(dim)[None])
         return SpectralResult(val, vec, "iterative", resid, count[0])
     # the generator also draws ARPACK's restart vectors, which it would
     # otherwise seed from OS entropy when a Krylov space closes early
@@ -139,8 +187,10 @@ def min_eig(h: HamiltonianSum, method="auto", seed=0) -> SpectralResult:
     if method == "auto":
         method = "dense" if h.n <= DENSE_QUBIT_CEILING else "iterative"
     if method == "dense":
-        val, vec, resid = _lowest_pair(h.to_matrix(dense=True))  # raises above the dense ceiling
-        res = SpectralResult(val, vec, "dense", resid)
+        mat = h.to_matrix(dense=True)  # raises above the dense ceiling
+        sectors = _sectors(h)
+        val, vec, resid = _lowest_pair(mat, sectors)
+        res = SpectralResult(val, vec, "dense", resid, blocks=len(sectors))
     elif method == "iterative":
         res = _arpack_min(*operator(h), seed)
     else:

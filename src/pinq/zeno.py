@@ -37,8 +37,10 @@ of its generator is applied as its own 2^w propagator on its support, by one
 ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011)) on
 the CSR matrix of A + B, independent of the step route; its cost, about
 t * ||A + B||_1 Taylor steps, is held to the step ceiling before the call.
-The register obeys the 16-qubit sparse ceiling, and A, B and A + B the byte
-ceiling of their CSR operators, all checked before anything is built.
+The register obeys the 16-qubit sparse ceiling, A, B and A + B the byte
+ceiling of their CSR operators, and the run's working set (the reference's
+CSR copies and the propagators' per-mask vectors, charged as one total) the
+same byte ceiling, all checked before anything is built.
 
 Each route is exact up to round-off, not a product formula, so the measured
 scaling isolates the projection error.  A phase s * w keeps fractional bits
@@ -63,6 +65,7 @@ import scipy.sparse.linalg
 from .errors import PreconditionError, ResourceLimitError, SurvivalUnderflowError
 from .pauli import (
     DENSE_QUBIT_CEILING,
+    ITERATIVE_BYTE_CEILING,
     SPARSE_QUBIT_CEILING,
     HamiltonianSum,
     PauliTerm,
@@ -108,8 +111,10 @@ class ZenoProtocol:
             _check_ceiling(self.a.n, DENSE_QUBIT_CEILING, "dense")
         else:
             _check_ceiling(self.a.n, SPARSE_QUBIT_CEILING, "sparse")
-            for ham in (self.a, self.b, self.reference_generator()):
+            g = self.reference_generator()
+            for ham in (self.a, self.b, g):
                 _check_operator_bytes(ham)
+            _check_commuting_bytes(self.a, self.b, g)
         if not math.isfinite(self.t):
             raise PreconditionError(f"total time must be finite, got {self.t}")
         if self.steps < 1:
@@ -164,6 +169,30 @@ class TrajectoryResult:
 def _check_step_count(steps: int) -> None:
     if steps > _STEP_CEILING:
         raise ResourceLimitError(f"{steps} steps exceed the step ceiling of {_STEP_CEILING}")
+
+
+def _check_commuting_bytes(a: HamiltonianSum, b: HamiltonianSum, g: HamiltonianSum) -> None:
+    """``ResourceLimitError`` when the working set of a commuting run with
+    reference generator ``g`` = A + B, charged as one total, is above
+    ``ITERATIVE_BYTE_CEILING``; nothing is built.
+
+    The reference holds three complex CSR matrices of A + B with int32
+    indices, each with room for one more entry per row (the identity
+    shift): the scaled matrix, ``expm_multiply``'s shifted copy of it, and
+    that copy's scaled copy for the norm estimates.  A propagator holds,
+    per flip mask of its generator, the diagonal and an intp permutation,
+    and a map made at one step size two complex vectors.  The total adds
+    both stages, so it bounds the peak from above.
+    """
+    dim = 1 << g.n
+    need = 3 * (g.flip_count() + 1) * dim * (16 + 4)
+    for h in (a, b):
+        need += h.flip_count() * dim * (np.dtype(h.dtype).itemsize + 8 + 2 * 16)
+    if need > ITERATIVE_BYTE_CEILING:
+        raise ResourceLimitError(
+            f"a commuting run on {g.n} qubits with {a.flip_count()} + {b.flip_count()} flip masks "
+            f"holds about {need} bytes, above the iterative ceiling of {ITERATIVE_BYTE_CEILING}"
+        )
 
 
 def _check_phase(time: float, scale: float, what: str) -> None:
@@ -292,10 +321,12 @@ def _commuting_reference(h: HamiltonianSum, t: float, psi: np.ndarray, what: str
             f"{what} takes about {abs(t) * norm:.3g} Taylor steps, t times the 1-norm of its "
             f"generator, above the step ceiling of {_STEP_CEILING}"
         )
+    # the scaled complex data replaces the real data, and the index is kept
+    mat.data = mat.data * (-1j * t)
     state = np.random.get_state()
     np.random.seed(0)
     try:
-        return scipy.sparse.linalg.expm_multiply(-1j * t * mat, psi)
+        return scipy.sparse.linalg.expm_multiply(mat, psi)
     finally:
         np.random.set_state(state)
 

@@ -58,6 +58,12 @@ def pauli_matrix(n, terms):
     return out
 
 
+def lowest_eigenvalue(n, terms):
+    """Lowest eigenvalue of a list of (coeff, label) terms: one plain ``eigh``
+    of ``pauli_matrix``, with no symmetry split."""
+    return float(scipy.linalg.eigh(pauli_matrix(n, terms), eigvals_only=True)[0])
+
+
 def _kron_chain(ops):
     out = np.array([[1.0]], dtype=complex)
     for op in ops:

@@ -496,6 +496,29 @@ def test_zeno_commuting_sparse_ceiling_checked_before_allocation(tmp_path, capsy
     assert "sparse ceiling" in err
 
 
+def test_zeno_commuting_working_set_checked_before_allocation(tmp_path, capsys, monkeypatch):
+    # 300 + 300 X masks on 16 qubits: the CSR operators of A, B and A + B
+    # (600 * 2^16 * 12 = 471859200 bytes) each pass the byte ceiling, but
+    # the run would hold three complex copies of A + B and the propagators
+    n = 16
+    labels = [format(x, f"0{n}b").replace("0", "I").replace("1", "X") for x in range(1, 601)]
+    a = _write(tmp_path, "a.txt", f"qubits {n}\n" + "".join(f"1 {lbl}\n" for lbl in labels[:300]))
+    b = _write(tmp_path, "b.txt", f"qubits {n}\n" + "".join(f"0.5 {lbl}\n" for lbl in labels[300:]))
+    ha, hb = load_hamiltonian(a), load_hamiltonian(b)
+    for ham in (ha, hb, ha + hb):
+        pinq.pauli._check_operator_bytes(ham)
+
+    def no_build(*args):
+        raise AssertionError("flip diagonals built before the ceiling check")
+
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
+    code = main(["zeno", "--kind", "comm", "--a", a, "--b", b, "--t", "1", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "iterative ceiling" in captured.err and "Traceback" not in captured.err
+
+
 def test_zeno_commuting_runs_above_the_dense_ceiling(tmp_path, capsys):
     a = _write(tmp_path, "a.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n-0.3 ZZIIIIIIIIIII\n")
     b = _write(tmp_path, "b.txt", "qubits 13\n1 XIIIIIIIIIIII\n0.4 IIIIIIIIIIIXY\n")

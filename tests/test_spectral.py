@@ -1,14 +1,20 @@
 """Ground-energy solvers: dense oracle, ARPACK agreement, resource and
 convergence errors, promise decisions."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
+from oracles import lowest_eigenvalue
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import pinq.spectral
+from pinq.cli import main
 from pinq.errors import ConvergenceError, ResourceLimitError
-from pinq.pauli import HamiltonianSum
-from pinq.pinning import PinSpec, PromiseBounds
+from pinq.io import load_hamiltonian
+from pinq.pauli import HamiltonianSum, PauliString
+from pinq.pinning import PinSpec, PromiseBounds, effective_sum
 from pinq.spectral import (
     GAP_VIOLATION,
     ITERATIVE_BYTE_CEILING,
@@ -41,6 +47,9 @@ def test_iterative_matches_dense_at_8_qubits():
     it = min_eig(h, method="iterative", seed=0)
     assert it.value == pytest.approx(dense.value, abs=1e-8)
     assert it.residual <= 1e-8
+    # ARPACK counts its matvecs and takes no dense eigensolve
+    assert it.iterations > 0 and it.blocks == 0
+    assert dense.iterations == 0 and dense.blocks >= 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -131,7 +140,7 @@ def test_zero_operator_has_energy_zero_without_arpack(monkeypatch, n, terms):
     monkeypatch.setattr(pinq.spectral, "eigsh", no_arpack)
     monkeypatch.setattr(pinq.spectral, "eigs", no_arpack)
     res = min_eig(HamiltonianSum.from_terms(n, terms), method="iterative")
-    assert (res.value, res.residual, res.iterations) == (0.0, 0.0, 0)
+    assert (res.value, res.residual, res.iterations, res.blocks) == (0.0, 0.0, 0, 0)
     assert np.linalg.norm(res.vector) == 1.0
 
 
@@ -217,3 +226,149 @@ def test_overflowing_residual_is_a_convergence_error(method):
     h = HamiltonianSum.from_terms(2, [(1e200, "XX"), (-0.25, "ZZ")])
     with pytest.raises(ConvergenceError, match="not finite"):
         min_eig(h, method=method)
+
+
+def _sum_of_rank(rng, n, k, complex_terms=False, m=12):
+    """A seeded sum on n qubits whose X flip masks span a GF(2) space of rank
+    k: k masks with distinct leading bits, each one term, and m terms whose
+    masks are random combinations of them (0 included).  Real sums carry no
+    Y; complex ones carry Y on the first basis term and at random."""
+    pivots = rng.choice(n, k, replace=False)
+    basis = [(1 << int(p)) | int(rng.integers(0, 1 << int(p))) for p in pivots]
+    masks = basis + [int(np.bitwise_xor.reduce([b for b in basis if rng.random() < 0.5] or [0]))
+                     for _ in range(m)]
+    terms = []
+    for i, x in enumerate(masks):
+        z = int(rng.integers(0, 1 << n))
+        if not complex_terms:
+            z &= ~x
+        elif i == 0:
+            z |= x
+        terms.append((float(rng.uniform(-1, 1)), PauliString(n, x, z)))
+    return HamiltonianSum(n, terms)
+
+
+def _labels(h):
+    return [(t.coeff, t.string.label()) for t in h.terms]
+
+
+def _assert_matches_oracle(h, blocks):
+    res = min_eig(h, method="dense")
+    assert res.blocks == blocks
+    assert abs(res.value - lowest_eigenvalue(h.n, _labels(h))) <= 1e-12
+    assert res.residual <= 1e-10
+    assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
+    return res
+
+
+@pytest.mark.parametrize("complex_terms", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_dense_sectors_match_the_plain_eigh_oracle_at_every_rank(n, complex_terms):
+    rng = np.random.default_rng(200 + n + 10 * complex_terms)
+    for k in range(n + 1):
+        h = _sum_of_rank(rng, n, k, complex_terms)
+        assert h.has_y == (complex_terms and k > 0)
+        _assert_matches_oracle(h, 1 << (n - k))
+
+
+def test_dense_sectors_of_a_diagonal_sum_are_single_states():
+    h = HamiltonianSum.from_terms(5, [(0.7, "ZIZII"), (-0.4, "IZZZI"), (0.2, "IIIIZ"), (-1.1, "ZZIIZ")])
+    res = _assert_matches_oracle(h, 32)
+    assert np.count_nonzero(res.vector) == 1
+
+
+def test_dense_sectors_of_cancelling_terms():
+    # the cancelled X masks still enter the span, which only coarsens the
+    # sectors; the matrix itself is diagonal
+    h = HamiltonianSum.from_terms(4, [(1.0, "XXII"), (0.3, "ZIZI"), (-1.0, "XXII"),
+                                      (0.5, "IYIY"), (-0.5, "IYIY"), (-0.8, "IIZZ")])
+    _assert_matches_oracle(h, 4)
+
+
+def test_dense_ground_level_degenerate_across_sectors_is_deterministic():
+    # X on qubit 0 alone flips, so the sectors are the four values of qubits
+    # 1 and 2; -0.5 Z1 Z2 puts the same ground level in labels 00 and 11,
+    # and the first, qubits 1 and 2 at 0 (states 0 and 4), is kept
+    h = HamiltonianSum.from_terms(3, [(-1.0, "XII"), (-0.5, "IZZ"), (0.25, "ZII")])
+    first = _assert_matches_oracle(h, 4)
+    assert np.flatnonzero(first.vector).tolist() == [0, 4]
+    for _ in range(3):
+        again = min_eig(h, method="dense")
+        assert again.value == first.value
+        assert again.vector.tobytes() == first.vector.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 2, 4, 6])
+def test_eigensolver_sees_only_sector_blocks(monkeypatch, k):
+    # rank k: one eigh per sector on its 2^k x 2^k block; full rank: one
+    # eigh on the very array to_matrix built, as before the split
+    n = 6
+    h = _sum_of_rank(np.random.default_rng(300 + k), n, k, complex_terms=k % 4 == 2)
+    built, calls = [], []
+    to_matrix, eigh = HamiltonianSum.to_matrix, scipy.linalg.eigh
+
+    def recorded_matrix(self, dense=False):
+        built.append(to_matrix(self, dense=dense))
+        return built[-1]
+
+    def recorded_eigh(a, *args, **kwargs):
+        calls.append((a.shape, a is built[0]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(HamiltonianSum, "to_matrix", recorded_matrix)
+    monkeypatch.setattr(scipy.linalg, "eigh", recorded_eigh)
+    res = min_eig(h, method="dense")
+    assert len(built) == 1
+    assert calls == [((1 << k, 1 << k), k == n)] * (1 << (n - k))
+    assert res.blocks == 1 << (n - k)
+
+
+def _xz_terms(n, rng):
+    """The benchmark's pinned-decide family: 2n random 2-local terms over
+    {X, Z} x {X, Z} and a Z field on every qubit, drawn in that order."""
+    def label(letters):
+        return "".join(letters.get(q, "I") for q in range(n))
+
+    terms = []
+    for _ in range(2 * n):
+        i, j = (int(q) for q in rng.choice(n, 2, replace=False))
+        letters = {i: str(rng.choice(["X", "Z"])), j: str(rng.choice(["X", "Z"]))}
+        terms.append((float(rng.normal()), label(letters)))
+    for q in range(n):
+        terms.append((-float(rng.uniform(1.5, 2.5)), label({q: "Z"})))
+    return terms
+
+
+def _plain_payload(h):
+    """The dense payload from one ``eigh`` of the whole matrix, unsplit."""
+    mat = h.to_matrix(dense=True)
+    evals, evecs = scipy.linalg.eigh(mat, subset_by_index=[0, 0])
+    val, vec = float(evals[0]), evecs[:, 0]
+    return {"value": val, "residual": float(np.linalg.norm(mat @ vec - val * vec)), "method": "dense"}
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_full_rank_pinned_decide_payloads_are_unsplit(tmp_path, capsys, seed):
+    # seeds 2, 3 and 5 of the pinned-decide workload draw full-rank flip
+    # masks at n = 10: one block, the whole matrix, as before the split
+    n = 10
+    rng = np.random.default_rng(seed)
+    terms = _xz_terms(n, rng)
+    norm = sum(abs(c) for c, _ in terms)
+    yes = rng.random() < 0.5
+    bounds, decision, code = ((norm + 1.0, norm + 2.0), "YES", 0) if yes else ((-norm - 2.0, -norm - 1.0), "NO", 1)
+    f, fs = tmp_path / "h.txt", str(tmp_path / "hs.txt")
+    f.write_text(f"qubits {n}\n" + "".join(f"{c:.17g} {lbl}\n" for c, lbl in terms))
+    h = load_hamiltonian(str(f))
+    assert pinq.spectral._sectors(h).shape == (1, 1 << n)
+    assert main(["pin-stoquastic", str(f), "--out", fs]) == 0
+    capsys.readouterr()
+    pinned = effective_sum(load_hamiltonian(fs), PinSpec.of((n, "-")))
+    runs = [(["spectrum", fs, "--pin", f"{n}=-", f"--bounds={bounds[0]!r},{bounds[1]!r}"], code,
+             dict(_plain_payload(pinned), decision=decision)),
+            (["spectrum", str(f)], 0, _plain_payload(h))]
+    for argv, want_code, want in runs:
+        assert main(argv) == want_code
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["payload"] == want
