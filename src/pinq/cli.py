@@ -91,10 +91,11 @@ def _emit(args, subcommand, inputs, payload, t0) -> None:
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
     text = json.dumps(report, sort_keys=True)
-    print(text)
+    # the file first, so that a path that cannot be written leaves stdout empty
     if getattr(args, "json", None):
         with open(args.json, "w") as f:
             f.write(text + "\n")
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,14 @@ def _emit(args, subcommand, inputs, payload, t0) -> None:
 # ---------------------------------------------------------------------------
 
 
+_PROPERTIES = ("stoquastic", "commuting", "permutation")
+
+
 def _cmd_check(args, t0) -> int:
+    wanted = [w.strip() for w in args.expect.split(",")] if args.expect else []
+    unknown = [w for w in wanted if w not in _PROPERTIES]
+    if unknown:
+        raise ParseError(0, f"--expect names unknown properties {unknown}; valid: {', '.join(_PROPERTIES)}")
     h = load_hamiltonian(args.file)
     stoq = is_stoquastic(h, termwise=not args.assembled, tol=args.tol)
     comm = is_commuting(h)
@@ -124,12 +132,8 @@ def _cmd_check(args, t0) -> int:
     if not comm.verdict:
         payload["noncommuting_pair"] = list(comm.pair)
     _emit(args, "check", [args.file], payload, t0)
-    if args.expect:
-        wanted = args.expect.split(",")
-        results = {"stoquastic": stoq.verdict, "commuting": comm.verdict, "permutation": perm.verdict}
-        if not all(results.get(w.strip(), False) for w in wanted):
-            return EXIT_VERDICT
-    return EXIT_OK
+    results = {"stoquastic": stoq.verdict, "commuting": comm.verdict, "permutation": perm.verdict}
+    return EXIT_OK if all(results[w] for w in wanted) else EXIT_VERDICT
 
 
 def _cmd_pin(args, t0) -> int:
@@ -353,8 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="minimum (pinned) energy")
     p.add_argument("file")
     p.add_argument("--pin", action="append", metavar="Q=STATE")
-    p.add_argument("--dense", action="store_true")
-    p.add_argument("--iterative", action="store_true")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--dense", action="store_true")
+    route.add_argument("--iterative", action="store_true")
     p.add_argument("--bounds", help="decide YES/NO against promise bounds 'a,b'")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -413,7 +418,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         return args.func(args, t0)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(exc, EXIT_MALFORMED)
     except PinqError as exc:
         return _fail(exc, EXIT_PRECONDITION)

@@ -31,8 +31,15 @@ import numpy as np
 
 from .errors import ParseError, PreconditionError, UnsupportedTermError
 from .io import FORMAT_VERSIONS
-from .pauli import HamiltonianSum, PauliString, PauliTerm, projector_terms
-from .spectral import check_qubit_ceiling, operator
+from .pauli import (
+    HamiltonianSum,
+    PauliString,
+    PauliTerm,
+    _apply_local,
+    check_qubit_ceiling,
+    operator,
+    projector_terms,
+)
 
 UNITARITY_TOL = 1e-10
 
@@ -71,13 +78,7 @@ def apply_gate(state: np.ndarray, step: UnitaryStep, n: int) -> np.ndarray:
     for q in step.targets:
         if not (0 <= q < n):
             raise PreconditionError(f"gate target {q} outside register")
-    k = len(step.targets)
-    tensor = state.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, step.targets, range(k))
-    shape = tensor.shape
-    tensor = step.matrix @ tensor.reshape(1 << k, -1)
-    tensor = np.moveaxis(tensor.reshape(shape), range(k), step.targets)
-    return tensor.reshape(-1)
+    return _apply_local(step.matrix, step.targets, state)
 
 
 def _expectation(matvec, state: np.ndarray) -> float:

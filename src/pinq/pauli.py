@@ -16,13 +16,13 @@ Conventions used throughout the package:
 * One builder makes every matrix realization of a sum from its
   flip-diagonal form, H = sum_f P_f diag(D_f): ``_local_flip_forms`` builds
   its parts, either every group on its own support, batched by support
-  width, or all the terms as one part on the whole register.  Group norms
-  and termwise checks read the groups; ``flip_diagonals``, dense
-  ``to_matrix``, the assembled checks and the exact norm of a whole sum
-  read the whole-register part.  Dense matrices and norms come from one
-  scatter of a stack (``_dense_stacks``) and stop at the 12-qubit dense
-  ceiling; checks run up to the 16-qubit sparse ceiling.  No group is
-  built as a matrix of its own.
+  width, or all the terms as one part on the whole register.  Group norms,
+  termwise checks and the local propagators of ``zeno`` read the groups,
+  whose dense matrices come from one scatter of a stack (``_dense_stacks``,
+  groups only) under the 12-qubit dense ceiling.  ``flip_diagonals``, the
+  assembled checks and the compiled operator read the whole-register part;
+  checks run up to the 16-qubit sparse ceiling.  No group is built as a
+  matrix of its own.
 * Every stack has one layout: its rows are the columns of a C-ordered
   (2^w, rows) array, and the builder refuses a stack whose CSR operator,
   data plus int32 column index, would be above ``ITERATIVE_BYTE_CEILING``
@@ -31,10 +31,13 @@ Conventions used throughout the package:
   Hermiticity: ``HamiltonianSum._flip_stack`` wraps that part's (2^n,
   #flips) array, without a copy, as the data of one flip-ordered CSR
   matrix.  Row r holds H[r, r ^ f] = conj(D_f[r]) at column r ^ f for
-  every flip mask f, in increasing f.  ``apply``, sparse ``to_matrix`` and
-  ``spectral.operator`` read it, and its products run in scipy's compiled
-  CSR kernel (``flip_matvec``), which adds each row in the order of the
-  per-flip sum.
+  every flip mask f, in increasing f.  ``apply``, ``operator`` (the
+  accessor of ``spectral`` and ``gscon``) and sparse ``to_matrix`` read it,
+  dense ``to_matrix`` is it densified, and its products run in scipy's
+  compiled CSR kernel (``flip_matvec``) in the order of the per-flip sum.
+* ``_apply_local`` applies a 2^w x 2^w matrix to w qubits of a state.
+* Commutation is exact (``is_commuting``): a string of weight 0 commutes
+  with every other.
 * Every form maps each string's masks to the state-index bits of a support
   by a table of its qubits (``_local_strings``, ``_support_bits``), and
   ``_stacked_diagonals`` sums the strings into the diagonal rows.
@@ -52,6 +55,7 @@ from .errors import PreconditionError, ResourceLimitError
 
 DENSE_QUBIT_CEILING = 12
 SPARSE_QUBIT_CEILING = 16
+ITERATIVE_QUBIT_CEILING = 20
 DEFAULT_TOL = 1e-12
 # bytes one stack of flip diagonals may take, charged as the CSR operator it
 # makes: data plus int32 column index (42 real flip masks at 20 qubits)
@@ -259,7 +263,10 @@ class HamiltonianSum:
         The groups of one width are scattered into a stack of 2^w x 2^w
         matrices, and each stack takes one ``eigvalsh`` call.
         """
-        return _part_norms(self)
+        norms = {}
+        for members, mats in _dense_stacks(self):
+            norms.update(zip(members, np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1).tolist()))
+        return [norms[g] for g in range(len(norms))]
 
     @property
     def locality(self) -> int:
@@ -298,7 +305,8 @@ class HamiltonianSum:
         increasing f, so a row-by-row product adds its terms in the order of
         the per-flip sum.  The data array is the C-ordered (2^n, #flips) base
         of the whole-register part of ``_local_flip_forms``, with int32 column
-        indices: entry (r, k) holds D_f[r], and H is Hermitian, so
+        indices (the byte ceiling keeps a stack below 2^31 entries): entry
+        (r, k) holds D_f[r], and H is Hermitian, so
         H[r, r ^ f] = conj(H[r ^ f, r]) = conj(D_f[r]).  Complex data is
         conjugated in place; conjugation turns the exact-zero imaginary parts
         into -0, and adding +0 turns them back, so the data stays bit for bit
@@ -310,34 +318,32 @@ class HamiltonianSum:
             np.conjugate(data, out=data)
             data.imag += 0.0
         dim = 1 << self._n
-        index = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
-        cols = np.arange(dim, dtype=index)[:, None] ^ flips.astype(index)
-        indptr = np.arange(dim + 1, dtype=index) * len(flips)
+        cols = np.arange(dim, dtype=np.int32)[:, None] ^ flips.astype(np.int32)
+        indptr = np.arange(dim + 1, dtype=np.int32) * len(flips)
         return sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
 
     def to_matrix(self, dense=False):
         """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray).
 
-        The dense matrix is the whole-register part of ``_local_flip_forms``
-        scattered by ``_dense_stacks``.  The CSR matrix is ``_flip_stack``'s,
-        under the sparse qubit ceiling and the byte ceiling: row r holds one
-        entry per flip mask f, at column r ^ f, so it stores
-        (#flip masks) * 2^n entries, sorted by column.
+        Both are ``_flip_stack``'s matrix.  The dense one is it densified,
+        under the dense qubit ceiling.  The CSR one is ``operator``'s, under
+        the sparse qubit ceiling and the byte ceiling: row r holds one entry
+        per flip mask f, at column r ^ f, so it stores (#flip masks) * 2^n
+        entries, sorted by column.
         """
         if dense:
-            (_, mats), = _dense_stacks(self, whole=True)
-            return mats[0]
+            _check_ceiling(self._n, DENSE_QUBIT_CEILING, "dense")
+            return self._flip_stack().toarray()
         _check_ceiling(self._n, SPARSE_QUBIT_CEILING, "sparse")
-        _check_operator_bytes(self)
-        mat = self._flip_stack()
+        _, mat = operator(self)
         mat.sort_indices()
         return mat
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ v by the compiled product of the ``_flip_stack`` matrix.
 
-        All #flips * 2^n entries are held at once, as ``spectral.operator``
-        holds them, under the same byte ceiling.
+        All #flips * 2^n entries are held at once, as ``operator`` holds
+        them, under the same byte ceiling.
         """
         if vec.shape[0] != 1 << self._n:
             raise ValueError("state dimension mismatch")
@@ -386,6 +392,37 @@ def _check_ceiling(n: int, ceiling: int, kind: str) -> None:
     """``ResourceLimitError`` when n qubits are above the ``kind`` ceiling."""
     if n > ceiling:
         raise ResourceLimitError(f"{n} qubits exceeds the {kind} ceiling of {ceiling}")
+
+
+def check_qubit_ceiling(n: int) -> None:
+    """``ResourceLimitError`` when an n-qubit operator is above every ceiling,
+    before anything of size 2^n is formed."""
+    _check_ceiling(n, ITERATIVE_QUBIT_CEILING, "iterative")
+
+
+def operator(h: HamiltonianSum):
+    """(matvec, matrix) of a Hamiltonian sum.
+
+    The sum's CSR matrix (``HamiltonianSum._flip_stack``), data plus column
+    index, is checked against ``ITERATIVE_BYTE_CEILING`` before it is built,
+    then built once and held by the matvec.  This is the operator of the
+    iterative route, and of every caller that applies one sum many times.
+    """
+    check_qubit_ceiling(h.n)
+    _check_operator_bytes(h)
+    mat = h._flip_stack()
+    return (lambda v: flip_matvec(mat, v)), mat
+
+
+def _apply_local(u: np.ndarray, targets, psi: np.ndarray) -> np.ndarray:
+    """u psi for a 2^w x 2^w matrix ``u`` on the qubits ``targets`` of a
+    state (in any order, the first the most significant bit of u's index;
+    qubit 0 the most significant bit of the state's)."""
+    w, n = len(targets), psi.size.bit_length() - 1
+    tensor = np.moveaxis(psi.reshape((2,) * n), targets, range(w))
+    shape = tensor.shape
+    tensor = u @ tensor.reshape(1 << w, -1)
+    return np.moveaxis(tensor.reshape(shape), range(w), targets).reshape(-1)
 
 
 def _check_operator_bytes(h: HamiltonianSum) -> None:
@@ -457,25 +494,17 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str =
             yield chunk, np.array(part, dtype=np.intp), np.array(flips, dtype=np.intp), diags
 
 
-def _dense_stacks(h: HamiltonianSum, whole=False):
-    """Yield (members, mats) for each stack of ``_local_flip_forms`` under
-    the dense ceiling: mats[p] is the dense matrix of part ``members[p]``,
-    with D_f[c] at entry (c ^ f, c) and zeros elsewhere."""
-    for members, part, flips, diags in _local_flip_forms(h, DENSE_QUBIT_CEILING, "dense", whole):
+def _dense_stacks(h: HamiltonianSum):
+    """Yield (members, mats) for each stack of groups of ``_local_flip_forms``
+    under the dense ceiling: mats[p] is the dense matrix of group
+    ``members[p]`` on its support, with D_f[c] at entry (c ^ f, c) and
+    zeros elsewhere."""
+    for members, part, flips, diags in _local_flip_forms(h, DENSE_QUBIT_CEILING, "dense"):
         dim = diags.shape[1]
         cols = np.arange(dim)
         mats = np.zeros((len(members), dim, dim), dtype=diags.dtype)
         mats[part[:, None], cols ^ flips[:, None], cols] = diags
         yield members, mats
-
-
-def _part_norms(h: HamiltonianSum, whole=False) -> list:
-    """Exact spectral norm of each part of ``_local_flip_forms``, in part
-    order: one ``eigvalsh`` call per stack of ``_dense_stacks``."""
-    norms = {}
-    for members, mats in _dense_stacks(h, whole):
-        norms.update(zip(members, np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1).tolist()))
-    return [norms[p] for p in range(len(norms))]
 
 
 def _local_strings(terms, g, local) -> list:
@@ -679,18 +708,17 @@ def _groups_commute_exact(h: HamiltonianSum, g1, g2) -> bool:
 def is_commuting(h: HamiltonianSum) -> CommutingReport:
     """Pairwise commutation over groups; exact, no floating-point tolerance.
 
-    Single-string pairs use the symplectic form; multi-string groups use an
-    exact rational commutator, which reduces to the same test for strings.
+    A pair of single strings that commute by the symplectic form is
+    accepted at once; every other pair is decided by the exact rational
+    commutator, in which a zero weight contributes nothing.
     """
     groups = h.group_indices()
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
             gi, gj = groups[i], groups[j]
-            if len(gi) == 1 and len(gj) == 1:
-                ok = h.terms[gi[0]].string.commutes_with(h.terms[gj[0]].string)
-            else:
-                ok = _groups_commute_exact(h, gi, gj)
-            if not ok:
+            if len(gi) == 1 and len(gj) == 1 and h.terms[gi[0]].string.commutes_with(h.terms[gj[0]].string):
+                continue
+            if not _groups_commute_exact(h, gi, gj):
                 return CommutingReport(False, (i, j))
     return CommutingReport(True)
 

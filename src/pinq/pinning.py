@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -38,7 +38,6 @@ from .pauli import (
     PauliTerm,
     _LETTER,
     _LETTER_INV,
-    _part_norms,
     projector_terms,
 )
 
@@ -290,23 +289,11 @@ class ReductionReport:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        out = {
-            "reduction": self.reduction,
-            "input_qubits": self.input_qubits,
-            "output_qubits": self.output_qubits,
-            "input_locality": self.input_locality,
-            "output_locality": self.output_locality,
-            "term_count": self.term_count,
-            "pin": self.pin,
-            "dropped_terms": self.dropped_terms,
-            "notes": self.notes,
-        }
-        out["input_bounds"] = list(self.input_bounds) if self.input_bounds else None
-        out["output_bounds"] = list(self.output_bounds) if self.output_bounds else None
-        if self.truncation_bound is not None:
-            out["truncation_bound"] = self.truncation_bound
-        if self.scale is not None:
-            out["scale"] = self.scale
+        """The fields as a dict, without ``truncation_bound`` and ``scale`` when unset."""
+        out = asdict(self)
+        for key in ("truncation_bound", "scale"):
+            if out[key] is None:
+                del out[key]
         return out
 
 
@@ -371,7 +358,8 @@ def pin_penalty_lift(
     if every pinned state has energy >= b, the unpinned minimum is >= (a+b)/2,
     so the promise becomes (a, (a+b)/2).  ``d`` must upper-bound ||G'||; the
     default is the sum of exact per-group norms, or the exact norm of the
-    whole sum when ``exact_norm`` is set, taken as each group's is.  A given
+    whole sum when ``exact_norm`` is set, the largest |eigenvalue| of its
+    dense matrix.  A given
     ``d`` that is not finite, or is below the 2-norm of the merged
     coefficients (a lower bound on ||G'||), raises ``PreconditionError``.
     """
@@ -384,7 +372,7 @@ def pin_penalty_lift(
         if not (math.isfinite(d) and d >= rms * (1.0 - 1e-12)):
             raise PreconditionError(f"norm bound {d!r} is not a finite bound >= {rms!r} on ||G'||")
     elif exact_norm:
-        (d,) = _part_norms(gprime, whole=True)
+        d = float(np.max(np.abs(np.linalg.eigvalsh(gprime.to_matrix(dense=True)))))
     else:
         d = float(sum(gprime.group_norms()))
     delta = penalty_delta(bounds, d)

@@ -13,9 +13,9 @@ check that the split was exact.
 
 The iterative route runs ARPACK's implicitly restarted Lanczos (``eigsh``)
 on a matrix-free operator with a seeded start vector, so results are
-deterministic for a fixed seed.  The operator is the flip-ordered
-CSR matrix of the sum's flip-diagonal form H = sum_f P_f diag(D_f), built once
-per solve, applied by scipy's compiled product and dropped when the solve
+deterministic for a fixed seed.  The operator (``pauli.operator``, imported
+here) is the flip-ordered CSR matrix of the sum's flip-diagonal form, built
+once per solve, applied by scipy's compiled product and dropped when the solve
 returns.  An operator with no nonzero entry has ground energy 0 and never
 reaches ARPACK, which refuses its zero Krylov space.
 """
@@ -29,18 +29,17 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
 from .errors import ConvergenceError
-from .pauli import (
+from .pauli import (  # the ceilings and the operator are re-exported
     DENSE_QUBIT_CEILING,
-    ITERATIVE_BYTE_CEILING,  # re-exported: the ceiling of the iterative route
+    ITERATIVE_BYTE_CEILING,
+    ITERATIVE_QUBIT_CEILING,
     HamiltonianSum,
-    _check_ceiling,
-    _check_operator_bytes,
     _support_bits,
-    flip_matvec,
+    check_qubit_ceiling,
+    operator,
 )
 from .pinning import PinSpec, PromiseBounds, effective_sum
 
-ITERATIVE_QUBIT_CEILING = 20
 RESIDUAL_TOL = 1e-8
 
 YES = "YES"
@@ -56,26 +55,6 @@ class SpectralResult:
     residual: float
     iterations: int = 0
     blocks: int = 0  # dense eigensolves: one per symmetry sector
-
-
-def check_qubit_ceiling(n: int) -> None:
-    """``ResourceLimitError`` when an n-qubit operator is above every ceiling,
-    before anything of size 2^n is formed."""
-    _check_ceiling(n, ITERATIVE_QUBIT_CEILING, "iterative")
-
-
-def operator(h: HamiltonianSum):
-    """(matvec, matrix) of a Hamiltonian sum.
-
-    The sum's CSR matrix, data plus column index, is checked against
-    ``ITERATIVE_BYTE_CEILING`` before it is built, then built once and held
-    by the matvec.  This is the operator of the iterative route, and of
-    every caller that applies one sum many times.
-    """
-    check_qubit_ceiling(h.n)
-    _check_operator_bytes(h)
-    mat = h._flip_stack()
-    return (lambda v: flip_matvec(mat, v)), mat
 
 
 def _residual(matvec, val: float, vec: np.ndarray) -> float:

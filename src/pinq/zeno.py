@@ -31,16 +31,17 @@ their flip-diagonal form G = D_0 + sum_{f != 0} P_f diag(D_f), built once:
 D_0 is one phase vector, and each flip mask f is one closed-form rotation
 pass over the 2^n amplitudes, exact because (P_f diag D_f)^2 = diag|D_f|^2;
 the strings commute pairwise, so the passes multiply exactly in any order.  A
-group of an explicit grouping whose strings do not commute with every string
-of its generator is applied as its own 2^w propagator on its support, by one
-``tensordot``.  The reference exp(-i t (A + B)) psi comes from scipy's
+group whose strings do not commute with every string of its generator (an
+explicit grouping or a string of weight 0, which commutes with every other,
+makes one) is applied as its own 2^w propagator by ``pauli._apply_local``.
+The reference exp(-i t (A + B)) psi comes from scipy's
 ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011)) on
 the CSR matrix of A + B, independent of the step route; its cost, about
 t * ||A + B||_1 Taylor steps, is held to the step ceiling before the call.
-The register obeys the 16-qubit sparse ceiling, A, B and A + B the byte
-ceiling of their CSR operators, and the run's working set (the reference's
-CSR copies and the propagators' per-mask vectors, charged as one total) the
-same byte ceiling, all checked before anything is built.
+The register obeys the 16-qubit sparse ceiling and the run's working set
+(the reference's CSR copies and the propagators' per-mask vectors, charged
+as one total, which covers each of A, B and A + B) the byte ceiling, both
+checked before anything is built.
 
 Each route is exact up to round-off, not a product formula, so the measured
 scaling isolates the projection error.  A phase s * w keeps fractional bits
@@ -69,8 +70,8 @@ from .pauli import (
     SPARSE_QUBIT_CEILING,
     HamiltonianSum,
     PauliTerm,
+    _apply_local,
     _check_ceiling,
-    _check_operator_bytes,
     _dense_stacks,
     is_commuting,
     is_stoquastic,
@@ -111,10 +112,7 @@ class ZenoProtocol:
             _check_ceiling(self.a.n, DENSE_QUBIT_CEILING, "dense")
         else:
             _check_ceiling(self.a.n, SPARSE_QUBIT_CEILING, "sparse")
-            g = self.reference_generator()
-            for ham in (self.a, self.b, g):
-                _check_operator_bytes(ham)
-            _check_commuting_bytes(self.a, self.b, g)
+            _check_commuting_bytes(self.a, self.b, self.reference_generator())
         if not math.isfinite(self.t):
             raise PreconditionError(f"total time must be finite, got {self.t}")
         if self.steps < 1:
@@ -174,7 +172,8 @@ def _check_step_count(steps: int) -> None:
 def _check_commuting_bytes(a: HamiltonianSum, b: HamiltonianSum, g: HamiltonianSum) -> None:
     """``ResourceLimitError`` when the working set of a commuting run with
     reference generator ``g`` = A + B, charged as one total, is above
-    ``ITERATIVE_BYTE_CEILING``; nothing is built.
+    ``ITERATIVE_BYTE_CEILING``; nothing is built.  It charges each of A, B
+    and A + B at least its CSR operator.
 
     The reference holds three complex CSR matrices of A + B with int32
     indices, each with room for one more entry per row (the identity
@@ -235,10 +234,10 @@ class _CommutingPropagator:
               - i sin(theta |D_f[r]|) / |D_f[r]| * D_f[r ^ f] psi[r ^ f],
     with D_f[r ^ f] = conj(D_f[r]); the strings commute pairwise, so the
     passes multiply exactly in any order.  A group holding a string that
-    anticommutes with some string of G (only an explicit grouping makes one)
-    still commutes with every other group, so it is applied exactly as its
-    own 2^w propagator on its support, from one batched ``eigh`` per stack
-    of ``_dense_stacks``.
+    anticommutes with some string of G (an explicit grouping or a zero weight
+    makes one) still commutes with every other group, so it is applied
+    exactly as its own 2^w propagator on its support, from one batched
+    ``eigh`` per stack of ``_dense_stacks``.
     """
 
     def __init__(self, g: HamiltonianSum):
@@ -293,14 +292,6 @@ class _CommutingPropagator:
             return out
 
         return apply
-
-
-def _apply_local(u: np.ndarray, supp, psi: np.ndarray) -> np.ndarray:
-    """u psi for a 2^w x 2^w matrix ``u`` on the qubits ``supp`` (increasing,
-    the first the most significant bit of u's index), by one ``tensordot``."""
-    w, n = len(supp), psi.size.bit_length() - 1
-    out = np.tensordot(u.reshape((2,) * 2 * w), psi.reshape((2,) * n), axes=(range(w, 2 * w), supp))
-    return np.moveaxis(out, range(w), supp).reshape(-1)
 
 
 def _commuting_reference(h: HamiltonianSum, t: float, psi: np.ndarray, what: str) -> np.ndarray:

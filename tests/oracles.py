@@ -149,6 +149,34 @@ def group_norms(n, terms, groups):
     return [float(np.max(np.abs(np.linalg.eigvalsh(mat)))) for _, mat in _check_parts(n, terms, groups, False)]
 
 
+def commuting_report(n, terms, groups):
+    """(verdict, first pair) by dense commutators: groups i < j, in order,
+    commute when [A_i, A_j] of their whole-register matrices is exactly zero.
+
+    Exact for dyadic weights of a few bits, whose products and short sums
+    are doubles.
+    """
+    mats = [pauli_matrix(n, [terms[i] for i in g]) for g in groups]
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if np.any(mats[i] @ mats[j] - mats[j] @ mats[i]):
+                return False, (i, j)
+    return True, None
+
+
+def gate_matrix(n, u, targets):
+    """2^n x 2^n matrix of ``u`` on the qubits ``targets`` (the first the most
+    significant bit of u's index; qubit 0 the most significant of a state's):
+    P^T (u (x) I) P, with P the permutation that moves the targets' bits to
+    the front, in order, and keeps the other qubits in order behind them."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    perm = np.zeros((1 << n, 1 << n))
+    for i in range(1 << n):
+        bits = [(i >> (n - 1 - q)) & 1 for q in order]
+        perm[int("".join(map(str, bits)) or "0", 2), i] = 1.0
+    return perm.T @ np.kron(u, np.eye(1 << (n - len(targets)))) @ perm
+
+
 def _dense_offdiag_offender(mat, tol):
     m = np.array(mat, dtype=complex, copy=True)
     np.fill_diagonal(m, 0.0)

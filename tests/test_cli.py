@@ -65,6 +65,63 @@ def test_check_non_finite_or_negative_tol_exit_2(tmp_path, capsys, tol, assemble
     assert "tolerance" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("expect", ["stoq", "stoquastic,", "commuting,,permutation", "Commuting"])
+def test_check_expect_unknown_property_exit_2(tmp_path, capsys, monkeypatch, expect):
+    # a typo or an empty entry is a usage error, found before any check runs
+    def no_check(*args, **kwargs):
+        raise AssertionError("check ran before --expect was validated")
+
+    for name in ("is_stoquastic", "is_commuting", "is_permutation"):
+        monkeypatch.setattr(pinq.cli, name, no_check)
+    f = _write(tmp_path, "h.txt", "qubits 1\n-1 X\n")
+    code = main(["check", f, "--expect", expect])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "stoquastic, commuting, permutation" in captured.err and "Traceback" not in captured.err
+
+
+def test_check_expect_strips_spaces(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 1\n-1 X\n")
+    code, report = _run(capsys, "check", f, "--expect", "stoquastic, permutation")
+    assert code == 1 and report["payload"]["stoquastic"] is True
+    code, _ = _run(capsys, "check", f, "--expect", " stoquastic ,commuting")
+    assert code == 0
+
+
+def test_check_expect_commuting_with_zero_weight(tmp_path, capsys):
+    # 0 X + 1 Z is the operator Z: the zero weight anticommutes with nothing
+    f = _write(tmp_path, "h.txt", "qubits 1\n0 X\n1 Z\n")
+    code, report = _run(capsys, "check", f, "--expect", "commuting")
+    assert code == 0 and report["payload"]["commuting"] is True
+
+
+def test_spectrum_dense_and_iterative_are_exclusive(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 1\n1 Z\n")
+    code = main(["spectrum", f, "--dense", "--iterative"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_unwritable_json_path_leaves_stdout_empty(tmp_path, capsys, where):
+    # a path in a missing directory, or a directory
+    f = _write(tmp_path, "h.txt", "qubits 1\n1 Z\n")
+    code = main(["--json", str(tmp_path / where), "check", f])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_output_path_that_is_a_directory_exit_2(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 1\n1 Z\n")
+    for argv in (["pin-stoquastic", f, "--out", str(tmp_path)], ["check", str(tmp_path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "Is a directory" in captured.err
+
+
 def test_check_zero_tol_still_answers(tmp_path, capsys):
     f = _write(tmp_path, "h.txt", "qubits 1\n1.0 X\n")
     code, report = _run(capsys, "check", f, "--tol", "0")
@@ -316,6 +373,19 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
         assert len(built) == 1
     finally:
         pinq.cli._build_parser.cache_clear()
+
+
+def test_zeno_commuting_zero_weight_generator(tmp_path, capsys):
+    # A = 0 X + 1 Z is the operator Z, so the run is the one with A = Z
+    b = _write(tmp_path, "b.txt", "qubits 1\n1 X\n")
+    reports = []
+    for name, text in (("a0.txt", "qubits 1\n0 X\n1 Z\n"), ("a1.txt", "qubits 1\n1 Z\n")):
+        a = _write(tmp_path, name, text)
+        code, report = _run(capsys, "zeno", "--kind", "comm", "--a", a, "--b", b, "--t", "1", "--n", "50")
+        assert code == 0
+        reports.append(report["payload"])
+    for key in ("error", "survival"):
+        assert reports[0][key] == pytest.approx(reports[1][key], rel=0, abs=1e-12)
 
 
 def test_zeno_csv(tmp_path, capsys):

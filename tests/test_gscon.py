@@ -16,10 +16,26 @@ from pinq.gscon import (
     verify_path,
     witness_traversal,
 )
+from oracles import gate_matrix
 from pinq.pauli import HamiltonianSum, is_stoquastic
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_gate_matches_kronecker_oracle(n):
+    # unsorted and reversed targets, on complex states and matrices
+    rng = np.random.default_rng(900 + n)
+    for trial in range(6):
+        k = int(rng.integers(1, min(n, 3) + 1))
+        targets = [int(q) for q in rng.permutation(n)[:k]]
+        if trial % 2:
+            targets = sorted(targets, reverse=True)
+        u = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal((1 << k, 1 << k))
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        got = apply_gate(psi, UnitaryStep(tuple(targets), u), n)
+        np.testing.assert_allclose(got, gate_matrix(n, u, targets) @ psi, rtol=0, atol=1e-12)
 
 
 def _xbasis(bits):

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from oracles import (
     apply_flip_diagonals,
+    commuting_report,
     flip_diagonals,
     group_norms,
     pauli_entry,
@@ -102,9 +103,12 @@ def test_to_matrix_is_linear():
         )
 
 
-def test_matrix_ceiling():
+def test_matrix_ceiling(monkeypatch):
+    # refused before the operator or any flip diagonal is built
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", _no_dense)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", _no_dense)
     h = HamiltonianSum.from_terms(13, [(1.0, "Z" + "I" * 12)])
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="dense ceiling"):
         h.to_matrix(dense=True)
 
 
@@ -348,6 +352,30 @@ def test_is_commuting_grouped_projector_terms():
     assert is_commuting(grouped).verdict
     flat = HamiltonianSum.from_terms(2, terms)
     assert not is_commuting(flat).verdict
+
+
+def test_zero_weight_strings_commute_with_everything():
+    # 0 X + 1 Z is the operator Z, ungrouped as in one group
+    for groups in (None, ((0, 1),), ((1,), (0,))):
+        assert is_commuting(HamiltonianSum.from_terms(1, [(0.0, "X"), (1.0, "Z")], groups)).verdict
+    rep = is_commuting(HamiltonianSum.from_terms(2, [(0.0, "XI"), (1.0, "ZI"), (0.5, "XI")]))
+    assert astuple(rep) == (False, (1, 2))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_is_commuting_matches_dense_commutator_oracle(seed):
+    # dyadic weights, zeros included, so the dense commutators are exact
+    rng = np.random.default_rng(7000 + seed)
+    n = int(rng.integers(1, 4))
+    terms = [
+        (float(rng.choice([0.0, 0.0, -1.0, -0.5, 0.25, 1.0])), "".join(rng.choice(list("IXYZ"), n)))
+        for _ in range(int(rng.integers(1, 7)))
+    ]
+    cuts = sorted(int(c) for c in rng.choice(range(1, len(terms)), int(rng.integers(0, len(terms))), replace=False))
+    grouped = tuple(tuple(range(a, b)) for a, b in zip([0, *cuts], [*cuts, len(terms)]))
+    for groups in (None, grouped):
+        h = HamiltonianSum.from_terms(n, terms, groups)
+        assert astuple(is_commuting(h)) == commuting_report(n, terms, h.group_indices())
 
 
 # ---------------------------------------------------------------------------
@@ -602,24 +630,28 @@ def test_group_norms_match_dense_oracle(case):
 
 @pytest.mark.parametrize("case", [*_NORM_CASES, *range(20)])
 def test_whole_register_forms_read_the_group_form_builder(monkeypatch, case):
-    # everything but the compiled operator is built by ``_local_flip_forms``
+    # the checks, flip diagonals and group norms are built by
+    # ``_local_flip_forms`` without the compiled operator; the dense matrix,
+    # and the exact norm taken from it, are that operator densified
     if isinstance(case, str):
         n, terms, groups = _NORM_CASES[case]
     else:
         n, terms, groups = _random_check_case(case)
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", _no_dense)
     h = HamiltonianSum.from_terms(n, terms, groups)
-    assert astuple(is_stoquastic(h, termwise=False)) == stoquastic_report(n, terms, h.group_indices(), True)
-    assert astuple(is_permutation(h, per_term=False)) == permutation_report(n, terms, h.group_indices(), True)
+    ref = pauli_matrix(n, terms)
+    with monkeypatch.context() as m:
+        m.setattr(HamiltonianSum, "_flip_stack", _no_dense)
+        assert astuple(is_stoquastic(h, termwise=False)) == stoquastic_report(n, terms, h.group_indices(), True)
+        assert astuple(is_permutation(h, per_term=False)) == permutation_report(n, terms, h.group_indices(), True)
+        got, want = list(h.flip_diagonals()), flip_diagonals(n, terms)
+        assert [f for f, _ in got] == [f for f, _ in want]
+        for (_, d), (_, d_ref) in zip(got, want):
+            assert d.tobytes() == d_ref.tobytes()
+        np.testing.assert_allclose(h.group_norms(), group_norms(n, terms, h.group_indices()), rtol=0, atol=1e-12)
     mat = h.to_matrix(dense=True)
     assert mat.dtype == h.dtype
-    ref = pauli_matrix(n, terms)
     np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-14)
-    got, want = list(h.flip_diagonals()), flip_diagonals(n, terms)
-    assert [f for f, _ in got] == [f for f, _ in want]
-    for (_, d), (_, d_ref) in zip(got, want):
-        assert d.tobytes() == d_ref.tobytes()
-    np.testing.assert_allclose(h.group_norms(), group_norms(n, terms, h.group_indices()), rtol=0, atol=1e-12)
+    assert mat.tobytes() == h.to_matrix().toarray().tobytes()
     lift = pin_penalty_lift(h, 0, PromiseBounds(0.0, 1.0), exact_norm=True)
     assert lift.norm_bound == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(ref))), rel=0, abs=1e-12)
 
