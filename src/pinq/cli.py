@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ParseError, PinqError, PreconditionError
+from .errors import ParseError, PinqError
 from .ffgauss import CovMatrix, HamMatrix, interpolation_path
 from .gscon import (
     build_stoquastic_gscon,
@@ -67,7 +67,7 @@ def _parse_pins(tokens) -> PinSpec:
     entries = []
     for tok in tokens or []:
         if "=" not in tok:
-            raise ParseError(0, f"pin {tok!r} is not of the form <qubit>=<state>")
+            raise ParseError(None, f"pin {tok!r} is not of the form <qubit>=<state>")
         q, state = tok.split("=", 1)
         entries.append((int(q), PinState.parse(state)))
     return PinSpec.of(*entries)
@@ -78,7 +78,7 @@ def _parse_bounds(text) -> PromiseBounds | None:
         return None
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(0, f"bounds {text!r} must be 'a,b'")
+        raise ParseError(None, f"bounds {text!r} must be 'a,b'")
     return PromiseBounds(float(parts[0]), float(parts[1]))
 
 
@@ -110,7 +110,7 @@ def _cmd_check(args, t0) -> int:
     wanted = [w.strip() for w in args.expect.split(",")] if args.expect else []
     unknown = [w for w in wanted if w not in _PROPERTIES]
     if unknown:
-        raise ParseError(0, f"--expect names unknown properties {unknown}; valid: {', '.join(_PROPERTIES)}")
+        raise ParseError(None, f"--expect names unknown properties {unknown}; valid: {', '.join(_PROPERTIES)}")
     h = load_hamiltonian(args.file)
     stoq = is_stoquastic(h, termwise=not args.assembled, tol=args.tol)
     comm = is_commuting(h)
@@ -152,8 +152,6 @@ def _cmd_pin(args, t0) -> int:
 def _cmd_unpin_penalty(args, t0) -> int:
     h = load_hamiltonian(args.file)
     bounds = _parse_bounds(args.bounds)
-    if bounds is None:
-        raise PreconditionError("unpin-penalty requires --bounds a,b")
     res = pin_penalty_lift(h, args.pin_qubit, bounds, d=args.norm_bound,
                            exact_norm=args.exact_norm)
     save_hamiltonian(res.hamiltonian, args.out)

@@ -6,11 +6,13 @@ class PinqError(Exception):
 
 
 class ParseError(PinqError):
-    """Malformed input file; carries the offending line number."""
+    """Malformed input; carries the offending line number, or None when no
+    one line is at fault (a command-line argument, a missing header, a JSON
+    schema), and then the message has no line prefix."""
 
     def __init__(self, line_no, message):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 class ResourceLimitError(PinqError):

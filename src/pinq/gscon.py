@@ -5,9 +5,8 @@ An instance asks whether a sequence of l-local unitaries can steer the start
 state to the target state while every intermediate state stays below the
 energy threshold eta1 (YES thresholds eta1/eta3; NO thresholds eta2/eta4).
 
-``build_stoquastic_gscon`` maps a {ZZ, ZX, XX, Z, X} Hamiltonian H on n
-qubits to a termwise-stoquastic H'' on n+6 qubits using two 3-qubit ancilla
-registers:
+``build_stoquastic_gscon`` maps a Y-free Hamiltonian H on n qubits to a
+termwise-stoquastic H'' on n+6 qubits using two 3-qubit ancilla registers:
 
     H'' = O' (x) I  -  P' (x) Q  +  I (x) R3,
     Q  = (X1 + X2 + X3)/3            on the third register,
@@ -15,10 +14,11 @@ registers:
 
 where H (x) R3 = O' + P' is split so that O' collects the diagonal and
 negative off-diagonal pieces and P' the strictly positive off-diagonal ones
-(projector splits on the Z support, by ``pauli.projector_terms``, keep every
-piece single-signed).  R3 vanishes on |---> and |+++> and is 1 on the other
-six X-basis strings, so states |psi>|x>|---> with non-uniform x reproduce
-<psi|H|psi> exactly while the two uniform strings have expectation zero.
+(the parity split of ``pauli.sign_pieces``, the one split that
+``pinning.stoquastic_pin`` also uses, keeps every piece single-signed).
+R3 vanishes on |---> and |+++> and is 1 on the other six X-basis strings,
+so states |psi>|x>|---> with non-uniform x reproduce <psi|H|psi> exactly
+while the two uniform strings have expectation zero.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .pauli import (
     _apply_local,
     check_qubit_ceiling,
     operator,
-    projector_terms,
+    sign_pieces,
 )
 
 UNITARITY_TOL = 1e-10
@@ -208,9 +208,6 @@ _H_GATE = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
 _MINUS_PREP = np.array([[_SQRT1_2, _SQRT1_2], [-_SQRT1_2, _SQRT1_2]])  # |0> -> |->
 _Z_GATE = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-_SUPPORTED_INPUT = "terms must be Y-free with at most one Z factor when off-diagonal"
-
-
 @dataclass
 class StoqGsconBuild:
     hamiltonian: HamiltonianSum  # H'' on n_sys + 6 qubits, grouped
@@ -245,9 +242,7 @@ def build_stoquastic_gscon(
     """
     for t in h.terms:
         if t.string.has_y:
-            raise UnsupportedTermError(f"term {t.string.label()}: {_SUPPORTED_INPUT}")
-        if t.string.x and bin(t.string.z).count("1") > 1:
-            raise UnsupportedTermError(f"term {t.string.label()}: {_SUPPORTED_INPUT}")
+            raise UnsupportedTermError(f"term {t.string.label()}: terms must be Y-free")
     if max_steps < 1:
         raise PreconditionError(f"path length bound {max_steps} must be at least 1")
     try:
@@ -279,21 +274,9 @@ def build_stoquastic_gscon(
     for x, z, coeff in expanded:
         if coeff == 0.0:
             continue
-        if x == 0:
-            # diagonal piece of O', tensored with identity on the third register
-            blocks.append([PauliTerm(coeff, PauliString(n_out, x, z))])
-            continue
-        if z == 0:
-            pieces = [(coeff, [PauliTerm(coeff, PauliString(n_out, x, 0))])]
-        else:
-            # the entries are +-coeff on the even/odd parity sectors of the Z
-            # support: c X^x Z^z = c X^x P_even + (-c) X^x P_odd
-            pieces = [
-                (coeff, projector_terms(n_out, coeff, x, 0, 1, 0, z)),
-                (-coeff, projector_terms(n_out, -coeff, x, 0, -1, 0, z)),
-            ]
-        # strictly positive pieces go to P', the others to O'
-        for sign, piece in pieces:
+        # pieces with strictly positive off-diagonal entries go to P', the
+        # others (diagonal pieces included) to O'
+        for sign, piece in sign_pieces(n_out, coeff, x, z):
             (p_pieces if sign > 0 else blocks).append(piece)
 
     # - P' (x) Q with Q = (X1 + X2 + X3)/3 on the third register
@@ -438,12 +421,12 @@ def _load_json(path, kind: str, from_json):
         data = json.load(f)
     try:
         if data["format"] != FORMAT_VERSIONS[kind]:
-            raise ParseError(0, f"unsupported {kind} format {data['format']!r}")
+            raise ParseError(None, f"unsupported {kind} format {data['format']!r}")
         return from_json(data)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         # ValueError and OverflowError: a value of the right type out of range,
         # such as a non-finite qubit count
-        raise ParseError(0, f"malformed {kind}: {type(exc).__name__}: {exc}") from None
+        raise ParseError(None, f"malformed {kind}: {type(exc).__name__}: {exc}") from None
 
 
 def load_instance(path) -> GsconInstance:

@@ -80,12 +80,12 @@ def parse_hamiltonian(text: str) -> HamiltonianSum:
             raise ParseError(line_no, str(exc)) from None
         terms.append(PauliTerm(coeff, string))
     if n is None:
-        raise ParseError(0, "missing 'qubits N' header")
+        raise ParseError(None, "missing 'qubits N' header")
     if groups:
         try:
             return HamiltonianSum(n, terms, groups=tuple(groups))
         except ValueError as exc:
-            raise ParseError(0, f"bad group annotations: {exc}") from None
+            raise ParseError(None, f"bad group annotations: {exc}") from None
     return HamiltonianSum(n, terms)
 
 
@@ -150,7 +150,7 @@ def parse_state_file(text: str, n: int | None = None) -> np.ndarray:
             raise ParseError(line_no, f"invalid amplitude {line!r}") from None
     vec = np.array(amps, dtype=complex)
     if n is not None and vec.shape[0] != (1 << n):
-        raise ParseError(0, f"state has {vec.shape[0]} amplitudes, expected {1 << n}")
+        raise ParseError(None, f"state has {vec.shape[0]} amplitudes, expected {1 << n}")
     return vec
 
 
@@ -166,9 +166,9 @@ def load_matrix_csv(path) -> np.ndarray:
         warnings.simplefilter("ignore", UserWarning)
         mat = np.loadtxt(path, delimiter=",", ndmin=2)
     if mat.shape[0] != mat.shape[1]:
-        raise ParseError(0, f"matrix is {mat.shape[0]}x{mat.shape[1]}, expected square")
+        raise ParseError(None, f"matrix is {mat.shape[0]}x{mat.shape[1]}, expected square")
     if not np.isfinite(mat).all():
-        raise ParseError(0, "matrix has a non-finite entry")
+        raise ParseError(None, "matrix has a non-finite entry")
     return mat
 
 

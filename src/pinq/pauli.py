@@ -35,6 +35,10 @@ Conventions used throughout the package:
   accessor of ``spectral`` and ``gscon``) and sparse ``to_matrix`` read it,
   dense ``to_matrix`` is it densified, and its products run in scipy's
   compiled CSR kernel (``flip_matvec``) in the order of the per-flip sum.
+* ``sign_pieces`` is the one sign split of a string, on the parity sectors
+  of its Z support by ``projector_terms``: both stoquastic constructions
+  (``pinning.stoquastic_pin``, ``gscon.build_stoquastic_gscon``) build
+  from it.
 * ``_apply_local`` applies a 2^w x 2^w matrix to w qubits of a state.
 * Commutation is exact (``is_commuting``): a string of weight 0 commutes
   with every other.
@@ -178,6 +182,23 @@ def projector_terms(n: int, coeff: float, x: int, z: int, sign: int, px: int, pz
     return [
         PauliTerm(coeff / 2.0, PauliString(n, x, z)),
         PauliTerm(sign * coeff / 2.0, PauliString(n, x | px, z | pz)),
+    ]
+
+
+def sign_pieces(n: int, coeff: float, x: int, z: int) -> list:
+    """coeff * X^x Z^z, a Y-free string, as [(sign, terms)]: pieces whose
+    off-diagonal entries all have the sign of ``sign``.
+
+    The entries are +-coeff on the even/odd parity sectors of the Z support:
+    c X^x Z^z = c X^x (I + Z^z)/2 + (-c) X^x (I - Z^z)/2, by
+    ``projector_terms``, for any Z mask.  A diagonal string (sign 0), a
+    string without Z, or a zero weight stays one piece of one term.
+    """
+    if x == 0 or z == 0 or coeff == 0.0:
+        return [(coeff if x else 0.0, [PauliTerm(coeff, PauliString(n, x, z))])]
+    return [
+        (coeff, projector_terms(n, coeff, x, 0, 1, 0, z)),
+        (-coeff, projector_terms(n, -coeff, x, 0, -1, 0, z)),
     ]
 
 
@@ -407,7 +428,10 @@ def operator(h: HamiltonianSum):
     index, is checked against ``ITERATIVE_BYTE_CEILING`` before it is built,
     then built once and held by the matvec.  This is the operator of the
     iterative route, and of every caller that applies one sum many times.
+    Any other argument raises ``TypeError``.
     """
+    if not isinstance(h, HamiltonianSum):
+        raise TypeError(f"operator takes a HamiltonianSum, not {type(h).__name__}")
     check_qubit_ceiling(h.n)
     _check_operator_bytes(h)
     mat = h._flip_stack()
@@ -679,9 +703,11 @@ def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> Stoquast
 def _groups_commute_exact(h: HamiltonianSum, g1, g2) -> bool:
     """Exact zero test of the commutator of two group operators.
 
-    Anticommuting string pairs contribute 2*c*d*i^k to the product string;
-    accumulation is done in rational arithmetic (floats embed exactly), so
-    the verdict needs no floating-point tolerance.
+    Anticommuting string pairs contribute 2*c*d*i^k to the product string,
+    with k = 1 or 3: the product of two anticommuting strings carries +-i,
+    so only its imaginary part is kept.  Accumulation is done in rational
+    arithmetic (floats embed exactly), so the verdict needs no
+    floating-point tolerance.
     """
     acc = {}
     for i in g1:
@@ -692,17 +718,9 @@ def _groups_commute_exact(h: HamiltonianSum, g1, g2) -> bool:
                 continue
             prod, k = ti.string.compose(tj.string)
             c = 2 * Fraction(ti.coeff) * Fraction(tj.coeff)
-            re, im = acc.get((prod.x, prod.z), (Fraction(0), Fraction(0)))
-            if k == 0:
-                re += c
-            elif k == 1:
-                im += c
-            elif k == 2:
-                re -= c
-            else:
-                im -= c
-            acc[(prod.x, prod.z)] = (re, im)
-    return all(re == 0 and im == 0 for re, im in acc.values())
+            key = (prod.x, prod.z)
+            acc[key] = acc.get(key, 0) + (c if k == 1 else -c)
+    return all(v == 0 for v in acc.values())
 
 
 def is_commuting(h: HamiltonianSum) -> CommutingReport:

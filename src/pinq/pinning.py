@@ -19,6 +19,8 @@ The four constructions here trade restrictions for pins:
 Each of them, and the O'/P' split of ``gscon.build_stoquastic_gscon``,
 attaches a projector to a string through one gadget,
 ``pauli.projector_terms``: the two terms of c X^x Z^z (I +- X^px Z^pz)/2.
+The two stoquastic constructions split each string into pieces of one
+sign by one helper beside it, ``pauli.sign_pieces``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .pauli import (
     _LETTER,
     _LETTER_INV,
     projector_terms,
+    sign_pieces,
 )
 
 
@@ -419,46 +422,27 @@ def commuting_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> Red
 def stoquastic_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> ReductionResult:
     """Rewrite positive off-diagonal terms through an ancilla pinned to |->.
 
-    Accepted terms: diagonal strings (any sign), pure X-type strings, and
-    X-type strings carrying a single Z factor.  Diagonal terms pass through;
-    positive X-type terms pick up a sign flip and an X on the ancilla; the
-    mixed X/Z terms split on the Z qubit's projectors.  The pinned effective
-    operator equals the input exactly and the promise is unchanged.
+    Accepts every Y-free string.  Each term splits into pieces of one sign
+    (``pauli.sign_pieces``); a piece with positive off-diagonal entries
+    becomes -piece (x) X on the ancilla, whose pinned <X> = -1 restores it,
+    and every other piece passes through.  One group per input term.  The
+    pinned effective operator equals the input exactly and the promise is
+    unchanged.
     """
     n_out = h.n + 1
     # a header-only input may name more qubits than a mask can hold
     anc_bit = 1 << h.n if h.terms else 0
     blocks = []
     for t in h.terms:
-        x, z = t.string.x, t.string.z
-        c = t.coeff
         if t.string.has_y:
             raise UnsupportedTermError(f"term {t.string.label()} carries a Y factor")
-        if x == 0:
-            # diagonal: already stoquastic, tensor with identity
-            blocks.append([PauliTerm(c, PauliString(n_out, x, z))])
-        elif z == 0:
-            if c > 0:
-                blocks.append([PauliTerm(-c, PauliString(n_out, x | anc_bit, 0))])
-            else:
-                blocks.append([PauliTerm(c, PauliString(n_out, x, 0))])
-        elif bin(z).count("1") == 1:
-            # c * X^x Z_b: split on |0><0|_b and |1><1|_b; the half with
-            # positive entries gets the ancilla X, the other the identity:
-            # -|c| X^x (|0><0| X_q + |1><1| I_q) for c > 0, mirrored for c < 0.
-            if c == 0:
-                blocks.append([PauliTerm(0.0, PauliString(n_out, x, z))])
-            else:
-                # X masks of the |0><0|_b and |1><1|_b halves
-                flip0, flip1 = (x | anc_bit, x) if c > 0 else (x, x | anc_bit)
-                blocks.append(
-                    projector_terms(n_out, -abs(c), flip0, 0, 1, 0, z)
-                    + projector_terms(n_out, -abs(c), flip1, 0, -1, 0, z)
-                )
-        else:
-            raise UnsupportedTermError(
-                f"term {t.string.label()} has more than one Z factor on an off-diagonal string"
-            )
+        block = []
+        for sign, piece in sign_pieces(n_out, t.coeff, t.string.x, t.string.z):
+            if sign > 0:
+                piece = [PauliTerm(-p.coeff, PauliString(n_out, p.string.x | anc_bit, p.string.z))
+                         for p in piece]
+            block.extend(piece)
+        blocks.append(block)
     return _reduction("stoquastic_pin", h, n_out, blocks, PinSpec(((h.n, PIN_MINUS),)), bounds)
 
 
@@ -483,12 +467,19 @@ def _binary_bits(x: float, q: int) -> list:
 
 
 def default_truncation_bits(term_count: int, bounds: PromiseBounds | None, scale: float) -> int:
-    """Smallest Q with M * 2^(1-Q) <= (scaled gap)/4, else 20 without bounds."""
+    """Smallest Q with M * 2^(1-Q) <= (scaled gap)/4, else 20 without bounds.
+
+    ``PreconditionError`` when no Q up to ``_BIT_CEILING`` meets the bound.
+    """
     if bounds is None or term_count == 0:
         return 20
     gap = (bounds.b - bounds.a) / scale
     q = 1
-    while term_count * 2.0 ** (1 - q) > gap / 4.0 and q < 60:
+    while term_count * 2.0 ** (1 - q) > gap / 4.0:
+        if q == _BIT_CEILING:
+            raise PreconditionError(
+                f"no bit count up to {_BIT_CEILING} truncates {term_count} terms within the gap {gap!r}"
+            )
         q += 1
     return q
 
@@ -509,8 +500,9 @@ def permutation_pin(
     effective operator is within M * 2^-Q of the (rescaled) input.
 
     Ancilla order is fixed: z, q_0, q_1..q_Q after the system qubits.
-    ``PreconditionError`` when Q is below 1 or above ``_BIT_CEILING``,
-    before any block is built.
+    ``PreconditionError`` when Q is below 1 or above ``_BIT_CEILING``, or
+    when bounds are given without ``q_bits`` and no Q up to the ceiling
+    has M * 2^(1-Q) <= (scaled gap)/4, before any block is built.
     """
     for t in h.terms:
         if t.string.has_y or (t.string.x and t.string.z):

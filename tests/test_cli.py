@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, composition, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -630,6 +631,19 @@ def test_errors_carry_a_json_line(tmp_path, capsys, argv, code, kind):
     assert json.loads(record) == {"error": {"type": kind, "message": human[len("error: "):], "exit_code": code}}
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "{h}", "--bounds", "1"], id="bounds"),
+    pytest.param(["spectrum", "{h}", "--pin", "0"], id="pin"),
+    pytest.param(["check", "{h}", "--expect", "stoq"], id="expect"),
+])
+def test_argument_errors_name_no_line(tmp_path, capsys, argv):
+    h = _write(tmp_path, "h.txt", "qubits 1\n1 Z\n")
+    assert main([a.format(h=h) for a in argv]) == 2
+    human, record = capsys.readouterr().err.splitlines()
+    assert "line" not in human
+    assert json.loads(record)["error"]["type"] == "ParseError"
+
+
 def test_gscon_build_and_verify(tmp_path, capsys):
     f = _write(tmp_path, "h.txt", "qubits 2\n-1 ZZ\n")
     inst = str(tmp_path / "inst.json")
@@ -961,6 +975,68 @@ def test_version_lists_format_versions(capsys):
     code, report = _run(capsys, "--version")
     assert code == 0
     assert "hamiltonian_text" in report["formats"]
+
+
+def test_no_subcommand_exit_2(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith("usage: pinq")
+
+
+def test_pin_permutation_gap_below_every_bit_count_exit_3(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.75 ZI\n-0.5 XX\n")
+    out = tmp_path / "p.txt"
+    code = main(["pin-permutation", f, "--bounds=0,5e-324", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out and not out.exists()
+    assert "1074" in captured.err and "Traceback" not in captured.err
+
+
+def test_stoquastic_constructions_refuse_y_exit_3(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 3\n0.5 XZZ\n-0.25 IYZ\n")
+    for argv in (["pin-stoquastic", f], ["gscon-build", f, "--alpha", "0", "--beta", "0.5"]):
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3 and not captured.out
+        assert "UnsupportedTermError" in captured.err and "IYZ" in captured.err
+
+
+def test_stoquastic_constructions_take_several_z_factors(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", "qubits 3\n0.5 XZZ\n-0.25 ZXZ\n0.75 ZZX\n")
+    code, report = _run(capsys, "pin-stoquastic", f, "--out", str(tmp_path / "p.txt"))
+    assert code == 0 and report["payload"]["term_count"] == 3
+    code, _ = _run(capsys, "check", str(tmp_path / "p.txt"), "--expect", "stoquastic")
+    assert code == 0
+    code, report = _run(capsys, "gscon-build", f, "--alpha", "0", "--beta", "0.5",
+                        "--out", str(tmp_path / "inst.json"))
+    assert code == 0 and report["payload"]["qubits"] == 9
+
+
+# sha256 of the files the two stoquastic constructions write on fixed mixed
+# X/Z inputs, a zero weight included: their output bytes are part of the
+# seeded-output contract
+_GOLDEN_INPUTS = {
+    "pin-stoquastic": (
+        "qubits 3\n0.5 XZI\n-0.25 ZXX\n0.75 IZX\n-0.3 XII\n0.2 ZZI\n0 XIZ\n-0.125 XXZ\n0.375 ZIX\n",
+        [],
+        "ea08c0bcabe3541cc27f7988cad826c035f6c6372862551edb11a8811ff43e56",
+    ),
+    "gscon-build": (
+        "qubits 3\n0.5 XZI\n-0.25 ZXX\n0.3 ZZI\n-0.125 IXZ\n0.0625 XIX\n",
+        ["--alpha", "0", "--beta", "0.5"],
+        "fa6bdb80478b83260bf6127346e2bbceee8db102bba175ad4d0282060589d717",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_INPUTS))
+def test_stoquastic_construction_files_are_golden(tmp_path, capsys, command):
+    text, options, digest = _GOLDEN_INPUTS[command]
+    f = _write(tmp_path, "h.txt", text)
+    out = tmp_path / "out"
+    code, _ = _run(capsys, command, f, *options, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -270,6 +270,27 @@ def test_trivial_path():
     path = interpolation_path(g, g, h, 4)
     assert path.rotations == ()
     assert all(e == path.grid_energies[0] for e in path.grid_energies)
+    # equal endpoints, and endpoints within 1e-12 of each other, stay put:
+    # no rotation, every grid energy that of the start, no deviation (the
+    # general route would take hundreds of tiny or quarter turns there)
+    for n in range(1, 7):
+        h = _block_h(list(np.linspace(1.0, 0.3, n)))
+        for parity in ("even", "odd"):
+            canonical = canonical_gamma0(n, parity)
+            rotated = canonical.conjugated(_random_so(2 * n, 31 * n + (parity == "odd")))
+            for g in (canonical, rotated):
+                nudged = g.conjugated(GivensRotation(0, 2 * n - 1, 1e-13).matrix(2 * n))
+                # a single mode has no other pure state of its parity
+                gap = np.linalg.norm(nudged.mat - g.mat)
+                assert gap <= 1e-12 and (gap > 0.0 or n == 1)
+                for end in (g, nudged):
+                    for steps in (1, 3):
+                        path = interpolation_path(g, end, h, steps)
+                        assert path.rotations == ()
+                        assert path.macro_counts == (0,) * (steps + 1)
+                        assert path.grid_energies == (energy(g, h),) * (steps + 1)
+                        assert (path.ramp_deviation, path.alignment_deviation, path.max_angle) == (0.0, 0.0, 0.0)
+                        assert verify_ff_path(path, h, eta1=energy(g, h) + 1e-9).ok
 
 
 def test_single_mode_constant_energy():

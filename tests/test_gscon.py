@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pinq.errors import PreconditionError
+from pinq.errors import PreconditionError, UnsupportedTermError
 from pinq.gscon import (
     GsconInstance,
     UnitaryStep,
@@ -91,6 +91,22 @@ def test_construction_is_termwise_stoquastic():
         h = HamiltonianSum.from_terms(n, terms)
         build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
         assert is_stoquastic(build.hamiltonian, termwise=True).verdict
+    # off-diagonal strings with several Z factors, on 2-4 qubits
+    rng = np.random.default_rng(6)
+    kinds += ["XZZ", "ZXZ", "XXZ", "XZZZ"]
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        terms = []
+        for _ in range(int(rng.integers(1, 5))):
+            kind = rng.choice([k for k in kinds if len(k) <= n])
+            qs = rng.choice(n, size=len(kind), replace=False)
+            label = ["I"] * n
+            for ch, q in zip(kind, qs):
+                label[int(q)] = ch
+            terms.append((float(rng.uniform(-1, 1)), "".join(label)))
+        h = HamiltonianSum.from_terms(n, terms)
+        build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
+        assert is_stoquastic(build.hamiltonian, termwise=True).verdict
         # the positive split must be strictly off-diagonal where it is used
 
 
@@ -110,9 +126,10 @@ def test_expectation_identities_xx_example():
 def test_expectation_identities_all_strings():
     rng = np.random.default_rng(23)
     h = HamiltonianSum.from_terms(
-        3, [(0.8, "ZXI"), (-0.5, "IXX"), (0.3, "ZIZ"), (-0.9, "XII")]
+        3, [(0.8, "ZXI"), (-0.5, "IXX"), (0.3, "ZIZ"), (-0.9, "XII"), (0.6, "ZXZ"), (-0.4, "XZZ")]
     )
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
+    assert is_stoquastic(build.hamiltonian, termwise=True).verdict
     hm = build.hamiltonian.to_matrix()
     hsys = np.asarray(h.to_matrix(dense=True))
     for _ in range(25):
@@ -123,7 +140,7 @@ def test_expectation_identities_all_strings():
             st = _middle_state(psi, mid)
             e = np.real(np.vdot(st, hm @ st))
             expected = 0.0 if mid in ("---", "+++") else e_sys
-            assert e == pytest.approx(expected, abs=1e-10)
+            assert e == pytest.approx(expected, abs=1e-12)
 
 
 def test_start_and_target_states():
@@ -344,3 +361,48 @@ def test_instance_keeps_no_cache():
     inst = build_stoquastic_gscon(h, alpha=0.0, beta=0.5).instance
     verify_path(inst, [])
     assert set(vars(inst)) == {f.name for f in dataclasses.fields(inst)}
+
+
+def test_build_refuses_y_terms():
+    h = HamiltonianSum.from_terms(3, [(0.5, "XZZ"), (-0.25, "IYZ")])
+    with pytest.raises(UnsupportedTermError, match="IYZ.*Y-free"):
+        build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
+
+
+def _instance(**changes):
+    """A one-qubit instance under -0.5 Z whose start and target are |0>."""
+    fields = dict(
+        hamiltonian=HamiltonianSum.from_terms(1, [(-0.5, "Z")]),
+        k=1, eta1=0.0, eta2=1.0, eta3=1e-6, eta4=1.0, delta=0.1, l=1, m=2,
+        start_circuit=(), target_circuit=(),
+    )
+    return GsconInstance(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param(dict(m=-1), "non-negative", id="negative-m"),
+    pytest.param(dict(hamiltonian=HamiltonianSum.from_terms(1, [(-1.5, "Z")])), "exceeds 1", id="group-norm"),
+    pytest.param(dict(start_circuit=(UnitaryStep((0,), np.diag([1.0, 2.0])),)),
+                 "start circuit gate 0 is not unitary", id="non-unitary-start"),
+])
+def test_instance_refusals(changes, message):
+    with pytest.raises(PreconditionError, match=message):
+        _instance(**changes)
+
+
+def test_verify_path_refuses_a_path_longer_than_m():
+    inst = _instance()
+    step = UnitaryStep((0,), np.eye(2))
+    assert verify_path(inst, [step, step]).accepted
+    with pytest.raises(PreconditionError, match="path length 3 exceeds m=2"):
+        verify_path(inst, [step, step, step])
+
+
+@pytest.mark.parametrize("gate, message", [
+    pytest.param(UnitaryStep((3,), np.eye(2)), "leaves the system register", id="ancilla-target"),
+    pytest.param(UnitaryStep((0, 1, 2), np.eye(8)), "exceeds locality 2", id="over-local"),
+])
+def test_witness_traversal_refuses_bad_witness_gates(gate, message):
+    build = build_stoquastic_gscon(HamiltonianSum.from_terms(3, [(-1.0, "ZZI")]), alpha=0.0, beta=0.5)
+    with pytest.raises(PreconditionError, match=f"witness gate 1 {message}"):
+        witness_traversal(build, [UnitaryStep((0,), np.eye(2)), gate])

@@ -40,6 +40,17 @@ def test_parse_errors_carry_line_numbers():
         parse_hamiltonian("")
 
 
+@pytest.mark.parametrize("parse", [
+    pytest.param(lambda: parse_hamiltonian("# no header\n"), id="no-header"),
+    pytest.param(lambda: parse_state_file("1\n0\n0\n", n=1), id="state-length"),
+])
+def test_errors_of_no_one_line_carry_no_line_number(parse):
+    with pytest.raises(ParseError) as exc:
+        parse()
+    assert exc.value.line_no is None
+    assert "line" not in str(exc.value)
+
+
 def test_round_trip_is_exact():
     rng = np.random.default_rng(19)
     terms = [

@@ -1,5 +1,6 @@
 """Core Pauli-sum representation: matrices, commutation, structure checks."""
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from pinq.pauli import (
     is_permutation,
     is_stoquastic,
     projector_terms,
+    sign_pieces,
 )
 from pinq.pinning import PromiseBounds, pin_penalty_lift
 from pinq.spectral import operator
@@ -750,3 +752,39 @@ def test_projector_terms_match_the_matrix_product(string, proj, sign):
     got = pauli_matrix(3, [(t.coeff, t.string.label()) for t in terms])
     a, b = pauli_matrix(3, [(1.0, string)]), pauli_matrix(3, [(1.0, proj)])
     np.testing.assert_allclose(got, -0.75 * a @ (np.eye(8) + sign * b) / 2, atol=1e-15)
+
+
+@pytest.mark.parametrize("label", ["XZZ", "ZXZ", "XXZ", "ZZX", "XIZ", "XZI", "XXX", "ZIZ", "III"])
+@pytest.mark.parametrize("coeff", [0.75, -0.5])
+def test_sign_pieces_sum_to_the_string_with_one_sign_each(label, coeff):
+    s = PauliString.from_label(label)
+    pieces = sign_pieces(3, coeff, s.x, s.z)
+    total = np.zeros((8, 8), dtype=complex)
+    for sign, terms in pieces:
+        m = pauli_matrix(3, [(t.coeff, t.string.label()) for t in terms])
+        total += m
+        off = m - np.diag(np.diag(m))
+        if sign == 0:
+            assert not off.any()
+        else:
+            # every off-diagonal entry has the sign of the piece, or is zero
+            assert np.all(off.real * np.sign(sign) >= 0) and not off.imag.any()
+    np.testing.assert_array_equal(total, pauli_matrix(3, [(coeff, label)]))
+    # a string with X and Z splits in two on the parity sectors of its Z support
+    assert len(pieces) == (2 if s.x and s.z else 1)
+    assert pieces[0][0] == (coeff if s.x else 0.0)
+
+
+@pytest.mark.parametrize("coeff", [0.0, -0.0])
+def test_sign_pieces_keep_a_zero_weight_as_one_term(coeff):
+    s = PauliString.from_label("XZZ")
+    [(sign, [term])] = sign_pieces(3, coeff, s.x, s.z)
+    assert term == PauliTerm(coeff, s)
+    assert math.copysign(1.0, term.coeff) == math.copysign(1.0, coeff)
+    assert not sign > 0
+
+
+@pytest.mark.parametrize("obj", [np.eye(2), sp.eye(2, format="csr"), [(1.0, "Z")]])
+def test_operator_takes_pauli_sums_only(obj):
+    with pytest.raises(TypeError, match="HamiltonianSum"):
+        pinq.pauli.operator(obj)

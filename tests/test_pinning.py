@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import pinq.pinning
 from pinq.errors import PreconditionError, UnsupportedTermError
 from pinq.pauli import HamiltonianSum, is_commuting, is_permutation, is_stoquastic
 from pinq.pinning import (
@@ -357,6 +358,41 @@ def test_stoquastic_pin_scaling_invariant():
 def test_stoquastic_pin_rejects_y():
     with pytest.raises(UnsupportedTermError):
         stoquastic_pin(HamiltonianSum.from_terms(1, [(1.0, "Y")]))
+    with pytest.raises(UnsupportedTermError, match="Y factor"):
+        stoquastic_pin(HamiltonianSum.from_terms(3, [(0.5, "XZZ"), (-0.5, "ZYZ")]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stoquastic_pin_several_z_factors(seed):
+    # off-diagonal strings with two or three Z factors split on the parity
+    # sectors of their Z support, like those with one
+    rng = np.random.default_rng(1500 + seed)
+    n = int(rng.integers(3, 6))
+    kinds = ["XZZ", "ZXZ", "XXZZ", "ZZZX", "XZ", "X", "ZZ"]
+    terms = []
+    for _ in range(int(rng.integers(1, 6))):
+        kind = str(rng.choice([k for k in kinds if len(k) <= n]))
+        label = ["I"] * n
+        for ch, q in zip(kind, rng.choice(n, size=len(kind), replace=False)):
+            label[int(q)] = ch
+        terms.append((float(rng.uniform(-1, 1)), "".join(label)))
+    h = HamiltonianSum.from_terms(n, terms)
+    res = stoquastic_pin(h)
+    assert is_stoquastic(res.hamiltonian, termwise=True).verdict
+    assert res.report.term_count == len(h.terms)
+    assert res.hamiltonian.locality <= h.locality + 1
+    np.testing.assert_allclose(effective_hamiltonian(res.hamiltonian, res.pin), _dense(h), rtol=0, atol=1e-15)
+    assert pinned_min_energy(res.hamiltonian, res.pin).value == pytest.approx(min_eig(h).value, abs=1e-9)
+
+
+def test_stoquastic_pin_zero_weight_stays_one_term():
+    # a zero weight is not split: its block is the string itself, sign kept
+    for coeff in (0.0, -0.0):
+        res = stoquastic_pin(HamiltonianSum.from_terms(3, [(coeff, "XZZ"), (0.5, "ZXI")]))
+        first = res.hamiltonian.terms[0]
+        assert (first.coeff, first.string.label()) == (coeff, "XZZI")
+        assert np.copysign(1.0, first.coeff) == np.copysign(1.0, coeff)
+        assert res.hamiltonian.group_indices()[0] == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +504,26 @@ def test_permutation_pin_bit_ceiling_is_the_least_subnormal():
     for q_bits in (1075, 4 * 10**9, 10**20):
         with pytest.raises(PreconditionError, match="1074"):
             permutation_pin(h, q_bits=q_bits)
+
+
+def test_permutation_pin_default_bits_keep_the_promise():
+    # the gap 1e-20 needs Q = 71 bits, beyond any fixed cap of 60
+    h = HamiltonianSum.from_terms(2, [(0.75, "ZI"), (-0.5, "XX")])
+    res = permutation_pin(h, bounds=PromiseBounds(0.0, 1e-20))
+    assert res.report.notes == ["q_bits=71"]
+    assert res.report.truncation_bound <= 1e-20 / 8
+    assert res.report.output_bounds == (0.0, 1e-20)
+
+
+def test_permutation_pin_refuses_a_gap_no_bit_count_meets(monkeypatch):
+    h = HamiltonianSum.from_terms(2, [(0.75, "ZI"), (-0.5, "XX")])
+
+    def no_expansion(*args):
+        raise AssertionError("coefficients expanded before the bit count was found")
+
+    monkeypatch.setattr(pinq.pinning, "_binary_bits", no_expansion)
+    with pytest.raises(PreconditionError, match="1074"):
+        permutation_pin(h, bounds=PromiseBounds(0.0, 5e-324))
 
 
 def test_permutation_pin_rejects_a_magnitude_without_finite_scale():
