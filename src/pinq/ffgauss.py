@@ -289,14 +289,6 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-8) -> list:
     return [GivensRotation(g.p, g.q, -g.theta) for g in reversed(eliminators)]
 
 
-def near_identity_constant(o: np.ndarray, rotations) -> float:
-    """max |angle| / ||O - I||_2; finite only for O != I."""
-    eps = float(np.linalg.norm(o - np.eye(o.shape[0]), 2))
-    if eps == 0.0 or not rotations:
-        return 0.0
-    return max(abs(r.theta) for r in rotations) / eps
-
-
 # ---------------------------------------------------------------------------
 # canonical factor gamma = O gamma0 O^T of a pure state
 # ---------------------------------------------------------------------------

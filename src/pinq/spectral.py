@@ -29,10 +29,8 @@ import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
 
 from .errors import ConvergenceError
-from .pauli import (  # the ceilings and the operator are re-exported
+from .pauli import (
     DENSE_QUBIT_CEILING,
-    ITERATIVE_BYTE_CEILING,
-    ITERATIVE_QUBIT_CEILING,
     HamiltonianSum,
     _support_bits,
     check_qubit_ceiling,

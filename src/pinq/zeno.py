@@ -6,8 +6,8 @@ projective measurement of one ancilla qubit:
 * ``stoquastic``: H' = A (x) I + B (x) X_q with A, B stoquastic and B strictly
   off-diagonal; ancilla starts in |->, measured in the X basis.  Because
   I (x) X_q commutes with H', the ancilla never flips: post-selection succeeds
-  with probability 1 and the system follows exp(-i t (A - B)) exactly (up to
-  propagator round-off), for every step count.
+  with probability 1 and the system follows exp(-i t (A - B)) exactly, for
+  every step count.
 * ``commuting``: H' = 2A (x) |+><+| + 2B (x) |-><-| with A and B internally
   commuting; ancilla starts in |0>, measured in the computational basis.  The
   post-selected system state approaches exp(-i t (A + B)) with error O(t^2/N)
@@ -20,11 +20,13 @@ H' is block-diagonal in the ancilla X basis, so neither protocol needs the
 * commuting: psi <- (exp(-2i delta A) + exp(-2i delta B)) psi / 2, since
   |0> = (|+> + |->)/sqrt(2) and <0|+> = <0|-> = 1/sqrt(2).
 
-The stoquastic protocol takes one dense eigendecomposition of its generator,
-A - B = V diag(w) V^H, once for every step count: its step is a phase
-multiply exp(-i delta w) in that eigenbasis, and its reference
-exp(-i t (A - B)) psi shares it.  Its register obeys the 12-qubit dense
-ceiling.
+Both protocols share one reference, exp(-i t G) psi with G = A - B
+(stoquastic) or A + B (commuting), from scipy's ``expm_multiply`` (Al-Mohy
+and Higham, SIAM J. Sci. Comput. 33 (2011)) on the CSR matrix of G; its
+cost, about t * ||G||_1 Taylor steps, is held to the step ceiling before the
+call.  The stoquastic steps compose to that reference, so that protocol runs
+no step loop: at every step count its final state is the normalized
+reference, with survival 1, step survivals 1 and branch error 0.
 
 The commuting protocol holds no dense matrix.  A and B are each applied from
 their flip-diagonal form G = D_0 + sum_{f != 0} P_f diag(D_f), built once:
@@ -34,21 +36,18 @@ the strings commute pairwise, so the passes multiply exactly in any order.  A
 group whose strings do not commute with every string of its generator (an
 explicit grouping or a string of weight 0, which commutes with every other,
 makes one) is applied as its own 2^w propagator by ``pauli._apply_local``.
-The reference exp(-i t (A + B)) psi comes from scipy's
-``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33 (2011)) on
-the CSR matrix of A + B, independent of the step route; its cost, about
-t * ||A + B||_1 Taylor steps, is held to the step ceiling before the call.
-The register obeys the 16-qubit sparse ceiling and the run's working set
-(the reference's CSR copies and the propagators' per-mask vectors, charged
-as one total, which covers each of A, B and A + B) the byte ceiling, both
-checked before anything is built.
+
+Either register obeys the 16-qubit sparse ceiling, and the run's working set
+the byte ceiling: the reference's CSR copies, plus the commuting
+propagators' per-mask vectors, charged as one total, which covers each of
+A, B and G.  Both are checked before anything is built.
 
 Each route is exact up to round-off, not a product formula, so the measured
 scaling isolates the projection error.  A phase s * w keeps fractional bits
 only while |s w| < 2^52; a time that takes a phase of the run past that is
-rejected before the phase is formed (for the commuting reference, a bound
-t * ||A + B||_1 stands for the largest phase).  The literal (n+1)-qubit
-simulation the identities replace, with a dense ``expm`` reference, is
+rejected before the phase is formed (for the reference, a bound t * ||G||_1
+stands for the largest phase).  The literal (n+1)-qubit simulation the
+identities replace, with a dense ``expm`` reference, is
 ``zeno_register_evolve`` in ``tests/oracles.py``.  Post-selection is
 deterministic projection plus renormalization with survival bookkeeping; no
 trajectory sampling.
@@ -60,12 +59,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import PreconditionError, ResourceLimitError, SurvivalUnderflowError
 from .pauli import (
-    DENSE_QUBIT_CEILING,
     ITERATIVE_BYTE_CEILING,
     SPARSE_QUBIT_CEILING,
     HamiltonianSum,
@@ -105,14 +102,10 @@ class ZenoProtocol:
             raise PreconditionError(f"unknown protocol kind {self.kind!r}")
         if self.a.n != self.b.n:
             raise PreconditionError("A and B must act on the same register")
-        # a stoquastic run holds the dense 2^n x 2^n generator A - B; a
-        # commuting one holds the flip diagonals of A and B and the CSR
-        # matrix of A + B
-        if self.kind == "stoquastic":
-            _check_ceiling(self.a.n, DENSE_QUBIT_CEILING, "dense")
-        else:
-            _check_ceiling(self.a.n, SPARSE_QUBIT_CEILING, "sparse")
-            _check_commuting_bytes(self.a, self.b, self.reference_generator())
+        # a run holds the CSR matrix of its reference generator, and a
+        # commuting one also the flip diagonals of A and B
+        _check_ceiling(self.a.n, SPARSE_QUBIT_CEILING, "sparse")
+        _check_working_set(self)
         if not math.isfinite(self.t):
             raise PreconditionError(f"total time must be finite, got {self.t}")
         if self.steps < 1:
@@ -169,27 +162,28 @@ def _check_step_count(steps: int) -> None:
         raise ResourceLimitError(f"{steps} steps exceed the step ceiling of {_STEP_CEILING}")
 
 
-def _check_commuting_bytes(a: HamiltonianSum, b: HamiltonianSum, g: HamiltonianSum) -> None:
-    """``ResourceLimitError`` when the working set of a commuting run with
-    reference generator ``g`` = A + B, charged as one total, is above
-    ``ITERATIVE_BYTE_CEILING``; nothing is built.  It charges each of A, B
-    and A + B at least its CSR operator.
+def _check_working_set(protocol: ZenoProtocol) -> None:
+    """``ResourceLimitError`` when the working set of a run, charged as one
+    total, is above ``ITERATIVE_BYTE_CEILING``; nothing is built.  It charges
+    each of A, B and the reference generator G at least its CSR operator.
 
-    The reference holds three complex CSR matrices of A + B with int32
-    indices, each with room for one more entry per row (the identity
-    shift): the scaled matrix, ``expm_multiply``'s shifted copy of it, and
-    that copy's scaled copy for the norm estimates.  A propagator holds,
-    per flip mask of its generator, the diagonal and an intp permutation,
-    and a map made at one step size two complex vectors.  The total adds
-    both stages, so it bounds the peak from above.
+    The reference holds three complex CSR matrices of G with int32 indices,
+    each with room for one more entry per row (the identity shift): the
+    scaled matrix, ``expm_multiply``'s shifted copy of it, and that copy's
+    scaled copy for the norm estimates.  A commuting propagator holds, per
+    flip mask of its generator, the diagonal and an intp permutation, and a
+    map made at one step size two complex vectors.  The total adds both
+    stages, so it bounds the peak from above.
     """
+    a, b, g = protocol.a, protocol.b, protocol.reference_generator()
     dim = 1 << g.n
     need = 3 * (g.flip_count() + 1) * dim * (16 + 4)
-    for h in (a, b):
-        need += h.flip_count() * dim * (np.dtype(h.dtype).itemsize + 8 + 2 * 16)
+    if protocol.kind == "commuting":
+        for h in (a, b):
+            need += h.flip_count() * dim * (np.dtype(h.dtype).itemsize + 8 + 2 * 16)
     if need > ITERATIVE_BYTE_CEILING:
         raise ResourceLimitError(
-            f"a commuting run on {g.n} qubits with {a.flip_count()} + {b.flip_count()} flip masks "
+            f"a {protocol.kind} run on {g.n} qubits with {a.flip_count()} + {b.flip_count()} flip masks "
             f"holds about {need} bytes, above the iterative ceiling of {ITERATIVE_BYTE_CEILING}"
         )
 
@@ -209,17 +203,6 @@ def _check_phase(time: float, scale: float, what: str) -> None:
             f"{what} is not finite at time {time:g}: a phase reaches 2^52, "
             "where a double keeps no fractional bits"
         )
-
-
-def _phases(time: float, w: np.ndarray, what: str) -> np.ndarray:
-    """exp(-i time w) for the eigenvalues ``w`` of a Hermitian generator.
-
-    Raises ``PreconditionError`` before any phase is formed when
-    |time| * max|w| >= 2^52, or when ``w`` is not finite (a NaN from
-    ``eigh``).
-    """
-    _check_phase(time, float(np.max(np.abs(w), initial=0.0)), what)
-    return np.exp(-1j * time * w)
 
 
 class _CommutingPropagator:
@@ -294,7 +277,7 @@ class _CommutingPropagator:
         return apply
 
 
-def _commuting_reference(h: HamiltonianSum, t: float, psi: np.ndarray, what: str) -> np.ndarray:
+def _reference(h: HamiltonianSum, t: float, psi: np.ndarray, what: str) -> np.ndarray:
     """exp(-i t h) psi by ``expm_multiply`` on the CSR matrix of ``h``.
 
     Its Taylor steps number about t * ||h||_1, so that product is held to
@@ -325,10 +308,10 @@ def _commuting_reference(h: HamiltonianSum, t: float, psi: np.ndarray, what: str
 class _PreparedProtocol:
     """The step-count-independent part of a protocol run on one start state.
 
-    Holds the normalized start state, the reference state and the step
-    generators: the eigendecomposition of A - B for the stoquastic protocol,
-    whose reference shares it, and the matrix-free propagators of A and B
-    for the commuting one.
+    Holds the normalized start state, the reference state and, for the
+    commuting protocol, the matrix-free propagators of A and B.  The
+    stoquastic protocol needs no step generator: its trajectory is the
+    reference at every step count.
     """
 
     def __init__(self, protocol: ZenoProtocol, psi0: np.ndarray):
@@ -345,30 +328,34 @@ class _PreparedProtocol:
         self.protocol = protocol
         self.psi = psi / nrm
         what = f"reference exp(-i t ({protocol.reference_label})) psi"
-        if protocol.kind == "stoquastic":
-            self.w, self.v = scipy.linalg.eigh(protocol.reference_generator().to_matrix(dense=True))
-            self.ref = self.v @ (_phases(protocol.t, self.w, what) * (self.v.conj().T @ self.psi))
-        else:
-            self.ref = _commuting_reference(protocol.reference_generator(), protocol.t, self.psi, what)
-            self.props = [_CommutingPropagator(h) for h in (protocol.a, protocol.b)]
+        self.ref = _reference(protocol.reference_generator(), protocol.t, self.psi, what)
         if not np.all(np.isfinite(self.ref)):
             raise PreconditionError(f"{what} is not finite at t={protocol.t:g}")
+        if protocol.kind == "commuting":
+            self.props = [_CommutingPropagator(h) for h in (protocol.a, protocol.b)]
 
     def run(self, steps: int) -> TrajectoryResult:
         """Post-selected trajectory with ``steps`` (>= 1) projections in total time t."""
         protocol = self.protocol
-        delta = protocol.t / steps
         if protocol.kind == "stoquastic":
-            # the state stays in the eigenbasis of A - B until the last step
-            phases = _phases(delta, self.w, "step exp(-i delta (A-B))")
-            state, step = self.v.conj().T @ self.psi, lambda s: phases * s
-        else:
-            u_a, u_b = (p.at(2.0 * delta, f"step exp(-2i delta {name})") for name, p in zip("AB", self.props))
-            state, step = self.psi, lambda s: (u_a(s) + u_b(s)) / 2.0
+            # I (x) X_q commutes with H', so the |-> ancilla never flips:
+            # every post-selection keeps probability 1 and the kept state
+            # is exp(-i t (A - B)) psi
+            return TrajectoryResult(
+                final_state=self.ref / np.linalg.norm(self.ref),
+                survival_probability=1.0,
+                error_norm=0.0,
+                reference_label=protocol.reference_label,
+                reference_state=self.ref,
+                step_survivals=np.ones(steps),
+            )
+        delta = protocol.t / steps
+        u_a, u_b = (p.at(2.0 * delta, f"step exp(-2i delta {name})") for name, p in zip("AB", self.props))
+        state = self.psi
         survival = 1.0
         step_survivals = np.empty(steps)
         for k in range(steps):
-            kept = step(state)
+            kept = (u_a(state) + u_b(state)) / 2.0
             p = float(np.real(np.vdot(kept, kept)))
             if p < _SURVIVAL_FLOOR:
                 raise SurvivalUnderflowError(
@@ -377,8 +364,6 @@ class _PreparedProtocol:
             survival *= p
             step_survivals[k] = p
             state = kept / np.sqrt(p)
-        if protocol.kind == "stoquastic":
-            state = self.v @ state
 
         branch = np.sqrt(survival) * state
         return TrajectoryResult(

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -551,30 +552,49 @@ def _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, qubits,
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, b_coeff", [("stoq", "-1")])
-def test_zeno_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
-    # 13 system qubits: the dense generator A - B would take 512 MiB
-    code, err = _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, 13, b_coeff)
-    assert code == 3
-    assert "dense ceiling" in err
+def test_zeno_stoquastic_sweep_runs_above_the_dense_ceiling(tmp_path, capsys, monkeypatch):
+    # 13 system qubits: the trajectory is the expm_multiply reference, so
+    # no dense matrix is built and every row is exact
+    to_matrix = HamiltonianSum.to_matrix
+
+    def sparse_only(self, dense=False):
+        if dense:
+            raise AssertionError("dense matrix built")
+        return to_matrix(self)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(HamiltonianSum, "to_matrix", sparse_only)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    a = _write(tmp_path, "a.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n-0.3 ZZIIIIIIIIIII\n")
+    b = _write(tmp_path, "b.txt", "qubits 13\n-1 XIIIIIIIIIIII\n-0.4 IIIIIIIIIIIXX\n")
+    code, report = _run(capsys, "zeno", "--kind", "stoq", "--a", a, "--b", b, "--t", "1", "--sweep", "50,100,200")
+    assert code == 0
+    assert report["payload"]["rows"] == [[50, 0.0, 1.0], [100, 0.0, 1.0], [200, 0.0, 1.0]]
+    assert report["payload"]["error_slope"] is None
+    assert report["payload"]["survival_deficit_slope"] is None
 
 
-def test_zeno_commuting_sparse_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch):
-    # the commuting protocol holds no dense matrix; 17 system qubits are
-    # above the sparse ceiling of its flip diagonals and CSR reference
-    code, err = _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, "comm", 17, "1")
+@pytest.mark.parametrize("kind, b_coeff", [("comm", "1"), ("stoq", "-1")], ids=["comm", "stoq"])
+def test_zeno_sparse_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
+    # neither protocol holds a dense matrix; 17 system qubits are above the
+    # sparse ceiling of the flip diagonals and the CSR reference
+    code, err = _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, 17, b_coeff)
     assert code == 3
     assert "sparse ceiling" in err
 
 
-def test_zeno_commuting_working_set_checked_before_allocation(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("kind, b_coeff", [("comm", "0.5"), ("stoq", "-1")], ids=["comm", "stoq"])
+def test_zeno_working_set_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
     # 300 + 300 X masks on 16 qubits: the CSR operators of A, B and A + B
     # (600 * 2^16 * 12 = 471859200 bytes) each pass the byte ceiling, but
-    # the run would hold three complex copies of A + B and the propagators
+    # the run would hold three complex copies of A +- B (and, commuting,
+    # the propagators)
     n = 16
     labels = [format(x, f"0{n}b").replace("0", "I").replace("1", "X") for x in range(1, 601)]
     a = _write(tmp_path, "a.txt", f"qubits {n}\n" + "".join(f"1 {lbl}\n" for lbl in labels[:300]))
-    b = _write(tmp_path, "b.txt", f"qubits {n}\n" + "".join(f"0.5 {lbl}\n" for lbl in labels[300:]))
+    b = _write(tmp_path, "b.txt", f"qubits {n}\n" + "".join(f"{b_coeff} {lbl}\n" for lbl in labels[300:]))
     ha, hb = load_hamiltonian(a), load_hamiltonian(b)
     for ham in (ha, hb, ha + hb):
         pinq.pauli._check_operator_bytes(ham)
@@ -584,7 +604,7 @@ def test_zeno_commuting_working_set_checked_before_allocation(tmp_path, capsys, 
 
     monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
-    code = main(["zeno", "--kind", "comm", "--a", a, "--b", b, "--t", "1", "--n", "5"])
+    code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--n", "5"])
     captured = capsys.readouterr()
     assert code == 3 and not captured.out
     assert "iterative ceiling" in captured.err and "Traceback" not in captured.err

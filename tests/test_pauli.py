@@ -27,11 +27,11 @@ from pinq.pauli import (
     is_commuting,
     is_permutation,
     is_stoquastic,
+    operator,
     projector_terms,
     sign_pieces,
 )
 from pinq.pinning import PromiseBounds, pin_penalty_lift
-from pinq.spectral import operator
 
 # ---------------------------------------------------------------------------
 # independent oracle: <row|H|col> from per-qubit Pauli action

@@ -13,11 +13,10 @@ import pinq.spectral
 from pinq.cli import main
 from pinq.errors import ConvergenceError, ResourceLimitError
 from pinq.io import load_hamiltonian
-from pinq.pauli import HamiltonianSum, PauliString
+from pinq.pauli import ITERATIVE_BYTE_CEILING, HamiltonianSum, PauliString
 from pinq.pinning import PinSpec, PromiseBounds, effective_sum
 from pinq.spectral import (
     GAP_VIOLATION,
-    ITERATIVE_BYTE_CEILING,
     NO,
     YES,
     min_eig,
