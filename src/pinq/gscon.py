@@ -24,6 +24,7 @@ while the two uniform strings have expectation zero.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import index
 
@@ -94,9 +95,16 @@ def run_circuit(circuit, n: int) -> np.ndarray:
     return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class GsconInstance:
-    """The full traversal-problem tuple, validated at construction."""
+    """The full traversal-problem tuple, validated at construction.
+
+    Frozen, so the checks made at construction hold for its lifetime.  It
+    holds the CSR operator of its Hamiltonian, built once under the byte
+    ceiling (at most ``ITERATIVE_BYTE_CEILING``) for the endpoint checks,
+    and ``verify_path`` reads that operator.  ``dataclasses.replace`` makes
+    a new instance, checked and built again.
+    """
 
     hamiltonian: HamiltonianSum
     k: int
@@ -110,10 +118,11 @@ class GsconInstance:
     start_circuit: tuple
     target_circuit: tuple
     metadata: dict = field(default_factory=dict)
+    _matvec: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("k", "l", "m"):
-            setattr(self, name, index(getattr(self, name)))  # TypeError unless an integer
+            object.__setattr__(self, name, index(getattr(self, name)))  # TypeError unless an integer
         for name in ("eta1", "eta2", "eta3", "eta4", "delta"):
             # a NaN threshold would pass every comparison it meets
             if not np.isfinite(getattr(self, name)):
@@ -124,10 +133,10 @@ class GsconInstance:
             raise PreconditionError("eta4 - eta3 must be at least Delta")
         if self.m < 0:
             raise PreconditionError("path length bound must be non-negative")
-        # one build of the CSR operator, checked against the byte ceiling
-        # before any 2^n vector exists and dropped on return: the instance
-        # holds no cache
+        # the one build of the CSR operator, checked against the byte ceiling
+        # before any 2^n vector exists, and kept for ``verify_path``
         matvec, _ = operator(self.hamiltonian)
+        object.__setattr__(self, "_matvec", matvec)
         norms = self.hamiltonian.group_norms()
         if norms and max(norms) > 1.0 + 1e-9:
             raise PreconditionError(f"term norm {max(norms):.6f} exceeds 1")
@@ -169,8 +178,9 @@ class PathVerdict:
 def verify_path(instance: GsconInstance, steps) -> PathVerdict:
     """Walk the path, recording every intermediate energy and the final distance.
 
-    The CSR operator of the instance's Hamiltonian is built once per call.
-    Malformed steps (non-unitary or over-local) are rejected with their index.
+    Every energy is a product with the CSR operator that the instance built
+    at construction; nothing is built here.  Malformed steps (non-unitary or
+    over-local) are rejected with their index.
     """
     steps = list(steps)
     if len(steps) > instance.m:
@@ -180,13 +190,12 @@ def verify_path(instance: GsconInstance, steps) -> PathVerdict:
             raise PreconditionError(f"step {i} acts on {len(step.targets)} > l={instance.l} qubits")
         if not step.is_unitary():
             raise PreconditionError(f"step {i} is not unitary")
-    matvec, _ = operator(instance.hamiltonian)
     state = instance.start_state()
     energies = []
     first_violation = None
     for i, step in enumerate(steps):
         state = apply_gate(state, step, instance.n)
-        e = _expectation(matvec, state)
+        e = _expectation(instance._matvec, state)
         energies.append(e)
         if first_violation is None and e > instance.eta1:
             first_violation = i

@@ -16,17 +16,19 @@ Conventions used throughout the package:
 * One builder makes every matrix realization of a sum from its
   flip-diagonal form, H = sum_f P_f diag(D_f): ``_local_flip_forms`` builds
   its parts, either every group on its own support, batched by support
-  width, or all the terms as one part on the whole register.  Group norms,
-  termwise checks and the local propagators of ``zeno`` read the groups,
-  whose dense matrices come from one scatter of a stack (``_dense_stacks``,
-  groups only) under the 12-qubit dense ceiling.  ``flip_diagonals``, the
-  assembled checks and the compiled operator read the whole-register part;
-  checks run up to the 16-qubit sparse ceiling.  No group is built as a
-  matrix of its own.
+  width, or all the terms as one part on the whole register, whose rows
+  are summed on the qubits that carry a Z or Y letter and broadcast over
+  the rest (``_whole_flip_form``).  Group norms, termwise checks and the
+  local propagators of ``zeno`` read the groups, whose dense matrices come
+  from one scatter of a stack (``_dense_stacks``, groups only) under the
+  12-qubit dense ceiling.  ``flip_diagonals``, the assembled checks and
+  the compiled operator read the whole-register part; checks run up to the
+  16-qubit sparse ceiling.  No group is built as a matrix of its own.
 * Every stack has one layout: its rows are the columns of a C-ordered
   (2^w, rows) array, and the builder refuses a stack whose CSR operator,
   data plus int32 column index, would be above ``ITERATIVE_BYTE_CEILING``
-  before it allocates anything.
+  (or whose 2^w states that index cannot address) before it allocates
+  anything.
 * The compiled operator is the whole-register part read through
   Hermiticity: ``HamiltonianSum._flip_stack`` wraps that part's (2^n,
   #flips) array, without a copy, as the data of one flip-ordered CSR
@@ -70,6 +72,8 @@ _STACK_BYTES = 16 << (2 * DENSE_QUBIT_CEILING)
 # bytes of one tile that ``_stacked_diagonals`` sums at a time, so that its
 # temporaries stay cache-sized (8 real rows of 12 qubits)
 _CHUNK_BYTES = 256 << 10
+# qubits that the int32 column index of a CSR operator can address
+_INDEX_BITS = 31
 # rows of a tile at the least: 8 entries of one (2^n, #flips) row fill a
 # 64-byte cache line
 _BLOCK_ROWS = 8
@@ -271,12 +275,7 @@ class HamiltonianSum:
         for i in g:
             s = self._terms[i].string
             m |= s.x | s.z
-        supp = []
-        while m:
-            low = m & -m
-            supp.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(supp)
+        return _mask_qubits(m)
 
     def group_norms(self) -> list:
         """Exact spectral norm of each group, by dense diagonalization on its support.
@@ -457,7 +456,13 @@ def _check_operator_bytes(h: HamiltonianSum) -> None:
 
 def _check_stack_bytes(rows: int, width: int, dtype) -> None:
     """``ResourceLimitError`` when ``rows`` flip diagonals on ``width`` qubits,
-    charged as the CSR operator they make, are above ``ITERATIVE_BYTE_CEILING``."""
+    charged as the CSR operator they make, are above ``ITERATIVE_BYTE_CEILING``,
+    or when its int32 column index cannot address 2^width states, whatever
+    ``rows`` is (so 2^width is never formed for such a width)."""
+    if width > _INDEX_BITS:
+        raise ResourceLimitError(
+            f"{width} qubits have more states than the int32 column index of a CSR operator addresses"
+        )
     need = rows * (1 << width) * (np.dtype(dtype).itemsize + np.dtype(np.int32).itemsize)
     if need > ITERATIVE_BYTE_CEILING:
         raise ResourceLimitError(
@@ -471,51 +476,97 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str =
 
     The parts are the groups, each on its own support, or with ``whole``
     one part, number 0: all the terms on the whole register ``range(n)``,
-    the form of the assembled matrix.  A part on w qubits is renumbered in
-    qubit order, with qubit 0 the most significant bit.  Parts of one width
-    and dtype come in stacks of at most ``_STACK_BYTES`` / (itemsize * 4^w)
-    parts, and at least one.  A stack is (members, part, flips, diags):
-    ``members`` lists its part indices in increasing order, and row k holds
-    the local flip mask ``flips[k]`` of part ``members[part[k]]`` with its
-    diagonal ``diags[k]``, so entry (r, r ^ f) of that part is D_f[r ^ f].
-    A part's rows come in increasing f, each summed in term order.  Every
-    ``diags`` is the transposed view of a C-ordered (2^w, rows) array, the
-    data layout of the CSR operator (``HamiltonianSum._flip_stack``).
+    the form of the assembled matrix (``_whole_flip_form``).  A part on w
+    qubits is renumbered in qubit order, with qubit 0 the most significant
+    bit.  Parts of one width and dtype come in stacks of at most
+    ``_STACK_BYTES`` / (itemsize * 4^w) parts, and at least one.  A stack is
+    (members, part, flips, diags): ``members`` lists its part indices in
+    increasing order, and row k holds the local flip mask ``flips[k]`` of
+    part ``members[part[k]]`` with its diagonal ``diags[k]``, so entry
+    (r, r ^ f) of that part is D_f[r ^ f].  A part's rows come in increasing
+    f, each summed in term order.  Every ``diags`` is the transposed view of
+    a C-ordered (2^w, rows) array, the data layout of the CSR operator
+    (``HamiltonianSum._flip_stack``).
 
     Raises ``ResourceLimitError`` before anything is allocated when a part
-    spans more than ``ceiling`` qubits (a ``ceiling`` of None checks none),
-    and before a stack is allocated when it, charged as a CSR operator, is
-    above ``ITERATIVE_BYTE_CEILING``.  A stack of several parts is charged
-    at most 3/2 * ``_STACK_BYTES``, below that ceiling, so only a stack of
-    one part can be refused.
+    spans more than ``ceiling`` qubits (a ``ceiling`` of None checks none;
+    the whole register is checked by ``h.n`` alone, before any range of it
+    is formed), and before a stack is allocated when it, charged as a CSR
+    operator, is above ``ITERATIVE_BYTE_CEILING``.  A stack of several parts
+    is charged at most 3/2 * ``_STACK_BYTES``, below that ceiling, so only a
+    stack of one part can be refused.
     """
     if whole:
-        groups, supports = [range(len(h.terms))], [range(h.n)]
-    else:
-        groups = h.group_indices()
-        supports = [h.group_support(g) for g in groups]
+        if ceiling is not None:
+            _check_ceiling(h.n, ceiling, kind)
+        yield _whole_flip_form(h)
+        return
+    groups = h.group_indices()
+    supports = [h.group_support(g) for g in groups]
     if ceiling is not None:
         for supp in supports:
             _check_ceiling(len(supp), ceiling, kind)
     local, buckets = [], {}
     for g, supp in zip(groups, supports):
-        local.append(_local_strings(h.terms, g, _support_bits(supp)))
+        bits = _support_bits(supp)
+        local.append(_local_strings(h.terms, g, bits, bits))
         dtype = complex if any(ny for _, _, ny, _ in local[-1]) else float
         buckets.setdefault((len(supp), dtype), []).append(len(local) - 1)
     for (width, dtype), members in buckets.items():
         per_stack = max(1, _STACK_BYTES // (np.dtype(dtype).itemsize << 2 * width))
         for start in range(0, len(members), per_stack):
             chunk = members[start:start + per_stack]
-            part, flips, strings = [], [], []
-            for p, gi in enumerate(chunk):
-                row_of = {f: len(flips) + k for k, f in enumerate(sorted({t[0] for t in local[gi]}))}
-                part += [p] * len(row_of)
-                flips += row_of
-                strings += [(row_of[flip], sign, ny, coeff) for flip, sign, ny, coeff in local[gi]]
+            part, flips, strings = _stack_rows([local[gi] for gi in chunk])
             _check_stack_bytes(len(flips), width, dtype)
             diags = np.empty((1 << width, len(flips)), dtype=dtype).T
             _stacked_diagonals(strings, diags)
-            yield chunk, np.array(part, dtype=np.intp), np.array(flips, dtype=np.intp), diags
+            yield chunk, part, flips, diags
+
+
+def _whole_flip_form(h: HamiltonianSum):
+    """The one stack of the whole-register part of ``_local_flip_forms``.
+
+    D_f[r] depends on r only through the sign support S of the sum, the
+    qubits that carry a Z or Y letter in some string.  When S misses a
+    qubit, the rows are summed on the 2^|S| patterns of S and each
+    whole-register row r is copied from the pattern of r, one broadcast
+    over the qubits outside S.  Each entry is the same term-order sum, so
+    the stack is bit for bit the pass on the whole register.
+    """
+    _check_stack_bytes(h.flip_count(), h.n, h.dtype)
+    z = 0
+    for t in h.terms:
+        z |= t.string.z
+    signs = _mask_qubits(z)
+    local = _local_strings(h.terms, range(len(h.terms)), _support_bits(range(h.n)), _support_bits(signs))
+    part, flips, strings = _stack_rows([local])
+    rows = len(flips)
+    data = np.empty((1 << h.n, rows), dtype=h.dtype)
+    if len(signs) == h.n:
+        _stacked_diagonals(strings, data.T)
+    else:
+        on_signs = np.empty((1 << len(signs), rows), dtype=h.dtype)
+        _stacked_diagonals(strings, on_signs.T)
+        # axis q of the register is qubit q; the patterns have length 1 on
+        # the axes outside S
+        axes = [1] * h.n
+        for q in signs:
+            axes[q] = 2
+        data.reshape((2,) * h.n + (rows,))[...] = on_signs.reshape((*axes, rows))
+    return [0], part, flips, data.T
+
+
+def _stack_rows(parts):
+    """(part, flips, strings) of a stack of parts, each given by
+    ``_local_strings``: part p's rows are its distinct flip masks in
+    increasing order, and each string is readdressed to its row."""
+    part, flips, strings = [], [], []
+    for p, local in enumerate(parts):
+        row_of = {f: len(flips) + k for k, f in enumerate(sorted({t[0] for t in local}))}
+        part += [p] * len(row_of)
+        flips += row_of
+        strings += [(row_of[flip], sign, ny, coeff) for flip, sign, ny, coeff in local]
+    return np.array(part, dtype=np.intp), np.array(flips, dtype=np.intp), strings
 
 
 def _dense_stacks(h: HamiltonianSum):
@@ -531,18 +582,29 @@ def _dense_stacks(h: HamiltonianSum):
         yield members, mats
 
 
-def _local_strings(terms, g, local) -> list:
+def _local_strings(terms, g, flip_bits, sign_bits) -> list:
     """(flip, sign, #Y, coeff) of each term ``terms[i]``, i in ``g``, in order.
 
-    ``local`` maps a mask to the state-index bits of a support that holds
-    every qubit the strings act on: ``_support_bits(supp)`` for a group, or
-    ``_support_bits(range(n))`` for a whole sum.
+    ``flip_bits`` and ``sign_bits`` map X and Z masks to the state-index
+    bits of supports that hold every qubit the strings flip and sign:
+    ``_support_bits(supp)`` for a group, or for a whole sum
+    ``_support_bits(range(n))`` and that of its sign support.
     """
     out = []
     for i in g:
-        flip, sign = local(terms[i].string.x), local(terms[i].string.z)
-        out.append((flip, sign, (flip & sign).bit_count(), terms[i].coeff))
+        s = terms[i].string
+        out.append((flip_bits(s.x), sign_bits(s.z), (s.x & s.z).bit_count(), terms[i].coeff))
     return out
+
+
+def _mask_qubits(m: int) -> tuple:
+    """The qubits of the set bits of ``m``, in increasing order."""
+    qubits = []
+    while m:
+        low = m & -m
+        qubits.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(qubits)
 
 
 def _support_bits(supp):

@@ -788,6 +788,17 @@ def test_huge_register_hits_the_qubit_ceiling(tmp_path, capsys, command, options
     assert "iterative ceiling" in captured.err and "Traceback" not in captured.err
 
 
+def test_assembled_check_on_a_huge_register_exits_3_with_a_json_line(tmp_path, capsys):
+    f = _write(tmp_path, "h.txt", _HUGE_HEADER)
+    assert main(["check", f, "--assembled"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    human, record = captured.err.splitlines()
+    assert human == "error: 99999999999999999999 qubits exceeds the sparse ceiling of 16"
+    assert json.loads(record) == {"error": {"type": "ResourceLimitError", "message": human[len("error: "):],
+                                            "exit_code": 3}}
+
+
 def test_effective_on_a_huge_register_touches_only_the_strings(tmp_path):
     # a register-wide loop would run until memory is gone, so the command runs
     # in a child process whose address space is capped at 2.5 GiB
@@ -1057,6 +1068,53 @@ def test_stoquastic_construction_files_are_golden(tmp_path, capsys, command):
     code, _ = _run(capsys, command, f, *options, "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# a planted traversal instance of three 2-qubit blocks (12 qubits once built):
+# its Z-type terms put |00> above zero, its X-type terms put |++> below it,
+# so the empty flip path is a NO and the path through H (x) H on each block
+# is a YES.  The gates hold exact entries, so no solver touches the files.
+_BLOCK_SIGNS = (("ZZ", 1.0), ("ZI", 1.0), ("IZ", 1.0), ("XX", -1.0), ("ZX", 1.0), ("XZ", -1.0),
+                ("XI", -1.0), ("IX", -1.0))
+_HH = [[[0.5 * (-1) ** bin(r & c).count("1"), 0.0] for c in range(4)] for r in range(4)]
+_Z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+# sha256 of the instance and empty-path files that gscon-build writes, and of
+# the payloads of gscon-verify on the empty and the planted path
+_GSCON_GOLDEN = {
+    "instance": "7151b7c500ee8cc77b73c7ec0b2668dc0eaae29dc613f8cd5ea3ef44028e2b1f",
+    "empty_path": "1b9f0eb1e7b02aa96d6928a5a00a34f8a35c35a3733f2532d3eddbf5b4c1f615",
+    "empty": "40b5fd5387acc1835e63f193f64fe74e9723ae875e818ed90385df4aa534275b",
+    "planted": "f4fc54d338f669d776b20f5cad294060aa2958ad5294303a2e0423b6ccf420d7",
+}
+
+
+def test_gscon_files_and_verdicts_are_golden(tmp_path, capsys):
+    rng = np.random.default_rng(22)
+    n = 6
+    lines = [f"qubits {n}"]
+    for blk in range(3):
+        for pair, sign in _BLOCK_SIGNS:
+            label = ["I"] * n
+            label[2 * blk:2 * blk + 2] = pair
+            lines.append(f"{sign * float(rng.uniform(0.1, 0.5))!r} {''.join(label)}")
+    f = _write(tmp_path, "h.txt", "\n".join(lines) + "\n")
+    inst, empty, planted = (str(tmp_path / name) for name in ("inst.json", "empty.json", "planted.json"))
+    steps = [{"targets": [2 * blk, 2 * blk + 1], "matrix": _HH} for blk in range(3)]
+    steps += [{"targets": [q], "matrix": _Z} for q in range(n, n + 3)]
+    steps += steps[2::-1]  # H (x) H is its own inverse
+    with open(planted, "w") as out:
+        json.dump({"format": FORMAT_VERSIONS["gscon_path_json"], "steps": steps}, out)
+    code, report = _run(capsys, "gscon-build", f, "--alpha", "1e-9", "--beta", "0.5", "--out", inst,
+                        "--path-out", empty)
+    assert code == 0 and report["payload"]["qubits"] == 12
+    digests = {"instance": hashlib.sha256(open(inst, "rb").read()).hexdigest(),
+               "empty_path": hashlib.sha256(open(empty, "rb").read()).hexdigest()}
+    for name, path, want_code, outcome in (("empty", empty, 1, "energy-violation"),
+                                           ("planted", planted, 0, "YES-witnessed")):
+        code, report = _run(capsys, "gscon-verify", "--instance", inst, "--path", path)
+        assert code == want_code and report["payload"]["outcome"] == outcome
+        digests[name] = hashlib.sha256(json.dumps(report["payload"], sort_keys=True).encode()).hexdigest()
+    assert digests == _GSCON_GOLDEN
 
 
 def test_unknown_subcommand_exit_2(capsys):

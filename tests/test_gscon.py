@@ -338,29 +338,37 @@ def _count_full_builds(monkeypatch, n):
     return count
 
 
-def test_instance_and_verify_build_flip_diagonals_once(monkeypatch):
+def test_instance_builds_its_operator_once_and_verify_builds_none(monkeypatch):
     h = HamiltonianSum.from_terms(2, [(-0.8, "ZZ"), (0.3, "XI"), (-0.4, "XZ")])
     count = _count_full_builds(monkeypatch, 8)
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     assert count[0] == 1
     steps = witness_traversal(build, [])
     count[0] = 0
-    verdict = verify_path(build.instance, steps)
-    assert count[0] == 1
-    assert len(verdict.energies) == len(steps)
+    verdicts = [verify_path(build.instance, steps) for _ in range(2)]
+    assert count[0] == 0
+    assert verdicts[0].energies == verdicts[1].energies
+    assert len(verdicts[0].energies) == len(steps)
     # the energies are those of the assembled matrix
     hm = build.hamiltonian.to_matrix()
     state = build.instance.start_state()
-    for step, e in zip(steps, verdict.energies):
+    for step, e in zip(steps, verdicts[0].energies):
         state = apply_gate(state, step, build.instance.n)
         assert e == pytest.approx(float(np.real(np.vdot(state, hm @ state))), abs=1e-12)
 
 
-def test_instance_keeps_no_cache():
+def test_instance_is_frozen_and_replace_checks_again():
     h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
     inst = build_stoquastic_gscon(h, alpha=0.0, beta=0.5).instance
-    verify_path(inst, [])
-    assert set(vars(inst)) == {f.name for f in dataclasses.fields(inst)}
+    for f in dataclasses.fields(inst):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, f.name, getattr(inst, f.name))
+    assert "_matvec" not in repr(inst)
+    assert dataclasses.replace(inst, m=7).m == 7
+    with pytest.raises(PreconditionError, match="non-negative"):
+        dataclasses.replace(inst, m=-1)
+    with pytest.raises(PreconditionError, match="exceed eta1"):
+        dataclasses.replace(inst, hamiltonian=HamiltonianSum.from_terms(inst.n, [(0.5, "I" * inst.n)]))
 
 
 def test_build_refuses_y_terms():

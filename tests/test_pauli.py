@@ -19,6 +19,7 @@ from oracles import (
 
 import pinq.pauli
 from pinq.errors import PreconditionError, ResourceLimitError
+from pinq.gscon import build_stoquastic_gscon
 from pinq.pauli import (
     DENSE_QUBIT_CEILING,
     HamiltonianSum,
@@ -271,6 +272,69 @@ def test_flip_stack_rows_are_the_per_term_entries_bit_for_bit(n):
         for k, (f, diag) in enumerate(want):
             np.testing.assert_array_equal(cols[:, k], rows ^ f)
             assert data[:, k].tobytes() == diag[rows ^ f].tobytes()
+
+
+def _x_only(terms, qubits):
+    """The terms with only I or X on ``qubits``: Y turns X and Z turns I there."""
+    table = str.maketrans("YZ", "XI")
+    return [(c, "".join(ch.translate(table) if q in qubits else ch for q, ch in enumerate(label)))
+            for c, label in terms]
+
+
+def _narrowed_build_cases():
+    rng = np.random.default_rng(2200)
+    cases = []
+    for n_sys in (1, 2, 3):  # the traversal construction: Q and R3 put only X on 6 ancillas
+        labels = ["".join(rng.choice(list("IXZ"), n_sys)) for _ in range(2 * n_sys)] + ["Z" * n_sys]
+        h = HamiltonianSum.from_terms(n_sys, [(float(rng.uniform(-0.5, 0.5)), lab) for lab in labels])
+        hpp = build_stoquastic_gscon(h, alpha=0.0, beta=0.5).hamiltonian
+        cases.append(pytest.param(hpp.n, [(t.coeff, t.string.label()) for t in hpp.terms], n_sys,
+                                  id=f"stoquastic-{hpp.n}"))
+    for n in (5, 7):  # complex rows, two X-only qubits
+        terms = _x_only(_edge_case_terms(rng, n), {1, n - 2})
+        terms += [(0.5, "YX" + "Y" * (n - 4) + "XZ"), (-0.0, "Y" + "X" * (n - 1))]
+        cases.append(pytest.param(n, terms, n - 2, id=f"complex-{n}"))
+    for n in (4, 6):  # the sign support misses exactly one qubit
+        for kind, letters in (("real", "IXZ"), ("complex", "IXYZ")):
+            terms = _x_only(_edge_case_terms(rng, n, letters), {n // 2})
+            terms.append((0.25, "Z" * (n // 2) + "I" + "Z" * (n - n // 2 - 1)))
+            cases.append(pytest.param(n, terms, n - 1, id=f"miss-one-{kind}-{n}"))
+    cases.append(pytest.param(5, _edge_case_terms(rng, 5, "IX"), 0, id="pure-x"))
+    cases.append(pytest.param(4, [], 0, id="empty"))
+    return cases
+
+
+@pytest.mark.parametrize("n, terms, width", _narrowed_build_cases())
+def test_narrowed_whole_register_build_is_bit_identical(monkeypatch, n, terms, width):
+    # the whole-register rows are summed on the 2^|S| patterns of the sign
+    # support S and broadcast over the rest; flip_diagonals and the CSR data
+    # are the per-term sums byte for byte, signed zeros included
+    want = flip_diagonals(n, terms)
+    h = HamiltonianSum.from_terms(n, terms)
+    passes = []
+    stacked = pinq.pauli._stacked_diagonals
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals",
+                        lambda strings, diags: passes.append(diags.shape[1]) or stacked(strings, diags))
+    got = list(h.flip_diagonals())
+    assert passes == [1 << width]
+    assert [f for f, _ in got] == [f for f, _ in want]
+    for (_, d), (_, ref) in zip(got, want):
+        assert d.dtype == ref.dtype and d.tobytes() == ref.tobytes()
+    rows = np.arange(1 << n)
+    mat = h._flip_stack()
+    expect = np.stack([diag[rows ^ f] for f, diag in want], axis=1) if want else np.empty((1 << n, 0))
+    assert mat.data.dtype == expect.dtype and mat.data.tobytes() == expect.tobytes()
+
+
+def test_whole_register_refusals_form_no_register_range():
+    # 2^n cannot be formed, nor range(n) iterated, for a header of 10^20 qubits
+    h = HamiltonianSum(10**20, [])
+    with pytest.raises(ResourceLimitError, match="int32 column index"):
+        list(h.flip_diagonals())
+    with pytest.raises(ResourceLimitError, match="sparse ceiling"):
+        is_stoquastic(h, termwise=False)
+    with pytest.raises(ResourceLimitError, match="sparse ceiling"):
+        is_permutation(h, per_term=False)
 
 
 def test_mask_maps_match_per_qubit_loop():
