@@ -11,7 +11,7 @@ from pinq import (
     HamiltonianSum,
     PromiseBounds,
     commuting_pin,
-    effective_hamiltonian,
+    effective_sum,
     is_commuting,
     is_permutation,
     is_stoquastic,
@@ -41,7 +41,7 @@ print(f"termwise stoquastic: {is_stoquastic(res.hamiltonian, termwise=True).verd
 pinned = pinned_min_energy(res.hamiltonian, res.pin).value
 print(f"pinned minimum {pinned:.12f}  (target {e0:.12f}, diff {abs(pinned - e0):.2e})")
 
-# --- commuting pin needs the X/Z split, so drop the mixed term -------------
+# --- commuting pin needs commuting off-diagonal strings: XZ and XX do not --
 print("\n== commuting pin ==")
 h_split = HamiltonianSum.from_terms(
     2, [(0.8, "ZI"), (-0.6, "ZZ"), (0.5, "XI"), (0.7, "XX")]
@@ -55,12 +55,12 @@ print(f"promise bounds: ({res.bounds.a}, {res.bounds.b})")
 
 # --- permutation pin: 0/1 blocks, coefficients in the pin angles -----------
 print("\n== permutation pin ==")
-res = permutation_pin(h_split, q_bits=20)
+res = permutation_pin(h, q_bits=20)
 report = res.report
-print(f"blocks: {report.term_count} (bound {2 * len(h_split.terms) * 21}), "
+print(f"blocks: {report.term_count} (bound {len(h.terms) * 20}), "
       f"locality {report.output_locality}, pinned qubits {len(res.pin.entries)}")
 print(f"every block a permutation: {is_permutation(res.hamiltonian, per_term=True).verdict}")
-eff = np.asarray(effective_hamiltonian(res.hamiltonian, res.pin))
-target = np.asarray(h_split.to_matrix(dense=True)) / report.scale
+eff = effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True)
+target = h.to_matrix(dense=True) / report.scale
 err = np.linalg.norm(eff - target, 2)
 print(f"effective vs target: {err:.3e}  (bound {report.truncation_bound:.3e})")

@@ -64,12 +64,10 @@ from .pinning import (
     PromiseBounds,
     ReductionResult,
     commuting_pin,
-    effective_hamiltonian,
     effective_sum,
     penalty_delta,
     permutation_pin,
     pin_penalty_lift,
-    rotate_pin_to_zero,
     stoquastic_pin,
 )
 from .spectral import (

@@ -211,7 +211,8 @@ class HamiltonianSum:
 
     ``groups`` optionally partitions the term list into local operators;
     every structural check and locality count treats one group as one term.
-    Instances are immutable.
+    Instances are immutable, so ``has_y`` and the flip-mask count, which
+    every operator build reads, are counted once at construction.
     """
 
     def __init__(self, n, terms, groups=None):
@@ -233,6 +234,8 @@ class HamiltonianSum:
                 raise ValueError("term qubit count mismatch")
             tlist.append(term)
         self._terms = tuple(tlist)
+        self._has_y = any(t.string.has_y for t in tlist)
+        self._flip_count = len({t.string.x for t in tlist})
         if groups is not None:
             groups = tuple(tuple(int(i) for i in g) for g in groups)
             seen = sorted(i for g in groups for i in g)
@@ -297,15 +300,15 @@ class HamiltonianSum:
 
     @property
     def has_y(self) -> bool:
-        return any(t.string.has_y for t in self._terms)
+        return self._has_y
 
     @property
     def dtype(self) -> type:
-        return complex if self.has_y else float
+        return complex if self._has_y else float
 
     def flip_count(self) -> int:
         """Number of distinct X flip masks, i.e. of diagonals in ``flip_diagonals``."""
-        return len({t.string.x for t in self._terms})
+        return self._flip_count
 
     def flip_diagonals(self):
         """Yield (f, D_f) in increasing f, with H = sum_f P_f diag(D_f).

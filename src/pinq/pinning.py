@@ -9,12 +9,17 @@ unpinned qubits and never requires assembling the large matrix.
 The four constructions here trade restrictions for pins:
 
 * ``pin_penalty_lift``    -- removes a pin by paying an energy penalty.
-* ``commuting_pin``       -- two internally-commuting groups -> fully
-                             commuting terms plus one pinned ancilla.
+* ``commuting_pin``       -- diagonal strings plus internally-commuting
+                             off-diagonal strings -> fully commuting terms
+                             plus one pinned ancilla.
 * ``stoquastic_pin``      -- sign-flips positive off-diagonal terms through
                              an ancilla pinned to |->.
 * ``permutation_pin``     -- 0/1 permutation blocks with coefficients encoded
                              in pinned ancilla rotation angles.
+
+``stoquastic_pin`` and ``permutation_pin`` accept every Y-free string, and
+``commuting_pin`` every sum whose off-diagonal strings commute with one
+another: each refuses only what its identity does not cover.
 
 Each of them, and the O'/P' split of ``gscon.build_stoquastic_gscon``,
 attaches a projector to a string through one gadget,
@@ -38,29 +43,26 @@ from .pauli import (
     HamiltonianSum,
     PauliString,
     PauliTerm,
-    _LETTER,
-    _LETTER_INV,
+    is_commuting,
     projector_terms,
     sign_pieces,
 )
 
 
 class _PinRow(NamedTuple):
-    """One pin state: its amplitudes, <X>, <Z>, and the images of the Pauli
-    letters, as [(coeff, letter)], under the real rotation sending it to |0>."""
+    """One pin state: its amplitudes, <X> and <Z>."""
 
     amplitudes: tuple
     exp_x: float
     exp_z: float
-    images: dict
 
 
 _R = 1.0 / math.sqrt(2.0)
 _NAMED_STATES = {
-    "0": _PinRow((1.0, 0.0), 0.0, 1.0, {"X": [(1.0, "X")], "Z": [(1.0, "Z")], "Y": [(1.0, "Y")]}),
-    "1": _PinRow((0.0, 1.0), 0.0, -1.0, {"X": [(1.0, "X")], "Z": [(-1.0, "Z")], "Y": [(-1.0, "Y")]}),
-    "+": _PinRow((_R, _R), 1.0, 0.0, {"X": [(1.0, "Z")], "Z": [(1.0, "X")], "Y": [(-1.0, "Y")]}),
-    "-": _PinRow((_R, -_R), -1.0, 0.0, {"X": [(-1.0, "Z")], "Z": [(1.0, "X")], "Y": [(1.0, "Y")]}),
+    "0": _PinRow((1.0, 0.0), 0.0, 1.0),
+    "1": _PinRow((0.0, 1.0), 0.0, -1.0),
+    "+": _PinRow((_R, _R), 1.0, 0.0),
+    "-": _PinRow((_R, -_R), -1.0, 0.0),
 }
 
 
@@ -97,9 +99,8 @@ class PinState:
         """The state's row of ``_NAMED_STATES``, or that of an angle state."""
         if self.kind != "angle":
             return _NAMED_STATES[self.kind]
-        c2, s2 = math.cos(2.0 * self.angle), math.sin(2.0 * self.angle)
-        images = {"X": [(s2, "Z"), (c2, "X")], "Z": [(c2, "Z"), (-s2, "X")], "Y": [(1.0, "Y")]}
-        return _PinRow((math.cos(self.angle), math.sin(self.angle)), s2, c2, images)
+        return _PinRow((math.cos(self.angle), math.sin(self.angle)),
+                       math.sin(2.0 * self.angle), math.cos(2.0 * self.angle))
 
     @property
     def exp_x(self) -> float:
@@ -206,51 +207,6 @@ def effective_sum(h: HamiltonianSum, pin: PinSpec) -> HamiltonianSum:
             continue
         out_terms.append(PauliTerm(coeff, PauliString(h.n - len(pinned), x_new, z_new)))
     return HamiltonianSum(h.n - len(pinned), out_terms).merged()
-
-
-def effective_hamiltonian(h: HamiltonianSum, pin: PinSpec):
-    """Dense matrix of the pinned operator on the unpinned qubits.
-
-    ``to_matrix`` raises ``ResourceLimitError`` above the 12-qubit dense
-    ceiling before anything is allocated.
-    """
-    return effective_sum(h, pin).to_matrix(dense=True)
-
-
-# ---------------------------------------------------------------------------
-# local basis rotation of pins onto |0>
-# ---------------------------------------------------------------------------
-
-def rotate_pin_to_zero(h: HamiltonianSum, pin: PinSpec):
-    """Conjugate by the single-qubit unitaries sending each pin state to |0>.
-
-    Returns (rotated Hamiltonian, pin spec with every state |0>).  Spectra of
-    pinned effective operators are unchanged.
-    """
-    pin.validate_for(h.n)
-    states = dict(pin.entries)
-    out_terms = []
-    for t in h.terms:
-        expansion = [(t.coeff, t.string.x, t.string.z)]
-        for q, state in states.items():
-            xb = (t.string.x >> q) & 1
-            zb = (t.string.z >> q) & 1
-            letter = _LETTER[(xb, zb)]
-            if letter == "I":
-                continue
-            new_exp = []
-            for coeff, x, z in expansion:
-                for fac, axis in state._row.images[letter]:
-                    nx, nz = _LETTER_INV[axis]
-                    x2 = (x & ~(1 << q)) | (nx << q)
-                    z2 = (z & ~(1 << q)) | (nz << q)
-                    new_exp.append((coeff * fac, x2, z2))
-            expansion = new_exp
-        for coeff, x, z in expansion:
-            out_terms.append(PauliTerm(coeff, PauliString(h.n, x, z)))
-    rotated = HamiltonianSum(h.n, out_terms).merged()
-    new_pin = PinSpec(tuple((q, PIN_ZERO) for q, _ in pin.entries))
-    return rotated, new_pin
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +348,20 @@ def pin_penalty_lift(
 
 
 def commuting_pin(h: HamiltonianSum, bounds: PromiseBounds | None = None) -> ReductionResult:
-    """Attach |+><+| to the diagonal group and |-><-| to the X group.
+    """Attach |+><+| to the diagonal strings A and |-><-| to the rest, B.
 
-    Accepts Hamiltonians splitting into a diagonal (Z-type) and a pure X-type
-    group.  The output commutes term by term, is (k+1)-local, and pinning the
-    new ancilla to |0> halves every energy, so the promise becomes (a/2, b/2).
+    Accepts every Hamiltonian whose off-diagonal strings B commute with one
+    another: A (x) |+><+| + B (x) |-><-| then commutes group by group, since
+    A is diagonal and |+><+| |-><-| = 0.  The output is (k+1)-local, and
+    pinning the new ancilla to |0> halves every energy, so the promise
+    becomes (a/2, b/2).  ``UnsupportedTermError`` names two strings of B
+    that do not commute.
     """
-    for t in h.terms:
-        if t.string.has_y or (t.string.x and t.string.z):
-            raise UnsupportedTermError(
-                f"term {t.string.label()} is neither diagonal nor pure X-type"
-            )
+    off = HamiltonianSum(h.n, [t for t in h.terms if not t.string.is_diagonal])
+    pair = is_commuting(off).pair
+    if pair is not None:
+        first, second = (off.terms[i].string.label() for i in pair)
+        raise UnsupportedTermError(f"off-diagonal terms {first} and {second} do not commute")
     n_out = h.n + 1
     # a header-only input may name more qubits than a mask can hold
     anc_bit = 1 << h.n if h.terms else 0
@@ -489,28 +448,26 @@ def permutation_pin(
     q_bits: int | None = None,
     bounds: PromiseBounds | None = None,
 ) -> ReductionResult:
-    """Encode a {X, XX, Z, ZZ} Hamiltonian into 0/1 permutation blocks.
+    """Encode a Y-free Hamiltonian into 0/1 permutation blocks.
 
-    Z-type strings become controlled-flip gadgets on a parity ancilla ``z``
-    pinned to |->; coefficient magnitudes are binary-expanded to ``q_bits``
-    bits, one block per set bit carrying X on ancilla ``q_j`` whose pin angle
-    satisfies sin(2a_j) = 2^-j; negative coefficients also carry X on the
-    sign ancilla ``q_0`` pinned to |->.  Every block is a permutation matrix
-    with locality <= 5, there are at most 2M(Q+1) of them, and the pinned
-    effective operator is within M * 2^-Q of the (rescaled) input.
+    Coefficient magnitudes are binary-expanded to ``q_bits`` bits, one block
+    per set bit carrying X on ancilla ``q_j`` whose pin angle satisfies
+    sin(2a_j) = 2^-j; negative coefficients also carry X on the sign ancilla
+    ``q_0`` pinned to |->.  A string X^x Z^z with a Z mask becomes the
+    parity gadget |s, a> -> |s ^ x, a ^ (z.s)> on the parity ancilla ``z``
+    pinned to |->, whose <-|.|-> is X^x Z^z.  Every block is a permutation
+    matrix on at most k + 3 qubits, there are at most M*Q of them, and the
+    pinned effective operator is within M * 2^-Q of the (rescaled) input.
 
     Ancilla order is fixed: z, q_0, q_1..q_Q after the system qubits.
+    ``UnsupportedTermError`` for a string with a Y factor.
     ``PreconditionError`` when Q is below 1 or above ``_BIT_CEILING``, or
     when bounds are given without ``q_bits`` and no Q up to the ceiling
     has M * 2^(1-Q) <= (scaled gap)/4, before any block is built.
     """
     for t in h.terms:
-        if t.string.has_y or (t.string.x and t.string.z):
-            raise UnsupportedTermError(
-                f"term {t.string.label()} not in the X/XX/Z/ZZ input set"
-            )
-        if t.string.is_diagonal and bin(t.string.z).count("1") > 2:
-            raise UnsupportedTermError("diagonal strings above weight 2 are not supported")
+        if t.string.has_y:
+            raise UnsupportedTermError(f"term {t.string.label()} carries a Y factor")
 
     nonzero = [t for t in h.terms if t.coeff != 0.0]
     dropped = len(h.terms) - len(nonzero)
@@ -545,16 +502,13 @@ def permutation_pin(
             anc_x = 1 << q_anc(j)
             if negative:
                 anc_x |= 1 << q0_anc
-            if t.string.is_diagonal and t.string.z:
-                # parity gadget: (even projector) (x) I_z + (odd projector) (x) X_z
-                zmask = t.string.z
-                xz = 1 << z_anc
-                blocks.append(
-                    projector_terms(n_out, 1.0, anc_x, 0, 1, 0, zmask)
-                    + projector_terms(n_out, 1.0, anc_x | xz, 0, -1, 0, zmask)
-                )
+            x, z = t.string.x | anc_x, t.string.z
+            if z:
+                # parity gadget: X^x (even projector) (x) I_z + X^x (odd projector) (x) X_z
+                blocks.append(projector_terms(n_out, 1.0, x, 0, 1, 0, z)
+                              + projector_terms(n_out, 1.0, x | 1 << z_anc, 0, -1, 0, z))
             else:
-                blocks.append([PauliTerm(1.0, PauliString(n_out, t.string.x | anc_x, 0))])
+                blocks.append([PauliTerm(1.0, PauliString(n_out, x, 0))])
 
     pins = [(z_anc, PIN_MINUS), (q0_anc, PIN_MINUS)]
     for j in range(1, q_bits + 1):

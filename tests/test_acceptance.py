@@ -27,7 +27,7 @@ from pinq.pinning import (
     PinSpec,
     PromiseBounds,
     commuting_pin,
-    effective_hamiltonian,
+    effective_sum,
     permutation_pin,
     pin_penalty_lift,
     stoquastic_pin,
@@ -147,7 +147,7 @@ def test_criterion_4_permutation_pin():
             assert is_permutation(res.hamiltonian, per_term=True).verdict
             assert res.hamiltonian.locality <= 5
             assert len(res.hamiltonian.group_indices()) <= 2 * m_count * (q_bits + 1)
-            eff = np.asarray(effective_hamiltonian(res.hamiltonian, res.pin))
+            eff = np.asarray(effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True))
             target = np.asarray(h.to_matrix(dense=True)) / res.report.scale
             assert np.linalg.norm(eff - target, 2) <= m_count * 2.0 ** (-q_bits)
             assert m_count * 2.0 ** (-q_bits) < m_count * 1e-6

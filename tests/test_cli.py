@@ -242,6 +242,19 @@ def test_pin_permutation_without_finite_scale_exit_3(tmp_path, capsys):
     assert "no finite scale" in captured.err
 
 
+def test_pin_commuting_refuses_non_commuting_off_diagonal_terms_exit_3(tmp_path, capsys):
+    # XI and YI anticommute, so the |-><-| group would not commute
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.5 ZZ\n1 XI\n-0.25 YI\n")
+    out = tmp_path / "o.txt"
+    code = main(["pin-commuting", f, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and not out.exists()
+    human, record = captured.err.splitlines()
+    assert human == "error: off-diagonal terms XI and YI do not commute"
+    assert json.loads(record) == {"error": {"type": "UnsupportedTermError", "message": human[len("error: "):],
+                                            "exit_code": 3}}
+
+
 @pytest.mark.parametrize("route", [[], ["--dense"], ["--iterative"]])
 def test_spectrum_overflowing_residual_exit_3_without_warnings(tmp_path, capsys, route):
     f = _write(tmp_path, "h.txt", "qubits 2\n1e200 XX\n-0.25 ZZ\n")
@@ -1043,10 +1056,20 @@ def test_stoquastic_constructions_take_several_z_factors(tmp_path, capsys):
     assert code == 0 and report["payload"]["qubits"] == 9
 
 
-# sha256 of the files the two stoquastic constructions write on fixed mixed
-# X/Z inputs, a zero weight included: their output bytes are part of the
-# seeded-output contract
+# sha256 of the files the pinning and traversal constructions write on fixed
+# inputs, a zero weight and negative weights included: their output bytes are
+# part of the seeded-output contract
 _GOLDEN_INPUTS = {
+    "pin-commuting": (
+        "qubits 3\n0.5 ZII\n-0.25 XXI\n0 IZZ\n0.75 IIX\n-0.375 ZIZ\n0.3 IXI\n",
+        [],
+        "483b7d97440af57fe6d49ba7cc38dfbcb804c7c1243cdaf74e6f84e22acc1a14",
+    ),
+    "pin-permutation": (
+        "qubits 3\n0.625 XII\n-0.25 ZZI\n0 IXX\n-0.5 IIZ\n0.3 XIX\n-0.875 IZI\n",
+        ["--bits", "6"],
+        "c5188c356ce9fd91337ae9934dee793baea4b53c91e3a97e9e059d00f1284616",
+    ),
     "pin-stoquastic": (
         "qubits 3\n0.5 XZI\n-0.25 ZXX\n0.75 IZX\n-0.3 XII\n0.2 ZZI\n0 XIZ\n-0.125 XXZ\n0.375 ZIX\n",
         [],

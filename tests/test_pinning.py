@@ -1,5 +1,7 @@
 """The four pinning reductions and the effective-Hamiltonian projector."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,10 @@ from pinq.pinning import (
     PinState,
     PromiseBounds,
     commuting_pin,
-    effective_hamiltonian,
     effective_sum,
     penalty_delta,
     permutation_pin,
     pin_penalty_lift,
-    rotate_pin_to_zero,
     stoquastic_pin,
 )
 from pinq.pinning import _binary_bits
@@ -52,7 +52,7 @@ def _pin_matrix(h, pin):
 
 def test_effective_zx_pin_plus():
     h = HamiltonianSum.from_terms(2, [(1.0, "ZX")])
-    eff = effective_hamiltonian(h, PinSpec.of((1, "+")))
+    eff = effective_sum(h, PinSpec.of((1, "+"))).to_matrix(dense=True)
     np.testing.assert_allclose(eff, np.diag([1.0, -1.0]), atol=0)
 
 
@@ -60,13 +60,13 @@ def test_effective_projector_halving():
     # A (x) |+><+| pinned to |0> gives A/2
     a = HamiltonianSum.from_terms(1, [(0.7, "Z")])
     h = HamiltonianSum.from_terms(2, [(0.35, "ZI"), (0.35, "ZX")], groups=((0, 1),))
-    eff = effective_hamiltonian(h, PinSpec.of((1, "0")))
+    eff = effective_sum(h, PinSpec.of((1, "0"))).to_matrix(dense=True)
     np.testing.assert_allclose(eff, 0.5 * _dense(a), atol=0)
 
 
 def test_effective_x_pin_minus():
     h = HamiltonianSum.from_terms(2, [(1.0, "XX")])  # O (x) X_q with O = X
-    eff = effective_hamiltonian(h, PinSpec.of((1, "-")))
+    eff = effective_sum(h, PinSpec.of((1, "-"))).to_matrix(dense=True)
     np.testing.assert_allclose(eff, -np.array([[0.0, 1.0], [1.0, 0.0]]), atol=0)
 
 
@@ -80,7 +80,7 @@ def test_effective_matches_matrix_oracle():
         ]
         h = HamiltonianSum.from_terms(4, terms)
         pin = PinSpec.of((1, "-"), (3, PinState("angle", float(rng.uniform(0, np.pi)))))
-        eff = np.asarray(effective_hamiltonian(h, pin), dtype=complex)
+        eff = np.asarray(effective_sum(h, pin).to_matrix(dense=True), dtype=complex)
         np.testing.assert_allclose(eff, _pin_matrix(h, pin), atol=1e-13)
 
 
@@ -88,51 +88,11 @@ def test_full_pin_is_expectation():
     rng = np.random.default_rng(4)
     h = HamiltonianSum.from_terms(2, [(0.3, "ZZ"), (-0.8, "XI")])
     pin = PinSpec.of((0, "angle:0.4"), (1, "+"))
-    eff = effective_hamiltonian(h, pin)
+    eff = effective_sum(h, pin).to_matrix(dense=True)
     assert eff.shape == (1, 1)
     state = pin.state_vector()
     expected = state @ _dense(h) @ state
     assert eff[0, 0] == pytest.approx(expected, abs=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# basis rotation of pins
-# ---------------------------------------------------------------------------
-
-
-def test_rotate_minus_pin_swaps_x_to_z():
-    h = HamiltonianSum.from_terms(1, [(1.0, "X")])
-    rotated, pin = rotate_pin_to_zero(h, PinSpec.of((0, "-")))
-    assert pin.entries[0][1].kind == "0"
-    assert len(rotated.terms) == 1
-    assert rotated.terms[0].string.label() == "Z"
-    assert rotated.terms[0].coeff == -1.0  # <0|-Z|0> = -1 = <-|X|->
-
-
-def test_rotate_zero_pin_is_identity():
-    h = HamiltonianSum.from_terms(2, [(0.5, "XZ"), (1.0, "ZI")])
-    rotated, _ = rotate_pin_to_zero(h, PinSpec.of((0, "0")))
-    np.testing.assert_array_equal(_dense(rotated), _dense(h))
-
-
-def test_rotate_preserves_effective_spectrum():
-    rng = np.random.default_rng(17)
-    letters = list("IXZ")
-    for _ in range(10):
-        terms = [
-            (float(rng.uniform(-1, 1)), "".join(rng.choice(letters) for _ in range(3)))
-            for _ in range(4)
-        ]
-        h = HamiltonianSum.from_terms(3, terms)
-        pin = PinSpec.of((2, PinState("angle", float(rng.uniform(0, 2 * np.pi)))))
-        rotated, zero_pin = rotate_pin_to_zero(h, pin)
-        before = effective_hamiltonian(h, pin)
-        after = effective_hamiltonian(rotated, zero_pin)
-        np.testing.assert_allclose(before, after, atol=1e-12)
-        # the global spectrum is also conjugation-invariant
-        np.testing.assert_allclose(
-            np.linalg.eigvalsh(_dense(h)), np.linalg.eigvalsh(_dense(rotated)), atol=1e-10
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +115,6 @@ def test_pin_state_table_matches_its_amplitudes(state):
     v = s.vector()
     assert s.exp_x == pytest.approx(2 * v[0] * v[1], abs=1e-15)
     assert s.exp_z == pytest.approx(v[0] ** 2 - v[1] ** 2, abs=1e-15)
-    # the images are those of a real orthogonal U sending v to |0>, a rotation
-    # or a reflection (Y stands for the real matrix -iY)
-    paulis = {"X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1]), "Y": np.array([[0, -1], [1, 0]])}
-
-    def conjugates_by(u):
-        return all(np.allclose(sum(c * paulis[a] for c, a in image), u @ paulis[letter] @ u.T, atol=1e-15)
-                   for letter, image in s._row.images.items())
-
-    assert conjugates_by(np.array([[v[0], v[1]], [-v[1], v[0]]])) or conjugates_by(
-        np.array([[v[0], v[1]], [v[1], -v[0]]]))
 
 
 @pytest.mark.parametrize("a, b", [(float("-inf"), 0.0), (0.0, float("inf")), (float("nan"), 1.0)])
@@ -273,9 +223,42 @@ def test_commuting_pin_halving_identity():
         )
 
 
-def test_commuting_pin_rejects_mixed_terms():
-    with pytest.raises(UnsupportedTermError):
-        commuting_pin(HamiltonianSum.from_terms(2, [(1.0, "XZ")]))
+def test_commuting_pin_rejects_a_non_commuting_off_diagonal_group():
+    # the diagonal ZZ is free; the off-diagonal XI and YI anticommute
+    h = HamiltonianSum.from_terms(2, [(0.5, "ZZ"), (1.0, "XI"), (-0.25, "YI")])
+    with pytest.raises(UnsupportedTermError, match="XI and YI do not commute"):
+        commuting_pin(h)
+
+
+def test_commuting_pin_accepts_y_and_mixed_off_diagonal_strings():
+    # B = {XZI, ZXI, YYI, IIY, XZY} commutes internally; the diagonal A need not
+    # commute with it
+    h = HamiltonianSum.from_terms(3, [(0.7, "ZII"), (-0.4, "ZZZ"), (0.3, "XZI"), (-0.9, "ZXI"),
+                                      (0.6, "YYI"), (0.2, "IIY"), (-0.5, "XZY"), (0.0, "IZI")])
+    res = commuting_pin(h)
+    assert is_commuting(res.hamiltonian).verdict
+    assert res.hamiltonian.locality == h.locality + 1
+    eff = effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True)
+    np.testing.assert_allclose(eff, 0.5 * _dense(h), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_commuting_pin_refuses_exactly_the_non_commuting_off_diagonal_groups(seed):
+    rng = np.random.default_rng(2300 + seed)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        terms = [(float(rng.uniform(-1, 1)), "".join(rng.choice(list("IXYZ"), size=n)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        h = HamiltonianSum.from_terms(n, terms)
+        off = HamiltonianSum(n, [t for t in h.terms if not t.string.is_diagonal])
+        if not is_commuting(off).verdict:
+            with pytest.raises(UnsupportedTermError, match="do not commute"):
+                commuting_pin(h)
+            continue
+        res = commuting_pin(h)
+        assert is_commuting(res.hamiltonian).verdict
+        eff = effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True)
+        np.testing.assert_allclose(eff, 0.5 * _dense(h), rtol=0, atol=1e-12)
 
 
 def test_commuting_pin_scaling_invariant():
@@ -318,7 +301,7 @@ def test_stoquastic_pin_xz_rules():
         h = HamiltonianSum.from_terms(2, [(sign * 0.8, "XZ")])
         res = stoquastic_pin(h)
         assert is_stoquastic(res.hamiltonian, termwise=True).verdict
-        eff = effective_hamiltonian(res.hamiltonian, res.pin)
+        eff = effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True)
         np.testing.assert_array_equal(eff, _dense(h))
 
 
@@ -381,7 +364,8 @@ def test_stoquastic_pin_several_z_factors(seed):
     assert is_stoquastic(res.hamiltonian, termwise=True).verdict
     assert res.report.term_count == len(h.terms)
     assert res.hamiltonian.locality <= h.locality + 1
-    np.testing.assert_allclose(effective_hamiltonian(res.hamiltonian, res.pin), _dense(h), rtol=0, atol=1e-15)
+    eff = effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True)
+    np.testing.assert_allclose(eff, _dense(h), rtol=0, atol=1e-15)
     assert pinned_min_energy(res.hamiltonian, res.pin).value == pytest.approx(min_eig(h).value, abs=1e-9)
 
 
@@ -454,17 +438,47 @@ def test_permutation_pin_truncation_bound():
             assert is_permutation(res.hamiltonian, per_term=True).verdict
             assert res.hamiltonian.locality <= 5
             assert len(res.hamiltonian.group_indices()) <= 2 * m_count * (q_bits + 1)
-            eff = np.asarray(effective_hamiltonian(res.hamiltonian, res.pin))
+            eff = np.asarray(effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True))
             target = _dense(h.merged()) / res.report.scale
             err = np.linalg.norm(eff - target, 2)
             assert err <= m_count * 2.0 ** (-q_bits) + 1e-15
+
+
+@pytest.mark.parametrize("coeff", [0.3, -0.3])
+def test_permutation_pin_every_y_free_string(coeff):
+    # each of the 27 Y-free strings on 3 qubits, mixed X/Z ones included
+    for letters in itertools.product("IXZ", repeat=3):
+        h = HamiltonianSum.from_terms(3, [(coeff, "".join(letters))])
+        res = permutation_pin(h, q_bits=8)
+        assert is_permutation(res.hamiltonian, per_term=True).verdict
+        assert res.report.term_count <= 8
+        eff = effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True)
+        assert np.linalg.norm(eff - _dense(h), 2) <= res.report.truncation_bound
+
+
+def test_permutation_pin_locality_is_at_most_k_plus_3():
+    rng = np.random.default_rng(2301)
+    for _ in range(20):
+        n = int(rng.integers(1, 5))
+        terms = [(float(rng.uniform(-0.99, 0.99)), "".join(rng.choice(list("IXZ"), size=n)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        h = HamiltonianSum.from_terms(n, terms)
+        assert permutation_pin(h, q_bits=6).hamiltonian.locality <= h.locality + 3
+    # a negative mixed string uses the parity, sign and one magnitude ancilla
+    res = permutation_pin(HamiltonianSum.from_terms(3, [(-0.5, "XZZ")]), q_bits=4)
+    assert res.hamiltonian.locality == 3 + 3
+
+
+def test_permutation_pin_rejects_y():
+    with pytest.raises(UnsupportedTermError, match="ZYI carries a Y factor"):
+        permutation_pin(HamiltonianSum.from_terms(3, [(0.5, "XZZ"), (-0.5, "ZYI")]))
 
 
 def test_permutation_pin_rescales_large_coefficients():
     h = HamiltonianSum.from_terms(1, [(2.0, "X")])
     res = permutation_pin(h, q_bits=20)
     assert res.report.scale == pytest.approx(2.0, rel=1e-8)
-    eff = np.asarray(effective_hamiltonian(res.hamiltonian, res.pin))
+    eff = np.asarray(effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True))
     np.testing.assert_allclose(eff, _dense(h) / res.report.scale, atol=2 ** -19)
 
 
