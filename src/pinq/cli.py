@@ -266,7 +266,8 @@ def _cmd_gscon_verify(args, t0) -> int:
     verdict = verify_path(inst, steps)
     payload = {
         "outcome": verdict.outcome,
-        "max_intermediate_energy": verdict.max_intermediate_energy,
+        # a path of no steps has no intermediate energy: -inf, which is not JSON
+        "max_intermediate_energy": _finite_or_none(verdict.max_intermediate_energy),
         "final_distance": verdict.final_distance,
         "violation_step": verdict.violation_step,
     }

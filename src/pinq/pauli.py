@@ -87,12 +87,16 @@ def flip_matvec(mat, vec: np.ndarray) -> np.ndarray:
 
     scipy's compiled product adds each row's entries in stored order, which
     is increasing flip mask.  A real matrix applied to a complex vector runs
-    as two real products, so scipy never upcasts the whole data array.
+    as real products, so scipy never upcasts the whole data array: one on
+    the real part, and one on the imaginary part unless every imaginary
+    entry is zero.  scipy starts each row sum at +0, and +0 plus a finite
+    entry times +-0 stays +0, so the skipped product is all +0 and the
+    result is bit for bit that of both products.
     """
     if np.iscomplexobj(vec) and not np.iscomplexobj(mat.data):
         out = np.empty(vec.shape, dtype=np.result_type(mat.dtype, vec.dtype))
         out.real = mat @ vec.real
-        out.imag = mat @ vec.imag
+        out.imag = mat @ vec.imag if vec.imag.any() else 0.0
         return out
     return mat @ vec
 

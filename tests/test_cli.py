@@ -30,7 +30,7 @@ from pinq.pauli import HamiltonianSum
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
-    return code, json.loads(out) if out else None
+    return code, strict_json(out) if out else None
 
 
 def _write(tmp_path, name, text):
@@ -502,10 +502,6 @@ def test_zeno_step_ceiling_exit_3(tmp_path, capsys, counts):
     assert "step ceiling" in captured.err and "Traceback" not in captured.err
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 @pytest.mark.parametrize(
     "kind, b_text, sweep",
     [("stoq", "qubits 1\n-1 X\n", "50,100,200,400,800"), ("comm", "qubits 1\n1 X\n", "50")],
@@ -517,7 +513,7 @@ def test_zeno_sweep_payload_is_standard_json(tmp_path, capsys, kind, b_text, swe
     b = _write(tmp_path, "b.txt", b_text)
     code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--sweep", sweep])
     assert code == 0
-    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    report = strict_json(capsys.readouterr().out)
     if sweep == "50":
         assert report["payload"]["error_slope"] is None
         assert report["payload"]["survival_deficit_slope"] is None
@@ -696,6 +692,16 @@ def _gscon_files(tmp_path, capsys):
                    "--out", inst, "--path-out", path)
     assert code == 0
     return inst, path
+
+
+def test_gscon_verify_zero_step_path_reports_null_energy(tmp_path, capsys):
+    # a path of no steps has no intermediate energy, which is null, not -Infinity
+    inst, path = _gscon_files(tmp_path, capsys)
+    _rewrite_json(path, lambda d: d.update(steps=[]))
+    code, report = _run(capsys, "gscon-verify", "--instance", inst, "--path", path)
+    assert code == 1
+    assert report["payload"]["outcome"] == "distance-violation"
+    assert report["payload"]["max_intermediate_energy"] is None
 
 
 @pytest.mark.parametrize("option", [["--alpha", "nan"], ["--beta", "inf"], ["--delta", "nan"],
@@ -1111,7 +1117,13 @@ _GSCON_GOLDEN = {
 }
 
 
-def test_gscon_files_and_verdicts_are_golden(tmp_path, capsys):
+def test_gscon_files_and_verdicts_are_golden(tmp_path, capsys, monkeypatch):
+    # every group's weights sum to at most 0.75, which bounds its norm, so no
+    # instance built or loaded here forms a dense group matrix
+    def refuse(h):
+        raise AssertionError("a group norm was diagonalized")
+
+    monkeypatch.setattr(pinq.pauli, "_dense_stacks", refuse)
     rng = np.random.default_rng(22)
     n = 6
     lines = [f"qubits {n}"]

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pinq.errors import PreconditionError, UnsupportedTermError
+from pinq.errors import PreconditionError, ResourceLimitError, UnsupportedTermError
 from pinq.gscon import (
     GsconInstance,
     UnitaryStep,
@@ -396,6 +396,32 @@ def _instance(**changes):
 def test_instance_refusals(changes, message):
     with pytest.raises(PreconditionError, match=message):
         _instance(**changes)
+
+
+def _one_group(n, terms):
+    return HamiltonianSum.from_terms(n, terms, groups=[range(len(terms))])
+
+
+def test_norm_check_accepts_a_group_whose_exact_norm_is_under_its_weight_sum():
+    # weights sum to 1.2, so the group takes the exact eigensolve: norm 0.6 sqrt 2
+    _instance(hamiltonian=_one_group(1, [(-0.6, "X"), (-0.6, "Z")]))
+
+
+def test_norm_check_refuses_a_commuting_group_with_the_exact_norm():
+    with pytest.raises(PreconditionError, match=r"term norm 1\.200000 exceeds 1"):
+        _instance(hamiltonian=_one_group(2, [(-0.6, "ZI"), (-0.6, "IZ")]), k=2)
+
+
+@pytest.mark.parametrize("weight", [0.5, 0.6])
+def test_norm_check_needs_no_dense_matrix_for_a_group_its_weights_bound(weight):
+    # one group on 13 qubits, above the dense ceiling: weights summing to at
+    # most 1 bound its norm; above 1 its exact norm needs a dense matrix
+    h = _one_group(13, [(-weight, "Z" * 13), (-weight, "Z" + "I" * 12)])
+    if 2 * weight <= 1.0:
+        _instance(hamiltonian=h, k=13)
+    else:
+        with pytest.raises(ResourceLimitError, match="dense ceiling"):
+            _instance(hamiltonian=h, k=13)
 
 
 def test_verify_path_refuses_a_path_longer_than_m():

@@ -216,7 +216,8 @@ def test_flip_diagonals_come_in_increasing_mask_order():
 
 
 def _signed_zero_vectors(rng, n):
-    """A real vector and a complex one, each holding +0 and -0 entries."""
+    """A real vector, a complex one, and a complex one whose imaginary parts
+    are all +0 or -0, each holding +0 and -0 entries."""
     real = rng.standard_normal(1 << n)
     cplx = real + 1j * rng.standard_normal(1 << n)
     real[::3] = 0.0
@@ -224,7 +225,17 @@ def _signed_zero_vectors(rng, n):
     cplx.real[::4] = -0.0
     cplx.imag[1::4] = -0.0
     cplx[2::5] = complex(-0.0, 0.0)
-    return real, cplx
+    zero_imag = real.astype(complex)
+    zero_imag.imag[::2] = -0.0
+    return real, cplx, zero_imag
+
+
+def _two_products(mat, v):
+    """A real matrix on a complex vector, one real product per part."""
+    out = np.empty(v.shape, dtype=complex)
+    out.real = mat @ v.real
+    out.imag = mat @ v.imag
+    return out
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -239,6 +250,26 @@ def test_matvec_bytes_match_per_flip_loop_on_real_sums(n):
             for got in (h.apply(v), matvec(v)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_real_valued_states_skip_only_a_zero_product(n):
+    # an all-zero imaginary part skips its product, bit for bit; one nonzero
+    # imaginary entry takes both
+    rng = np.random.default_rng(700 + n)
+    h = HamiltonianSum.from_terms(n, _edge_case_terms(rng, n, letters="IXZ") + [(-0.0, "X" * n)])
+    matvec, mat = operator(h)
+    assert not np.iscomplexobj(mat.data)
+    _, _, zero_imag = _signed_zero_vectors(rng, n)
+    one_imag = zero_imag.copy()
+    one_imag.imag[rng.integers(1 << n)] = 0.5
+    for v in (zero_imag, one_imag):
+        want = _two_products(mat, v)
+        for got in (matvec(v), h.apply(v)):
+            assert got.tobytes() == want.tobytes()
+        want_energy = float(np.real(np.vdot(v, want)))
+        assert np.float64(h.expectation(v)).tobytes() == np.float64(want_energy).tobytes()
+    assert _two_products(mat, one_imag).imag.any()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
