@@ -47,13 +47,15 @@ the closest plane first); its micro-states never leave the band.
 
 The alignment segment rotates the grid state onto the end state; no state on
 it may rise above the end energy by more than a tolerance (checked, not
-assumed).  It tries a frame turn at two modes, then a Givens decomposition of
-the residual frame, then descends both states to the ground state of h by
-cyclic energy-minimising plane rotations, joins the two minima and runs the
-end's descent backwards.  A linear function on an adjoint orbit of SO(2n) has
-no local minima that are not global (Duistermaat, Kolk & Varadarajan,
-Compositio Math. 49 (1983)), so descent stalls only at saddles; when a
-degenerate ground space leaves the descents apart, the path is refused.
+assumed).  It tries a frame turn at two modes, then the join: the Givens
+factors of the polar part of I - end gamma, the orthogonal matrix nearest to
+it (Higham, SIAM J. Sci. Stat. Comput. 7 (1986)), near I for near states.
+Last it descends both states to the ground state of h by cyclic
+energy-minimising plane rotations, joins the two minima and runs the end's
+descent backwards; a linear function on an adjoint orbit of SO(2n) has no
+local minima that are not global (Duistermaat, Kolk & Varadarajan, Compositio
+Math. 49 (1983)).  A candidate's rise and endpoint error are its one guard;
+when no candidate passes, the path is refused.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ from .errors import PathConstructionError, PreconditionError, ResourceLimitError
 PURITY_TOL = 1e-8
 ANTISYM_TOL = 1e-10
 # closed-form fallbacks of ``interpolation_path``: rounds of one energy move,
-# descent sweeps, a descent's energy floor per unit of max|h|, and the largest
-# distance at which two descended states are joined
+# descent sweeps, and a descent's energy floor per unit of max|h|
 _MOVE_CAP = 64
 _SWEEP_CAP = 200
 _DESCENT_TOL = 1e-13
@@ -84,7 +85,6 @@ _STEP_CEILING = 10**5
 # energy an alignment state may rise
 _SOLVER_TOL = 1e-11
 _ALIGNMENT_TOL = 1e-6
-_MEET_TOL = 1e-4
 
 
 def _as_array(obj) -> np.ndarray:
@@ -524,33 +524,34 @@ class _Walk:
         for rot in _pair_rotations(((0, 1), (2, 3)), *turns):
             self.turn(rot)
 
-    def direct_align(self, end: CovMatrix) -> None:
-        """A Givens decomposition of the residual frame."""
-        o_res = pure_orthogonal_factor(end) @ pure_orthogonal_factor(CovMatrix(self.gamma)).T
-        for rot in givens_decompose(o_res, tol=1e-7):
+    def join(self, end) -> None:
+        """The Givens factors of the polar part U of M = I - end gamma.
+
+        M gamma = end M for pure states, and M^T M commutes with gamma, so U
+        carries gamma to ``end`` when M is invertible, and U is near I when
+        the two are near; else the walk misses ``end`` and the caller refuses.
+        """
+        end = _as_array(end)
+        w, _, vt = np.linalg.svd(np.eye(end.shape[0]) - end @ self.gamma)
+        try:
+            rotations = givens_decompose(w @ vt)
+        except PreconditionError:  # a U of determinant -1: the walk stays put
+            return
+        for rot in rotations:
             self.turn(rot)
 
     def descend_and_meet(self, end: CovMatrix) -> None:
-        """Through the ground state: this walk's descent, a Givens join of the
-        two minima, and the reverse of ``end``'s descent.
-
-        The join factors the polar part of X = I - b a, which satisfies
-        X a = b X for pure a and b and is close to 2I when they are close.
-        """
+        """Through the ground state: this walk's descent, the join onto the
+        minimum of ``end``'s descent, and that descent reversed.  In a
+        degenerate ground space the two minima may differ; the join carries
+        one onto the other, and the caller's check decides the result."""
         self.descend()
         # only the rotations of end's descent are replayed, so it is untracked
         up = _Walk(end.mat, self.h, tracked=False)
         up.descend()
-        a, b = self.gamma, up.gamma
-        gap = float(np.linalg.norm(a - b))
-        if gap > _MEET_TOL:
-            raise PathConstructionError(
-                f"the descents end {gap:.3e} apart; the ground space of h is degenerate"
-            )
-        w, _, vt = np.linalg.svd(np.eye(a.shape[0]) - b @ a)
-        back = [GivensRotation(r.p, r.q, -r.theta) for r in reversed(up.rotations)]
-        for rot in givens_decompose(w @ vt, tol=1e-7) + back:
-            self.turn(rot)
+        self.join(up.gamma)
+        for r in reversed(up.rotations):
+            self.turn(GivensRotation(r.p, r.q, -r.theta))
 
 
 def interpolation_path(
@@ -566,9 +567,8 @@ def interpolation_path(
     ``block_diagonal_form`` first and conjugate the states accordingly).
     Raises ResourceLimitError above ``_STEP_CEILING`` macro-steps, before
     any step is taken, and PathConstructionError when a macro-step's energy
-    is not reached, or when no alignment onto gamma_end stays within
-    ``_ALIGNMENT_TOL`` above the end energy (a degenerate ground space, for
-    one).
+    is not reached, or when no alignment onto gamma_end both stays within
+    ``_ALIGNMENT_TOL`` above the end energy and ends within 1e-8 of it.
     """
     if n_steps < 1:
         raise PreconditionError("step count must be at least 1")
@@ -634,11 +634,10 @@ def interpolation_path(
         macro_counts.append(len(step.rotations))
         grid_energies.append(walk.e)
 
-    # alignment onto gamma_end: the first candidate whose states rise at most
-    # _ALIGNMENT_TOL above e_end (checked, not assumed) -- the two-mode frame
-    # turn, a direct Givens decomposition of the residual frame (exact and
-    # short when the macro-steps ended frame-aligned), descend-and-meet.
-    candidates = [_Walk.frame_align] * (gamma_end.n == 2) + [_Walk.direct_align, _Walk.descend_and_meet]
+    # alignment onto gamma_end: the first candidate that arrives and whose
+    # states rise at most _ALIGNMENT_TOL above e_end (checked, not assumed) --
+    # the two-mode frame turn, the join, descend-and-meet.
+    candidates = [_Walk.frame_align] * (gamma_end.n == 2) + [_Walk.join, _Walk.descend_and_meet]
     for candidate in candidates:
         align = walk.fork()
         candidate(align, gamma_end)

@@ -235,9 +235,6 @@ class StoqGsconBuild:
     instance: GsconInstance
     n_sys: int
     middle: tuple
-    third: tuple
-    alpha: float
-    beta: float
 
 
 def build_stoquastic_gscon(
@@ -344,7 +341,7 @@ def build_stoquastic_gscon(
             "eta2_soundness_scale": soundness,
         },
     )
-    return StoqGsconBuild(hpp, instance, n_sys, middle, third, alpha, beta)
+    return StoqGsconBuild(hpp, instance, n_sys, middle)
 
 
 def witness_traversal(build: StoqGsconBuild, witness_circuit):

@@ -112,8 +112,8 @@ class PauliString:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("qubit count must be non-negative")
-        limit = 1 << self.n
-        if not (0 <= self.x < limit and 0 <= self.z < limit):
+        # by bit length, so that no mask of a huge register forms 2^n
+        if self.x < 0 or self.z < 0 or int(self.x | self.z).bit_length() > self.n:
             raise ValueError("mask does not fit within the qubit count")
 
     @classmethod

@@ -38,8 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedTermError
+from .errors import PreconditionError, ResourceLimitError, UnsupportedTermError
 from .pauli import (
+    ITERATIVE_BYTE_CEILING,
     HamiltonianSum,
     PauliString,
     PauliTerm,
@@ -321,9 +322,15 @@ def pin_penalty_lift(
     dense matrix.  A given
     ``d`` that is not finite, or is below the 2-norm of the merged
     coefficients (a lower bound on ||G'||), raises ``PreconditionError``.
+    A register whose n-letter penalty label, one byte a letter, is above
+    ``ITERATIVE_BYTE_CEILING`` raises ``ResourceLimitError`` first.
     """
     if not (0 <= pin_qubit < gprime.n):
         raise PreconditionError(f"pin qubit {pin_qubit} outside register")
+    if gprime.n > ITERATIVE_BYTE_CEILING:
+        raise ResourceLimitError(
+            f"a penalty label of {gprime.n} letters exceeds the byte ceiling of {ITERATIVE_BYTE_CEILING}"
+        )
     if d is not None:
         # ||G'|| is at least the root mean square of its eigenvalues, the
         # 2-norm of its merged coefficients

@@ -146,6 +146,11 @@ def _write(path, text):
 # operators with no terms, which ARPACK would start from a zero vector
 @example(text="qubits 3\n", argv=["spectrum", _H, "--iterative"])
 @example(text="qubits 17\n", argv=["spectrum", _H])
+# registers whose n-letter penalty label no file could hold: exit 3, no 2^n
+@example(text="qubits 99999999999999999999\n",
+         argv=["unpin-penalty", _H, "--pin-qubit", "0", "--bounds", "0,1", "--out", _OUT])
+@example(text="qubits 1000000000000\n",
+         argv=["unpin-penalty", _H, "--pin-qubit", "0", "--bounds", "0,1", "--out", _OUT])
 def test_hamiltonian_commands_keep_the_exit_contract(workdir, text, argv):
     _write(os.path.join(workdir, _H), text)
     _run_contract([os.path.join(workdir, a) if a in (_H, _OUT) else a for a in argv])

@@ -575,20 +575,68 @@ def test_generic_paths_verify(n, parity, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_degenerate_ground_space_verifies_or_is_refused(seed):
+def test_degenerate_ground_space_paths_verify(seed):
     # odd sector, equal weights: any one mode may carry the flip, so the
-    # descents of the two ends can settle on different ground states
+    # descents of the two ends can settle on different ground states; the
+    # join carries one onto the other
     g0 = canonical_gamma0(3, "odd").mat
     q1, q2 = _random_so(6, 600 + seed), _random_so(6, 700 + seed)
     gs, ge = CovMatrix(q1 @ g0 @ q1.T), CovMatrix(q2 @ g0 @ q2.T)
     h = _block_h([1.0, 1.0, 1.0])
-    try:
-        path = interpolation_path(gs, ge, h, 8)
-    except PathConstructionError:
-        return
+    path = interpolation_path(gs, ge, h, 8)
     eta1 = max(energy(gs, h), energy(ge, h)) + path.ramp_deviation + 1e-9
     verdict = verify_ff_path(path, h, eta1=eta1)
     assert verdict.ok, verdict.failures
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("eps", [1e-11, 1e-9])
+def test_near_equal_endpoints_take_near_zero_turns(parity, eps):
+    # endpoints just outside the equal-endpoint shortcut: the path turns by
+    # angles of the order of their distance, not by quarter turns
+    h = _block_h([1.0, 0.65, 0.3])
+    start = canonical_gamma0(3, parity).conjugated(_random_so(6, 93 + (parity == "odd")))
+    end = start.conjugated(GivensRotation(0, 5, eps).matrix(6))
+    path = interpolation_path(start, end, h, 3)
+    assert path.max_angle <= 10 * eps
+    verdict = verify_ff_path(path, h, eta1=max(energy(start, h), energy(end, h)) + path.ramp_deviation + 1e-9)
+    assert verdict.ok, verdict.failures
+
+
+@pytest.mark.parametrize(
+    "c_start, c_end", [((1.0, 1.0, 1.0), (-1.0, -1.0, 1.0)), ((1.0, 1.0, 1.0, 1.0), (-1.0, -1.0, -1.0, -1.0))]
+)
+@pytest.mark.parametrize("n_steps", [1, 4, 8])
+def test_block_diagonal_alignment_adds_no_rotation(c_start, c_end, n_steps):
+    # the pair moves land on the end state, so the join has nothing to turn
+    h = _block_h([1.0, 0.7, 0.4, 0.2][: len(c_start)])
+    gs, ge = CovMatrix(_block_h(c_start).mat), CovMatrix(_block_h(c_end).mat)
+    path = interpolation_path(gs, ge, h, n_steps)
+    assert path.macro_counts[-1] == 0
+    _check_against_oracle(path, h, n_steps)
+
+
+def test_failing_join_is_a_rejected_candidate(monkeypatch):
+    # M = I - end gamma is singular between these block states: the join
+    # turns nothing and leaves the end state 4 away
+    h = _block_h([1.0, 0.7, 0.4])
+    walk = pinq.ffgauss._Walk(_block_h([-1.0, 1.0, 1.0]).mat, h.mat)
+    end = _block_h([1.0, -1.0, 1.0]).mat
+    walk.join(end)
+    assert walk.rotations == []
+    assert np.linalg.norm(walk.gamma - end) == pytest.approx(4.0)
+
+    # a polar part without Givens factors fails every join; where the two
+    # descents end apart (a degenerate ground space), the path's own check
+    # refuses each candidate, and no PreconditionError escapes
+    def improper(o, tol=1e-8):
+        raise PreconditionError("input has determinant -1 (not special orthogonal)")
+
+    monkeypatch.setattr(pinq.ffgauss, "givens_decompose", improper)
+    g0 = canonical_gamma0(3, "odd").mat
+    q1, q2 = _random_so(6, 600), _random_so(6, 700)
+    with pytest.raises(PathConstructionError, match="misses the end state"):
+        interpolation_path(CovMatrix(q1 @ g0 @ q1.T), CovMatrix(q2 @ g0 @ q2.T), _block_h([1.0, 1.0, 1.0]), 8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -106,6 +106,24 @@ def test_to_matrix_is_linear():
         )
 
 
+def test_string_masks_are_checked_by_bit_length():
+    # a mask's bit length, not 2^n: a huge register forms no huge integer
+    assert PauliString(10**20, 1 << 70, 0).z == 0
+    assert PauliString(4, np.int64(15), np.int64(8)).x == 15
+    for n, x, z in [(3, 8, 0), (3, 0, 8), (3, -1, 0), (0, 1, 0), (10**20, 0, -1)]:
+        with pytest.raises(ValueError, match="does not fit"):
+            PauliString(n, x, z)
+
+
+def test_penalty_lift_refuses_an_unwritable_label():
+    # one byte a letter: 10^12 letters are above the byte ceiling, 10^5 are not
+    bounds = PromiseBounds(0.0, 1.0)
+    with pytest.raises(ResourceLimitError, match="penalty label of 1000000000000 letters"):
+        pin_penalty_lift(HamiltonianSum(10**12, []), 0, bounds)
+    lifted = pin_penalty_lift(HamiltonianSum(10**5, []), 0, bounds).hamiltonian
+    assert [t.string.z for t in lifted.terms] == [0, 1]
+
+
 def test_matrix_ceiling(monkeypatch):
     # refused before the operator or any flip diagonal is built
     monkeypatch.setattr(HamiltonianSum, "_flip_stack", _no_dense)
