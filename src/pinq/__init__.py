@@ -30,7 +30,6 @@ from .ffgauss import (
     givens_decompose,
     interpolation_path,
     pfaffian_sign,
-    pure_orthogonal_factor,
     reconstruct,
     verify_ff_path,
 )

@@ -128,9 +128,6 @@ class CovMatrix:
         """+1 (even) or -1 (odd); the sign of the Pfaffian for pure states."""
         return pfaffian_sign(self.mat)
 
-    def conjugated(self, o: np.ndarray) -> "CovMatrix":
-        return CovMatrix(o @ self.mat @ o.T)
-
 
 class HamMatrix:
     """Quadratic-Hamiltonian matrix: 2n x 2n real antisymmetric."""
@@ -147,10 +144,6 @@ class HamMatrix:
         for j in range(self.n):
             off[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.0
         return bool(np.max(np.abs(off)) <= 1e-12)
-
-    def block_weights(self) -> np.ndarray:
-        """w_j = h[2j, 2j+1] (meaningful when block-diagonal)."""
-        return self.mat[0::2, 1::2].diagonal().copy()
 
 
 def canonical_gamma0(n: int, parity: str = "even") -> CovMatrix:
@@ -287,36 +280,6 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-8) -> list:
     if np.linalg.norm(r - np.eye(dim)) > 1e-9:
         raise PreconditionError("elimination did not terminate at the identity")
     return [GivensRotation(g.p, g.q, -g.theta) for g in reversed(eliminators)]
-
-
-# ---------------------------------------------------------------------------
-# canonical factor gamma = O gamma0 O^T of a pure state
-# ---------------------------------------------------------------------------
-
-
-def pure_orthogonal_factor(gamma: CovMatrix) -> np.ndarray:
-    """Special orthogonal O with gamma = O gamma0(parity) O^T."""
-    if not gamma.is_pure():
-        raise PreconditionError("state is not pure")
-    parity = gamma.parity()
-    t, q = scipy.linalg.schur(gamma.mat, output="real")
-    n = gamma.n
-    pattern = np.ones(n)
-    if parity < 0:
-        pattern[0] = -1.0
-    qn = q.copy()
-    for j in range(n):
-        b = t[2 * j, 2 * j + 1]
-        if abs(abs(b) - 1.0) > 1e-6:
-            raise PreconditionError("Schur form is not a pure-state canonical form")
-        if math.copysign(1.0, b) != pattern[j]:
-            qn[:, [2 * j, 2 * j + 1]] = qn[:, [2 * j + 1, 2 * j]]
-    g0 = canonical_gamma0(n, "even" if parity > 0 else "odd").mat
-    if np.linalg.norm(qn @ g0 @ qn.T - gamma.mat) > 1e-7:
-        raise PreconditionError("canonical factorization failed")
-    if np.linalg.det(qn) < 0:
-        raise PreconditionError("canonical factor has determinant -1; parity mismatch")
-    return qn
 
 
 def block_diagonal_form(h: HamMatrix):
@@ -466,7 +429,7 @@ class _Walk:
         Each round turns the plane with the smallest angle that lands on the
         target and stops; when no plane reaches it, it turns the plane that
         gets closest to its extreme and tries again, for at most ``_MOVE_CAP``
-        rounds.
+        rounds.  When no plane moves the energy, a state on the target is done.
         """
         for _ in range(_MOVE_CAP):
             gap = target - self.e
@@ -481,7 +444,9 @@ class _Walk:
                 turns = (math.acos(x), -math.acos(x)) if abs(x) <= 1.0 else (0.0 if x > 0 else math.pi,)
                 theta = min((math.remainder(phi + t, 2 * math.pi) for t in turns), key=abs)
                 best = min(best, (max(abs(gap + alpha) - radius, 0.0), abs(theta), p, q, theta))
-            if best[0] == math.inf:
+            if best[0] == math.inf:  # no plane moves the energy
+                if gap == 0.0:
+                    return
                 break
             shortfall, _, p, q, theta = best
             if abs(theta) > 1e-14:

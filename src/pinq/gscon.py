@@ -443,7 +443,7 @@ def _load_json(path, kind: str, from_json):
         return from_json(data)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         # ValueError and OverflowError: a value of the right type out of range,
-        # such as a non-finite qubit count
+        # such as a negative qubit count or an integer too large for a float
         raise ParseError(None, f"malformed {kind}: {type(exc).__name__}: {exc}") from None
 
 

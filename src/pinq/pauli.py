@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 import scipy.sparse as sp
@@ -174,11 +175,6 @@ class PauliTerm:
         if not np.isfinite(self.coeff):
             raise ValueError("term coefficient must be finite")
 
-    @property
-    def is_complex_valued(self) -> bool:
-        """True when the matrix realization has complex entries (carries a Y)."""
-        return self.string.has_y
-
 
 def projector_terms(n: int, coeff: float, x: int, z: int, sign: int, px: int, pz: int) -> list:
     """The two terms of coeff * X^x Z^z (I + sign * X^px Z^pz) / 2, in that order.
@@ -220,7 +216,9 @@ class HamiltonianSum:
     """
 
     def __init__(self, n, terms, groups=None):
-        self._n = int(n)
+        self._n = index(n)  # TypeError unless an integer
+        if self._n < 0:
+            raise ValueError("qubit count must be non-negative")
         tlist = []
         for t in terms:
             if isinstance(t, PauliTerm):
@@ -241,7 +239,7 @@ class HamiltonianSum:
         self._has_y = any(t.string.has_y for t in tlist)
         self._flip_count = len({t.string.x for t in tlist})
         if groups is not None:
-            groups = tuple(tuple(int(i) for i in g) for g in groups)
+            groups = tuple(tuple(index(i) for i in g) for g in groups)
             seen = sorted(i for g in groups for i in g)
             if seen != list(range(len(self._terms))):
                 raise ValueError("groups must partition the term indices")
@@ -376,10 +374,6 @@ class HamiltonianSum:
             raise ValueError("state dimension mismatch")
         _check_operator_bytes(self)
         return flip_matvec(self._flip_stack(), vec)
-
-    def expectation(self, vec: np.ndarray) -> float:
-        val = np.vdot(vec, self.apply(vec))
-        return float(np.real(val))
 
     def merged(self) -> "HamiltonianSum":
         """Collect duplicate strings, summing coefficients; zero sums and grouping are dropped."""

@@ -34,6 +34,7 @@ import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -128,13 +129,15 @@ class PinSpec:
     entries: tuple
 
     def __post_init__(self):
-        qubits = [q for q, _ in self.entries]
+        # TypeError unless every qubit index is an integer
+        object.__setattr__(self, "entries", tuple((index(q), s) for q, s in self.entries))
+        qubits = self.qubits
         if len(set(qubits)) != len(qubits):
             raise ValueError("pinned qubit indices must be distinct")
 
     @classmethod
     def of(cls, *pairs) -> "PinSpec":
-        return cls(tuple((int(q), s if isinstance(s, PinState) else PinState.parse(s)) for q, s in pairs))
+        return cls(tuple((q, s if isinstance(s, PinState) else PinState.parse(s)) for q, s in pairs))
 
     @property
     def qubits(self) -> tuple:
@@ -150,15 +153,6 @@ class PinSpec:
         for q, _ in self.entries:
             if not (0 <= q < n):
                 raise PreconditionError(f"pinned qubit {q} outside 0..{n - 1}")
-        if len(self.entries) > n:
-            raise PreconditionError("more pins than qubits")
-
-    def state_vector(self) -> np.ndarray:
-        """Product state of the pinned qubits, in entry order."""
-        out = np.array([1.0])
-        for _, s in self.entries:
-            out = np.kron(out, s.vector())
-        return out
 
     def labels(self) -> list:
         return [f"{q}={s.label()}" for q, s in self.entries]

@@ -5,16 +5,20 @@ paths: Pauli-sum matrices come from per-qubit Pauli action, term by term
 (no flip-mask grouping), and fermionic
 expectations from dense Jordan-Wigner operators in Fock space.  The
 generic free-fermion endpoints used by several suites are built here too,
-and so is the strict JSON reader that CLI reports are held to.
+with the canonical factor and conjugation of a covariance matrix, and so
+are the product state of a pin list and the strict JSON reader that CLI
+reports are held to.
 """
 
 import json
+import math
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from pinq.ffgauss import givens_decompose, pure_orthogonal_factor
+from pinq.errors import PreconditionError
+from pinq.ffgauss import CovMatrix, canonical_gamma0, givens_decompose
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -321,6 +325,36 @@ def fock_hamiltonian(h_mat, ms):
     return out
 
 
+def conjugated(gamma, o):
+    """The covariance matrix O gamma O^T."""
+    return CovMatrix(o @ gamma.mat @ o.T)
+
+
+def pure_orthogonal_factor(gamma):
+    """Special orthogonal O with gamma = O gamma0(parity) O^T, from the real Schur form."""
+    if not gamma.is_pure():
+        raise PreconditionError("state is not pure")
+    parity = gamma.parity()
+    t, q = scipy.linalg.schur(gamma.mat, output="real")
+    n = gamma.n
+    pattern = np.ones(n)
+    if parity < 0:
+        pattern[0] = -1.0
+    qn = q.copy()
+    for j in range(n):
+        b = t[2 * j, 2 * j + 1]
+        if abs(abs(b) - 1.0) > 1e-6:
+            raise PreconditionError("Schur form is not a pure-state canonical form")
+        if math.copysign(1.0, b) != pattern[j]:
+            qn[:, [2 * j, 2 * j + 1]] = qn[:, [2 * j + 1, 2 * j]]
+    g0 = canonical_gamma0(n, "even" if parity > 0 else "odd").mat
+    if np.linalg.norm(qn @ g0 @ qn.T - gamma.mat) > 1e-7:
+        raise PreconditionError("canonical factorization failed")
+    if np.linalg.det(qn) < 0:
+        raise PreconditionError("canonical factor has determinant -1; parity mismatch")
+    return qn
+
+
 def fock_state(gamma, ms):
     """Fock-space vector realizing a pure covariance matrix."""
     n = gamma.n
@@ -345,6 +379,14 @@ def fock_covariance(state, ms):
             val = -1j * np.vdot(state, ms[a] @ ms[b] @ state)
             out[a, b] = val.real
             out[b, a] = -val.real
+    return out
+
+
+def pin_state_vector(pin):
+    """Product state of the pinned qubits of a ``PinSpec``, in entry order."""
+    out = np.array([1.0])
+    for _, s in pin.entries:
+        out = np.kron(out, s.vector())
     return out
 
 

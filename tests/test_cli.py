@@ -20,7 +20,7 @@ import pinq.gscon
 import pinq.pauli
 import pinq.pinning
 import pinq.spectral
-from oracles import generic_three_mode, strict_json
+from oracles import generic_three_mode, random_so, strict_json
 from pinq.cli import main
 from pinq.ffgauss import CovMatrix, FermionPath, GivensRotation, energy, verify_ff_path
 from pinq.io import FORMAT_VERSIONS, format_hamiltonian, load_hamiltonian, parse_hamiltonian
@@ -347,6 +347,17 @@ def test_unpin_penalty_rejects_impossible_norm_bounds(tmp_path, capsys, bound):
     assert captured.err.startswith("error: norm bound")
 
 
+@pytest.mark.parametrize("qubit", ["2", "-1"])
+def test_unpin_penalty_pin_qubit_outside_register_exit_3(tmp_path, capsys, qubit):
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.5 ZI\n")
+    out = tmp_path / "lift.txt"
+    code = main(["unpin-penalty", f, f"--pin-qubit={qubit}", "--bounds", "0,1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err.startswith(f"error: pin qubit {qubit} outside register")
+    assert not out.exists()
+
+
 def test_unpin_penalty_accepts_the_exact_norm_as_bound(tmp_path, capsys):
     f = _write(tmp_path, "h.txt", "qubits 2\n0.5 ZI\n0.5 IX\n")
     code, report = _run(capsys, "unpin-penalty", f, "--pin-qubit", "1", "--bounds", "0,1",
@@ -426,6 +437,18 @@ def test_zeno_single_run_with_state_file(tmp_path, capsys):
     assert report["payload"]["error"] <= 1e-9
     assert report["payload"]["survival"] == pytest.approx(1.0, abs=1e-9)
     assert report["payload"]["reference"] == "A-B"
+
+
+def test_zeno_state_file_with_a_bad_amplitude_exit_2(tmp_path, capsys):
+    a = _write(tmp_path, "a.txt", "qubits 1\n1 Z\n")
+    b = _write(tmp_path, "b.txt", "qubits 1\n-1 X\n")
+    state = _write(tmp_path, "psi.txt", "0.6\n0.8 x\n")
+    code = main(["zeno", "--kind", "stoq", "--a", a, "--b", b, "--t", "1", "--n", "10", "--state", state])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    human, record = captured.err.splitlines()
+    assert human == "error: line 2: invalid amplitude '0.8 x'"
+    assert json.loads(record)["error"]["type"] == "ParseError"
 
 
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
@@ -750,6 +773,41 @@ def test_gscon_verify_malformed_json_exit_2(tmp_path, capsys, which, edit):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d.update(qubits=d["qubits"] + 0.5), id="qubits-8.5"),
+    pytest.param(lambda d: d.update(qubits=d["qubits"] + 0.0), id="qubits-8.0"),
+    pytest.param(lambda d: d["hamiltonian"]["groups"][0].__setitem__(0, 0.5), id="group-index-0.5"),
+])
+def test_gscon_verify_non_integer_count_or_index_exit_2(tmp_path, capsys, edit):
+    # each was read through int(): as the 8-qubit instance it was written
+    # from, and group index 0.5 as term 0
+    inst, path = _gscon_files(tmp_path, capsys)
+    _rewrite_json(inst, edit)
+    code = main(["gscon-verify", "--instance", inst, "--path", path])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    human, record = captured.err.splitlines()
+    assert human.startswith("error: malformed gscon_instance_json: TypeError")
+    assert json.loads(record) == {"error": {"type": "ParseError", "message": human[len("error: "):], "exit_code": 2}}
+
+
+_ID2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_ID4 = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
+
+
+@pytest.mark.parametrize("step, message", [
+    pytest.param({"targets": [0, 0], "matrix": _ID4}, "gate targets must be distinct", id="repeated"),
+    pytest.param({"targets": [8], "matrix": _ID2}, "gate target 8 outside register", id="outside"),
+])
+def test_gscon_verify_bad_step_targets_exit_3(tmp_path, capsys, step, message):
+    inst, path = _gscon_files(tmp_path, capsys)
+    _rewrite_json(path, lambda d: d.update(steps=[step]))
+    code = main(["gscon-verify", "--instance", inst, "--path", path])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("index", range(5))
 def test_gscon_verify_non_finite_threshold_exit_3(tmp_path, capsys, index):
     # with eta1 = NaN every energy test was false and the walk said YES
@@ -930,6 +988,18 @@ def _ff_files(tmp_path, start, end, h):
     return files
 
 
+def _verify_path_file(out, start, end, h, steps, eta1):
+    """The verdict of ``verify_ff_path`` on the path that ff-path wrote to ``out``."""
+    data = json.load(open(out))
+    path = FermionPath(
+        start=CovMatrix(start), end=CovMatrix(end),
+        rotations=tuple(GivensRotation(int(p), int(q), th) for p, q, th in data["rotations"]),
+        macro_counts=tuple(data["macro_counts"]), grid_energies=tuple(data["grid_energies"]),
+        ramp_deviation=data["ramp_deviation"], alignment_deviation=data["alignment_deviation"],
+        max_angle=data["max_angle"], requested_steps=steps)
+    return verify_ff_path(path, h, eta1=eta1)
+
+
 def test_ff_path_generic_three_modes(tmp_path, capsys):
     # generic endpoints take the energy moves and the descend-and-meet
     # alignment; the payload does not depend on --seed
@@ -943,17 +1013,25 @@ def test_ff_path_generic_three_modes(tmp_path, capsys):
         assert code == 0
         payloads.append(json.dumps(report["payload"], sort_keys=True))
     assert payloads[0] == payloads[1]
-    data = json.load(open(out))
-    path = FermionPath(
-        start=CovMatrix(start), end=CovMatrix(end),
-        rotations=tuple(GivensRotation(int(p), int(q), th) for p, q, th in data["rotations"]),
-        macro_counts=tuple(data["macro_counts"]), grid_energies=tuple(data["grid_energies"]),
-        ramp_deviation=data["ramp_deviation"], alignment_deviation=data["alignment_deviation"],
-        max_angle=data["max_angle"], requested_steps=8)
     eta1 = max(energy(start, h), energy(end, h)) + 1e-9
-    verdict = verify_ff_path(path, h, eta1=eta1)
+    verdict = _verify_path_file(out, start, end, h, 8, eta1)
     assert verdict.ok, verdict.failures
     assert verdict.max_micro_energy <= eta1
+
+
+def test_ff_path_zero_hamiltonian_exit_0(tmp_path, capsys):
+    # every state is a ground state of h = 0, and no plane moves the energy
+    g0 = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+    q1, q2 = random_so(6, 0), random_so(6, 100)
+    start, end, h = q1 @ g0 @ q1.T, q2 @ g0 @ q2.T, np.zeros((6, 6))
+    files = _ff_files(tmp_path, start, end, h)
+    out = str(tmp_path / "path.json")
+    code, report = _run(capsys, "ff-path", "--start", files[0], "--end", files[1], "--h", files[2],
+                        "--n", "8", "--out", out)
+    assert code == 0
+    assert report["payload"]["grid_energies"] == [0.0] * 9
+    verdict = _verify_path_file(out, start, end, h, 8, 1e-9)
+    assert verdict.ok, verdict.failures
 
 
 @pytest.mark.parametrize("steps", ["1000000000000", "100000000000000000000", "100001"])

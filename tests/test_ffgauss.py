@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import conjugated
 from oracles import fock_covariance as _fock_covariance
 from oracles import fock_hamiltonian as _fock_hamiltonian
 from oracles import fock_state as _fock_state
 from oracles import generic_three_mode
 from oracles import majoranas as _majoranas
+from oracles import pure_orthogonal_factor
 from oracles import random_so as _random_so
 
 import pinq.ffgauss
@@ -34,7 +36,6 @@ from pinq.ffgauss import (
     givens_decompose,
     interpolation_path,
     pfaffian_sign,
-    pure_orthogonal_factor,
     reconstruct,
     verify_ff_path,
 )
@@ -94,7 +95,7 @@ def test_fock_ground_energy_matches_covariance_minimum():
     h = HamMatrix((a - a.T) / 2.0)
     hb, _ = block_diagonal_form(h)
     fock_min = float(np.linalg.eigvalsh(_fock_hamiltonian(h.mat, ms))[0])
-    assert fock_min == pytest.approx(-2.0 * np.sum(np.abs(hb.block_weights())), abs=1e-8)
+    assert fock_min == pytest.approx(-2.0 * np.sum(np.abs(hb.mat[0::2, 1::2].diagonal())), abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +139,7 @@ def test_purity_preserved_by_conjugation():
     g = canonical_gamma0(4, "odd")
     m = rng.standard_normal((8, 8))
     o, _ = np.linalg.qr(m)
-    conj = g.conjugated(o)
+    conj = conjugated(g, o)
     assert abs(conj.purity_defect() - g.purity_defect()) <= 1e-12
 
 
@@ -274,9 +275,9 @@ def test_trivial_path():
         h = _block_h(list(np.linspace(1.0, 0.3, n)))
         for parity in ("even", "odd"):
             canonical = canonical_gamma0(n, parity)
-            rotated = canonical.conjugated(_random_so(2 * n, 31 * n + (parity == "odd")))
+            rotated = conjugated(canonical, _random_so(2 * n, 31 * n + (parity == "odd")))
             for g in (canonical, rotated):
-                nudged = g.conjugated(GivensRotation(0, 2 * n - 1, 1e-13).matrix(2 * n))
+                nudged = conjugated(g, GivensRotation(0, 2 * n - 1, 1e-13).matrix(2 * n))
                 # a single mode has no other pure state of its parity
                 gap = np.linalg.norm(nudged.mat - g.mat)
                 assert gap <= 1e-12 and (gap > 0.0 or n == 1)
@@ -528,6 +529,27 @@ def test_verify_flags_wrong_endpoint():
     assert any("endpoint" in f for f in verdict.failures)
 
 
+def test_verify_flags_impure_state():
+    g = canonical_gamma0(2, "even")
+    h = _block_h([1.0, 1.0])
+    path = interpolation_path(g, CovMatrix(-g.mat), h, 4)
+    path.start = CovMatrix(1.1 * g.mat)  # gamma^T gamma = 1.21 I
+    verdict = verify_ff_path(path, h, eta1=10.0)
+    assert not verdict.ok
+    assert any("purity" in f for f in verdict.failures)
+
+
+def test_verify_flags_grid_energy_above_eta1():
+    # the path climbs from -4 to 4
+    g = canonical_gamma0(2, "even")
+    h = _block_h([1.0, 1.0])
+    path = interpolation_path(g, CovMatrix(-g.mat), h, 4)
+    verdict = verify_ff_path(path, h, eta1=3.0)
+    assert not verdict.ok
+    assert verdict.max_grid_energy == pytest.approx(4.0)
+    assert [f for f in verdict.failures if "grid energy" in f] == ["grid energy 4.000000 exceeds eta1=3.0"]
+
+
 # ---------------------------------------------------------------------------
 # closed-form energy moves and the descend-and-meet alignment
 # ---------------------------------------------------------------------------
@@ -595,8 +617,8 @@ def test_near_equal_endpoints_take_near_zero_turns(parity, eps):
     # endpoints just outside the equal-endpoint shortcut: the path turns by
     # angles of the order of their distance, not by quarter turns
     h = _block_h([1.0, 0.65, 0.3])
-    start = canonical_gamma0(3, parity).conjugated(_random_so(6, 93 + (parity == "odd")))
-    end = start.conjugated(GivensRotation(0, 5, eps).matrix(6))
+    start = conjugated(canonical_gamma0(3, parity), _random_so(6, 93 + (parity == "odd")))
+    end = conjugated(start, GivensRotation(0, 5, eps).matrix(6))
     path = interpolation_path(start, end, h, 3)
     assert path.max_angle <= 10 * eps
     verdict = verify_ff_path(path, h, eta1=max(energy(start, h), energy(end, h)) + path.ramp_deviation + 1e-9)
@@ -637,6 +659,50 @@ def test_failing_join_is_a_rejected_candidate(monkeypatch):
     q1, q2 = _random_so(6, 600), _random_so(6, 700)
     with pytest.raises(PathConstructionError, match="misses the end state"):
         interpolation_path(CovMatrix(q1 @ g0 @ q1.T), CovMatrix(q2 @ g0 @ q2.T), _block_h([1.0, 1.0, 1.0]), 8)
+
+
+def _zero_h_endpoints():
+    """(start, end, h): two generic pure 3-mode states under h = 0."""
+    g0 = canonical_gamma0(3)
+    return conjugated(g0, _random_so(6, 0)), conjugated(g0, _random_so(6, 100)), HamMatrix(np.zeros((6, 6)))
+
+
+def test_zero_hamiltonian_path_verifies():
+    # every state is a ground state of h = 0 and no plane moves the energy,
+    # so each energy move is done where it starts, on the ramp energy 0
+    start, end, h = _zero_h_endpoints()
+    path = interpolation_path(start, end, h, 8)
+    assert path.grid_energies == (0.0,) * 9
+    verdict = verify_ff_path(path, h, eta1=1e-9)
+    assert verdict.ok, verdict.failures
+
+
+def test_energy_move_with_no_moving_plane_refuses_a_gap():
+    start, _, h = _zero_h_endpoints()
+    walk = pinq.ffgauss._Walk(start.mat, h.mat)
+    with pytest.raises(PathConstructionError, match="no plane rotations reach the ramp energy 1"):
+        walk.energy_move(1.0)
+    assert walk.rotations == []
+
+
+def test_energy_move_below_the_ground_energy_stops_at_the_round_cap():
+    # the ground energy is -2 (1 + 0.7 + 0.4) = -4.2: the rounds descend to
+    # it, then turn nothing until the cap
+    start, _, _ = generic_three_mode()
+    h = _block_h([1.0, 0.7, 0.4])
+    walk = pinq.ffgauss._Walk(start, h.mat)
+    with pytest.raises(PathConstructionError, match="no plane rotations reach the ramp energy -5"):
+        walk.energy_move(-5.0)
+    assert walk.e == pytest.approx(-4.2)
+
+
+def test_descent_stops_at_the_sweep_cap(monkeypatch):
+    monkeypatch.setattr(pinq.ffgauss, "_SWEEP_CAP", 1)
+    start, _, h = generic_three_mode()
+    walk = pinq.ffgauss._Walk(start, h)
+    with pytest.raises(PathConstructionError, match="did not settle within 1 sweeps"):
+        walk.descend()
+    assert walk.rotations
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import pin_state_vector
 
 import pinq.pinning
 from pinq.errors import PreconditionError, UnsupportedTermError
 from pinq.pauli import HamiltonianSum, is_commuting, is_permutation, is_stoquastic
 from pinq.pinning import (
+    PIN_ZERO,
     PinSpec,
     PinState,
     PromiseBounds,
@@ -84,13 +86,33 @@ def test_effective_matches_matrix_oracle():
         np.testing.assert_allclose(eff, _pin_matrix(h, pin), atol=1e-13)
 
 
+@pytest.mark.parametrize("entries", [
+    pytest.param(((0.5, PIN_ZERO),), id="half"),
+    pytest.param(((0.5, PIN_ZERO), (1.5, PIN_ZERO)), id="two-halves"),
+    pytest.param(((1.0, PIN_ZERO),), id="integral-float"),
+    pytest.param((("1", PIN_ZERO),), id="string"),
+])
+def test_pin_qubits_must_be_integers(entries):
+    # qubit 0.5 passed validate_for and was contracted as qubit 1
+    with pytest.raises(TypeError):
+        PinSpec(entries)
+    with pytest.raises(TypeError):
+        PinSpec.of(*entries)
+
+
+def test_pin_qubits_are_held_as_ints():
+    pin = PinSpec.of((np.int64(2), "0"), (0, "+"))
+    assert pin.entries == ((2, PIN_ZERO), (0, PinState("+")))
+    assert all(type(q) is int for q in pin.qubits)
+
+
 def test_full_pin_is_expectation():
     rng = np.random.default_rng(4)
     h = HamiltonianSum.from_terms(2, [(0.3, "ZZ"), (-0.8, "XI")])
     pin = PinSpec.of((0, "angle:0.4"), (1, "+"))
     eff = effective_sum(h, pin).to_matrix(dense=True)
     assert eff.shape == (1, 1)
-    state = pin.state_vector()
+    state = pin_state_vector(pin)
     expected = state @ _dense(h) @ state
     assert eff[0, 0] == pytest.approx(expected, abs=1e-14)
 

@@ -33,6 +33,8 @@ def test_protocol_validation():
     nc = _ham(1, [(1.0, "X"), (1.0, "Z")])
     with pytest.raises(PreconditionError):
         ZenoProtocol("commuting", nc, _ham(1, [(1.0, "X")]), 1.0, 10)
+    with pytest.raises(PreconditionError, match="unknown protocol kind 'stoq'"):
+        ZenoProtocol("stoq", a, _ham(1, [(-1.0, "X")]), 1.0, 10)
 
 
 def test_stoquastic_b_zero_is_exact():
@@ -294,6 +296,13 @@ def test_commuting_step_phases_guarded_when_the_reference_vanishes():
     protocol = ZenoProtocol("commuting", _ham(1, [(1e300, "Z")]), _ham(1, [(-1e300, "Z")]), 1e300, 5)
     with pytest.raises(PreconditionError, match="step"):
         zeno_evolve(protocol, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("length", [1, 4])
+def test_start_state_of_the_wrong_length_rejected(length):
+    protocol = ZenoProtocol("commuting", _ham(1, [(1.0, "Z")]), _ham(1, [(1.0, "X")]), 1.0, 5)
+    with pytest.raises(PreconditionError, match="initial state must have length 2"):
+        zeno_evolve(protocol, np.ones(length) / np.sqrt(length))
 
 
 @pytest.mark.parametrize("amps", [[1e200, 0.0], [float("nan"), 0.0], [1e-200, 0.0]])
