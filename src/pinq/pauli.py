@@ -35,8 +35,11 @@ Conventions used throughout the package:
   matrix.  Row r holds H[r, r ^ f] = conj(D_f[r]) at column r ^ f for
   every flip mask f, in increasing f.  ``apply``, ``operator`` (the
   accessor of ``spectral`` and ``gscon``) and sparse ``to_matrix`` read it,
-  dense ``to_matrix`` is it densified, and its products run in scipy's
-  compiled CSR kernel (``flip_matvec``) in the order of the per-flip sum.
+  and its products run in scipy's compiled CSR kernel (``flip_matvec``) in
+  the order of the per-flip sum.  Dense ``to_matrix`` is it densified, for
+  ``pinning``'s exact norm, the demos and the tests; ``spectral``'s dense
+  route never densifies it, but scatters its rows one symmetry sector at a
+  time.
 * ``sign_pieces`` is the one sign split of a string, on the parity sectors
   of its Z support by ``projector_terms``: both stoquastic constructions
   (``pinning.stoquastic_pin``, ``gscon.build_stoquastic_gscon``) build
@@ -80,7 +83,10 @@ _INDEX_BITS = 31
 _BLOCK_ROWS = 8
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-_LETTER_INV = {v: k for k, v in _LETTER.items()}
+# a label's X and Z bits as binary digits, and the label without its letters
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+_NO_LETTERS = str.maketrans("", "", "IXYZ")
 
 
 def flip_matvec(mat, vec: np.ndarray) -> np.ndarray:
@@ -119,14 +125,17 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
-        x = z = 0
-        for q, ch in enumerate(label):
-            try:
-                xb, zb = _LETTER_INV[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r}") from None
-            x |= xb << q
-            z |= zb << q
+        """The string of a label, letter q on qubit q.
+
+        The masks are the label's digits read in reverse as binary numbers.
+        Every letter is checked first, because ``int`` also reads ``_`` and
+        whitespace.
+        """
+        bad = label.translate(_NO_LETTERS)
+        if bad:
+            raise ValueError(f"invalid Pauli letter {bad[0]!r}")
+        x = int("0" + label.translate(_X_DIGITS)[::-1], 2)
+        z = int("0" + label.translate(_Z_DIGITS)[::-1], 2)
         return cls(len(label), x, z)
 
     def label(self) -> str:

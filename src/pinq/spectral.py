@@ -8,8 +8,10 @@ is nonzero only when r ^ s is in V, so the cosets r ^ V (the joint
 eigenspaces of the Z strings that commute with every term) are invariant.
 A span of rank k gives 2^(n-k) blocks of 2^k states, one ``eigh`` each, for
 2^(n-k) * 8^k work instead of 8^n; the lowest block value wins, the first
-block on ties.  The residual is taken on the whole matrix, an independent
-check that the split was exact.
+block on ties.  No 2^n x 2^n matrix is formed: each block is scattered
+straight from the rows of the compiled operator, one at a time and in
+Fortran order, so LAPACK solves it in place.  The residual is taken on the
+winning block, built again in C order, an independent check of its pair.
 
 The iterative route runs ARPACK's implicitly restarted Lanczos (``eigsh``)
 on a matrix-free operator with a seeded start vector, so results are
@@ -32,6 +34,7 @@ from .errors import ConvergenceError
 from .pauli import (
     DENSE_QUBIT_CEILING,
     HamiltonianSum,
+    _check_ceiling,
     _support_bits,
     check_qubit_ceiling,
     operator,
@@ -90,24 +93,47 @@ def _sectors(h: HamiltonianSum) -> np.ndarray:
     return np.argsort(labels, kind="stable").reshape(-1, 1 << len(basis))
 
 
-def _lowest_pair(mat: np.ndarray, sectors: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(value, vector, residual) of the lowest eigenpair of a dense matrix
-    that leaves the span of each row of ``sectors`` invariant.
+def _lowest_pair(mat, sectors: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(value, vector, residual) of the lowest eigenpair of the flip-ordered
+    CSR matrix ``mat`` (``HamiltonianSum._flip_stack``), which leaves the
+    span of each row of ``sectors`` invariant.
 
-    One ``eigh`` per sector block; a single sector is solved on ``mat``
-    itself.  ``argmin`` keeps the first sector on ties and a NaN value if
-    any block has one.  The residual is taken on the whole matrix.
+    Row r of ``mat`` holds one entry per flip mask, each inside the sector
+    of r, so the block of a sector is one scatter of its rows' data at the
+    positions of their columns in the sector.  Each block is built in
+    Fortran order and overwritten by its ``eigh``, so one is alive at a
+    time.  ``argmin`` keeps the first sector on ties and a NaN value if any
+    block has one.  The residual is taken on the winning block, built again
+    in C order.
     """
-    # one block copy at a time
-    blocks = [mat] if len(sectors) == 1 else (mat[np.ix_(idx, idx)] for idx in sectors)
-    pairs = [scipy.linalg.eigh(block, subset_by_index=[0, 0]) for block in blocks]
-    best = int(np.argmin([evals[0] for evals, _ in pairs]))
-    val, vec = float(pairs[best][0][0]), pairs[best][1][:, 0]
-    if len(sectors) > 1:
-        full = np.zeros(mat.shape[0], dtype=vec.dtype)
-        full[sectors[best]] = vec
-        vec = full
-    return val, vec, _residual(lambda v: mat @ v, val, vec)
+    dim = mat.shape[0]
+    data, cols = mat.data.reshape(dim, -1), mat.indices.reshape(dim, -1)
+    pos = np.empty(dim, dtype=np.intp)
+    pos[sectors] = np.arange(sectors.shape[1])
+
+    def block(idx, order):
+        out = np.zeros((len(idx), len(idx)), dtype=mat.dtype, order=order)
+        out[np.arange(len(idx))[:, None], pos[cols[idx]]] = data[idx]
+        return out
+
+    pairs = [_lowest(block(idx, "F")) for idx in sectors]
+    best = int(np.argmin([val for val, _ in pairs]))
+    val, vec = pairs[best]
+    best_block = block(sectors[best], "C")
+    resid = _residual(lambda v: best_block @ v, val, vec)
+    full = np.zeros(dim, dtype=vec.dtype)
+    full[sectors[best]] = vec
+    return val, full, resid
+
+
+def _lowest(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a Hermitian array, which LAPACK overwrites.
+
+    Every entry is a sum of finite weights that does not overflow (the
+    builder refuses one that does), so no finiteness mask is formed.
+    """
+    evals, evecs = scipy.linalg.eigh(a, subset_by_index=[0, 0], overwrite_a=True, check_finite=False)
+    return float(evals[0]), evecs[:, 0]
 
 
 def _arpack_min(matvec, mat, seed) -> SpectralResult:
@@ -118,17 +144,16 @@ def _arpack_min(matvec, mat, seed) -> SpectralResult:
         vec = np.zeros(dim, dtype=dtype)
         vec[0] = 1.0
         return SpectralResult(0.0, vec, "iterative", 0.0)
+    if dim <= 2:
+        # ARPACK needs k < dim - 1 for complex operators: one dense block
+        val, vec, resid = _lowest_pair(mat, np.arange(dim)[None])
+        return SpectralResult(val, vec, "iterative", resid)
     count = [0]
 
     def counted(v):
         count[0] += 1
         return matvec(v.reshape(-1))
 
-    if dim <= 2:
-        # ARPACK needs k < dim - 1 for complex operators: apply H to the basis
-        mat = np.column_stack([counted(e) for e in np.eye(dim)])
-        val, vec, resid = _lowest_pair(mat, np.arange(dim)[None])
-        return SpectralResult(val, vec, "iterative", resid, count[0])
     # the generator also draws ARPACK's restart vectors, which it would
     # otherwise seed from OS entropy when a Krylov space closes early
     rng = np.random.default_rng(seed)
@@ -164,9 +189,9 @@ def min_eig(h: HamiltonianSum, method="auto", seed=0) -> SpectralResult:
     if method == "auto":
         method = "dense" if h.n <= DENSE_QUBIT_CEILING else "iterative"
     if method == "dense":
-        mat = h.to_matrix(dense=True)  # raises above the dense ceiling
+        _check_ceiling(h.n, DENSE_QUBIT_CEILING, "dense")
         sectors = _sectors(h)
-        val, vec, resid = _lowest_pair(mat, sectors)
+        val, vec, resid = _lowest_pair(operator(h)[1], sectors)
         res = SpectralResult(val, vec, "dense", resid, blocks=len(sectors))
     elif method == "iterative":
         res = _arpack_min(*operator(h), seed)

@@ -6,8 +6,8 @@ paths: Pauli-sum matrices come from per-qubit Pauli action, term by term
 expectations from dense Jordan-Wigner operators in Fock space.  The
 generic free-fermion endpoints used by several suites are built here too,
 with the canonical factor and conjugation of a covariance matrix, and so
-are the product state of a pin list and the strict JSON reader that CLI
-reports are held to.
+are the product state of a pin list, the letter-by-letter reading of a
+Pauli label and the strict JSON reader that CLI reports are held to.
 """
 
 import json
@@ -23,6 +23,23 @@ from pinq.ffgauss import CovMatrix, canonical_gamma0, givens_decompose
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+
+def label_masks(label):
+    """(n, x, z) of a Pauli label, one letter at a time: letter q gives bit
+    q of each mask."""
+    x = z = 0
+    for q, ch in enumerate(label):
+        try:
+            xb, zb = _LETTER_BITS[ch]
+        except KeyError:
+            raise ValueError(f"invalid Pauli letter {ch!r}") from None
+        x |= xb << q
+        z |= zb << q
+    return len(label), x, z
 
 
 def pauli_entry(n, terms, row, col):

@@ -946,6 +946,21 @@ def test_exact_norm_dense_ceiling_checked_before_allocation(tmp_path, capsys, mo
     assert "dense ceiling" in captured.err
 
 
+def test_spectrum_dense_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch):
+    # 13 qubits: above the dense ceiling, though the iterative route takes them
+    f = _write(tmp_path, "h.txt", "qubits 13\n0.5 ZIIIIIIIIIIII\n-0.25 XIIIIIIIIIIIX\n")
+
+    def no_build(*args):
+        raise AssertionError("flip diagonals built before the ceiling check")
+
+    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
+    code = main(["spectrum", f, "--dense"])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "dense ceiling" in captured.err
+
+
 def test_assembled_check_byte_ceiling_exit_3(tmp_path, capsys, monkeypatch):
     # 700 X masks on 16 qubits: the assembled matrix would take 550502400
     # bytes of CSR data and index, over the 512 MiB ceiling

@@ -6,11 +6,14 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracles import (
     apply_flip_diagonals,
     commuting_report,
     flip_diagonals,
     group_norms,
+    label_masks,
     pauli_entry,
     pauli_matrix,
     permutation_report,
@@ -131,6 +134,28 @@ def test_matrix_ceiling(monkeypatch):
     h = HamiltonianSum.from_terms(13, [(1.0, "Z" + "I" * 12)])
     with pytest.raises(ResourceLimitError, match="dense ceiling"):
         h.to_matrix(dense=True)
+
+
+# mostly Pauli letters, with the characters that ``int`` reads in a binary
+# numeral (digits, "_", whitespace, a sign) and any other
+_LABEL_CHARS = st.one_of(st.sampled_from("IXYZ"), st.sampled_from("01_ \t\n+-xyz"), st.characters())
+
+
+@given(label=st.lists(_LABEL_CHARS, max_size=24).map("".join))
+@example(label="")
+@example(label="X_Z")
+@example(label=" XZ")
+@example(label="XYZI" * 16)
+def test_from_label_matches_the_letter_loop(label):
+    try:
+        want = label_masks(label)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            PauliString.from_label(label)
+        assert str(got.value) == str(exc)
+    else:
+        s = PauliString.from_label(label)
+        assert (s.n, s.x, s.z) == want
 
 
 def test_string_apply_matches_matrix():

@@ -2,6 +2,7 @@
 convergence errors, promise decisions."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,27 +306,41 @@ def test_dense_ground_level_degenerate_across_sectors_is_deterministic():
 
 @pytest.mark.parametrize("k", [0, 2, 4, 6])
 def test_eigensolver_sees_only_sector_blocks(monkeypatch, k):
-    # rank k: one eigh per sector on its 2^k x 2^k block; full rank: one
-    # eigh on the very array to_matrix built, as before the split
+    # rank k: one eigh per sector on its 2^k x 2^k block, and the dense
+    # route never assembles the whole matrix
     n = 6
     h = _sum_of_rank(np.random.default_rng(300 + k), n, k, complex_terms=k % 4 == 2)
-    built, calls = [], []
-    to_matrix, eigh = HamiltonianSum.to_matrix, scipy.linalg.eigh
+    calls = []
+    eigh = scipy.linalg.eigh
 
-    def recorded_matrix(self, dense=False):
-        built.append(to_matrix(self, dense=dense))
-        return built[-1]
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the dense route assembled the whole matrix")
 
     def recorded_eigh(a, *args, **kwargs):
-        calls.append((a.shape, a is built[0]))
+        calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(HamiltonianSum, "to_matrix", recorded_matrix)
+    monkeypatch.setattr(HamiltonianSum, "to_matrix", no_matrix)
     monkeypatch.setattr(scipy.linalg, "eigh", recorded_eigh)
     res = min_eig(h, method="dense")
-    assert len(built) == 1
-    assert calls == [((1 << k, 1 << k), k == n)] * (1 << (n - k))
+    assert calls == [(1 << k, 1 << k)] * (1 << (n - k))
     assert res.blocks == 1 << (n - k)
+
+
+@pytest.mark.parametrize("n, k, bound_mib", [(12, 6, 4), (10, 10, 12)])
+def test_dense_route_holds_one_block_at_a_time(n, k, bound_mib):
+    # a 12-qubit matrix takes 128 MiB and a 10-qubit block 8 MiB: below full
+    # rank no 2^n x 2^n array is formed, and at full rank LAPACK solves the
+    # one block in place, with no copy
+    h = _sum_of_rank(np.random.default_rng(400 + k), n, k)
+    tracemalloc.start()
+    try:
+        res = min_eig(h, method="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.blocks == 1 << (n - k)
+    assert peak < bound_mib << 20
 
 
 def _xz_terms(n, rng):
