@@ -3,7 +3,9 @@
 Exit codes: 0 = success / YES, 1 = NO or violation verdict, 2 = malformed
 input, 3 = precondition or promise violation.  Every subcommand prints a run
 report as JSON: {"subcommand", "seed", "inputs" (sha256 digests), "payload",
-"wall_time_s"}.  The payload is byte-stable for identical inputs and seed.
+"wall_time_s"}.  The payload is byte-stable for identical inputs and seed at
+a fixed BLAS thread count: between counts, the dense route's value, residual
+and vector can change in their last bits.
 An exit 2 or 3 prints ``error: <message>`` on stderr, then one JSON line
 {"error": {"type", "message", "exit_code"}}.
 """

@@ -373,8 +373,19 @@ def _matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
 
 
+def _number(value, what: str, kind=(int, float)):
+    """``value`` if JSON gave it as a number (an integer if ``kind`` is
+    ``int``), else ``TypeError``: ``float``, ``complex`` and ``index`` would
+    read a string or a boolean as a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = "integer" if kind is int else "number"
+        raise TypeError(f"{what} must be a JSON {name}, not {type(value).__name__}")
+    return value
+
+
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    return np.array([[complex(_number(re, "gate entry"), _number(im, "gate entry")) for re, im in row]
+                     for row in rows])
 
 
 def _circuit_to_json(circuit) -> list:
@@ -382,7 +393,8 @@ def _circuit_to_json(circuit) -> list:
 
 
 def _circuit_from_json(data) -> tuple:
-    return tuple(UnitaryStep(tuple(g["targets"]), _matrix_from_json(g["matrix"])) for g in data)
+    return tuple(UnitaryStep(tuple(_number(q, "gate target", int) for q in g["targets"]),
+                             _matrix_from_json(g["matrix"])) for g in data)
 
 
 def instance_to_json(inst: GsconInstance) -> dict:
@@ -405,23 +417,23 @@ def instance_to_json(inst: GsconInstance) -> dict:
 
 
 def instance_from_json(data) -> GsconInstance:
-    n = data["qubits"]
+    """The instance of a JSON document; a mistyped number raises ``TypeError``."""
     ham = HamiltonianSum(
-        n,
-        [(c, lbl) for c, lbl in data["hamiltonian"]["terms"]],
-        groups=tuple(tuple(g) for g in data["hamiltonian"]["groups"]),
+        _number(data["qubits"], "qubits", int),
+        [(_number(c, "term weight"), lbl) for c, lbl in data["hamiltonian"]["terms"]],
+        groups=tuple(tuple(_number(i, "group index", int) for i in g) for g in data["hamiltonian"]["groups"]),
     )
-    eta = data["eta"]
+    eta1, eta2, eta3, eta4 = (_number(e, "eta") for e in data["eta"])
     return GsconInstance(
         hamiltonian=ham,
-        k=data["k"],
-        eta1=eta[0],
-        eta2=eta[1],
-        eta3=eta[2],
-        eta4=eta[3],
-        delta=data["delta"],
-        l=data["l"],
-        m=data["m"],
+        k=_number(data["k"], "k", int),
+        eta1=eta1,
+        eta2=eta2,
+        eta3=eta3,
+        eta4=eta4,
+        delta=_number(data["delta"], "delta"),
+        l=_number(data["l"], "l", int),
+        m=_number(data["m"], "m", int),
         start_circuit=_circuit_from_json(data["start_circuit"]),
         target_circuit=_circuit_from_json(data["target_circuit"]),
         metadata=data.get("metadata", {}),

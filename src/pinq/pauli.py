@@ -14,29 +14,30 @@ Conventions used throughout the package:
   (stoquasticity, commutation, permutation form) operate at group
   granularity.  Without an explicit grouping every string is its own group.
 * One builder makes every matrix realization of a sum from its
-  flip-diagonal form, H = sum_f P_f diag(D_f): ``_local_flip_forms`` builds
-  its parts, either every group on its own support, batched by support
-  width, or all the terms as one part on the whole register, whose rows
-  are summed on the qubits that carry a Z or Y letter and broadcast over
-  the rest (``_whole_flip_form``).  Group norms, termwise checks and the
-  local propagators of ``zeno`` read the groups, whose dense matrices come
-  from one scatter of a stack (``_dense_stacks``, groups only) under the
-  12-qubit dense ceiling.  ``flip_diagonals``, the assembled checks and
-  the compiled operator read the whole-register part; checks run up to the
-  16-qubit sparse ceiling.  No group is built as a matrix of its own.
+  flip-diagonal form, the rows E_f[r] = H[r, r ^ f] of each flip mask f:
+  ``_local_flip_forms`` builds its parts, either every group on its own
+  support, batched by support width, or all the terms as one part on the
+  whole register, whose rows are summed on the qubits that carry a Z or Y
+  letter and broadcast over the rest (``_whole_flip_form``).  Group norms,
+  termwise checks and the local propagators of ``zeno`` read the groups,
+  whose dense matrices come from one scatter of a stack (``_dense_stacks``,
+  groups only) under the 12-qubit dense ceiling.  The assembled checks,
+  the compiled operator and the rotation passes of ``zeno`` read the
+  whole-register part; checks run up to the 16-qubit sparse ceiling.  No
+  group is built as a matrix of its own.
 * Every stack has one layout: its rows are the columns of a C-ordered
   (2^w, rows) array, and the builder refuses a stack whose CSR operator,
   data plus int32 column index, would be above ``ITERATIVE_BYTE_CEILING``
   (or whose 2^w states that index cannot address) before it allocates
   anything.
-* The compiled operator is the whole-register part read through
-  Hermiticity: ``HamiltonianSum._flip_stack`` wraps that part's (2^n,
-  #flips) array, without a copy, as the data of one flip-ordered CSR
-  matrix.  Row r holds H[r, r ^ f] = conj(D_f[r]) at column r ^ f for
-  every flip mask f, in increasing f.  ``apply``, ``operator`` (the
-  accessor of ``spectral`` and ``gscon``) and sparse ``to_matrix`` read it,
-  and its products run in scipy's compiled CSR kernel (``flip_matvec``) in
-  the order of the per-flip sum.  Dense ``to_matrix`` is it densified, for
+* The compiled operator is the whole-register part as it is:
+  ``HamiltonianSum._flip_stack`` wraps that part's (2^n, #flips) array,
+  without a copy, as the data of one flip-ordered CSR matrix.  Row r holds
+  E_f[r] = H[r, r ^ f] at column r ^ f for every flip mask f, in
+  increasing f.  ``apply``, ``operator`` (the accessor of ``spectral``,
+  ``zeno`` and ``gscon``) and sparse ``to_matrix`` read it, and its
+  products run in scipy's compiled CSR kernel (``flip_matvec``) in the
+  order of the per-flip sum.  Dense ``to_matrix`` is it densified, for
   ``pinning``'s exact norm, the demos and the tests; ``spectral``'s dense
   route never densifies it, but scatters its rows one symmetry sector at a
   time.
@@ -318,39 +319,21 @@ class HamiltonianSum:
         return complex if self._has_y else float
 
     def flip_count(self) -> int:
-        """Number of distinct X flip masks, i.e. of diagonals in ``flip_diagonals``."""
+        """Number of distinct X flip masks, i.e. of entries in each row of ``_flip_stack``."""
         return self._flip_count
-
-    def flip_diagonals(self):
-        """Yield (f, D_f) in increasing f, with H = sum_f P_f diag(D_f).
-
-        ``f`` is an X flip mask in state-index bit positions and
-        (P_f v)[i] = v[i ^ f].  Each D_f sums its strings' diagonal factors in
-        term order.  They are the rows of the whole-register part of
-        ``_local_flip_forms``, built under its byte ceiling alone.
-        """
-        (_, _, flips, diags), = _local_flip_forms(self, whole=True)
-        yield from zip(flips.tolist(), diags)
 
     def _flip_stack(self):
         """The sum as a flip-ordered CSR matrix: the compiled operator.
 
-        Row r holds H[r, r ^ f] at column r ^ f for every flip mask f, in
-        increasing f, so a row-by-row product adds its terms in the order of
-        the per-flip sum.  The data array is the C-ordered (2^n, #flips) base
-        of the whole-register part of ``_local_flip_forms``, with int32 column
-        indices (the byte ceiling keeps a stack below 2^31 entries): entry
-        (r, k) holds D_f[r], and H is Hermitian, so
-        H[r, r ^ f] = conj(H[r ^ f, r]) = conj(D_f[r]).  Complex data is
-        conjugated in place; conjugation turns the exact-zero imaginary parts
-        into -0, and adding +0 turns them back, so the data stays bit for bit
-        the sum of each entry's strings.
+        Row r holds E_f[r] = H[r, r ^ f] at column r ^ f for every flip mask
+        f, in increasing f, so a row-by-row product adds its terms in the
+        order of the per-flip sum.  The data array is the C-ordered (2^n,
+        #flips) base of the whole-register part of ``_local_flip_forms``, as
+        it is, with int32 column indices (the byte ceiling keeps a stack
+        below 2^31 entries).
         """
         (_, _, flips, diags), = _local_flip_forms(self, whole=True)
         data = diags.T
-        if np.iscomplexobj(data):
-            np.conjugate(data, out=data)
-            data.imag += 0.0
         dim = 1 << self._n
         cols = np.arange(dim, dtype=np.int32)[:, None] ^ flips.astype(np.int32)
         indptr = np.arange(dim + 1, dtype=np.int32) * len(flips)
@@ -363,15 +346,13 @@ class HamiltonianSum:
         under the dense qubit ceiling.  The CSR one is ``operator``'s, under
         the sparse qubit ceiling and the byte ceiling: row r holds one entry
         per flip mask f, at column r ^ f, so it stores (#flip masks) * 2^n
-        entries, sorted by column.
+        entries, in increasing f.
         """
         if dense:
             _check_ceiling(self._n, DENSE_QUBIT_CEILING, "dense")
             return self._flip_stack().toarray()
         _check_ceiling(self._n, SPARSE_QUBIT_CEILING, "sparse")
-        _, mat = operator(self)
-        mat.sort_indices()
-        return mat
+        return operator(self)[1]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ v by the compiled product of the ``_flip_stack`` matrix.
@@ -493,7 +474,7 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str =
     (members, part, flips, diags): ``members`` lists its part indices in
     increasing order, and row k holds the local flip mask ``flips[k]`` of
     part ``members[part[k]]`` with its diagonal ``diags[k]``, so entry
-    (r, r ^ f) of that part is D_f[r ^ f].  A part's rows come in increasing
+    (r, r ^ f) of that part is diags[k, r].  A part's rows come in increasing
     f, each summed in term order.  Every ``diags`` is the transposed view of
     a C-ordered (2^w, rows) array, the data layout of the CSR operator
     (``HamiltonianSum._flip_stack``).
@@ -536,7 +517,7 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str =
 def _whole_flip_form(h: HamiltonianSum):
     """The one stack of the whole-register part of ``_local_flip_forms``.
 
-    D_f[r] depends on r only through the sign support S of the sum, the
+    E_f[r] depends on r only through the sign support S of the sum, the
     qubits that carry a Z or Y letter in some string.  When S misses a
     qubit, the rows are summed on the 2^|S| patterns of S and each
     whole-register row r is copied from the pattern of r, one broadcast
@@ -582,13 +563,13 @@ def _stack_rows(parts):
 def _dense_stacks(h: HamiltonianSum):
     """Yield (members, mats) for each stack of groups of ``_local_flip_forms``
     under the dense ceiling: mats[p] is the dense matrix of group
-    ``members[p]`` on its support, with D_f[c] at entry (c ^ f, c) and
+    ``members[p]`` on its support, with E_f[r] at entry (r, r ^ f) and
     zeros elsewhere."""
     for members, part, flips, diags in _local_flip_forms(h, DENSE_QUBIT_CEILING, "dense"):
         dim = diags.shape[1]
-        cols = np.arange(dim)
+        rows = np.arange(dim)
         mats = np.zeros((len(members), dim, dim), dtype=diags.dtype)
-        mats[part[:, None], cols ^ flips[:, None], cols] = diags
+        mats[part[:, None], rows, rows ^ flips[:, None]] = diags
         yield members, mats
 
 
@@ -639,22 +620,23 @@ def _stacked_diagonals(strings, diags) -> None:
 
     ``diags`` is (rows, 2^w), the transposed view of a C-ordered (2^w, rows)
     array, and every row has a string.  String (row, sign, ny, coeff) adds
-    coeff * i**ny * (-1)**popcount(j & sign) at entry j of its row; ``sign``
-    is in the state-index bits of a w-qubit support.  Rows go in blocks of
-    at least ``_BLOCK_ROWS`` and entries in tiles, so that a block's tile
-    takes about ``_CHUNK_BYTES``.  Each tile is summed from zero in a
-    cache-sized temporary, pass r adding the r-th string of each of its
-    rows, then written once.  A sum started at +0 never turns -0, so only
-    the nonzero parts of each +-weight count, and they are exact: the rows
-    are the per-string sums bit for bit.  A sum of finite weights that
-    overflows raises ``PreconditionError``.
+    coeff * (-i)**ny * (-1)**popcount(j & sign) at entry j of its row, its
+    entry H[j, j ^ f]: coeff * i**ny times the sign of j ^ f, which is
+    (-1)**ny times that of j (the ny Y qubits both flip and sign); ``sign``
+    is in the state-index bits of a w-qubit support.  Rows go in blocks of at least ``_BLOCK_ROWS`` and
+    entries in tiles, so that a block's tile takes about ``_CHUNK_BYTES``.
+    Each tile is summed from zero in a cache-sized temporary, pass r adding
+    the r-th string of each of its rows, then written once.  A sum started
+    at +0 never turns -0, so only the nonzero parts of each +-weight count,
+    and they are exact: the rows are the per-string sums bit for bit.  A
+    sum of finite weights that overflows raises ``PreconditionError``.
     """
     rows, dim = diags.shape
     if not rows:
         return
     row = np.array([r for r, _, _, _ in strings], dtype=np.intp)
     sign = np.array([s for _, s, _, _ in strings], dtype=np.uint64)
-    weight = np.array([c * 1j ** ny if ny % 4 else c for _, _, ny, c in strings], dtype=diags.dtype)
+    weight = np.array([c * (-1j) ** ny if ny % 4 else c for _, _, ny, c in strings], dtype=diags.dtype)
     order = np.argsort(row, kind="stable")
     row, sign, weight = row[order], sign[order], weight[order]
     first = np.searchsorted(row, np.arange(rows + 1))
@@ -731,21 +713,21 @@ def _offdiag_offenders(part, flips, diags, count: int, tol: float) -> list:
     Ties go to the first such entry in row-major order.
     """
     dim = diags.shape[1]
-    cols = np.arange(dim)
+    rows = np.arange(dim)
     bad = ((diags.real > tol) | (np.abs(diags.imag) > tol)) & (flips != 0)[:, None]
     score = np.where(bad, diags.real + np.abs(diags.imag), -np.inf)
     best = np.full(count, -np.inf)
     np.maximum.at(best, part, score.max(axis=1, initial=-np.inf))
-    # row-major position r * dim + c of each worst entry, which sits at c = r ^ f
+    # row-major position r * dim + (r ^ f) of each worst entry
     last = dim * dim
-    pos = np.where(bad & (score == best[part][:, None]), (cols ^ flips[:, None]) * dim + cols, last)
+    pos = np.where(bad & (score == best[part][:, None]), rows * dim + (rows ^ flips[:, None]), last)
     row_first = pos.min(axis=1, initial=last)
     first = np.full(count, last)
     np.minimum.at(first, part, row_first)
     hits = [None] * count
     for k in np.flatnonzero((row_first < last) & (row_first == first[part])):
         r, c = divmod(int(row_first[k]), dim)
-        hits[part[k]] = complex(diags[k, c]), (r, c)
+        hits[part[k]] = complex(diags[k, r]), (r, c)
     return hits
 
 
@@ -819,13 +801,13 @@ def _permutation_defects(part, flips, diags, count: int, tol: float) -> list:
     Entries off the flip masks' positions are exact zeros.
     """
     dim = diags.shape[1]
-    cols = np.arange(dim)
+    rows = np.arange(dim)
 
     def any_row(flags):
         return np.bincount(part, weights=flags, minlength=count) > 0
 
     def ones_per_line(line):
-        """Near-1 entries in each row (line = r) or column (line = c) of each part."""
+        """Near-1 entries in each row (line = r) or column (line = r ^ f) of each part."""
         return np.bincount((part[:, None] * dim + line)[near1], minlength=count * dim).reshape(count, dim)
 
     vals, checks = diags, []
@@ -834,7 +816,7 @@ def _permutation_defects(part, flips, diags, count: int, tol: float) -> list:
         vals = vals.real
     near1 = np.abs(vals - 1.0) <= tol
     checks.append(("entry outside {0,1}", any_row(~np.all((np.abs(vals) <= tol) | near1, axis=1))))
-    lines = np.hstack([ones_per_line(cols ^ flips[:, None]), ones_per_line(cols)])
+    lines = np.hstack([ones_per_line(rows), ones_per_line(rows ^ flips[:, None])])
     checks.append(("row/column sums differ from 1", ~np.all(lines == 1, axis=1)))
     # a part's reason is the first check it fails
     reasons = [None] * count

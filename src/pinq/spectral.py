@@ -3,7 +3,7 @@
 Every entry point takes a Pauli sum (``HamiltonianSum``), never a matrix.
 The dense route (LAPACK ``eigh``, lowest eigenpair only) is the authoritative
 oracle at small sizes.  It solves each symmetry sector on its own: with
-H = sum_f P_f diag(D_f) and V the GF(2) span of the flip masks f, H[r, s]
+H = sum_f diag(E_f) P_f and V the GF(2) span of the flip masks f, H[r, s]
 is nonzero only when r ^ s is in V, so the cosets r ^ V (the joint
 eigenspaces of the Z strings that commute with every term) are invariant.
 A span of rank k gives 2^(n-k) blocks of 2^k states, one ``eigh`` each, for
@@ -35,7 +35,6 @@ from .pauli import (
     DENSE_QUBIT_CEILING,
     HamiltonianSum,
     _check_ceiling,
-    _support_bits,
     check_qubit_ceiling,
     operator,
 )
@@ -70,24 +69,23 @@ def _residual(matvec, val: float, vec: np.ndarray) -> float:
     return resid
 
 
-def _sectors(h: HamiltonianSum) -> np.ndarray:
-    """State indices of each symmetry sector of ``h``, one row per sector.
+def _sectors(mat) -> np.ndarray:
+    """State indices of each symmetry sector of the CSR operator ``mat``.
 
-    The flip masks of the terms, in state-index bits, are reduced to an
+    The flip masks f, the columns 0 ^ f of its row 0, are reduced to an
     echelon basis of their GF(2) span V, of rank k.  Each state is labelled
     by its coset representative, the one element of r ^ V that is zero at
     every leading bit; a stable sort by label gives 2^(n-k) rows of 2^k
     increasing states, in increasing label order.
     """
-    local = _support_bits(range(h.n))
     basis = []
-    for f in sorted({local(t.string.x) for t in h.terms}):
+    for f in mat.indices[:mat.indptr[1]].tolist():
         for b in basis:
             f = min(f, f ^ b)
         if f:
             # f is zero at the leading bit of every earlier basis mask
             basis.append(f)
-    labels = np.arange(1 << h.n)
+    labels = np.arange(mat.shape[0])
     for b in basis:
         np.minimum(labels, labels ^ b, out=labels)
     return np.argsort(labels, kind="stable").reshape(-1, 1 << len(basis))
@@ -190,8 +188,9 @@ def min_eig(h: HamiltonianSum, method="auto", seed=0) -> SpectralResult:
         method = "dense" if h.n <= DENSE_QUBIT_CEILING else "iterative"
     if method == "dense":
         _check_ceiling(h.n, DENSE_QUBIT_CEILING, "dense")
-        sectors = _sectors(h)
-        val, vec, resid = _lowest_pair(operator(h)[1], sectors)
+        mat = operator(h)[1]
+        sectors = _sectors(mat)
+        val, vec, resid = _lowest_pair(mat, sectors)
         res = SpectralResult(val, vec, "dense", resid, blocks=len(sectors))
     elif method == "iterative":
         res = _arpack_min(*operator(h), seed)

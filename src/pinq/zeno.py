@@ -29,9 +29,9 @@ no step loop: at every step count its final state is the normalized
 reference, with survival 1, step survivals 1 and branch error 0.
 
 The commuting protocol holds no dense matrix.  A and B are each applied from
-their flip-diagonal form G = D_0 + sum_{f != 0} P_f diag(D_f), built once:
-D_0 is one phase vector, and each flip mask f is one closed-form rotation
-pass over the 2^n amplitudes, exact because (P_f diag D_f)^2 = diag|D_f|^2;
+the rows E_f[r] = G[r, r ^ f] of G = diag(E_0) + sum_{f != 0} diag(E_f) P_f:
+E_0 is one phase vector, and each flip mask f is one closed-form rotation
+pass over the 2^n amplitudes, exact because (diag(E_f) P_f)^2 = diag|E_f|^2;
 the strings commute pairwise, so the passes multiply exactly in any order.  A
 group whose strings do not commute with every string of its generator (an
 explicit grouping or a string of weight 0, which commutes with every other,
@@ -70,8 +70,10 @@ from .pauli import (
     _apply_local,
     _check_ceiling,
     _dense_stacks,
+    _local_flip_forms,
     is_commuting,
     is_stoquastic,
+    operator,
 )
 
 # below the square of propagator round-off the kept branch is numerical noise
@@ -209,18 +211,17 @@ class _CommutingPropagator:
     """psi -> exp(-i theta G) psi for a generator G whose groups commute
     pairwise, without a 2^n x 2^n matrix.
 
-    The strings that commute with every string of G make one flip-diagonal
-    form D_0 + sum_{f != 0} P_f diag(D_f), which commutes with the rest of G.
-    D_0 gives one phase vector.  Each P_f diag(D_f) is Hermitian with square
-    diag|D_f|^2, so its exponential is one pass
-    psi[r] <- cos(theta |D_f[r]|) psi[r]
-              - i sin(theta |D_f[r]|) / |D_f[r]| * D_f[r ^ f] psi[r ^ f],
-    with D_f[r ^ f] = conj(D_f[r]); the strings commute pairwise, so the
-    passes multiply exactly in any order.  A group holding a string that
-    anticommutes with some string of G (an explicit grouping or a zero weight
-    makes one) still commutes with every other group, so it is applied
-    exactly as its own 2^w propagator on its support, from one batched
-    ``eigh`` per stack of ``_dense_stacks``.
+    The strings that commute with every string of G make one whole-register
+    stack diag(E_0) + sum_{f != 0} diag(E_f) P_f, which commutes with the
+    rest of G.  E_0 gives one phase vector.  Each diag(E_f) P_f is Hermitian
+    with square diag|E_f|^2, so its exponential is one pass
+    psi[r] <- cos(theta |E_f[r]|) psi[r]
+              - i sin(theta |E_f[r]|) / |E_f[r]| * E_f[r] psi[r ^ f];
+    the strings commute pairwise, so the passes multiply exactly in any
+    order.  A group holding a string that anticommutes with some string of
+    G (an explicit grouping or a zero weight makes one) still commutes with
+    every other group, so it is applied exactly as its own 2^w propagator
+    on its support, from one batched ``eigh`` per stack of ``_dense_stacks``.
     """
 
     def __init__(self, g: HamiltonianSum):
@@ -234,11 +235,12 @@ class _CommutingPropagator:
         strings = HamiltonianSum(g.n, [t for i, t in enumerate(g.terms) if i not in in_local])
         self.diag, self.masks = None, []
         index = np.arange(1 << g.n)
-        for f, d in strings.flip_diagonals():
+        (_, _, flips, rows), = _local_flip_forms(strings, whole=True)
+        for f, e in zip(flips.tolist(), rows):
             if f == 0:
-                self.diag = d.real
+                self.diag = e.real
             else:
-                self.masks.append((index ^ f, d))
+                self.masks.append((index ^ f, e))
         sub = HamiltonianSum.from_groups(g.n, [[g.terms[i] for i in gi] for gi in local])
         self.local = []
         for members, mats in _dense_stacks(sub):
@@ -255,11 +257,11 @@ class _CommutingPropagator:
         _check_phase(theta, self.scale, what)
         phase = None if self.diag is None else np.exp(-1j * theta * self.diag)
         passes = []
-        for perm, d in self.masks:
-            a = np.abs(d)
+        for perm, e in self.masks:
+            a = np.abs(e)
             # sin(theta a) / a, with its limit theta where a = 0
             ratio = np.divide(np.sin(theta * a), a, out=np.full(a.shape, theta), where=a > 0.0)
-            passes.append((perm, np.cos(theta * a).astype(complex), -1j * ratio * np.conj(d)))
+            passes.append((perm, np.cos(theta * a).astype(complex), -1j * ratio * e))
         props = [(supp, (v * np.exp(-1j * theta * w)) @ v.conj().T) for supp, w, v in self.local]
 
         def apply(psi: np.ndarray) -> np.ndarray:
@@ -278,15 +280,17 @@ class _CommutingPropagator:
 
 
 def _reference(h: HamiltonianSum, t: float, psi: np.ndarray, what: str) -> np.ndarray:
-    """exp(-i t h) psi by ``expm_multiply`` on the CSR matrix of ``h``.
+    """exp(-i t h) psi by ``expm_multiply`` on the CSR operator of ``h``.
 
+    ``expm_multiply`` sorts the columns of its shifted copy before it steps
+    with it, so the order of a row's entries does not change the result.
     Its Taylor steps number about t * ||h||_1, so that product is held to
     the phase guard and then to the step ceiling before the call.
     ``onenormest`` draws from numpy's global generator once t * ||h||_1
     passes about 63, so the call runs on a fixed seed, and the caller's
     generator state is restored.
     """
-    mat = h.to_matrix()
+    mat = operator(h)[1]
     with np.errstate(over="ignore"):
         norm = float(scipy.sparse.linalg.norm(mat, 1))
     _check_phase(t, norm, what)

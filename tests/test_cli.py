@@ -791,6 +791,54 @@ def test_gscon_verify_non_integer_count_or_index_exit_2(tmp_path, capsys, edit):
     assert json.loads(record) == {"error": {"type": "ParseError", "message": human[len("error: "):], "exit_code": 2}}
 
 
+def _set_weight(d, value):
+    d["hamiltonian"]["terms"][0][0] = value
+
+
+@pytest.mark.parametrize("which, edit, message", [
+    pytest.param("instance", lambda d: _set_weight(d, str(d["hamiltonian"]["terms"][0][0])),
+                 "term weight must be a JSON number, not str", id="string-weight"),
+    pytest.param("instance", lambda d: _set_weight(d, True), "term weight must be a JSON number, not bool",
+                 id="bool-weight"),
+    pytest.param("instance", lambda d: d["eta"].__setitem__(0, "0"), "eta must be a JSON number, not str",
+                 id="string-eta"),
+    pytest.param("instance", lambda d: d.update(delta=False), "delta must be a JSON number, not bool",
+                 id="bool-delta"),
+    pytest.param("instance", lambda d: d.update(qubits=True), "qubits must be a JSON integer, not bool",
+                 id="bool-qubits"),
+    pytest.param("instance", lambda d: d.update(l=True), "l must be a JSON integer, not bool", id="bool-l"),
+    pytest.param("instance", lambda d: d.update(k=True), "k must be a JSON integer, not bool", id="bool-k"),
+    pytest.param("instance", lambda d: d.update(m=True), "m must be a JSON integer, not bool", id="bool-m"),
+    pytest.param("instance", lambda d: d["hamiltonian"]["groups"][0].__setitem__(0, False),
+                 "group index must be a JSON integer, not bool", id="bool-group-index"),
+    pytest.param("path", lambda d: d["steps"][0].update(targets=[True]),
+                 "gate target must be a JSON integer, not bool", id="bool-target"),
+    pytest.param("path", lambda d: d["steps"][0]["matrix"][0][0].__setitem__(0, True),
+                 "gate entry must be a JSON number, not bool", id="bool-gate-entry"),
+])
+def test_gscon_verify_string_or_bool_number_is_malformed(tmp_path, capsys, which, edit, message):
+    # float(), complex() and index() read each of these as a number, and the
+    # walk reached a verdict
+    inst, path = _gscon_files(tmp_path, capsys)
+    _rewrite_json(inst if which == "instance" else path, edit)
+    code = main(["gscon-verify", "--instance", inst, "--path", path])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    human = captured.err.splitlines()[0]
+    assert human == f"error: malformed gscon_{which}_json: TypeError: {message}"
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_gscon_verify_eta_of_the_wrong_length_exit_2(tmp_path, capsys, count):
+    # a fifth threshold was ignored, and the walk reached a verdict
+    inst, path = _gscon_files(tmp_path, capsys)
+    _rewrite_json(inst, lambda d: d.update(eta=(d["eta"] + [1.0])[:count]))
+    code = main(["gscon-verify", "--instance", inst, "--path", path])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error: malformed gscon_instance_json: ValueError")
+
+
 _ID2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _ID4 = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
 

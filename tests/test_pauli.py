@@ -228,10 +228,26 @@ def _bit_identity_cases():
     return cases
 
 
+def _operator_rows(h):
+    """(f, E_f) for each flip mask f of ``h``, in stored order: the rows
+    E_f[r] = H[r, r ^ f] of its compiled operator, whose row 0 holds
+    column f for each f."""
+    mat = h._flip_stack()
+    flips = mat.indices[:mat.indptr[1]].tolist()
+    data = mat.data.reshape(mat.shape[0], len(flips))
+    return [(f, data[:, k]) for k, f in enumerate(flips)]
+
+
+def _oracle_rows(n, terms):
+    """The per-term oracle's diagonals read as rows: E_f[r] = D_f[r ^ f]."""
+    rows = np.arange(1 << n)
+    return [(f, diag[rows ^ f]) for f, diag in flip_diagonals(n, terms)]
+
+
 @pytest.mark.parametrize("n, terms", _bit_identity_cases())
 def test_flip_diagonals_bit_identical_to_per_term_oracle(n, terms):
-    got = list(HamiltonianSum.from_terms(n, terms).flip_diagonals())
-    want = flip_diagonals(n, terms)
+    got = _operator_rows(HamiltonianSum.from_terms(n, terms))
+    want = _oracle_rows(n, terms)
     assert [f for f, _ in got] == [f for f, _ in want]
     for (_, d), (_, ref) in zip(got, want):
         assert d.dtype == ref.dtype
@@ -253,7 +269,7 @@ def test_string_apply_matches_per_term_oracle(label):
 
 def test_flip_diagonals_come_in_increasing_mask_order():
     h = HamiltonianSum.from_terms(3, [(1.0, "XII"), (0.5, "IIX"), (0.25, "ZZZ"), (2.0, "YII")])
-    flips = [f for f, _ in h.flip_diagonals()]
+    flips = [f for f, _ in _operator_rows(h)]
     assert flips == [0, 1, 4]  # qubit 0 is the most significant index bit
     assert h.flip_count() == 3
 
@@ -327,7 +343,7 @@ def test_matvec_matches_per_flip_loop_on_sums_with_y(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_flip_stack_rows_are_the_per_term_entries_bit_for_bit(n):
-    # the CSR rows are the column-side diagonals read through Hermiticity:
+    # the CSR rows are the column-side oracle read as rows:
     # entry (r, slot k) is H[r, r ^ f_k] = D_{f_k}[r ^ f_k], signed zeros included
     rng = np.random.default_rng(900 + n)
     y = "Y" * n
@@ -379,22 +395,21 @@ def _narrowed_build_cases():
 @pytest.mark.parametrize("n, terms, width", _narrowed_build_cases())
 def test_narrowed_whole_register_build_is_bit_identical(monkeypatch, n, terms, width):
     # the whole-register rows are summed on the 2^|S| patterns of the sign
-    # support S and broadcast over the rest; flip_diagonals and the CSR data
-    # are the per-term sums byte for byte, signed zeros included
-    want = flip_diagonals(n, terms)
+    # support S and broadcast over the rest; the operator's rows and its CSR
+    # data are the per-term sums byte for byte, signed zeros included
+    want = _oracle_rows(n, terms)
     h = HamiltonianSum.from_terms(n, terms)
     passes = []
     stacked = pinq.pauli._stacked_diagonals
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals",
                         lambda strings, diags: passes.append(diags.shape[1]) or stacked(strings, diags))
-    got = list(h.flip_diagonals())
+    got = _operator_rows(h)
     assert passes == [1 << width]
     assert [f for f, _ in got] == [f for f, _ in want]
     for (_, d), (_, ref) in zip(got, want):
         assert d.dtype == ref.dtype and d.tobytes() == ref.tobytes()
-    rows = np.arange(1 << n)
     mat = h._flip_stack()
-    expect = np.stack([diag[rows ^ f] for f, diag in want], axis=1) if want else np.empty((1 << n, 0))
+    expect = np.stack([row for _, row in want], axis=1) if want else np.empty((1 << n, 0))
     assert mat.data.dtype == expect.dtype and mat.data.tobytes() == expect.tobytes()
 
 
@@ -402,7 +417,7 @@ def test_whole_register_refusals_form_no_register_range():
     # 2^n cannot be formed, nor range(n) iterated, for a header of 10^20 qubits
     h = HamiltonianSum(10**20, [])
     with pytest.raises(ResourceLimitError, match="int32 column index"):
-        list(h.flip_diagonals())
+        h._flip_stack()
     with pytest.raises(ResourceLimitError, match="sparse ceiling"):
         is_stoquastic(h, termwise=False)
     with pytest.raises(ResourceLimitError, match="sparse ceiling"):
@@ -720,7 +735,7 @@ def test_weight_13_group_norm_hits_dense_ceiling_but_checks_answer(monkeypatch):
     monkeypatch.setattr(np, "kron", _no_dense)
     monkeypatch.setattr(sp.csr_matrix, "toarray", _no_dense)
     with monkeypatch.context() as m:
-        m.setattr(HamiltonianSum, "flip_diagonals", _no_dense)
+        m.setattr(HamiltonianSum, "_flip_stack", _no_dense)
         with pytest.raises(ResourceLimitError):
             h.group_norms()
     assert astuple(is_stoquastic(h)) == (False, 1.0, (0, (1 << n) - 1), 0)
@@ -787,9 +802,9 @@ def test_group_norms_match_dense_oracle(case):
 
 @pytest.mark.parametrize("case", [*_NORM_CASES, *range(20)])
 def test_whole_register_forms_read_the_group_form_builder(monkeypatch, case):
-    # the checks, flip diagonals and group norms are built by
-    # ``_local_flip_forms`` without the compiled operator; the dense matrix,
-    # and the exact norm taken from it, are that operator densified
+    # the checks and group norms are built by ``_local_flip_forms`` without
+    # the compiled operator; the operator's rows are the per-term sums, and
+    # the dense matrix, and the exact norm taken from it, are it densified
     if isinstance(case, str):
         n, terms, groups = _NORM_CASES[case]
     else:
@@ -800,11 +815,11 @@ def test_whole_register_forms_read_the_group_form_builder(monkeypatch, case):
         m.setattr(HamiltonianSum, "_flip_stack", _no_dense)
         assert astuple(is_stoquastic(h, termwise=False)) == stoquastic_report(n, terms, h.group_indices(), True)
         assert astuple(is_permutation(h, per_term=False)) == permutation_report(n, terms, h.group_indices(), True)
-        got, want = list(h.flip_diagonals()), flip_diagonals(n, terms)
-        assert [f for f, _ in got] == [f for f, _ in want]
-        for (_, d), (_, d_ref) in zip(got, want):
-            assert d.tobytes() == d_ref.tobytes()
         np.testing.assert_allclose(h.group_norms(), group_norms(n, terms, h.group_indices()), rtol=0, atol=1e-12)
+    got, want = _operator_rows(h), _oracle_rows(n, terms)
+    assert [f for f, _ in got] == [f for f, _ in want]
+    for (_, d), (_, d_ref) in zip(got, want):
+        assert d.tobytes() == d_ref.tobytes()
     mat = h.to_matrix(dense=True)
     assert mat.dtype == h.dtype
     np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-14)
@@ -852,7 +867,7 @@ def test_overflowing_sum_raises_without_warning(labels):
     # complex and an off-diagonal row
     terms = [(1e308, lab) for lab in labels]
     h = HamiltonianSum.from_terms(len(labels[0]), terms)
-    for build in (h.to_matrix, lambda: list(h.flip_diagonals()), lambda: is_stoquastic(h, termwise=False)):
+    for build in (h.to_matrix, h._flip_stack, lambda: is_stoquastic(h, termwise=False)):
         with pytest.raises(PreconditionError, match="overflows"):
             build()
     grouped = HamiltonianSum.from_terms(len(labels[0]), terms, groups=((0, 1),))
@@ -877,7 +892,7 @@ def test_every_stack_is_held_to_the_byte_ceiling_before_it_is_built(monkeypatch)
     message = (f"700 flip masks on 16 qubits need {700 * 12 << 16} bytes, "
                f"above the iterative ceiling of {pinq.pauli.ITERATIVE_BYTE_CEILING}")
     for build in (h.to_matrix, lambda: is_stoquastic(h, termwise=False), lambda: is_permutation(h, per_term=False),
-                  lambda: list(h.flip_diagonals()), lambda: is_stoquastic(one_group, termwise=True),
+                  h._flip_stack, lambda: is_stoquastic(one_group, termwise=True),
                   lambda: is_permutation(one_group, per_term=True)):
         with pytest.raises(ResourceLimitError) as err:
             build()

@@ -380,7 +380,7 @@ def test_full_rank_pinned_decide_payloads_are_unsplit(tmp_path, capsys, seed):
     f, fs = tmp_path / "h.txt", str(tmp_path / "hs.txt")
     f.write_text(f"qubits {n}\n" + "".join(f"{c:.17g} {lbl}\n" for c, lbl in terms))
     h = load_hamiltonian(str(f))
-    assert pinq.spectral._sectors(h).shape == (1, 1 << n)
+    assert pinq.spectral._sectors(pinq.spectral.operator(h)[1]).shape == (1, 1 << n)
     assert main(["pin-stoquastic", str(f), "--out", fs]) == 0
     capsys.readouterr()
     pinned = effective_sum(load_hamiltonian(fs), PinSpec.of((n, "-")))

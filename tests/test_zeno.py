@@ -442,3 +442,27 @@ def test_commuting_byte_ceiling_checked_before_allocation(monkeypatch):
     b = HamiltonianSum(16, [(1.0, s) for s in masks])
     with pytest.raises(ResourceLimitError, match="iterative ceiling"):
         ZenoProtocol("commuting", _ham(16, [(1.0, "Z" + "I" * 15)]), b, 1.0, 5)
+
+
+@pytest.mark.parametrize("t", [0.7, 40.0])
+@pytest.mark.parametrize("letters", ["IXZ", "IXYZ"], ids=["real", "complex"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_reference_does_not_depend_on_the_operator_entry_order(n, letters, t):
+    # the reference steps on the flip-ordered operator, whose rows are not
+    # sorted by column once it has two flip masks; expm_multiply on a
+    # column-sorted copy, under the same fixed seed, gives the same bytes
+    rng = np.random.default_rng(1300 + n)
+    h = _ham(n, [(float(rng.uniform(-1.0, 1.0)), _random_label(rng, n, letters)) for _ in range(3 * n)])
+    psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi0 /= np.linalg.norm(psi0)
+    mat = pinq.pauli.operator(h)[1]
+    assert mat.has_sorted_indices == (h.flip_count() < 2)
+    ordered = mat.sorted_indices()
+    ordered.data = ordered.data * (-1j * t)
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        want = scipy.sparse.linalg.expm_multiply(ordered, psi0)
+    finally:
+        np.random.set_state(state)
+    assert pinq.zeno._reference(h, t, psi0, "reference").tobytes() == want.tobytes()
