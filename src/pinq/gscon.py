@@ -19,6 +19,11 @@ negative off-diagonal pieces and P' the strictly positive off-diagonal ones
 R3 vanishes on |---> and |+++> and is 1 on the other six X-basis strings,
 so states |psi>|x>|---> with non-uniform x reproduce <psi|H|psi> exactly
 while the two uniform strings have expectation zero.
+
+An instance builds the compiled operator of its Hamiltonian
+(``HamiltonianSum.to_matrix``) once, under the 20-qubit ceiling and the
+byte ceiling, and every energy of its checks and path verifications is a
+product with it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from operator import index
 
 import numpy as np
@@ -38,7 +44,7 @@ from .pauli import (
     PauliTerm,
     _apply_local,
     check_qubit_ceiling,
-    operator,
+    flip_matvec,
     sign_pieces,
 )
 
@@ -100,9 +106,9 @@ class GsconInstance:
     """The full traversal-problem tuple, validated at construction.
 
     Frozen, so the checks made at construction hold for its lifetime.  It
-    holds the CSR operator of its Hamiltonian, built once under the byte
-    ceiling (at most ``ITERATIVE_BYTE_CEILING``) for the endpoint checks,
-    and ``verify_path`` reads that operator.  ``dataclasses.replace`` makes
+    holds the CSR operator of its Hamiltonian (``to_matrix``), built once
+    under the qubit and byte ceilings (at most ``ITERATIVE_BYTE_CEILING``)
+    for the endpoint checks, and ``verify_path`` reads that operator.  ``dataclasses.replace`` makes
     a new instance, checked and built again.
 
     Each group's norm must be at most 1.  A group's weight 1-norm bounds
@@ -142,7 +148,7 @@ class GsconInstance:
             raise PreconditionError("path length bound must be non-negative")
         # the one build of the CSR operator, checked against the byte ceiling
         # before any 2^n vector exists, and kept for ``verify_path``
-        matvec, _ = operator(self.hamiltonian)
+        matvec = partial(flip_matvec, self.hamiltonian.to_matrix())
         object.__setattr__(self, "_matvec", matvec)
         # a group's weight 1-norm bounds its spectral norm, so only a group
         # whose weights sum above 1 needs its exact norm

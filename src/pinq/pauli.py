@@ -23,24 +23,24 @@ Conventions used throughout the package:
   whose dense matrices come from one scatter of a stack (``_dense_stacks``,
   groups only) under the 12-qubit dense ceiling.  The assembled checks,
   the compiled operator and the rotation passes of ``zeno`` read the
-  whole-register part; checks run up to the 16-qubit sparse ceiling.  No
-  group is built as a matrix of its own.
-* Every stack has one layout: its rows are the columns of a C-ordered
+  whole-register part.  No group is built as a matrix of its own.
+* Two qubit ceilings hold: 12 qubits for a dense matrix, 20 for every
+  other form (``check_qubit_ceiling``), and beside them one byte ceiling.
+  Every stack has one layout: its rows are the columns of a C-ordered
   (2^w, rows) array, and the builder refuses a stack whose CSR operator,
   data plus int32 column index, would be above ``ITERATIVE_BYTE_CEILING``
   (or whose 2^w states that index cannot address) before it allocates
   anything.
 * The compiled operator is the whole-register part as it is:
-  ``HamiltonianSum._flip_stack`` wraps that part's (2^n, #flips) array,
-  without a copy, as the data of one flip-ordered CSR matrix.  Row r holds
-  E_f[r] = H[r, r ^ f] at column r ^ f for every flip mask f, in
-  increasing f.  ``apply``, ``operator`` (the accessor of ``spectral``,
-  ``zeno`` and ``gscon``) and sparse ``to_matrix`` read it, and its
-  products run in scipy's compiled CSR kernel (``flip_matvec``) in the
-  order of the per-flip sum.  Dense ``to_matrix`` is it densified, for
-  ``pinning``'s exact norm, the demos and the tests; ``spectral``'s dense
-  route never densifies it, but scatters its rows one symmetry sector at a
-  time.
+  ``HamiltonianSum.to_matrix``, its one builder, wraps that part's (2^n,
+  #flips) array, without a copy, as the data of one flip-ordered CSR
+  matrix.  Row r holds E_f[r] = H[r, r ^ f] at column r ^ f for every
+  flip mask f, in increasing f.  ``apply``, ``spectral``, the Zeno
+  reference and ``gscon`` read it, and its products run in scipy's
+  compiled CSR kernel (``flip_matvec``) in the order of the per-flip sum.
+  ``to_matrix(dense=True)`` is it densified, for ``pinning``'s exact
+  norm, the demos and the tests; ``spectral``'s dense route never
+  densifies it, but scatters its rows one symmetry sector at a time.
 * ``sign_pieces`` is the one sign split of a string, on the parity sectors
   of its Z support by ``projector_terms``: both stoquastic constructions
   (``pinning.stoquastic_pin``, ``gscon.build_stoquastic_gscon``) build
@@ -65,7 +65,6 @@ import scipy.sparse as sp
 from .errors import PreconditionError, ResourceLimitError
 
 DENSE_QUBIT_CEILING = 12
-SPARSE_QUBIT_CEILING = 16
 ITERATIVE_QUBIT_CEILING = 20
 DEFAULT_TOL = 1e-12
 # bytes one stack of flip diagonals may take, charged as the CSR operator it
@@ -74,8 +73,8 @@ ITERATIVE_BYTE_CEILING = 512 * 2**20
 # bytes of one complex matrix at the dense ceiling: a stack of group-local
 # forms, or of their dense matrices, holds no more than one group may alone
 _STACK_BYTES = 16 << (2 * DENSE_QUBIT_CEILING)
-# bytes of one tile that ``_stacked_diagonals`` sums at a time, so that its
-# temporaries stay cache-sized (8 real rows of 12 qubits)
+# bytes of one tile that ``_stacked_diagonals`` sums, or a check reads, at a
+# time, so that their temporaries stay cache-sized (8 real rows of 12 qubits)
 _CHUNK_BYTES = 256 << 10
 # qubits that the int32 column index of a CSR operator can address
 _INDEX_BITS = 31
@@ -91,7 +90,7 @@ _NO_LETTERS = str.maketrans("", "", "IXYZ")
 
 
 def flip_matvec(mat, vec: np.ndarray) -> np.ndarray:
-    """H @ v for the flip-ordered CSR matrix of ``HamiltonianSum._flip_stack``.
+    """H @ v for the flip-ordered CSR matrix of ``HamiltonianSum.to_matrix``.
 
     scipy's compiled product adds each row's entries in stored order, which
     is increasing flip mask.  A real matrix applied to a complex vector runs
@@ -319,51 +318,37 @@ class HamiltonianSum:
         return complex if self._has_y else float
 
     def flip_count(self) -> int:
-        """Number of distinct X flip masks, i.e. of entries in each row of ``_flip_stack``."""
+        """Number of distinct X flip masks, i.e. of entries in each row of ``to_matrix``."""
         return self._flip_count
 
-    def _flip_stack(self):
-        """The sum as a flip-ordered CSR matrix: the compiled operator.
+    def to_matrix(self, dense=False):
+        """The compiled operator: the sum as a flip-ordered CSR matrix, or
+        with ``dense`` that matrix densified.
 
         Row r holds E_f[r] = H[r, r ^ f] at column r ^ f for every flip mask
         f, in increasing f, so a row-by-row product adds its terms in the
         order of the per-flip sum.  The data array is the C-ordered (2^n,
         #flips) base of the whole-register part of ``_local_flip_forms``, as
         it is, with int32 column indices (the byte ceiling keeps a stack
-        below 2^31 entries).
-        """
-        (_, _, flips, diags), = _local_flip_forms(self, whole=True)
-        data = diags.T
-        dim = 1 << self._n
-        cols = np.arange(dim, dtype=np.int32)[:, None] ^ flips.astype(np.int32)
-        indptr = np.arange(dim + 1, dtype=np.int32) * len(flips)
-        return sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
-
-    def to_matrix(self, dense=False):
-        """Assemble the full 2^n x 2^n matrix (sparse CSR, or dense ndarray).
-
-        Both are ``_flip_stack``'s matrix.  The dense one is it densified,
-        under the dense qubit ceiling.  The CSR one is ``operator``'s, under
-        the sparse qubit ceiling and the byte ceiling: row r holds one entry
-        per flip mask f, at column r ^ f, so it stores (#flip masks) * 2^n
-        entries, in increasing f.
+        below 2^31 entries).  The sum is held to the iterative qubit ceiling
+        (and a dense one first to the dense ceiling) and, by the builder, to
+        the byte ceiling, before anything is allocated.
         """
         if dense:
             _check_ceiling(self._n, DENSE_QUBIT_CEILING, "dense")
-            return self._flip_stack().toarray()
-        _check_ceiling(self._n, SPARSE_QUBIT_CEILING, "sparse")
-        return operator(self)[1]
+        (_, _, flips, diags), = _local_flip_forms(self, ITERATIVE_QUBIT_CEILING, "iterative", whole=True)
+        dim = 1 << self._n
+        cols = np.arange(dim, dtype=np.int32)[:, None] ^ flips.astype(np.int32)
+        indptr = np.arange(dim + 1, dtype=np.int32) * len(flips)
+        mat = sp.csr_matrix((diags.T.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
+        return mat.toarray() if dense else mat
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ v by the compiled product of the ``_flip_stack`` matrix.
-
-        All #flips * 2^n entries are held at once, as ``operator`` holds
-        them, under the same byte ceiling.
-        """
+        """H @ v by the compiled product of ``to_matrix``'s CSR matrix."""
+        check_qubit_ceiling(self._n)  # before 2^n is formed
         if vec.shape[0] != 1 << self._n:
             raise ValueError("state dimension mismatch")
-        _check_operator_bytes(self)
-        return flip_matvec(self._flip_stack(), vec)
+        return flip_matvec(self.to_matrix(), vec)
 
     def merged(self) -> "HamiltonianSum":
         """Collect duplicate strings, summing coefficients; zero sums and grouping are dropped."""
@@ -411,23 +396,6 @@ def check_qubit_ceiling(n: int) -> None:
     _check_ceiling(n, ITERATIVE_QUBIT_CEILING, "iterative")
 
 
-def operator(h: HamiltonianSum):
-    """(matvec, matrix) of a Hamiltonian sum.
-
-    The sum's CSR matrix (``HamiltonianSum._flip_stack``), data plus column
-    index, is checked against ``ITERATIVE_BYTE_CEILING`` before it is built,
-    then built once and held by the matvec.  This is the operator of the
-    iterative route, and of every caller that applies one sum many times.
-    Any other argument raises ``TypeError``.
-    """
-    if not isinstance(h, HamiltonianSum):
-        raise TypeError(f"operator takes a HamiltonianSum, not {type(h).__name__}")
-    check_qubit_ceiling(h.n)
-    _check_operator_bytes(h)
-    mat = h._flip_stack()
-    return (lambda v: flip_matvec(mat, v)), mat
-
-
 def _apply_local(u: np.ndarray, targets, psi: np.ndarray) -> np.ndarray:
     """u psi for a 2^w x 2^w matrix ``u`` on the qubits ``targets`` of a
     state (in any order, the first the most significant bit of u's index;
@@ -437,12 +405,6 @@ def _apply_local(u: np.ndarray, targets, psi: np.ndarray) -> np.ndarray:
     shape = tensor.shape
     tensor = u @ tensor.reshape(1 << w, -1)
     return np.moveaxis(tensor.reshape(shape), range(w), targets).reshape(-1)
-
-
-def _check_operator_bytes(h: HamiltonianSum) -> None:
-    """``ResourceLimitError`` when the CSR operator of ``h``, data plus int32
-    column index, is above ``ITERATIVE_BYTE_CEILING``, before it is built."""
-    _check_stack_bytes(h.flip_count(), h.n, h.dtype)
 
 
 def _check_stack_bytes(rows: int, width: int, dtype) -> None:
@@ -477,7 +439,7 @@ def _local_flip_forms(h: HamiltonianSum, ceiling: int | None = None, kind: str =
     (r, r ^ f) of that part is diags[k, r].  A part's rows come in increasing
     f, each summed in term order.  Every ``diags`` is the transposed view of
     a C-ordered (2^w, rows) array, the data layout of the CSR operator
-    (``HamiltonianSum._flip_stack``).
+    (``HamiltonianSum.to_matrix``).
 
     Raises ``ResourceLimitError`` before anything is allocated when a part
     spans more than ``ceiling`` qubits (a ``ceiling`` of None checks none;
@@ -706,28 +668,60 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
+def _entry_blocks(diags):
+    """Slices of the state indices of a stack ``diags`` (rows, 2^w), each
+    block of whose rows takes about ``_CHUNK_BYTES``, so that a check's
+    temporaries stay block-sized."""
+    rows, dim = diags.shape
+    step = max(1, _CHUNK_BYTES // (diags.itemsize * max(rows, 1)))
+    return [slice(j, min(j + step, dim)) for j in range(0, dim, step)]
+
+
+def _offdiag_scores(vals, offdiag, tol):
+    """real + |imag| of each entry of ``vals`` that violates 'real and <= tol'
+    on a row whose ``offdiag`` flag is set, and -inf elsewhere."""
+    if np.iscomplexobj(vals):
+        mag = np.abs(vals.imag)
+        bad = (vals.real > tol) | (mag > tol)
+        score = vals.real + mag
+    else:
+        bad, score = vals > tol, vals
+    return np.where(bad & offdiag, score, -np.inf)
+
+
 def _offdiag_offenders(part, flips, diags, count: int, tol: float) -> list:
     """Per part, its largest off-diagonal entry violating 'real and <= tol',
     as (entry, (row, col)), or None.
 
-    Ties go to the first such entry in row-major order.
+    Ties go to the first such entry in row-major order.  Two passes over
+    blocks of entries: each row's largest score, then, on the rows that
+    reach their part's best, the first position of that score.
     """
     dim = diags.shape[1]
-    rows = np.arange(dim)
-    bad = ((diags.real > tol) | (np.abs(diags.imag) > tol)) & (flips != 0)[:, None]
-    score = np.where(bad, diags.real + np.abs(diags.imag), -np.inf)
+    offdiag = (flips != 0)[:, None]
+    blocks = _entry_blocks(diags)
+    row_best = np.full(len(flips), -np.inf)
+    for cols in blocks:
+        np.maximum(row_best, _offdiag_scores(diags[:, cols], offdiag, tol).max(axis=1, initial=-np.inf),
+                   out=row_best)
     best = np.full(count, -np.inf)
-    np.maximum.at(best, part, score.max(axis=1, initial=-np.inf))
-    # row-major position r * dim + (r ^ f) of each worst entry
+    np.maximum.at(best, part, row_best)
+    tied = np.flatnonzero((row_best > -np.inf) & (row_best == best[part]))
+    # row-major position r * dim + (r ^ f) of each worst entry, which grows with r
     last = dim * dim
-    pos = np.where(bad & (score == best[part][:, None]), rows * dim + (rows ^ flips[:, None]), last)
-    row_first = pos.min(axis=1, initial=last)
+    row_first = np.full(len(tied), last)
+    for cols in blocks:
+        r = np.arange(cols.start, cols.stop)
+        hit = _offdiag_scores(diags[tied, cols], offdiag[tied], tol) == best[part[tied], None]
+        pos = np.where(hit, r * dim + (r ^ flips[tied, None]), last)
+        np.minimum(row_first, pos.min(axis=1, initial=last), out=row_first)
     first = np.full(count, last)
-    np.minimum.at(first, part, row_first)
+    np.minimum.at(first, part[tied], row_first)
     hits = [None] * count
-    for k in np.flatnonzero((row_first < last) & (row_first == first[part])):
-        r, c = divmod(int(row_first[k]), dim)
-        hits[part[k]] = complex(diags[k, r]), (r, c)
+    for k, pos in zip(tied.tolist(), row_first.tolist()):
+        if pos == first[part[k]]:
+            r, c = divmod(pos, dim)
+            hits[part[k]] = complex(diags[k, r]), (r, c)
     return hits
 
 
@@ -740,7 +734,7 @@ def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> Stoquast
     """
     _check_tol(tol)
     hits = {}
-    for members, part, flips, diags in _local_flip_forms(h, SPARSE_QUBIT_CEILING, "sparse", not termwise):
+    for members, part, flips, diags in _local_flip_forms(h, ITERATIVE_QUBIT_CEILING, "iterative", not termwise):
         for gi, hit in zip(members, _offdiag_offenders(part, flips, diags, len(members), tol)):
             if hit is not None:
                 hits[gi] = hit
@@ -798,26 +792,34 @@ def is_commuting(h: HamiltonianSum) -> CommutingReport:
 def _permutation_defects(part, flips, diags, count: int, tol: float) -> list:
     """Per part, why it is not a 0/1 permutation matrix, or None.
 
-    Entries off the flip masks' positions are exact zeros.
+    Entries off the flip masks' positions are exact zeros.  The entries go
+    in blocks of state indices j: each block adds its rows' flags, and the
+    near-1 counts of the lines it covers, row j (entries diags[k, j]) and
+    column j (entries diags[k, j ^ f], in row j ^ f).
     """
-    dim = diags.shape[1]
-    rows = np.arange(dim)
+    rows = diags.shape[0]
+    complex_row = np.zeros(rows, dtype=bool)
+    outside_row = np.zeros(rows, dtype=bool)
+    line_off = np.zeros(count, dtype=bool)
+    for cols in _entry_blocks(diags):
+        j = np.arange(cols.start, cols.stop)
+        vals, mirrored = diags[:, cols], diags[np.arange(rows)[:, None], j ^ flips[:, None]]
+        if np.iscomplexobj(vals):
+            complex_row |= np.any(np.abs(vals.imag) > tol, axis=1)
+            vals, mirrored = vals.real, mirrored.real
+        near1 = np.abs(vals - 1.0) <= tol
+        outside_row |= ~np.all((np.abs(vals) <= tol) | near1, axis=1)
+        slot = part[:, None] * len(j) + np.arange(len(j))
+        for ones in (near1, np.abs(mirrored - 1.0) <= tol):
+            lines = np.bincount(slot[ones], minlength=count * len(j)).reshape(count, len(j))
+            line_off |= np.any(lines != 1, axis=1)
 
     def any_row(flags):
         return np.bincount(part, weights=flags, minlength=count) > 0
 
-    def ones_per_line(line):
-        """Near-1 entries in each row (line = r) or column (line = r ^ f) of each part."""
-        return np.bincount((part[:, None] * dim + line)[near1], minlength=count * dim).reshape(count, dim)
-
-    vals, checks = diags, []
-    if np.iscomplexobj(vals):
-        checks.append(("complex entries", any_row(np.any(np.abs(vals.imag) > tol, axis=1))))
-        vals = vals.real
-    near1 = np.abs(vals - 1.0) <= tol
-    checks.append(("entry outside {0,1}", any_row(~np.all((np.abs(vals) <= tol) | near1, axis=1))))
-    lines = np.hstack([ones_per_line(rows), ones_per_line(rows ^ flips[:, None])])
-    checks.append(("row/column sums differ from 1", ~np.all(lines == 1, axis=1)))
+    checks = [("entry outside {0,1}", any_row(outside_row)), ("row/column sums differ from 1", line_off)]
+    if np.iscomplexobj(diags):
+        checks.insert(0, ("complex entries", any_row(complex_row)))
     # a part's reason is the first check it fails
     reasons = [None] * count
     for reason, failed in reversed(checks):
@@ -830,7 +832,7 @@ def is_permutation(h: HamiltonianSum, per_term=True, tol=DEFAULT_TOL) -> Permuta
     """Check that each group's matrix (or the assembled matrix) is a 0/1 permutation."""
     _check_tol(tol)
     failed = {}
-    for members, part, flips, diags in _local_flip_forms(h, SPARSE_QUBIT_CEILING, "sparse", not per_term):
+    for members, part, flips, diags in _local_flip_forms(h, ITERATIVE_QUBIT_CEILING, "iterative", not per_term):
         for gi, reason in zip(members, _permutation_defects(part, flips, diags, len(members), tol)):
             if reason is not None:
                 failed[gi] = reason

@@ -81,6 +81,9 @@ class PinState:
                 raise ValueError("angle state requires an angle")
             if not math.isfinite(self.angle):
                 raise ValueError(f"pin angle {self.angle!r} is not finite")
+            # the state's X and Z expectations are sin and cos of twice the angle
+            if not math.isfinite(2.0 * self.angle):
+                raise ValueError(f"pin angle {self.angle!r} is too large: twice it is not finite")
         elif self.kind not in _NAMED_STATES:
             raise ValueError(f"unknown pin state {self.kind!r}")
 

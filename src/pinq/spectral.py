@@ -15,9 +15,10 @@ winning block, built again in C order, an independent check of its pair.
 
 The iterative route runs ARPACK's implicitly restarted Lanczos (``eigsh``)
 on a matrix-free operator with a seeded start vector, so results are
-deterministic for a fixed seed.  The operator (``pauli.operator``, imported
-here) is the flip-ordered CSR matrix of the sum's flip-diagonal form, built
-once per solve, applied by scipy's compiled product and dropped when the solve
+deterministic for a fixed seed.  Both routes read the sum's compiled
+operator (``HamiltonianSum.to_matrix``), the flip-ordered CSR matrix of its
+flip-diagonal form, built once per solve under the 20-qubit ceiling and the
+byte ceiling, applied by scipy's compiled product and dropped when the solve
 returns.  An operator with no nonzero entry has ground energy 0 and never
 reaches ARPACK, which refuses its zero Krylov space.
 """
@@ -36,7 +37,7 @@ from .pauli import (
     HamiltonianSum,
     _check_ceiling,
     check_qubit_ceiling,
-    operator,
+    flip_matvec,
 )
 from .pinning import PinSpec, PromiseBounds, effective_sum
 
@@ -93,7 +94,7 @@ def _sectors(mat) -> np.ndarray:
 
 def _lowest_pair(mat, sectors: np.ndarray) -> tuple[float, np.ndarray, float]:
     """(value, vector, residual) of the lowest eigenpair of the flip-ordered
-    CSR matrix ``mat`` (``HamiltonianSum._flip_stack``), which leaves the
+    CSR matrix ``mat`` (``HamiltonianSum.to_matrix``), which leaves the
     span of each row of ``sectors`` invariant.
 
     Row r of ``mat`` holds one entry per flip mask, each inside the sector
@@ -134,8 +135,9 @@ def _lowest(a: np.ndarray) -> tuple[float, np.ndarray]:
     return float(evals[0]), evecs[:, 0]
 
 
-def _arpack_min(matvec, mat, seed) -> SpectralResult:
-    """Smallest eigenpair by ARPACK, counting every operator application."""
+def _arpack_min(mat, seed) -> SpectralResult:
+    """Smallest eigenpair by ARPACK on the compiled operator ``mat``,
+    counting every operator application."""
     dim, dtype = mat.shape[0], mat.dtype
     if not mat.data.any():
         # every vector is a ground state of the zero operator
@@ -150,7 +152,7 @@ def _arpack_min(matvec, mat, seed) -> SpectralResult:
 
     def counted(v):
         count[0] += 1
-        return matvec(v.reshape(-1))
+        return flip_matvec(mat, v.reshape(-1))
 
     # the generator also draws ARPACK's restart vectors, which it would
     # otherwise seed from OS entropy when a Krylov space closes early
@@ -188,12 +190,12 @@ def min_eig(h: HamiltonianSum, method="auto", seed=0) -> SpectralResult:
         method = "dense" if h.n <= DENSE_QUBIT_CEILING else "iterative"
     if method == "dense":
         _check_ceiling(h.n, DENSE_QUBIT_CEILING, "dense")
-        mat = operator(h)[1]
+        mat = h.to_matrix()
         sectors = _sectors(mat)
         val, vec, resid = _lowest_pair(mat, sectors)
         res = SpectralResult(val, vec, "dense", resid, blocks=len(sectors))
     elif method == "iterative":
-        res = _arpack_min(*operator(h), seed)
+        res = _arpack_min(h.to_matrix(), seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     return res

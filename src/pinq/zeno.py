@@ -22,11 +22,12 @@ H' is block-diagonal in the ancilla X basis, so neither protocol needs the
 
 Both protocols share one reference, exp(-i t G) psi with G = A - B
 (stoquastic) or A + B (commuting), from scipy's ``expm_multiply`` (Al-Mohy
-and Higham, SIAM J. Sci. Comput. 33 (2011)) on the CSR matrix of G; its
-cost, about t * ||G||_1 Taylor steps, is held to the step ceiling before the
-call.  The stoquastic steps compose to that reference, so that protocol runs
-no step loop: at every step count its final state is the normalized
-reference, with survival 1, step survivals 1 and branch error 0.
+and Higham, SIAM J. Sci. Comput. 33 (2011)) on the compiled CSR operator
+of G (``HamiltonianSum.to_matrix``); its cost, about t * ||G||_1 Taylor
+steps, is held to the step ceiling before the call.  The stoquastic steps
+compose to that reference, so that protocol runs no step loop: at every
+step count its final state is the normalized reference, with survival 1,
+step survivals 1 and branch error 0.
 
 The commuting protocol holds no dense matrix.  A and B are each applied from
 the rows E_f[r] = G[r, r ^ f] of G = diag(E_0) + sum_{f != 0} diag(E_f) P_f:
@@ -37,8 +38,8 @@ group whose strings do not commute with every string of its generator (an
 explicit grouping or a string of weight 0, which commutes with every other,
 makes one) is applied as its own 2^w propagator by ``pauli._apply_local``.
 
-Either register obeys the 16-qubit sparse ceiling, and the run's working set
-the byte ceiling: the reference's CSR copies, plus the commuting
+Either register obeys the 20-qubit ceiling of every operator, and the run's
+working set the byte ceiling: the reference's CSR copies, plus the commuting
 propagators' per-mask vectors, charged as one total, which covers each of
 A, B and G.  Both are checked before anything is built.
 
@@ -64,16 +65,14 @@ import scipy.sparse.linalg
 from .errors import PreconditionError, ResourceLimitError, SurvivalUnderflowError
 from .pauli import (
     ITERATIVE_BYTE_CEILING,
-    SPARSE_QUBIT_CEILING,
     HamiltonianSum,
     PauliTerm,
     _apply_local,
-    _check_ceiling,
     _dense_stacks,
     _local_flip_forms,
+    check_qubit_ceiling,
     is_commuting,
     is_stoquastic,
-    operator,
 )
 
 # below the square of propagator round-off the kept branch is numerical noise
@@ -106,7 +105,7 @@ class ZenoProtocol:
             raise PreconditionError("A and B must act on the same register")
         # a run holds the CSR matrix of its reference generator, and a
         # commuting one also the flip diagonals of A and B
-        _check_ceiling(self.a.n, SPARSE_QUBIT_CEILING, "sparse")
+        check_qubit_ceiling(self.a.n)
         _check_working_set(self)
         if not math.isfinite(self.t):
             raise PreconditionError(f"total time must be finite, got {self.t}")
@@ -290,7 +289,7 @@ def _reference(h: HamiltonianSum, t: float, psi: np.ndarray, what: str) -> np.nd
     passes about 63, so the call runs on a fixed seed, and the caller's
     generator state is restored.
     """
-    mat = operator(h)[1]
+    mat = h.to_matrix()
     with np.errstate(over="ignore"):
         norm = float(scipy.sparse.linalg.norm(mat, 1))
     _check_phase(t, norm, what)

@@ -22,6 +22,7 @@ import pinq.pinning
 import pinq.spectral
 from oracles import generic_three_mode, random_so, strict_json
 from pinq.cli import main
+from pinq.errors import ResourceLimitError
 from pinq.ffgauss import CovMatrix, FermionPath, GivensRotation, energy, verify_ff_path
 from pinq.io import FORMAT_VERSIONS, format_hamiltonian, load_hamiltonian, parse_hamiltonian
 from pinq.pauli import HamiltonianSum
@@ -375,6 +376,25 @@ def test_non_finite_pin_angle_is_malformed(tmp_path, capsys, angle):
     assert "pin angle" in captured.err and "not finite" in captured.err
 
 
+@pytest.mark.parametrize("angle", ["1e308", "-1e308", "8.99e307"])
+@pytest.mark.parametrize("command", ["spectrum", "effective"])
+def test_pin_angle_whose_double_overflows_is_malformed(tmp_path, capsys, command, angle):
+    # the state's expectations are sin and cos of twice the angle, which
+    # is not a double here, though the angle is
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.5 ZX\n")
+    out = ["--out", str(tmp_path / "e.txt")] if command == "effective" else []
+    code = main([command, f, "--pin", f"0=angle:{angle}", *out])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    human, record = captured.err.splitlines()
+    assert human == f"error: pin angle {float(angle)!r} is too large: twice it is not finite"
+    assert json.loads(record)["error"]["type"] == "ValueError"
+    # an angle whose double is finite still pins
+    code = main([command, f, "--pin", "0=angle:8.98e307", *out])
+    capsys.readouterr()
+    assert code == 0
+
+
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -564,22 +584,15 @@ def test_zeno_sweep_reads_no_single_run_step_count(tmp_path, capsys):
 
 def _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, qubits, b_coeff):
     """exit code and stderr of a one-flip ``zeno`` run on ``qubits`` system
-    qubits, with every flip-diagonal build above 2 qubits made to fail."""
+    qubits, with every operator and flip-diagonal build made to fail."""
     a = _write(tmp_path, "a.txt", f"qubits {qubits}\n0.5 Z{'I' * (qubits - 1)}\n")
     b = _write(tmp_path, "b.txt", f"qubits {qubits}\n{b_coeff} X{'I' * (qubits - 1)}\n")
-    build = HamiltonianSum._flip_stack
 
-    def small_only(self):
-        # the termwise stoquastic check builds each group on its own support
-        if self.n > 2:
-            raise AssertionError("flip diagonals built before the ceiling check")
-        return build(self)
-
-    def no_diagonals(*args):
+    def no_build(*args, **kwargs):
         raise AssertionError("flip diagonals built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", small_only)
-    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_diagonals)
+    monkeypatch.setattr(HamiltonianSum, "to_matrix", no_build)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--n", "5"])
     return code, capsys.readouterr().err
 
@@ -610,11 +623,44 @@ def test_zeno_stoquastic_sweep_runs_above_the_dense_ceiling(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("kind, b_coeff", [("comm", "1"), ("stoq", "-1")], ids=["comm", "stoq"])
 def test_zeno_sparse_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
-    # neither protocol holds a dense matrix; 17 system qubits are above the
-    # sparse ceiling of the flip diagonals and the CSR reference
-    code, err = _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, 17, b_coeff)
+    # neither protocol holds a dense matrix; 21 system qubits are above the
+    # 20-qubit ceiling of the flip diagonals and the CSR reference
+    code, err = _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, 21, b_coeff)
     assert code == 3
-    assert "sparse ceiling" in err
+    assert "iterative ceiling" in err
+
+
+@pytest.mark.parametrize("n", [17, 21])
+def test_one_qubit_ceiling_for_every_sparse_route(tmp_path, capsys, monkeypatch, n):
+    # one flip mask on n qubits: at 17 every route that reads the operator
+    # or the whole-register form runs; at 21, above the 20-qubit ceiling,
+    # each is refused before any flip diagonal is summed
+    h = HamiltonianSum.from_terms(n, [(-1.0, "X" * n)])
+    f = _write(tmp_path, "h.txt", f"qubits {n}\n-1 {'X' * n}\n")
+    a = _write(tmp_path, "a.txt", f"qubits {n}\n0.5 {'Z' * n}\n")
+    calls = [h.to_matrix, lambda: h.apply(np.ones(1 << min(n, 20)))]
+    commands = [["check", f], ["check", f, "--assembled"]]
+    commands += [["zeno", "--kind", kind, "--a", a, "--b", f, "--t", "1", "--n", "5"] for kind in ("stoq", "comm")]
+    if n <= 20:
+        assert calls[0]().nnz == 1 << n
+        assert calls[1]().tolist() == [-1.0] * (1 << n)
+        for argv in commands:
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+        return
+
+    def no_diagonals(*args):
+        raise AssertionError("flip diagonals built before the ceiling check")
+
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_diagonals)
+    for call in calls:
+        with pytest.raises(ResourceLimitError, match="iterative ceiling"):
+            call()
+    for argv in commands:
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"{n} qubits exceeds the iterative ceiling of 20" in captured.err
 
 
 @pytest.mark.parametrize("kind, b_coeff", [("comm", "0.5"), ("stoq", "-1")], ids=["comm", "stoq"])
@@ -629,12 +675,12 @@ def test_zeno_working_set_checked_before_allocation(tmp_path, capsys, monkeypatc
     b = _write(tmp_path, "b.txt", f"qubits {n}\n" + "".join(f"{b_coeff} {lbl}\n" for lbl in labels[300:]))
     ha, hb = load_hamiltonian(a), load_hamiltonian(b)
     for ham in (ha, hb, ha + hb):
-        pinq.pauli._check_operator_bytes(ham)
+        pinq.pauli._check_stack_bytes(ham.flip_count(), ham.n, ham.dtype)
 
-    def no_build(*args):
+    def no_build(*args, **kwargs):
         raise AssertionError("flip diagonals built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(HamiltonianSum, "to_matrix", no_build)
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     code = main(["zeno", "--kind", kind, "--a", a, "--b", b, "--t", "1", "--n", "5"])
     captured = capsys.readouterr()
@@ -919,7 +965,7 @@ def test_assembled_check_on_a_huge_register_exits_3_with_a_json_line(tmp_path, c
     captured = capsys.readouterr()
     assert not captured.out
     human, record = captured.err.splitlines()
-    assert human == "error: 99999999999999999999 qubits exceeds the sparse ceiling of 16"
+    assert human == "error: 99999999999999999999 qubits exceeds the iterative ceiling of 20"
     assert json.loads(record) == {"error": {"type": "ResourceLimitError", "message": human[len("error: "):],
                                             "exit_code": 3}}
 
@@ -959,18 +1005,18 @@ def test_gscon_byte_ceiling_checked_before_build(tmp_path, capsys, monkeypatch):
     }))
     path = _write(tmp_path, "path.json",
                   json.dumps({"format": FORMAT_VERSIONS["gscon_path_json"], "steps": []}))
-    build = HamiltonianSum._flip_stack
+    build = pinq.pauli._stacked_diagonals
 
-    def small_only(self):
+    def small_only(strings, diags):
         # group norms build each group on its own support
-        if self.n > 2:
+        if diags.shape[1] > 4:
             raise AssertionError("flip diagonals built before the ceiling check")
-        return build(self)
+        return build(strings, diags)
 
     def no_state(*args, **kwargs):
         raise AssertionError("state built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", small_only)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", small_only)
     monkeypatch.setattr(pinq.gscon, "run_circuit", no_state)
     code = main(["gscon-verify", "--instance", str(inst), "--path", path])
     captured = capsys.readouterr()
@@ -985,7 +1031,7 @@ def test_exact_norm_dense_ceiling_checked_before_allocation(tmp_path, capsys, mo
     def no_build(*args):
         raise AssertionError("flip diagonals built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(pinq.pauli, "_whole_flip_form", no_build)
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     code = main(["unpin-penalty", f, "--pin-qubit", "1", "--bounds", "0,1", "--exact-norm",
                  "--out", str(tmp_path / "lift.txt")])
@@ -1001,7 +1047,7 @@ def test_spectrum_dense_ceiling_checked_before_allocation(tmp_path, capsys, monk
     def no_build(*args):
         raise AssertionError("flip diagonals built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(pinq.pauli, "_whole_flip_form", no_build)
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     code = main(["spectrum", f, "--dense"])
     captured = capsys.readouterr()

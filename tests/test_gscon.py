@@ -16,8 +16,11 @@ from pinq.gscon import (
     verify_path,
     witness_traversal,
 )
+import pinq.pauli
 from oracles import gate_matrix
 from pinq.pauli import HamiltonianSum, is_stoquastic
+from pinq.spectral import min_eig
+from pinq.zeno import ZenoProtocol, _PreparedProtocol
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -326,21 +329,40 @@ def test_build_refuses_bad_step_bounds_and_soundness_scales(beta, max_steps):
 
 
 def _count_full_builds(monkeypatch, n):
-    """Counter of flip-diagonal builds on ``n`` qubits (group sums are smaller)."""
-    build = HamiltonianSum._flip_stack
+    """Counter of whole-register flip-diagonal builds on ``n`` qubits, the
+    builds of ``HamiltonianSum.to_matrix`` (group forms are built apart)."""
+    build = pinq.pauli._whole_flip_form
     count = [0]
 
-    def counted(self):
-        count[0] += self.n == n
-        return build(self)
+    def counted(h):
+        count[0] += h.n == n
+        return build(h)
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", counted)
+    monkeypatch.setattr(pinq.pauli, "_whole_flip_form", counted)
     return count
 
 
-def test_instance_builds_its_operator_once_and_verify_builds_none(monkeypatch):
+def _solve_once(method):
+    def run(count):
+        h = HamiltonianSum.from_terms(8, [(-0.8, "ZZIIIIII"), (0.3, "XIIIIIIX"), (-0.4, "IIIXZYII")])
+        min_eig(h, method=method)
+        assert count[0] == 1
+    return run
+
+
+def _zeno_reference_once(count):
+    a = HamiltonianSum.from_terms(8, [(0.5, "ZIIIIIII"), (-0.3, "ZZIIIIII")])
+    b = HamiltonianSum.from_terms(8, [(-1.0, "XIIIIIII"), (-0.4, "IIIIIIXX")])
+    protocol = ZenoProtocol("stoquastic", a, b, 1.0, 10)
+    psi0 = np.zeros(1 << 8, dtype=complex)
+    psi0[0] = 1.0
+    count[0] = 0
+    _PreparedProtocol(protocol, psi0)
+    assert count[0] == 1
+
+
+def _instance_once_and_verify_none(count):
     h = HamiltonianSum.from_terms(2, [(-0.8, "ZZ"), (0.3, "XI"), (-0.4, "XZ")])
-    count = _count_full_builds(monkeypatch, 8)
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     assert count[0] == 1
     steps = witness_traversal(build, [])
@@ -355,6 +377,18 @@ def test_instance_builds_its_operator_once_and_verify_builds_none(monkeypatch):
     for step, e in zip(steps, verdicts[0].energies):
         state = apply_gate(state, step, build.instance.n)
         assert e == pytest.approx(float(np.real(np.vdot(state, hm @ state))), abs=1e-12)
+
+
+@pytest.mark.parametrize("consumer", [
+    pytest.param(_solve_once("dense"), id="dense-min-eig"),
+    pytest.param(_solve_once("iterative"), id="iterative-min-eig"),
+    pytest.param(_zeno_reference_once, id="zeno-reference"),
+    pytest.param(_instance_once_and_verify_none, id="gscon-instance"),
+])
+def test_each_consumer_builds_its_operator_once(monkeypatch, consumer):
+    # every 8-qubit consumer builds the compiled operator once, and a
+    # traversal instance's path verifications read the one it holds
+    consumer(_count_full_builds(monkeypatch, 8))
 
 
 def test_instance_is_frozen_and_replace_checks_again():

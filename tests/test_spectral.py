@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from oracles import lowest_eigenvalue, pin_state_vector
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
+import pinq.pauli
 import pinq.spectral
 from pinq.cli import main
 from pinq.errors import ConvergenceError, ResourceLimitError
@@ -84,10 +86,10 @@ def test_iterative_byte_ceiling_checked_before_allocation(monkeypatch):
     h = HamiltonianSum.from_terms(n, terms)
     assert h.flip_count() * (1 << n) * 8 > ITERATIVE_BYTE_CEILING
 
-    def no_build(self):
+    def no_build(*args):
         raise AssertionError("flip diagonals built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     with pytest.raises(ResourceLimitError):
         min_eig(h, method="iterative")
 
@@ -99,10 +101,10 @@ def test_apply_byte_ceiling_checked_before_allocation(monkeypatch):
     h = HamiltonianSum.from_terms(n, [(1.0, format(x, f"0{n}b").replace("0", "I").replace("1", "X"))
                                       for x in range(65)])
 
-    def no_build(self):
+    def no_build(*args):
         raise AssertionError("flip diagonals built before the ceiling check")
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     with pytest.raises(ResourceLimitError) as err:
         h.apply(np.zeros(1 << n))
     assert str(err.value) == (f"65 flip masks on 20 qubits need {65 * 12 << 20} bytes, "
@@ -118,10 +120,10 @@ def test_iterative_byte_ceiling_counts_the_column_index(monkeypatch):
     class Built(Exception):
         pass
 
-    def no_build(self):
+    def no_build(*args):
         raise Built
 
-    monkeypatch.setattr(HamiltonianSum, "_flip_stack", no_build)
+    monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     with pytest.raises(ResourceLimitError):
         min_eig(HamiltonianSum.from_terms(n, [(1.0, lbl) for lbl in labels]), method="iterative")
     with pytest.raises(Built):
@@ -312,6 +314,12 @@ def test_eigensolver_sees_only_sector_blocks(monkeypatch, k):
     h = _sum_of_rank(np.random.default_rng(300 + k), n, k, complex_terms=k % 4 == 2)
     calls = []
     eigh = scipy.linalg.eigh
+    to_matrix = HamiltonianSum.to_matrix
+
+    def sparse_only(self, dense=False):
+        if dense:
+            raise AssertionError("the dense route assembled the whole matrix")
+        return to_matrix(self)
 
     def no_matrix(*args, **kwargs):
         raise AssertionError("the dense route assembled the whole matrix")
@@ -320,7 +328,8 @@ def test_eigensolver_sees_only_sector_blocks(monkeypatch, k):
         calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(HamiltonianSum, "to_matrix", no_matrix)
+    monkeypatch.setattr(HamiltonianSum, "to_matrix", sparse_only)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", no_matrix)
     monkeypatch.setattr(scipy.linalg, "eigh", recorded_eigh)
     res = min_eig(h, method="dense")
     assert calls == [(1 << k, 1 << k)] * (1 << (n - k))
@@ -380,7 +389,7 @@ def test_full_rank_pinned_decide_payloads_are_unsplit(tmp_path, capsys, seed):
     f, fs = tmp_path / "h.txt", str(tmp_path / "hs.txt")
     f.write_text(f"qubits {n}\n" + "".join(f"{c:.17g} {lbl}\n" for c, lbl in terms))
     h = load_hamiltonian(str(f))
-    assert pinq.spectral._sectors(pinq.spectral.operator(h)[1]).shape == (1, 1 << n)
+    assert pinq.spectral._sectors(h.to_matrix()).shape == (1, 1 << n)
     assert main(["pin-stoquastic", str(f), "--out", fs]) == 0
     capsys.readouterr()
     pinned = effective_sum(load_hamiltonian(fs), PinSpec.of((n, "-")))

@@ -455,7 +455,7 @@ def test_reference_does_not_depend_on_the_operator_entry_order(n, letters, t):
     h = _ham(n, [(float(rng.uniform(-1.0, 1.0)), _random_label(rng, n, letters)) for _ in range(3 * n)])
     psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi0 /= np.linalg.norm(psi0)
-    mat = pinq.pauli.operator(h)[1]
+    mat = h.to_matrix()
     assert mat.has_sorted_indices == (h.flip_count() < 2)
     ordered = mat.sorted_indices()
     ordered.data = ordered.data * (-1j * t)
