@@ -21,7 +21,7 @@ from pinq import (
     stoquastic_pin,
 )
 
-h = HamiltonianSum.from_terms(
+h = HamiltonianSum(
     2,
     [(0.8, "ZI"), (-0.6, "ZZ"), (0.5, "XI"), (0.7, "XX"), (0.4, "XZ")],
 )
@@ -43,7 +43,7 @@ print(f"pinned minimum {pinned:.12f}  (target {e0:.12f}, diff {abs(pinned - e0):
 
 # --- commuting pin needs commuting off-diagonal strings: XZ and XX do not --
 print("\n== commuting pin ==")
-h_split = HamiltonianSum.from_terms(
+h_split = HamiltonianSum(
     2, [(0.8, "ZI"), (-0.6, "ZZ"), (0.5, "XI"), (0.7, "XX")]
 )
 e_split = min_eig(h_split).value
@@ -59,7 +59,7 @@ res = permutation_pin(h, q_bits=20)
 report = res.report
 print(f"blocks: {report.term_count} (bound {len(h.terms) * 20}), "
       f"locality {report.output_locality}, pinned qubits {len(res.pin.entries)}")
-print(f"every block a permutation: {is_permutation(res.hamiltonian, per_term=True).verdict}")
+print(f"every block a permutation: {is_permutation(res.hamiltonian, termwise=True).verdict}")
 eff = effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True)
 target = h.to_matrix(dense=True) / report.scale
 err = np.linalg.norm(eff - target, 2)

@@ -22,8 +22,8 @@ print(f"Delta(a=0, b=1, d=1) = {penalty_delta(PromiseBounds(0, 1), 1.0)}")
 print(f"Delta(a=0, b=1, d=0) = {penalty_delta(PromiseBounds(0, 1), 0.0)}")
 
 rng = np.random.default_rng(0)
-sys_h = HamiltonianSum.from_terms(2, [(0.7, "ZX"), (-0.4, "XX"), (0.2, "ZI")])
-emb = HamiltonianSum.from_terms(
+sys_h = HamiltonianSum(2, [(0.7, "ZX"), (-0.4, "XX"), (0.2, "ZI")])
+emb = HamiltonianSum(
     3, [(t.coeff, t.string.label() + "I") for t in sys_h.terms] + [(0.3, "IIX")]
 )
 pin = PinSpec.of((2, "0"))

@@ -9,8 +9,8 @@ import numpy as np
 
 from pinq import HamiltonianSum, ZenoProtocol, zeno_evolve, zeno_scaling_sweep
 
-a = HamiltonianSum.from_terms(1, [(1.0, "Z")])
-b_stoq = HamiltonianSum.from_terms(1, [(-1.0, "X")])
+a = HamiltonianSum(1, [(1.0, "Z")])
+b_stoq = HamiltonianSum(1, [(-1.0, "X")])
 psi0 = np.array([1.0, 0.0], dtype=complex)
 
 print("== stoquastic protocol: A = Z, B = -X, t = 1 ==")
@@ -23,7 +23,7 @@ print("the ancilla is never flipped, so every step count is exact")
 
 print("\n== commuting protocol: A = Z, B = X, t = 1 ==")
 print("target evolution: exp(-i t (A + B))")
-b_comm = HamiltonianSum.from_terms(1, [(1.0, "X")])
+b_comm = HamiltonianSum(1, [(1.0, "X")])
 protocol = ZenoProtocol("commuting", a, b_comm, 1.0, 50)
 sweep = zeno_scaling_sweep(protocol, psi0, [50, 100, 200, 400, 800, 1600])
 print(f"{'N':>6} {'error':>12} {'1 - survival':>14}")

@@ -18,7 +18,7 @@ from pinq import (
 )
 from pinq.gscon import apply_gate
 
-h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ"), (0.3, "ZX")])
+h = HamiltonianSum(2, [(-1.0, "ZZ"), (0.3, "ZX")])
 hsys = np.asarray(h.to_matrix(dense=True))
 evals, evecs = np.linalg.eigh(hsys)
 print(f"system Hamiltonian ground energy: {evals[0]:.6f}")

@@ -116,7 +116,7 @@ def _cmd_check(args, t0) -> int:
     h = load_hamiltonian(args.file)
     stoq = is_stoquastic(h, termwise=not args.assembled, tol=args.tol)
     comm = is_commuting(h)
-    perm = is_permutation(h, per_term=not args.assembled, tol=args.tol)
+    perm = is_permutation(h, termwise=not args.assembled, tol=args.tol)
     payload = {
         "qubits": h.n,
         "terms": len(h.terms),
@@ -344,8 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--pin-qubit", type=int, required=True)
     p.add_argument("--bounds", required=True, help="promise bounds 'a,b'")
-    p.add_argument("--norm-bound", type=float, default=None, help="upper bound d on the operator norm")
-    p.add_argument("--exact-norm", action="store_true")
+    norm = p.add_mutually_exclusive_group()
+    norm.add_argument("--norm-bound", type=float, default=None, help="upper bound d on the operator norm")
+    norm.add_argument("--exact-norm", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_unpin_penalty)
 

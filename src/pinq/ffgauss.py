@@ -245,19 +245,20 @@ def reconstruct(rotations, dim: int) -> np.ndarray:
     return out
 
 
-def givens_decompose(o: np.ndarray, tol: float = 1e-8) -> list:
+def givens_decompose(o: np.ndarray) -> list:
     """Factor a special orthogonal matrix into at most N(N-1)/2 plane rotations.
 
     Standard QR-style elimination: rotations in planes (j, i) zero the
     below-diagonal entries column by column; because the input is orthogonal
-    the residue is the identity.  Inputs with det = -1 are rejected.  Inputs
-    close to the identity yield uniformly small angles.
+    the residue is the identity.  Inputs with ||O^T O - I||_F above
+    ``PURITY_TOL`` or det = -1 are rejected.  Inputs close to the identity
+    yield uniformly small angles.
     """
     o = np.asarray(o, dtype=float)
     dim = o.shape[0]
     if o.ndim != 2 or o.shape[0] != o.shape[1]:
         raise PreconditionError("input must be square")
-    if np.linalg.norm(o.T @ o - np.eye(dim)) > tol:
+    if np.linalg.norm(o.T @ o - np.eye(dim)) > PURITY_TOL:
         raise PreconditionError("input is not orthogonal")
     if np.linalg.det(o) < 0:
         raise PreconditionError("input has determinant -1 (not special orthogonal)")

@@ -20,6 +20,9 @@ R3 vanishes on |---> and |+++> and is 1 on the other six X-basis strings,
 so states |psi>|x>|---> with non-uniform x reproduce <psi|H|psi> exactly
 while the two uniform strings have expectation zero.
 
+An instance's locality k is its Hamiltonian's ``locality``; a file whose
+``"k"`` is below it is refused on loading (a larger one is accepted).
+
 An instance builds the compiled operator of its Hamiltonian
 (``HamiltonianSum.to_matrix``) once, under the 20-qubit ceiling and the
 byte ceiling, and every energy of its checks and path verifications is a
@@ -105,11 +108,14 @@ def run_circuit(circuit, n: int) -> np.ndarray:
 class GsconInstance:
     """The full traversal-problem tuple, validated at construction.
 
-    Frozen, so the checks made at construction hold for its lifetime.  It
-    holds the CSR operator of its Hamiltonian (``to_matrix``), built once
-    under the qubit and byte ceilings (at most ``ITERATIVE_BYTE_CEILING``)
-    for the endpoint checks, and ``verify_path`` reads that operator.  ``dataclasses.replace`` makes
-    a new instance, checked and built again.
+    Its locality ``k`` is not a field but the Hamiltonian's ``locality``
+    (a file whose ``"k"`` is below it is refused on loading); the gate
+    locality ``l`` and path length bound ``m`` are non-negative.  Frozen,
+    so the checks made at construction hold for its lifetime.  It holds the
+    CSR operator of its Hamiltonian (``to_matrix``), built once under the
+    qubit and byte ceilings (at most ``ITERATIVE_BYTE_CEILING``) for the
+    endpoint checks, and ``verify_path`` reads that operator.
+    ``dataclasses.replace`` makes a new instance, checked and built again.
 
     Each group's norm must be at most 1.  A group's weight 1-norm bounds
     its norm, so a group whose weights sum to at most 1 passes without an
@@ -120,7 +126,6 @@ class GsconInstance:
     """
 
     hamiltonian: HamiltonianSum
-    k: int
     eta1: float
     eta2: float
     eta3: float
@@ -134,8 +139,11 @@ class GsconInstance:
     _matvec: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("k", "l", "m"):
-            object.__setattr__(self, name, index(getattr(self, name)))  # TypeError unless an integer
+        for name in ("l", "m"):
+            value = index(getattr(self, name))  # TypeError unless an integer
+            if value < 0:
+                raise PreconditionError(f"{name}={value} must be non-negative")
+            object.__setattr__(self, name, value)
         for name in ("eta1", "eta2", "eta3", "eta4", "delta"):
             # a NaN threshold would pass every comparison it meets
             if not np.isfinite(getattr(self, name)):
@@ -144,8 +152,6 @@ class GsconInstance:
             raise PreconditionError("eta2 - eta1 must be at least Delta")
         if self.eta4 - self.eta3 < self.delta - 1e-12:
             raise PreconditionError("eta4 - eta3 must be at least Delta")
-        if self.m < 0:
-            raise PreconditionError("path length bound must be non-negative")
         # the one build of the CSR operator, checked against the byte ceiling
         # before any 2^n vector exists, and kept for ``verify_path``
         matvec = partial(flip_matvec, self.hamiltonian.to_matrix())
@@ -172,6 +178,10 @@ class GsconInstance:
     @property
     def n(self) -> int:
         return self.hamiltonian.n
+
+    @property
+    def k(self) -> int:
+        return self.hamiltonian.locality
 
     def start_state(self) -> np.ndarray:
         return run_circuit(self.start_circuit, self.n)
@@ -330,7 +340,6 @@ def build_stoquastic_gscon(
         eta4 = eta3 + delta
     instance = GsconInstance(
         hamiltonian=hpp,
-        k=hpp.locality,
         eta1=alpha,
         eta2=eta2,
         eta3=eta3,
@@ -423,16 +432,19 @@ def instance_to_json(inst: GsconInstance) -> dict:
 
 
 def instance_from_json(data) -> GsconInstance:
-    """The instance of a JSON document; a mistyped number raises ``TypeError``."""
+    """The instance of a JSON document; a mistyped number raises ``TypeError``,
+    and a ``"k"`` below the locality ``PreconditionError``, before the build."""
     ham = HamiltonianSum(
         _number(data["qubits"], "qubits", int),
         [(_number(c, "term weight"), lbl) for c, lbl in data["hamiltonian"]["terms"]],
         groups=tuple(tuple(_number(i, "group index", int) for i in g) for g in data["hamiltonian"]["groups"]),
     )
+    k, locality = _number(data["k"], "k", int), ham.locality
+    if k < locality:
+        raise PreconditionError(f"k={k} is below the Hamiltonian's locality {locality}")
     eta1, eta2, eta3, eta4 = (_number(e, "eta") for e in data["eta"])
     return GsconInstance(
         hamiltonian=ham,
-        k=_number(data["k"], "k", int),
         eta1=eta1,
         eta2=eta2,
         eta3=eta3,

@@ -255,10 +255,6 @@ class HamiltonianSum:
         self._groups = groups
 
     @classmethod
-    def from_terms(cls, n, pairs, groups=None) -> "HamiltonianSum":
-        return cls(n, pairs, groups)
-
-    @classmethod
     def from_groups(cls, n, blocks) -> "HamiltonianSum":
         """Sum whose groups are the given lists of terms, kept in order."""
         terms, groups = [], []
@@ -362,17 +358,6 @@ class HamiltonianSum:
             if c != 0.0
         ]
         return HamiltonianSum(self._n, terms)
-
-    def __add__(self, other: "HamiltonianSum") -> "HamiltonianSum":
-        if self._n != other._n:
-            raise ValueError("qubit count mismatch")
-        offset = len(self._terms)
-        groups = None
-        if self._groups is not None or other._groups is not None:
-            groups = tuple(self.group_indices()) + tuple(
-                tuple(i + offset for i in g) for g in other.group_indices()
-            )
-        return HamiltonianSum(self._n, self._terms + other._terms, groups)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -828,15 +813,16 @@ def _permutation_defects(part, flips, diags, count: int, tol: float) -> list:
     return reasons
 
 
-def is_permutation(h: HamiltonianSum, per_term=True, tol=DEFAULT_TOL) -> PermutationReport:
-    """Check that each group's matrix (or the assembled matrix) is a 0/1 permutation."""
+def is_permutation(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> PermutationReport:
+    """Check that each group's matrix (with ``termwise``, on its own support)
+    or the assembled matrix is a 0/1 permutation."""
     _check_tol(tol)
     failed = {}
-    for members, part, flips, diags in _local_flip_forms(h, ITERATIVE_QUBIT_CEILING, "iterative", not per_term):
+    for members, part, flips, diags in _local_flip_forms(h, ITERATIVE_QUBIT_CEILING, "iterative", not termwise):
         for gi, reason in zip(members, _permutation_defects(part, flips, diags, len(members), tol)):
             if reason is not None:
                 failed[gi] = reason
     if not failed:
         return PermutationReport(True)
     gi = min(failed)
-    return PermutationReport(False, failed[gi], gi if per_term else None)
+    return PermutationReport(False, failed[gi], gi if termwise else None)

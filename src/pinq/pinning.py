@@ -52,19 +52,17 @@ from .pauli import (
 
 
 class _PinRow(NamedTuple):
-    """One pin state: its amplitudes, <X> and <Z>."""
+    """One pin state: its <X> and <Z>."""
 
-    amplitudes: tuple
     exp_x: float
     exp_z: float
 
 
-_R = 1.0 / math.sqrt(2.0)
 _NAMED_STATES = {
-    "0": _PinRow((1.0, 0.0), 0.0, 1.0),
-    "1": _PinRow((0.0, 1.0), 0.0, -1.0),
-    "+": _PinRow((_R, _R), 1.0, 0.0),
-    "-": _PinRow((_R, -_R), -1.0, 0.0),
+    "0": _PinRow(0.0, 1.0),
+    "1": _PinRow(0.0, -1.0),
+    "+": _PinRow(1.0, 0.0),
+    "-": _PinRow(-1.0, 0.0),
 }
 
 
@@ -104,8 +102,7 @@ class PinState:
         """The state's row of ``_NAMED_STATES``, or that of an angle state."""
         if self.kind != "angle":
             return _NAMED_STATES[self.kind]
-        return _PinRow((math.cos(self.angle), math.sin(self.angle)),
-                       math.sin(2.0 * self.angle), math.cos(2.0 * self.angle))
+        return _PinRow(math.sin(2.0 * self.angle), math.cos(2.0 * self.angle))
 
     @property
     def exp_x(self) -> float:
@@ -116,9 +113,6 @@ class PinState:
     def exp_z(self) -> float:
         """<phi|Z|phi>; exact for the named states."""
         return self._row.exp_z
-
-    def vector(self) -> np.ndarray:
-        return np.array(self._row.amplitudes)
 
 
 PIN_ZERO = PinState("0")
@@ -316,12 +310,14 @@ def pin_penalty_lift(
     so the promise becomes (a, (a+b)/2).  ``d`` must upper-bound ||G'||; the
     default is the sum of exact per-group norms, or the exact norm of the
     whole sum when ``exact_norm`` is set, the largest |eigenvalue| of its
-    dense matrix.  A given
-    ``d`` that is not finite, or is below the 2-norm of the merged
+    dense matrix; ``d`` and ``exact_norm`` together raise ``ValueError``.  A
+    given ``d`` that is not finite, or is below the 2-norm of the merged
     coefficients (a lower bound on ||G'||), raises ``PreconditionError``.
     A register whose n-letter penalty label, one byte a letter, is above
     ``ITERATIVE_BYTE_CEILING`` raises ``ResourceLimitError`` first.
     """
+    if d is not None and exact_norm:
+        raise ValueError("give a norm bound d or exact_norm, not both")
     if not (0 <= pin_qubit < gprime.n):
         raise PreconditionError(f"pin qubit {pin_qubit} outside register")
     if gprime.n > ITERATIVE_BYTE_CEILING:
@@ -339,9 +335,10 @@ def pin_penalty_lift(
     else:
         d = float(sum(gprime.group_norms()))
     delta = penalty_delta(bounds, d)
-    # Delta * |1><1| = Delta * (I - Z)/2 on the pin qubit
+    # Delta * |1><1| = Delta * (I - Z)/2 on the pin qubit: two terms, one group after those of G'
     penalty = projector_terms(gprime.n, delta, 0, 0, -1, 0, 1 << pin_qubit)
-    lifted = gprime + HamiltonianSum.from_groups(gprime.n, [penalty])
+    size = len(gprime)
+    lifted = HamiltonianSum(gprime.n, gprime.terms + tuple(penalty), gprime.group_indices() + ((size, size + 1),))
     new_bounds = PromiseBounds(bounds.a, (bounds.a + bounds.b) / 2.0)
     return PenaltyLiftResult(lifted, new_bounds, delta, d)
 

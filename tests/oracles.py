@@ -6,8 +6,9 @@ paths: Pauli-sum matrices come from per-qubit Pauli action, term by term
 expectations from dense Jordan-Wigner operators in Fock space.  The
 generic free-fermion endpoints used by several suites are built here too,
 with the canonical factor and conjugation of a covariance matrix, and so
-are the product state of a pin list, the letter-by-letter reading of a
-Pauli label and the strict JSON reader that CLI reports are held to.
+are the amplitudes of a pin state, the product state of a pin list, the
+letter-by-letter reading of a Pauli label and the strict JSON reader that
+CLI reports are held to.
 """
 
 import json
@@ -399,11 +400,22 @@ def fock_covariance(state, ms):
     return out
 
 
+_R = 1.0 / math.sqrt(2.0)
+_PIN_AMPLITUDES = {"0": (1.0, 0.0), "1": (0.0, 1.0), "+": (_R, _R), "-": (_R, -_R)}
+
+
+def pin_amplitudes(state):
+    """The two amplitudes of a ``PinState``: cos(a)|0> + sin(a)|1> for an angle."""
+    if state.kind == "angle":
+        return np.array([math.cos(state.angle), math.sin(state.angle)])
+    return np.array(_PIN_AMPLITUDES[state.kind])
+
+
 def pin_state_vector(pin):
     """Product state of the pinned qubits of a ``PinSpec``, in entry order."""
     out = np.array([1.0])
     for _, s in pin.entries:
-        out = np.kron(out, s.vector())
+        out = np.kron(out, pin_amplitudes(s))
     return out
 
 

@@ -70,7 +70,7 @@ def _random_sum(rng, n, kinds, n_terms):
         for ch, q in zip(kind, qs):
             label[int(q)] = ch
         terms.append((float(rng.uniform(-1, 1)), "".join(label)))
-    return HamiltonianSum.from_terms(n, terms)
+    return HamiltonianSum(n, terms)
 
 
 def test_criterion_1_stoquastic_pin():
@@ -113,7 +113,7 @@ def test_criterion_3_penalty_lift():
                 # couple the sectors and make the unpinned sector attractive
                 emb_terms.append((-float(rng.uniform(0, 1)), "I" * (n - 1) + "Z"))
                 emb_terms.append((float(rng.uniform(-0.5, 0.5)), "I" * (n - 1) + "X"))
-            emb = HamiltonianSum.from_terms(n, emb_terms)
+            emb = HamiltonianSum(n, emb_terms)
             pinned_min = pinned_min_energy(
                 emb, PinSpec.of((n - 1, "0")), method="dense"
             ).value
@@ -144,7 +144,7 @@ def test_criterion_4_permutation_pin():
             h = _random_sum(rng, n, kinds, int(rng.integers(1, 5)))
             m_count = len([t for t in h.terms if t.coeff != 0.0])
             res = permutation_pin(h, q_bits=q_bits)
-            assert is_permutation(res.hamiltonian, per_term=True).verdict
+            assert is_permutation(res.hamiltonian, termwise=True).verdict
             assert res.hamiltonian.locality <= 5
             assert len(res.hamiltonian.group_indices()) <= 2 * m_count * (q_bits + 1)
             eff = np.asarray(effective_sum(res.hamiltonian, res.pin).to_matrix(dense=True))
@@ -155,8 +155,8 @@ def test_criterion_4_permutation_pin():
 
 def test_criterion_5_zeno_stoquastic():
     with _Criterion(5, "Zeno stoquastic: exact sector evolution, survival one", 5):
-        a = HamiltonianSum.from_terms(1, [(1.0, "Z")])
-        b = HamiltonianSum.from_terms(1, [(-1.0, "X")])
+        a = HamiltonianSum(1, [(1.0, "Z")])
+        b = HamiltonianSum(1, [(-1.0, "X")])
         psi0 = np.array([1.0, 0.0], dtype=complex)
         for n_steps in (1, 10, 100):
             protocol = ZenoProtocol("stoquastic", a, b, 1.0, n_steps)
@@ -167,8 +167,8 @@ def test_criterion_5_zeno_stoquastic():
 
 def test_criterion_6_zeno_commuting():
     with _Criterion(6, "Zeno commuting: error and survival-deficit slopes -1", 60):
-        a = HamiltonianSum.from_terms(1, [(1.0, "Z")])
-        b = HamiltonianSum.from_terms(1, [(1.0, "X")])
+        a = HamiltonianSum(1, [(1.0, "Z")])
+        b = HamiltonianSum(1, [(1.0, "X")])
         protocol = ZenoProtocol("commuting", a, b, 1.0, 50)
         sweep = zeno_scaling_sweep(
             protocol, np.array([1.0, 0.0]), [50, 100, 200, 400, 800, 1600]
@@ -210,7 +210,7 @@ def test_criterion_7_gscon_construction():
 
         # witness traversal on H = -ZZ: flips stay at alpha, endpoints at zero
         alpha = 0.0
-        h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+        h = HamiltonianSum(2, [(-1.0, "ZZ")])
         build = build_stoquastic_gscon(h, alpha=alpha, beta=0.5)
         steps = witness_traversal(build, [])
         state = build.instance.start_state()
@@ -271,7 +271,7 @@ def test_criterion_9_oracle_coherence():
                 (float(rng.uniform(-2, 2)), "".join(rng.choice(list("IXYZ")) for _ in range(3)))
                 for _ in range(4)
             ]
-            h = HamiltonianSum.from_terms(3, terms)
+            h = HamiltonianSum(3, terms)
             mat = np.asarray(h.to_matrix(dense=True), dtype=complex)
             for row in range(8):
                 for col in range(8):

@@ -337,6 +337,18 @@ def test_unpin_penalty(tmp_path, capsys):
     assert lifted.n == 2
 
 
+def test_unpin_penalty_norm_bound_and_exact_norm_are_exclusive(tmp_path, capsys):
+    # --exact-norm was dropped without a word, and the given bound used
+    f = _write(tmp_path, "h.txt", "qubits 2\n0.5 ZI\n")
+    out = tmp_path / "lift.txt"
+    code = main(["unpin-penalty", f, "--pin-qubit", "1", "--bounds", "0,1",
+                 "--norm-bound", "5", "--exact-norm", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bound", ["-1", "0", "nan", "inf"])
 def test_unpin_penalty_rejects_impossible_norm_bounds(tmp_path, capsys, bound):
     # ||0.5 ZI|| = 0.5: no bound below it, and no bound that is not finite
@@ -622,7 +634,7 @@ def test_zeno_stoquastic_sweep_runs_above_the_dense_ceiling(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("kind, b_coeff", [("comm", "1"), ("stoq", "-1")], ids=["comm", "stoq"])
-def test_zeno_sparse_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
+def test_zeno_iterative_ceiling_checked_before_allocation(tmp_path, capsys, monkeypatch, kind, b_coeff):
     # neither protocol holds a dense matrix; 21 system qubits are above the
     # 20-qubit ceiling of the flip diagonals and the CSR reference
     code, err = _zeno_refused_before_allocation(tmp_path, capsys, monkeypatch, kind, 21, b_coeff)
@@ -635,7 +647,7 @@ def test_one_qubit_ceiling_for_every_sparse_route(tmp_path, capsys, monkeypatch,
     # one flip mask on n qubits: at 17 every route that reads the operator
     # or the whole-register form runs; at 21, above the 20-qubit ceiling,
     # each is refused before any flip diagonal is summed
-    h = HamiltonianSum.from_terms(n, [(-1.0, "X" * n)])
+    h = HamiltonianSum(n, [(-1.0, "X" * n)])
     f = _write(tmp_path, "h.txt", f"qubits {n}\n-1 {'X' * n}\n")
     a = _write(tmp_path, "a.txt", f"qubits {n}\n0.5 {'Z' * n}\n")
     calls = [h.to_matrix, lambda: h.apply(np.ones(1 << min(n, 20)))]
@@ -674,7 +686,7 @@ def test_zeno_working_set_checked_before_allocation(tmp_path, capsys, monkeypatc
     a = _write(tmp_path, "a.txt", f"qubits {n}\n" + "".join(f"1 {lbl}\n" for lbl in labels[:300]))
     b = _write(tmp_path, "b.txt", f"qubits {n}\n" + "".join(f"{b_coeff} {lbl}\n" for lbl in labels[300:]))
     ha, hb = load_hamiltonian(a), load_hamiltonian(b)
-    for ham in (ha, hb, ha + hb):
+    for ham in (ha, hb, HamiltonianSum(n, ha.terms + hb.terms)):
         pinq.pauli._check_stack_bytes(ham.flip_count(), ham.n, ham.dtype)
 
     def no_build(*args, **kwargs):
@@ -754,10 +766,10 @@ def test_gscon_build_and_verify(tmp_path, capsys):
     assert report["payload"]["outcome"] == "YES-witnessed"
 
 
-def _gscon_files(tmp_path, capsys):
-    f = _write(tmp_path, "h.txt", "qubits 2\n-1 ZZ\n")
+def _gscon_files(tmp_path, capsys, text="qubits 2\n-1 ZZ\n", alpha="1e-9"):
+    f = _write(tmp_path, "h.txt", text)
     inst, path = str(tmp_path / "inst.json"), str(tmp_path / "path.json")
-    code, _ = _run(capsys, "gscon-build", f, "--alpha", "1e-9", "--beta", "0.5",
+    code, _ = _run(capsys, "gscon-build", f, "--alpha", alpha, "--beta", "0.5",
                    "--out", inst, "--path-out", path)
     assert code == 0
     return inst, path
@@ -872,6 +884,37 @@ def test_gscon_verify_string_or_bool_number_is_malformed(tmp_path, capsys, which
     assert code == 2 and not captured.out
     human = captured.err.splitlines()[0]
     assert human == f"error: malformed gscon_{which}_json: TypeError: {message}"
+
+
+def _five_local_gscon_files(tmp_path, capsys):
+    """Instance and planted path that gscon-build writes for -1 ZZ + 0.3 ZX:
+    a 5-local Hamiltonian on 8 qubits."""
+    inst, path = _gscon_files(tmp_path, capsys, "qubits 2\n-1 ZZ\n0.3 ZX\n", alpha="0")
+    with open(inst) as fh:
+        assert json.load(fh)["k"] == 5
+    return inst, path
+
+
+@pytest.mark.parametrize("k", [1, 0, -5])
+def test_gscon_verify_k_below_the_locality_exit_3(tmp_path, capsys, k):
+    # such a "k" was read and dropped, and the walk said YES
+    inst, path = _five_local_gscon_files(tmp_path, capsys)
+    _rewrite_json(inst, lambda d: d.update(k=k))
+    code = main(["gscon-verify", "--instance", inst, "--path", path])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    human, record = captured.err.splitlines()
+    assert human == f"error: k={k} is below the Hamiltonian's locality 5"
+    assert json.loads(record) == {"error": {"type": "PreconditionError", "message": human[len("error: "):],
+                                            "exit_code": 3}}
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_gscon_verify_k_at_or_above_the_locality_verifies(tmp_path, capsys, k):
+    inst, path = _five_local_gscon_files(tmp_path, capsys)
+    _rewrite_json(inst, lambda d: d.update(k=k))
+    code, report = _run(capsys, "gscon-verify", "--instance", inst, "--path", path)
+    assert code == 0 and report["payload"]["outcome"] == "YES-witnessed"
 
 
 @pytest.mark.parametrize("count", [3, 5])

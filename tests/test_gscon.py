@@ -54,7 +54,7 @@ def _middle_state(psi, mid, third="---"):
 
 def _r3_matrix():
     # 3/4 I - (X1X2 + X2X3 + X1X3)/4 on three qubits
-    h = HamiltonianSum.from_terms(
+    h = HamiltonianSum(
         3, [(0.75, "III"), (-0.25, "XXI"), (-0.25, "IXX"), (-0.25, "XIX")]
     )
     return np.asarray(h.to_matrix(dense=True))
@@ -71,7 +71,7 @@ def test_r3_eigenstructure():
 
 
 def test_q_operator_on_uniform_minus():
-    q = HamiltonianSum.from_terms(
+    q = HamiltonianSum(
         3, [(1 / 3, "XII"), (1 / 3, "IXI"), (1 / 3, "IIX")]
     )
     v = _xbasis("---")
@@ -91,7 +91,7 @@ def test_construction_is_termwise_stoquastic():
             for ch, q in zip(kind, qs):
                 label[int(q)] = ch
             terms.append((float(rng.uniform(-1, 1)), "".join(label)))
-        h = HamiltonianSum.from_terms(n, terms)
+        h = HamiltonianSum(n, terms)
         build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
         assert is_stoquastic(build.hamiltonian, termwise=True).verdict
     # off-diagonal strings with several Z factors, on 2-4 qubits
@@ -107,14 +107,14 @@ def test_construction_is_termwise_stoquastic():
             for ch, q in zip(kind, qs):
                 label[int(q)] = ch
             terms.append((float(rng.uniform(-1, 1)), "".join(label)))
-        h = HamiltonianSum.from_terms(n, terms)
+        h = HamiltonianSum(n, terms)
         build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
         assert is_stoquastic(build.hamiltonian, termwise=True).verdict
         # the positive split must be strictly off-diagonal where it is used
 
 
 def test_expectation_identities_xx_example():
-    h = HamiltonianSum.from_terms(2, [(1.0, "XX")])
+    h = HamiltonianSum(2, [(1.0, "XX")])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     hm = build.hamiltonian.to_matrix()
     hsys = np.asarray(h.to_matrix(dense=True))
@@ -128,7 +128,7 @@ def test_expectation_identities_xx_example():
 
 def test_expectation_identities_all_strings():
     rng = np.random.default_rng(23)
-    h = HamiltonianSum.from_terms(
+    h = HamiltonianSum(
         3, [(0.8, "ZXI"), (-0.5, "IXX"), (0.3, "ZIZ"), (-0.9, "XII"), (0.6, "ZXZ"), (-0.4, "XZZ")]
     )
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
@@ -147,7 +147,7 @@ def test_expectation_identities_all_strings():
 
 
 def test_start_and_target_states():
-    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    h = HamiltonianSum(2, [(-1.0, "ZZ")])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     start = build.instance.start_state()
     target = build.instance.target_state()
@@ -158,12 +158,12 @@ def test_start_and_target_states():
 
 
 def test_verify_path_trivial_yes():
-    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    h = HamiltonianSum(2, [(-1.0, "ZZ")])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     inst = build.instance
     same = GsconInstance(
         hamiltonian=inst.hamiltonian,
-        k=inst.k, eta1=inst.eta1, eta2=inst.eta2, eta3=0.5, eta4=float(inst.eta4),
+        eta1=inst.eta1, eta2=inst.eta2, eta3=0.5, eta4=float(inst.eta4),
         delta=min(inst.delta, inst.eta4 - 0.5), l=inst.l, m=inst.m,
         start_circuit=inst.start_circuit, target_circuit=inst.start_circuit,
     )
@@ -173,7 +173,7 @@ def test_verify_path_trivial_yes():
 
 
 def test_verify_path_rejects_overlocal_step():
-    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    h = HamiltonianSum(2, [(-1.0, "ZZ")])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     bad = UnitaryStep((0, 1, 2), np.eye(8))
     with pytest.raises(PreconditionError, match="step 0"):
@@ -181,7 +181,7 @@ def test_verify_path_rejects_overlocal_step():
 
 
 def test_verify_path_rejects_non_unitary():
-    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    h = HamiltonianSum(2, [(-1.0, "ZZ")])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     bad = UnitaryStep((0,), np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(PreconditionError, match="not unitary"):
@@ -189,7 +189,7 @@ def test_verify_path_rejects_non_unitary():
 
 
 def test_witness_traversal_empty_hamiltonian():
-    h = HamiltonianSum.from_terms(2, [])
+    h = HamiltonianSum(2, [])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     steps = witness_traversal(build, [])
     verdict = verify_path(build.instance, steps)
@@ -201,7 +201,7 @@ def test_witness_traversal_empty_hamiltonian():
 def test_witness_traversal_zz_flip_energies():
     # ground state |00> of -ZZ is the start of the first register already,
     # so an empty witness circuit suffices; flip-phase energies equal -1
-    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    h = HamiltonianSum(2, [(-1.0, "ZZ")])
     alpha = -1.0 + 1e-6
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     steps = witness_traversal(build, [])
@@ -219,7 +219,7 @@ def test_witness_traversal_zz_flip_energies():
 
 
 def test_witness_traversal_third_register_stays_pinned():
-    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    h = HamiltonianSum(2, [(-1.0, "ZZ")])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     steps = witness_traversal(build, [])
     proj = np.outer(_xbasis("---"), _xbasis("---"))
@@ -234,7 +234,7 @@ def test_witness_traversal_third_register_stays_pinned():
 
 def test_witness_traversal_with_rotation_witness():
     # H = Z + X on one qubit; a single-qubit rotation prepares its ground state
-    h = HamiltonianSum.from_terms(1, [(1.0, "Z"), (1.0, "X")])
+    h = HamiltonianSum(1, [(1.0, "Z"), (1.0, "X")])
     gs = np.linalg.eigh(np.asarray(h.to_matrix(dense=True)))[1][:, 0]
     u = np.column_stack([gs, np.array([-gs[1], gs[0]])])
     witness = [UnitaryStep((0,), u)]
@@ -259,7 +259,7 @@ def test_traversal_property_random_two_qubit():
             for ch, q in zip(kind, qs):
                 label[int(q)] = ch
             terms.append((float(rng.uniform(-1, 1)), "".join(label)))
-        h = HamiltonianSum.from_terms(2, terms)
+        h = HamiltonianSum(2, terms)
         hsys = np.asarray(h.to_matrix(dense=True))
         evals, evecs = np.linalg.eigh(hsys)
         if evals[0] > -1e-3:
@@ -275,13 +275,13 @@ def test_traversal_property_random_two_qubit():
 
 
 def test_instance_energy_check_at_load():
-    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    h = HamiltonianSum(2, [(-1.0, "ZZ")])
     with pytest.raises(PreconditionError, match="endpoint energies"):
         build_stoquastic_gscon(h, alpha=-0.5, beta=0.5)
 
 
 def test_instance_json_round_trip():
-    h = HamiltonianSum.from_terms(2, [(-0.8, "ZZ"), (0.3, "XI")])
+    h = HamiltonianSum(2, [(-0.8, "ZZ"), (0.3, "XI")])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     data = instance_to_json(build.instance)
     inst2 = instance_from_json(data)
@@ -296,10 +296,10 @@ def test_instance_json_round_trip():
 
 
 def test_eta_relation_validation():
-    h = HamiltonianSum.from_terms(1, [])
+    h = HamiltonianSum(1, [])
     with pytest.raises(PreconditionError, match="eta2"):
         GsconInstance(
-            hamiltonian=h, k=1, eta1=0.0, eta2=0.05, eta3=1e-6, eta4=1.0,
+            hamiltonian=h, eta1=0.0, eta2=0.05, eta3=1e-6, eta4=1.0,
             delta=0.1, l=2, m=10, start_circuit=(), target_circuit=(),
         )
 
@@ -307,11 +307,11 @@ def test_eta_relation_validation():
 @pytest.mark.parametrize("field", ["eta1", "eta2", "eta3", "eta4", "delta"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_instance_refuses_non_finite_thresholds(field, value):
-    h = HamiltonianSum.from_terms(1, [(0.5, "Z")])
+    h = HamiltonianSum(1, [(0.5, "Z")])
     kwargs = dict(eta1=0.6, eta2=1.0, eta3=1e-6, eta4=1.0, delta=0.1)
     kwargs[field] = value
     with pytest.raises(PreconditionError, match=f"{field}=.* is not finite"):
-        GsconInstance(hamiltonian=h, k=1, l=2, m=10, start_circuit=(), target_circuit=(), **kwargs)
+        GsconInstance(hamiltonian=h, l=2, m=10, start_circuit=(), target_circuit=(), **kwargs)
 
 
 @pytest.mark.parametrize("beta, max_steps", [
@@ -323,7 +323,7 @@ def test_instance_refuses_non_finite_thresholds(field, value):
     pytest.param(0.5, 10**400, id="m-beyond-floats"),
 ])
 def test_build_refuses_bad_step_bounds_and_soundness_scales(beta, max_steps):
-    h = HamiltonianSum.from_terms(1, [(-0.5, "Z")])
+    h = HamiltonianSum(1, [(-0.5, "Z")])
     with pytest.raises(PreconditionError):
         build_stoquastic_gscon(h, alpha=0.0, beta=beta, max_steps=max_steps)
 
@@ -344,15 +344,15 @@ def _count_full_builds(monkeypatch, n):
 
 def _solve_once(method):
     def run(count):
-        h = HamiltonianSum.from_terms(8, [(-0.8, "ZZIIIIII"), (0.3, "XIIIIIIX"), (-0.4, "IIIXZYII")])
+        h = HamiltonianSum(8, [(-0.8, "ZZIIIIII"), (0.3, "XIIIIIIX"), (-0.4, "IIIXZYII")])
         min_eig(h, method=method)
         assert count[0] == 1
     return run
 
 
 def _zeno_reference_once(count):
-    a = HamiltonianSum.from_terms(8, [(0.5, "ZIIIIIII"), (-0.3, "ZZIIIIII")])
-    b = HamiltonianSum.from_terms(8, [(-1.0, "XIIIIIII"), (-0.4, "IIIIIIXX")])
+    a = HamiltonianSum(8, [(0.5, "ZIIIIIII"), (-0.3, "ZZIIIIII")])
+    b = HamiltonianSum(8, [(-1.0, "XIIIIIII"), (-0.4, "IIIIIIXX")])
     protocol = ZenoProtocol("stoquastic", a, b, 1.0, 10)
     psi0 = np.zeros(1 << 8, dtype=complex)
     psi0[0] = 1.0
@@ -362,7 +362,7 @@ def _zeno_reference_once(count):
 
 
 def _instance_once_and_verify_none(count):
-    h = HamiltonianSum.from_terms(2, [(-0.8, "ZZ"), (0.3, "XI"), (-0.4, "XZ")])
+    h = HamiltonianSum(2, [(-0.8, "ZZ"), (0.3, "XI"), (-0.4, "XZ")])
     build = build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
     assert count[0] == 1
     steps = witness_traversal(build, [])
@@ -392,7 +392,7 @@ def test_each_consumer_builds_its_operator_once(monkeypatch, consumer):
 
 
 def test_instance_is_frozen_and_replace_checks_again():
-    h = HamiltonianSum.from_terms(2, [(-1.0, "ZZ")])
+    h = HamiltonianSum(2, [(-1.0, "ZZ")])
     inst = build_stoquastic_gscon(h, alpha=0.0, beta=0.5).instance
     for f in dataclasses.fields(inst):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -402,11 +402,11 @@ def test_instance_is_frozen_and_replace_checks_again():
     with pytest.raises(PreconditionError, match="non-negative"):
         dataclasses.replace(inst, m=-1)
     with pytest.raises(PreconditionError, match="exceed eta1"):
-        dataclasses.replace(inst, hamiltonian=HamiltonianSum.from_terms(inst.n, [(0.5, "I" * inst.n)]))
+        dataclasses.replace(inst, hamiltonian=HamiltonianSum(inst.n, [(0.5, "I" * inst.n)]))
 
 
 def test_build_refuses_y_terms():
-    h = HamiltonianSum.from_terms(3, [(0.5, "XZZ"), (-0.25, "IYZ")])
+    h = HamiltonianSum(3, [(0.5, "XZZ"), (-0.25, "IYZ")])
     with pytest.raises(UnsupportedTermError, match="IYZ.*Y-free"):
         build_stoquastic_gscon(h, alpha=0.0, beta=0.5)
 
@@ -414,8 +414,8 @@ def test_build_refuses_y_terms():
 def _instance(**changes):
     """A one-qubit instance under -0.5 Z whose start and target are |0>."""
     fields = dict(
-        hamiltonian=HamiltonianSum.from_terms(1, [(-0.5, "Z")]),
-        k=1, eta1=0.0, eta2=1.0, eta3=1e-6, eta4=1.0, delta=0.1, l=1, m=2,
+        hamiltonian=HamiltonianSum(1, [(-0.5, "Z")]),
+        eta1=0.0, eta2=1.0, eta3=1e-6, eta4=1.0, delta=0.1, l=1, m=2,
         start_circuit=(), target_circuit=(),
     )
     return GsconInstance(**{**fields, **changes})
@@ -423,7 +423,8 @@ def _instance(**changes):
 
 @pytest.mark.parametrize("changes, message", [
     pytest.param(dict(m=-1), "non-negative", id="negative-m"),
-    pytest.param(dict(hamiltonian=HamiltonianSum.from_terms(1, [(-1.5, "Z")])), "exceeds 1", id="group-norm"),
+    pytest.param(dict(l=-1), "non-negative", id="negative-l"),
+    pytest.param(dict(hamiltonian=HamiltonianSum(1, [(-1.5, "Z")])), "exceeds 1", id="group-norm"),
     pytest.param(dict(start_circuit=(UnitaryStep((0,), np.diag([1.0, 2.0])),)),
                  "start circuit gate 0 is not unitary", id="non-unitary-start"),
 ])
@@ -433,7 +434,7 @@ def test_instance_refusals(changes, message):
 
 
 def _one_group(n, terms):
-    return HamiltonianSum.from_terms(n, terms, groups=[range(len(terms))])
+    return HamiltonianSum(n, terms, groups=[range(len(terms))])
 
 
 def test_norm_check_accepts_a_group_whose_exact_norm_is_under_its_weight_sum():
@@ -443,7 +444,7 @@ def test_norm_check_accepts_a_group_whose_exact_norm_is_under_its_weight_sum():
 
 def test_norm_check_refuses_a_commuting_group_with_the_exact_norm():
     with pytest.raises(PreconditionError, match=r"term norm 1\.200000 exceeds 1"):
-        _instance(hamiltonian=_one_group(2, [(-0.6, "ZI"), (-0.6, "IZ")]), k=2)
+        _instance(hamiltonian=_one_group(2, [(-0.6, "ZI"), (-0.6, "IZ")]))
 
 
 @pytest.mark.parametrize("weight", [0.5, 0.6])
@@ -452,10 +453,10 @@ def test_norm_check_needs_no_dense_matrix_for_a_group_its_weights_bound(weight):
     # most 1 bound its norm; above 1 its exact norm needs a dense matrix
     h = _one_group(13, [(-weight, "Z" * 13), (-weight, "Z" + "I" * 12)])
     if 2 * weight <= 1.0:
-        _instance(hamiltonian=h, k=13)
+        _instance(hamiltonian=h)
     else:
         with pytest.raises(ResourceLimitError, match="dense ceiling"):
-            _instance(hamiltonian=h, k=13)
+            _instance(hamiltonian=h)
 
 
 def test_verify_path_refuses_a_path_longer_than_m():
@@ -471,6 +472,6 @@ def test_verify_path_refuses_a_path_longer_than_m():
     pytest.param(UnitaryStep((0, 1, 2), np.eye(8)), "exceeds locality 2", id="over-local"),
 ])
 def test_witness_traversal_refuses_bad_witness_gates(gate, message):
-    build = build_stoquastic_gscon(HamiltonianSum.from_terms(3, [(-1.0, "ZZI")]), alpha=0.0, beta=0.5)
+    build = build_stoquastic_gscon(HamiltonianSum(3, [(-1.0, "ZZI")]), alpha=0.0, beta=0.5)
     with pytest.raises(PreconditionError, match=f"witness gate 1 {message}"):
         witness_traversal(build, [UnitaryStep((0,), np.eye(2)), gate])

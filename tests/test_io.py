@@ -57,7 +57,7 @@ def test_round_trip_is_exact():
         (float(rng.standard_normal()), "".join(rng.choice(list("IXYZ")) for _ in range(3)))
         for _ in range(7)
     ]
-    h = HamiltonianSum.from_terms(3, terms)
+    h = HamiltonianSum(3, terms)
     text = format_hamiltonian(h)
     h2 = parse_hamiltonian(text)
     assert format_hamiltonian(h2) == text
@@ -67,13 +67,13 @@ def test_round_trip_is_exact():
 
 
 def test_duplicate_strings_survive_round_trip():
-    h = HamiltonianSum.from_terms(1, [(0.25, "X"), (0.75, "X")])
+    h = HamiltonianSum(1, [(0.25, "X"), (0.75, "X")])
     h2 = parse_hamiltonian(format_hamiltonian(h))
     assert len(h2.terms) == 2
 
 
 def test_group_annotations_round_trip():
-    h = HamiltonianSum.from_terms(
+    h = HamiltonianSum(
         2, [(0.5, "ZI"), (0.5, "ZX"), (-1.0, "XI")], groups=((0, 1), (2,))
     )
     text = format_hamiltonian(h)

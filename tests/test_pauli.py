@@ -70,12 +70,12 @@ def _entry_oracle(n, terms, row, col):
 
 
 def test_to_matrix_single_z():
-    h = HamiltonianSum.from_terms(1, [(1.0, "Z")])
+    h = HamiltonianSum(1, [(1.0, "Z")])
     np.testing.assert_array_equal(h.to_matrix(dense=True), np.diag([1.0, -1.0]))
 
 
 def test_to_matrix_half_xx():
-    h = HamiltonianSum.from_terms(2, [(0.5, "XX")])
+    h = HamiltonianSum(2, [(0.5, "XX")])
     expected = 0.5 * np.fliplr(np.eye(4))
     np.testing.assert_array_equal(h.to_matrix(dense=True), expected)
 
@@ -88,7 +88,7 @@ def test_to_matrix_matches_entry_oracle():
         for _ in range(3):
             label = "".join(rng.choice(list(letters)) for _ in range(3))
             terms.append((float(rng.uniform(-2, 2)), label))
-        h = HamiltonianSum.from_terms(3, terms)
+        h = HamiltonianSum(3, terms)
         mat = np.asarray(h.to_matrix(dense=True), dtype=complex)
         for row in range(8):
             for col in range(8):
@@ -100,9 +100,9 @@ def test_to_matrix_is_linear():
     for _ in range(10):
         t1 = [(float(rng.uniform(-1, 1)), "".join(rng.choice(list("IXZ")) for _ in range(3)))]
         t2 = [(float(rng.uniform(-1, 1)), "".join(rng.choice(list("IXZ")) for _ in range(3)))]
-        h1 = HamiltonianSum.from_terms(3, t1)
-        h2 = HamiltonianSum.from_terms(3, t2)
-        h12 = HamiltonianSum.from_terms(3, t1 + t2)
+        h1 = HamiltonianSum(3, t1)
+        h2 = HamiltonianSum(3, t2)
+        h12 = HamiltonianSum(3, t1 + t2)
         np.testing.assert_array_equal(
             h12.to_matrix(dense=True), h1.to_matrix(dense=True) + h2.to_matrix(dense=True)
         )
@@ -130,7 +130,7 @@ def test_matrix_ceiling(monkeypatch):
     # refused before the operator or any flip diagonal is built
     monkeypatch.setattr(pinq.pauli, "_whole_flip_form", _no_dense)
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", _no_dense)
-    h = HamiltonianSum.from_terms(13, [(1.0, "Z" + "I" * 12)])
+    h = HamiltonianSum(13, [(1.0, "Z" + "I" * 12)])
     with pytest.raises(ResourceLimitError, match="dense ceiling"):
         h.to_matrix(dense=True)
 
@@ -161,7 +161,7 @@ def test_string_apply_matches_matrix():
     rng = np.random.default_rng(5)
     for label in ("XYZ", "IZX", "YYI", "ZZZ"):
         s = PauliString.from_label(label)
-        mat = HamiltonianSum.from_terms(3, [(1.0, label)]).to_matrix(dense=True)
+        mat = HamiltonianSum(3, [(1.0, label)]).to_matrix(dense=True)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         np.testing.assert_allclose(s.apply(v), mat @ v, atol=1e-14)
 
@@ -190,7 +190,7 @@ def test_kron_oracle_matches_entry_oracle():
 def test_flip_form_matches_per_term_oracle(n):
     rng = np.random.default_rng(300 + n)
     for terms in ([], _edge_case_terms(rng, n)):
-        h = HamiltonianSum.from_terms(n, terms)
+        h = HamiltonianSum(n, terms)
         ref = pauli_matrix(n, terms)
         flips = {label.translate(str.maketrans("YZ", "XI")) for _, label in terms}
         assert h.flip_count() == len(flips)
@@ -245,7 +245,7 @@ def _oracle_rows(n, terms):
 
 @pytest.mark.parametrize("n, terms", _bit_identity_cases())
 def test_flip_diagonals_bit_identical_to_per_term_oracle(n, terms):
-    got = _operator_rows(HamiltonianSum.from_terms(n, terms))
+    got = _operator_rows(HamiltonianSum(n, terms))
     want = _oracle_rows(n, terms)
     assert [f for f, _ in got] == [f for f, _ in want]
     for (_, d), (_, ref) in zip(got, want):
@@ -267,7 +267,7 @@ def test_string_apply_matches_per_term_oracle(label):
 
 
 def test_flip_diagonals_come_in_increasing_mask_order():
-    h = HamiltonianSum.from_terms(3, [(1.0, "XII"), (0.5, "IIX"), (0.25, "ZZZ"), (2.0, "YII")])
+    h = HamiltonianSum(3, [(1.0, "XII"), (0.5, "IIX"), (0.25, "ZZZ"), (2.0, "YII")])
     flips = [f for f, _ in _operator_rows(h)]
     assert flips == [0, 1, 4]  # qubit 0 is the most significant index bit
     assert h.flip_count() == 3
@@ -301,7 +301,7 @@ def test_matvec_bytes_match_per_flip_loop_on_real_sums(n):
     rng = np.random.default_rng(500 + n)
     terms = _edge_case_terms(rng, n, letters="IXZ") + [(-0.0, "X" * n)]
     for case in ([], terms):
-        h = HamiltonianSum.from_terms(n, case)
+        h = HamiltonianSum(n, case)
         mat = h.to_matrix()
         for v in _signed_zero_vectors(rng, n):
             want = apply_flip_diagonals(flip_diagonals(n, case), v)
@@ -315,7 +315,7 @@ def test_real_valued_states_skip_only_a_zero_product(n):
     # an all-zero imaginary part skips its product, bit for bit; one nonzero
     # imaginary entry takes both
     rng = np.random.default_rng(700 + n)
-    h = HamiltonianSum.from_terms(n, _edge_case_terms(rng, n, letters="IXZ") + [(-0.0, "X" * n)])
+    h = HamiltonianSum(n, _edge_case_terms(rng, n, letters="IXZ") + [(-0.0, "X" * n)])
     mat = h.to_matrix()
     assert not np.iscomplexobj(mat.data)
     _, _, zero_imag = _signed_zero_vectors(rng, n)
@@ -333,7 +333,7 @@ def test_matvec_matches_per_flip_loop_on_sums_with_y(n):
     # scipy rounds complex products on its own, not in numpy's SIMD loop
     rng = np.random.default_rng(600 + n)
     terms = _edge_case_terms(rng, n) + [(0.5, "Y" * n)]
-    h = HamiltonianSum.from_terms(n, terms)
+    h = HamiltonianSum(n, terms)
     assert h.has_y
     for v in _signed_zero_vectors(rng, n):
         want = apply_flip_diagonals(flip_diagonals(n, terms), v, complex)
@@ -341,7 +341,7 @@ def test_matvec_matches_per_flip_loop_on_sums_with_y(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_flip_stack_rows_are_the_per_term_entries_bit_for_bit(n):
+def test_operator_rows_are_the_per_term_entries_bit_for_bit(n):
     # the CSR rows are the column-side oracle read as rows:
     # entry (r, slot k) is H[r, r ^ f_k] = D_{f_k}[r ^ f_k], signed zeros included
     rng = np.random.default_rng(900 + n)
@@ -352,7 +352,7 @@ def test_flip_stack_rows_are_the_per_term_entries_bit_for_bit(n):
     rows = np.arange(dim)
     for case in (terms, [(-0.0, y)], [(0.0, xy), (-0.0, "Z" * n)]):
         want = flip_diagonals(n, case)
-        mat = HamiltonianSum.from_terms(n, case).to_matrix()
+        mat = HamiltonianSum(n, case).to_matrix()
         assert mat.dtype == want[0][1].dtype
         data = mat.data.reshape(dim, len(want))
         cols = mat.indices.reshape(dim, len(want))
@@ -373,7 +373,7 @@ def _narrowed_build_cases():
     cases = []
     for n_sys in (1, 2, 3):  # the traversal construction: Q and R3 put only X on 6 ancillas
         labels = ["".join(rng.choice(list("IXZ"), n_sys)) for _ in range(2 * n_sys)] + ["Z" * n_sys]
-        h = HamiltonianSum.from_terms(n_sys, [(float(rng.uniform(-0.5, 0.5)), lab) for lab in labels])
+        h = HamiltonianSum(n_sys, [(float(rng.uniform(-0.5, 0.5)), lab) for lab in labels])
         hpp = build_stoquastic_gscon(h, alpha=0.0, beta=0.5).hamiltonian
         cases.append(pytest.param(hpp.n, [(t.coeff, t.string.label()) for t in hpp.terms], n_sys,
                                   id=f"stoquastic-{hpp.n}"))
@@ -397,7 +397,7 @@ def test_narrowed_whole_register_build_is_bit_identical(monkeypatch, n, terms, w
     # support S and broadcast over the rest; the operator's rows and its CSR
     # data are the per-term sums byte for byte, signed zeros included
     want = _oracle_rows(n, terms)
-    h = HamiltonianSum.from_terms(n, terms)
+    h = HamiltonianSum(n, terms)
     passes = []
     stacked = pinq.pauli._stacked_diagonals
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals",
@@ -419,7 +419,7 @@ def test_whole_register_refusals_form_no_register_range():
     h = HamiltonianSum(10**20, [])
     with pytest.raises(ResourceLimitError, match="int32 column index"):
         next(pinq.pauli._local_flip_forms(h, whole=True))
-    for build in (h.to_matrix, lambda: is_stoquastic(h, termwise=False), lambda: is_permutation(h, per_term=False)):
+    for build in (h.to_matrix, lambda: is_stoquastic(h, termwise=False), lambda: is_permutation(h, termwise=False)):
         with pytest.raises(ResourceLimitError, match="iterative ceiling"):
             build()
 
@@ -451,14 +451,14 @@ def test_qubit_count_must_be_non_negative():
 
 
 def test_apply_refuses_a_state_of_the_wrong_dimension():
-    h = HamiltonianSum.from_terms(2, [(1.0, "XZ")])
+    h = HamiltonianSum(2, [(1.0, "XZ")])
     for vec in (np.ones(2), np.ones(8)):
         with pytest.raises(ValueError, match="state dimension mismatch"):
             h.apply(vec)
 
 
 def test_apply_keeps_no_cache():
-    h = HamiltonianSum.from_terms(2, [(1.0, "XZ"), (0.5, "YY")])
+    h = HamiltonianSum(2, [(1.0, "XZ"), (0.5, "YY")])
     before = dict(vars(h))
     h.apply(np.ones(4))
     assert vars(h) == before
@@ -507,8 +507,8 @@ def test_compose_phases():
 
 
 def test_is_commuting_examples():
-    assert is_commuting(HamiltonianSum.from_terms(2, [(1.0, "ZI"), (1.0, "IX")])).verdict
-    rep = is_commuting(HamiltonianSum.from_terms(1, [(1.0, "X"), (1.0, "Z")]))
+    assert is_commuting(HamiltonianSum(2, [(1.0, "ZI"), (1.0, "IX")])).verdict
+    rep = is_commuting(HamiltonianSum(1, [(1.0, "X"), (1.0, "Z")]))
     assert not rep.verdict
     assert rep.pair == (0, 1)
 
@@ -520,17 +520,17 @@ def test_is_commuting_grouped_projector_terms():
         (0.5, "ZI"), (0.5, "ZX"),   # Z (x) (I+X)/2
         (0.5, "XI"), (-0.5, "XX"),  # X (x) (I-X)/2
     ]
-    grouped = HamiltonianSum.from_terms(2, terms, groups=((0, 1), (2, 3)))
+    grouped = HamiltonianSum(2, terms, groups=((0, 1), (2, 3)))
     assert is_commuting(grouped).verdict
-    flat = HamiltonianSum.from_terms(2, terms)
+    flat = HamiltonianSum(2, terms)
     assert not is_commuting(flat).verdict
 
 
 def test_zero_weight_strings_commute_with_everything():
     # 0 X + 1 Z is the operator Z, ungrouped as in one group
     for groups in (None, ((0, 1),), ((1,), (0,))):
-        assert is_commuting(HamiltonianSum.from_terms(1, [(0.0, "X"), (1.0, "Z")], groups)).verdict
-    rep = is_commuting(HamiltonianSum.from_terms(2, [(0.0, "XI"), (1.0, "ZI"), (0.5, "XI")]))
+        assert is_commuting(HamiltonianSum(1, [(0.0, "X"), (1.0, "Z")], groups)).verdict
+    rep = is_commuting(HamiltonianSum(2, [(0.0, "XI"), (1.0, "ZI"), (0.5, "XI")]))
     assert astuple(rep) == (False, (1, 2))
 
 
@@ -546,7 +546,7 @@ def test_is_commuting_matches_dense_commutator_oracle(seed):
     cuts = sorted(int(c) for c in rng.choice(range(1, len(terms)), int(rng.integers(0, len(terms))), replace=False))
     grouped = tuple(tuple(range(a, b)) for a, b in zip([0, *cuts], [*cuts, len(terms)]))
     for groups in (None, grouped):
-        h = HamiltonianSum.from_terms(n, terms, groups)
+        h = HamiltonianSum(n, terms, groups)
         assert astuple(is_commuting(h)) == commuting_report(n, terms, h.group_indices())
 
 
@@ -556,8 +556,8 @@ def test_is_commuting_matches_dense_commutator_oracle(seed):
 
 
 def test_is_stoquastic_examples():
-    assert is_stoquastic(HamiltonianSum.from_terms(2, [(-1.0, "XX")])).verdict
-    rep = is_stoquastic(HamiltonianSum.from_terms(1, [(1.0, "X")]))
+    assert is_stoquastic(HamiltonianSum(2, [(-1.0, "XX")])).verdict
+    rep = is_stoquastic(HamiltonianSum(1, [(1.0, "X")]))
     assert not rep.verdict
     assert abs(rep.worst_entry - 1.0) < 1e-15
 
@@ -588,7 +588,7 @@ def test_negative_x_sums_always_stoquastic():
 
 def test_stoquastic_global_vs_termwise():
     # +X and -X on the same qubit cancel: globally stoquastic, not termwise
-    h = HamiltonianSum.from_terms(1, [(1.0, "X"), (-1.0, "X")])
+    h = HamiltonianSum(1, [(1.0, "X"), (-1.0, "X")])
     assert not is_stoquastic(h, termwise=True).verdict
     assert is_stoquastic(h, termwise=False).verdict
 
@@ -599,8 +599,8 @@ def test_stoquastic_global_vs_termwise():
 
 
 def test_is_permutation_examples():
-    assert is_permutation(HamiltonianSum.from_terms(1, [(1.0, "X")])).verdict
-    rep = is_permutation(HamiltonianSum.from_terms(1, [(1.0, "Z")]))
+    assert is_permutation(HamiltonianSum(1, [(1.0, "X")])).verdict
+    rep = is_permutation(HamiltonianSum(1, [(1.0, "Z")]))
     assert not rep.verdict
 
 
@@ -612,18 +612,18 @@ def test_checks_refuse_bad_tolerance_before_any_build(monkeypatch, check, tol):
 
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     with pytest.raises(ValueError, match="tolerance"):
-        check(HamiltonianSum.from_terms(1, [(1.0, "X")]), True, tol)
+        check(HamiltonianSum(1, [(1.0, "X")]), True, tol)
 
 
 def test_controlled_flip_gadget_is_permutation():
     # |0><0| (x) I + |1><1| (x) X as one grouped term
     terms = [(0.5, "II"), (0.5, "ZI"), (0.5, "IX"), (-0.5, "ZX")]
-    h = HamiltonianSum.from_terms(2, terms, groups=((0, 1, 2, 3),))
-    assert is_permutation(h, per_term=True).verdict
-    assert is_permutation(h, per_term=False).verdict
+    h = HamiltonianSum(2, terms, groups=((0, 1, 2, 3),))
+    assert is_permutation(h, termwise=True).verdict
+    assert is_permutation(h, termwise=False).verdict
     # the individual strings are not permutations
-    flat = HamiltonianSum.from_terms(2, terms)
-    assert not is_permutation(flat, per_term=True).verdict
+    flat = HamiltonianSum(2, terms)
+    assert not is_permutation(flat, termwise=True).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -688,16 +688,16 @@ def test_structural_checks_match_dense_oracle(case):
         n, terms, groups = _FIXED_CHECK_CASES[case]
     else:
         n, terms, groups = _random_check_case(case)
-    h = HamiltonianSum.from_terms(n, terms, groups)
+    h = HamiltonianSum(n, terms, groups)
     for assembled in (False, True):
         want = stoquastic_report(n, terms, h.group_indices(), assembled)
         assert astuple(is_stoquastic(h, termwise=not assembled)) == want
         want = permutation_report(n, terms, h.group_indices(), assembled)
-        assert astuple(is_permutation(h, per_term=not assembled)) == want
+        assert astuple(is_permutation(h, termwise=not assembled)) == want
 
 
 def test_stoquastic_ties_go_to_first_group_and_first_entry():
-    h = HamiltonianSum.from_terms(2, [(1.0, "XI"), (1.0, "IX")])
+    h = HamiltonianSum(2, [(1.0, "XI"), (1.0, "IX")])
     assert astuple(is_stoquastic(h)) == (False, 1.0, (0, 1), 0)
     assert astuple(is_stoquastic(h, termwise=False)) == (False, 1.0, (0, 1), None)
 
@@ -719,17 +719,17 @@ def test_assembled_checks_build_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(HamiltonianSum, "to_matrix", sparse_only)
     monkeypatch.setattr(sp.csr_matrix, "toarray", _no_dense)
     x0 = "X" + "I" * (n - 1)
-    h = HamiltonianSum.from_terms(n, [(1.0, x0), (0.25, "I" * (n - 2) + "XX"), (-0.5, "I" * (n - 1) + "Z")])
+    h = HamiltonianSum(n, [(1.0, x0), (0.25, "I" * (n - 2) + "XX"), (-0.5, "I" * (n - 1) + "Z")])
     assert astuple(is_stoquastic(h, termwise=False)) == (False, 1.0, (0, 1 << (n - 1)), None)
-    assert astuple(is_permutation(h, per_term=False)) == (False, "entry outside {0,1}", None)
-    flip = HamiltonianSum.from_terms(n, [(1.0, x0)])
-    assert is_permutation(flip, per_term=False).verdict
+    assert astuple(is_permutation(h, termwise=False)) == (False, "entry outside {0,1}", None)
+    flip = HamiltonianSum(n, [(1.0, x0)])
+    assert is_permutation(flip, termwise=False).verdict
     assert not is_stoquastic(flip, termwise=False).verdict
 
 
 def test_weight_13_group_norm_hits_dense_ceiling_but_checks_answer(monkeypatch):
     n = 13
-    h = HamiltonianSum.from_terms(
+    h = HamiltonianSum(
         n, [(1.0, "X" * n), (0.5, "Z" * n), (-1.0, "I" * (n - 1) + "X")], groups=((0, 1), (2,))
     )
     monkeypatch.setattr(np, "kron", _no_dense)
@@ -765,16 +765,16 @@ def _wide_group_case(seed):
 @pytest.mark.parametrize("seed", range(2))
 def test_termwise_checks_on_wide_groups_match_sparse_oracle(seed):
     n, terms, groups = _wide_group_case(seed)
-    h = HamiltonianSum.from_terms(n, terms, groups)
+    h = HamiltonianSum(n, terms, groups)
     assert max(len(h.group_support(g)) for g in groups) == 14
     assert astuple(is_stoquastic(h)) == stoquastic_report(n, terms, groups, False, sparse=True)
     assert astuple(is_permutation(h)) == permutation_report(n, terms, groups, False, sparse=True)
 
 
-def test_termwise_checks_stop_at_the_sparse_ceiling(monkeypatch):
+def test_termwise_checks_stop_at_the_iterative_ceiling(monkeypatch):
     # a 21-qubit group is above the 20-qubit ceiling of every sparse form
     n = 21
-    h = HamiltonianSum.from_terms(n, [(1.0, "X" * n)])
+    h = HamiltonianSum(n, [(1.0, "X" * n)])
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", _no_dense)
     with pytest.raises(ResourceLimitError, match="iterative ceiling"):
         is_stoquastic(h)
@@ -796,7 +796,7 @@ def test_group_norms_match_dense_oracle(case):
         n, terms, groups = _NORM_CASES[case]
     else:
         n, terms, groups = _random_check_case(case)
-    h = HamiltonianSum.from_terms(n, terms, groups)
+    h = HamiltonianSum(n, terms, groups)
     want = group_norms(n, terms, h.group_indices())
     np.testing.assert_allclose(h.group_norms(), want, rtol=0, atol=1e-12)
 
@@ -810,12 +810,12 @@ def test_whole_register_forms_read_the_group_form_builder(monkeypatch, case):
         n, terms, groups = _NORM_CASES[case]
     else:
         n, terms, groups = _random_check_case(case)
-    h = HamiltonianSum.from_terms(n, terms, groups)
+    h = HamiltonianSum(n, terms, groups)
     ref = pauli_matrix(n, terms)
     with monkeypatch.context() as m:
         m.setattr(HamiltonianSum, "to_matrix", _no_dense)
         assert astuple(is_stoquastic(h, termwise=False)) == stoquastic_report(n, terms, h.group_indices(), True)
-        assert astuple(is_permutation(h, per_term=False)) == permutation_report(n, terms, h.group_indices(), True)
+        assert astuple(is_permutation(h, termwise=False)) == permutation_report(n, terms, h.group_indices(), True)
         np.testing.assert_allclose(h.group_norms(), group_norms(n, terms, h.group_indices()), rtol=0, atol=1e-12)
     got, want = _operator_rows(h), _oracle_rows(n, terms)
     assert [f for f, _ in got] == [f for f, _ in want]
@@ -849,14 +849,14 @@ def test_group_norm_stacks_fit_one_dense_matrix_at_the_ceiling():
 
 def test_locality_counts_group_support():
     terms = [(0.5, "ZII"), (0.5, "ZXI")]
-    assert HamiltonianSum.from_terms(3, terms).locality == 2
-    assert HamiltonianSum.from_terms(3, terms, groups=((0, 1),)).locality == 2
+    assert HamiltonianSum(3, terms).locality == 2
+    assert HamiltonianSum(3, terms, groups=((0, 1),)).locality == 2
     terms = [(0.5, "ZII"), (0.5, "IXX")]
-    assert HamiltonianSum.from_terms(3, terms, groups=((0, 1),)).locality == 3
+    assert HamiltonianSum(3, terms, groups=((0, 1),)).locality == 3
 
 
 def test_group_norms():
-    h = HamiltonianSum.from_terms(2, [(2.0, "ZI"), (0.5, "II"), (0.5, "ZZ")], groups=((0,), (1, 2)))
+    h = HamiltonianSum(2, [(2.0, "ZI"), (0.5, "II"), (0.5, "ZZ")], groups=((0,), (1, 2)))
     norms = h.group_norms()
     assert norms[0] == pytest.approx(2.0)
     assert norms[1] == pytest.approx(1.0)  # (I + ZZ)/2 is a projector
@@ -867,11 +867,11 @@ def test_overflowing_sum_raises_without_warning(labels):
     # two finite weights whose sum is not a double, in a real diagonal, a
     # complex and an off-diagonal row
     terms = [(1e308, lab) for lab in labels]
-    h = HamiltonianSum.from_terms(len(labels[0]), terms)
+    h = HamiltonianSum(len(labels[0]), terms)
     for build in (h.to_matrix, lambda: h.to_matrix(dense=True), lambda: is_stoquastic(h, termwise=False)):
         with pytest.raises(PreconditionError, match="overflows"):
             build()
-    grouped = HamiltonianSum.from_terms(len(labels[0]), terms, groups=((0, 1),))
+    grouped = HamiltonianSum(len(labels[0]), terms, groups=((0, 1),))
     with pytest.raises(PreconditionError, match="overflows"):
         grouped.group_norms()
     # the termwise check builds each string on its own, so it answers
@@ -892,9 +892,9 @@ def test_every_stack_is_held_to_the_byte_ceiling_before_it_is_built(monkeypatch)
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     message = (f"700 flip masks on 16 qubits need {700 * 12 << 16} bytes, "
                f"above the iterative ceiling of {pinq.pauli.ITERATIVE_BYTE_CEILING}")
-    for build in (h.to_matrix, lambda: is_stoquastic(h, termwise=False), lambda: is_permutation(h, per_term=False),
+    for build in (h.to_matrix, lambda: is_stoquastic(h, termwise=False), lambda: is_permutation(h, termwise=False),
                   lambda: h.apply(np.zeros(1 << n)), lambda: is_stoquastic(one_group, termwise=True),
-                  lambda: is_permutation(one_group, per_term=True)):
+                  lambda: is_permutation(one_group, termwise=True)):
         with pytest.raises(ResourceLimitError) as err:
             build()
         assert str(err.value) == message
@@ -907,7 +907,7 @@ def test_term_y_flagging():
 
 
 def test_merged_collects_duplicates():
-    h = HamiltonianSum.from_terms(1, [(0.5, "X"), (0.5, "X"), (1.0, "Z"), (-1.0, "Z")])
+    h = HamiltonianSum(1, [(0.5, "X"), (0.5, "X"), (1.0, "Z"), (-1.0, "Z")])
     m = h.merged()
     assert len(m.terms) == 1
     assert m.terms[0].coeff == 1.0

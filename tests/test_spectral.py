@@ -33,12 +33,12 @@ def _random_sum(rng, n, m=6, letters="IXZ"):
         (float(rng.uniform(-1, 1)), "".join(rng.choice(list(letters)) for _ in range(n)))
         for _ in range(m)
     ]
-    return HamiltonianSum.from_terms(n, terms)
+    return HamiltonianSum(n, terms)
 
 
 def test_min_eig_closed_forms():
-    assert min_eig(HamiltonianSum.from_terms(1, [(1.0, "Z")])).value == pytest.approx(-1.0)
-    h = HamiltonianSum.from_terms(1, [(1.0, "Z"), (1.0, "X")])
+    assert min_eig(HamiltonianSum(1, [(1.0, "Z")])).value == pytest.approx(-1.0)
+    h = HamiltonianSum(1, [(1.0, "Z"), (1.0, "X")])
     assert min_eig(h).value == pytest.approx(-np.sqrt(2.0), abs=1e-14)
 
 
@@ -83,7 +83,7 @@ def test_iterative_byte_ceiling_checked_before_allocation(monkeypatch):
     # 65 distinct flip masks x 2^20 doubles = 520 MiB, over the 512 MiB ceiling
     n = 20
     terms = [(1.0, format(x, f"0{n}b").replace("0", "I").replace("1", "X")) for x in range(65)]
-    h = HamiltonianSum.from_terms(n, terms)
+    h = HamiltonianSum(n, terms)
     assert h.flip_count() * (1 << n) * 8 > ITERATIVE_BYTE_CEILING
 
     def no_build(*args):
@@ -98,8 +98,8 @@ def test_apply_byte_ceiling_checked_before_allocation(monkeypatch):
     # the 65-mask sum above: apply builds the same CSR matrix, so it is held
     # to the same ceiling, with the same message
     n = 20
-    h = HamiltonianSum.from_terms(n, [(1.0, format(x, f"0{n}b").replace("0", "I").replace("1", "X"))
-                                      for x in range(65)])
+    h = HamiltonianSum(n, [(1.0, format(x, f"0{n}b").replace("0", "I").replace("1", "X"))
+                           for x in range(65)])
 
     def no_build(*args):
         raise AssertionError("flip diagonals built before the ceiling check")
@@ -125,9 +125,9 @@ def test_iterative_byte_ceiling_counts_the_column_index(monkeypatch):
 
     monkeypatch.setattr(pinq.pauli, "_stacked_diagonals", no_build)
     with pytest.raises(ResourceLimitError):
-        min_eig(HamiltonianSum.from_terms(n, [(1.0, lbl) for lbl in labels]), method="iterative")
+        min_eig(HamiltonianSum(n, [(1.0, lbl) for lbl in labels]), method="iterative")
     with pytest.raises(Built):
-        min_eig(HamiltonianSum.from_terms(n, [(1.0, lbl) for lbl in labels[:42]]), method="iterative")
+        min_eig(HamiltonianSum(n, [(1.0, lbl) for lbl in labels[:42]]), method="iterative")
 
 
 @pytest.mark.parametrize("n, terms", [
@@ -141,7 +141,7 @@ def test_zero_operator_has_energy_zero_without_arpack(monkeypatch, n, terms):
 
     monkeypatch.setattr(pinq.spectral, "eigsh", no_arpack)
     monkeypatch.setattr(pinq.spectral, "eigs", no_arpack)
-    res = min_eig(HamiltonianSum.from_terms(n, terms), method="iterative")
+    res = min_eig(HamiltonianSum(n, terms), method="iterative")
     assert (res.value, res.residual, res.iterations, res.blocks) == (0.0, 0.0, 0, 0)
     assert np.linalg.norm(res.vector) == 1.0
 
@@ -151,7 +151,7 @@ def test_other_arpack_errors_map_to_convergence_error(monkeypatch):
         raise ArpackError(-9)
 
     monkeypatch.setattr(pinq.spectral, "eigsh", refused)
-    h = HamiltonianSum.from_terms(3, [(1.0, "XII"), (0.5, "ZZI"), (0.2, "IIZ")])
+    h = HamiltonianSum(3, [(1.0, "XII"), (0.5, "ZZI"), (0.2, "IIZ")])
     with pytest.raises(ConvergenceError):
         min_eig(h, method="iterative")
 
@@ -161,7 +161,7 @@ def test_arpack_no_convergence_maps_to_convergence_error(monkeypatch):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
     monkeypatch.setattr(pinq.spectral, "eigsh", stalled)
-    h = HamiltonianSum.from_terms(3, [(1.0, "XII"), (0.5, "ZZI"), (0.2, "IIZ")])
+    h = HamiltonianSum(3, [(1.0, "XII"), (0.5, "ZZI"), (0.2, "IIZ")])
     with pytest.raises(ConvergenceError):
         min_eig(h, method="iterative")
 
@@ -176,7 +176,7 @@ def test_iterative_is_deterministic():
 
 
 def test_min_eig_rejects_an_unknown_method():
-    h = HamiltonianSum.from_terms(1, [(1.0, "Z")])
+    h = HamiltonianSum(1, [(1.0, "Z")])
     with pytest.raises(ValueError, match="unknown method 'x'"):
         min_eig(h, method="x")
 
@@ -200,13 +200,13 @@ def test_pinned_energy_tensor_identity():
     # H (x) I with the extra qubit pinned to |0> has the same minimum as H
     rng = np.random.default_rng(13)
     h = _random_sum(rng, 3)
-    emb = HamiltonianSum.from_terms(4, [(t.coeff, t.string.label() + "I") for t in h.terms])
+    emb = HamiltonianSum(4, [(t.coeff, t.string.label() + "I") for t in h.terms])
     val = pinned_min_energy(emb, PinSpec.of((3, "0"))).value
     assert val == pytest.approx(min_eig(h).value, abs=1e-12)
 
 
 def test_pinned_energy_full_pin_is_expectation():
-    h = HamiltonianSum.from_terms(2, [(0.4, "ZX"), (0.6, "XI")])
+    h = HamiltonianSum(2, [(0.4, "ZX"), (0.6, "XI")])
     pin = PinSpec.of((0, "+"), (1, "-"))
     val = pinned_min_energy(h, pin).value
     state = pin_state_vector(pin)
@@ -215,7 +215,7 @@ def test_pinned_energy_full_pin_is_expectation():
 
 
 def test_promise_decide_branches():
-    h = HamiltonianSum.from_terms(1, [(1.0, "Z")])  # pinned min with |1>: -1
+    h = HamiltonianSum(1, [(1.0, "Z")])  # pinned min with |1>: -1
     pin = PinSpec.of((0, "1"))
     assert promise_decide(h, pin, PromiseBounds(-0.9, 0.0)) == YES
     assert promise_decide(h, pin, PromiseBounds(-2.0, -1.5)) == NO
@@ -224,14 +224,14 @@ def test_promise_decide_branches():
 
 def test_lanczos_handles_degenerate_spectrum():
     # heavily degenerate: single ZZ on 6 qubits
-    h = HamiltonianSum.from_terms(6, [(1.0, "ZZIIII")])
+    h = HamiltonianSum(6, [(1.0, "ZZIIII")])
     assert min_eig(h, method="iterative").value == pytest.approx(-1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("method", ["dense", "iterative"])
 def test_overflowing_residual_is_a_convergence_error(method):
     # entries near 1e200 overflow the residual norm's sum of squares
-    h = HamiltonianSum.from_terms(2, [(1e200, "XX"), (-0.25, "ZZ")])
+    h = HamiltonianSum(2, [(1e200, "XX"), (-0.25, "ZZ")])
     with pytest.raises(ConvergenceError, match="not finite"):
         min_eig(h, method=method)
 
@@ -280,7 +280,7 @@ def test_dense_sectors_match_the_plain_eigh_oracle_at_every_rank(n, complex_term
 
 
 def test_dense_sectors_of_a_diagonal_sum_are_single_states():
-    h = HamiltonianSum.from_terms(5, [(0.7, "ZIZII"), (-0.4, "IZZZI"), (0.2, "IIIIZ"), (-1.1, "ZZIIZ")])
+    h = HamiltonianSum(5, [(0.7, "ZIZII"), (-0.4, "IZZZI"), (0.2, "IIIIZ"), (-1.1, "ZZIIZ")])
     res = _assert_matches_oracle(h, 32)
     assert np.count_nonzero(res.vector) == 1
 
@@ -288,8 +288,8 @@ def test_dense_sectors_of_a_diagonal_sum_are_single_states():
 def test_dense_sectors_of_cancelling_terms():
     # the cancelled X masks still enter the span, which only coarsens the
     # sectors; the matrix itself is diagonal
-    h = HamiltonianSum.from_terms(4, [(1.0, "XXII"), (0.3, "ZIZI"), (-1.0, "XXII"),
-                                      (0.5, "IYIY"), (-0.5, "IYIY"), (-0.8, "IIZZ")])
+    h = HamiltonianSum(4, [(1.0, "XXII"), (0.3, "ZIZI"), (-1.0, "XXII"),
+                           (0.5, "IYIY"), (-0.5, "IYIY"), (-0.8, "IIZZ")])
     _assert_matches_oracle(h, 4)
 
 
@@ -297,7 +297,7 @@ def test_dense_ground_level_degenerate_across_sectors_is_deterministic():
     # X on qubit 0 alone flips, so the sectors are the four values of qubits
     # 1 and 2; -0.5 Z1 Z2 puts the same ground level in labels 00 and 11,
     # and the first, qubits 1 and 2 at 0 (states 0 and 4), is kept
-    h = HamiltonianSum.from_terms(3, [(-1.0, "XII"), (-0.5, "IZZ"), (0.25, "ZII")])
+    h = HamiltonianSum(3, [(-1.0, "XII"), (-0.5, "IZZ"), (0.25, "ZII")])
     first = _assert_matches_oracle(h, 4)
     assert np.flatnonzero(first.vector).tolist() == [0, 4]
     for _ in range(3):

@@ -1,12 +1,14 @@
 """Census of the library surface: every public name has a caller.
 
 Each public function, class and method defined in ``src/pinq/*.py`` must be
-named somewhere in the code of ``src/pinq``, ``demos/`` or ``perfbench/``: as
-a name, an attribute, or a string constant (the benchmark tracer names its
-targets as strings).  The re-exports in ``src/pinq/__init__.py`` are not
-callers, and neither are the tests: a name only a test reads belongs in
-``tests/oracles.py``.  The census reads source text with ``ast`` alone and
-does not import the package.
+read somewhere in the code of ``src/pinq``, ``demos/`` or ``perfbench/``: as
+a name or an attribute that is loaded, or as a string constant (the
+benchmark tracer names its targets as strings).  A name that is only
+assigned, such as a dataclass field of the same name, is not a read.  The
+re-exports in ``src/pinq/__init__.py`` are not callers, and neither are the
+tests: a name only a test reads belongs in ``tests/oracles.py``.  The
+census reads source text with ``ast`` alone and does not import the
+package.
 """
 
 import ast
@@ -34,16 +36,17 @@ def _public_definitions():
                         yield path.stem, f"{node.name}.{item.name}", item.name
 
 
-def _named_in_code():
-    """Every name, attribute and string constant in the code that may call the package."""
+def _read_in_code():
+    """Every loaded name and attribute, and every string constant, in the
+    code that may call the package."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     names = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
@@ -51,11 +54,11 @@ def _named_in_code():
 
 
 def test_every_public_name_has_a_caller():
-    named = _named_in_code()
+    read = _read_in_code()
     orphans = [
         f"{module}.{qualified}"
         for module, qualified, bare in _public_definitions()
-        if bare not in named and bare not in ALLOWED
+        if bare not in read and bare not in ALLOWED
     ]
     assert not orphans, f"public names that no route, demo or benchmark reaches: {orphans}"
 

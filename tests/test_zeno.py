@@ -14,7 +14,7 @@ from pinq.zeno import ZenoProtocol, zeno_evolve, zeno_scaling_sweep
 
 
 def _ham(n, terms):
-    return HamiltonianSum.from_terms(n, terms)
+    return HamiltonianSum(n, terms)
 
 
 def _dense_ref(generator, t, psi0):
@@ -156,7 +156,7 @@ def _random_commuting(rng, n, letters):
         s = PauliString.from_label(label)
         if all(s.commutes_with(PauliString.from_label(kept)) for _, kept in terms):
             terms.append((float(rng.uniform(-1.0, 1.0)), label))
-    return HamiltonianSum.from_terms(n, terms)
+    return HamiltonianSum(n, terms)
 
 
 def _random_stoquastic_pair(rng, n):
@@ -171,7 +171,7 @@ def _random_stoquastic_pair(rng, n):
         label = _random_label(rng, n, "IX")
         if "X" in label:
             flips.append((-float(rng.uniform(0.1, 1.0)), label))
-    a = HamiltonianSum.from_terms(n, diag + flips[:n])
+    a = HamiltonianSum(n, diag + flips[:n])
     blocks = [[term] for term in flips[n:]]
     if n >= 2:
         q = int(rng.integers(n - 1))
@@ -336,7 +336,7 @@ def _mixed_commuting(rng, n):
         s = PauliString.from_label(label)
         if all(s.commutes_with(PauliString.from_label(kept)) for _, kept in terms):
             terms.append((float(rng.uniform(-1.0, 1.0)), label))
-    return HamiltonianSum.from_terms(n, terms)
+    return HamiltonianSum(n, terms)
 
 
 def _assert_matches_register_oracle(a, b, t, psi0, steps=(1, 6, 40)):
@@ -377,7 +377,7 @@ def test_grouped_generator_takes_local_propagators():
         [(0.5, "ZII"), (0.3, "IYI"), (-0.5, "ZIZ")],
         [(-0.8, "IIZ")],
     ])
-    b = HamiltonianSum.from_terms(3, [(0.7, "XXI"), (0.4, "IXX"), (0.5, "ZZZ")])
+    b = HamiltonianSum(3, [(0.7, "XXI"), (0.4, "IXX"), (0.5, "ZZZ")])
     prop = pinq.zeno._CommutingPropagator(a)
     assert sorted(supp for supp, _, _ in prop.local) == [(0, 1, 2), (0, 2)]
     assert not prop.masks and prop.diag is not None
