@@ -56,6 +56,7 @@ from .pauli import (
     is_commuting,
     is_permutation,
     is_stoquastic,
+    matrix_checks,
 )
 from .pinning import (
     PinSpec,

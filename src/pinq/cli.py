@@ -40,7 +40,7 @@ from .io import (
     load_state,
     save_hamiltonian,
 )
-from .pauli import is_commuting, is_permutation, is_stoquastic
+from .pauli import is_commuting, matrix_checks
 from .pinning import (
     PinSpec,
     PinState,
@@ -109,14 +109,14 @@ _PROPERTIES = ("stoquastic", "commuting", "permutation")
 
 
 def _cmd_check(args, t0) -> int:
-    wanted = [w.strip() for w in args.expect.split(",")] if args.expect else []
+    # an empty --expect names the empty property, which is unknown
+    wanted = [w.strip() for w in args.expect.split(",")] if args.expect is not None else []
     unknown = [w for w in wanted if w not in _PROPERTIES]
     if unknown:
         raise ParseError(None, f"--expect names unknown properties {unknown}; valid: {', '.join(_PROPERTIES)}")
     h = load_hamiltonian(args.file)
-    stoq = is_stoquastic(h, termwise=not args.assembled, tol=args.tol)
+    stoq, perm = matrix_checks(h, termwise=not args.assembled, tol=args.tol)
     comm = is_commuting(h)
-    perm = is_permutation(h, termwise=not args.assembled, tol=args.tol)
     payload = {
         "qubits": h.n,
         "terms": len(h.terms),

@@ -46,8 +46,13 @@ Conventions used throughout the package:
   (``pinning.stoquastic_pin``, ``gscon.build_stoquastic_gscon``) build
   from it.
 * ``_apply_local`` applies a 2^w x 2^w matrix to w qubits of a state.
-* Commutation is exact (``is_commuting``): a string of weight 0 commutes
+* Commutation is exact (``is_commuting``): every weight is an integer or a
+  binary float, so a dyadic rational, and the commutator of two groups is
+  summed in integers over one power of two; a string of weight 0 commutes
   with every other.
+* One pass over the stacks serves both matrix scans (``matrix_checks``):
+  the stoquastic offenders and the permutation defects are read from each
+  stack as it is built, so ``check`` builds each stack once.
 * Every form maps each string's masks to the state-index bits of a support
   by a table of its qubits (``_local_strings``, ``_support_bits``), and
   ``_stacked_diagonals`` sums the strings into the diagonal rows.
@@ -55,8 +60,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
 import numpy as np
@@ -81,6 +86,8 @@ _INDEX_BITS = 31
 # rows of a tile at the least: 8 entries of one (2^n, #flips) row fill a
 # 64-byte cache line
 _BLOCK_ROWS = 8
+# the weight types of a term: each is real, and a dyadic rational m / 2^e
+_REAL_WEIGHTS = (int, float, np.floating)
 
 _LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 # a label's X and Z bits as binary digits, and the label without its letters
@@ -181,7 +188,9 @@ class PauliTerm:
     string: PauliString
 
     def __post_init__(self):
-        if not np.isfinite(self.coeff):
+        if not isinstance(self.coeff, _REAL_WEIGHTS):
+            raise TypeError(f"term coefficient must be a real number, not {type(self.coeff).__name__}")
+        if not math.isfinite(self.coeff):
             raise ValueError("term coefficient must be finite")
 
 
@@ -710,19 +719,24 @@ def _offdiag_offenders(part, flips, diags, count: int, tol: float) -> list:
     return hits
 
 
-def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> StoquasticReport:
-    """Check for non-positive off-diagonal entries in the computational basis.
-
-    ``termwise`` checks every group's matrix on its own support; otherwise the
-    fully assembled matrix is checked.  Across groups the larger real part
-    wins, the earlier group on ties.  Always returns a report.
-    """
+def _scan_stacks(h: HamiltonianSum, termwise: bool, tol: float, *scans) -> list:
+    """Run each scan on every stack of ``h`` as it is built, each group's
+    stack (with ``termwise``) or the whole-register one, so that a stack is
+    built once whatever the number of scans.  A scan maps (part, flips,
+    diags, count, tol) to one finding or None per part; returns, per scan,
+    the parts' findings that are not None, by part index."""
     _check_tol(tol)
-    hits = {}
+    found = [{} for _ in scans]
     for members, part, flips, diags in _local_flip_forms(h, ITERATIVE_QUBIT_CEILING, "iterative", not termwise):
-        for gi, hit in zip(members, _offdiag_offenders(part, flips, diags, len(members), tol)):
-            if hit is not None:
-                hits[gi] = hit
+        for out, scan in zip(found, scans):
+            for gi, finding in zip(members, scan(part, flips, diags, len(members), tol)):
+                if finding is not None:
+                    out[gi] = finding
+    return found
+
+
+def _stoquastic_report(hits: dict, termwise: bool) -> StoquasticReport:
+    """The report of the offenders ``_offdiag_offenders`` found, by group."""
     worst = None
     for gi in sorted(hits):
         hit = hits[gi]
@@ -733,43 +747,64 @@ def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> Stoquast
     return StoquasticReport(False, *worst)
 
 
-def _groups_commute_exact(h: HamiltonianSum, g1, g2) -> bool:
-    """Exact zero test of the commutator of two group operators.
+def is_stoquastic(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> StoquasticReport:
+    """Check for non-positive off-diagonal entries in the computational basis.
+
+    ``termwise`` checks every group's matrix on its own support; otherwise the
+    fully assembled matrix is checked.  Across groups the larger real part
+    wins, the earlier group on ties.  Always returns a report.
+    """
+    hits, = _scan_stacks(h, termwise, tol, _offdiag_offenders)
+    return _stoquastic_report(hits, termwise)
+
+
+def _dyadic_terms(h: HamiltonianSum, g) -> list:
+    """(string, m) of each term of the group ``g`` of ``h``, in order: its
+    weight is m / 2^e, with one e for the whole group.  A weight is a dyadic
+    rational, m' / 2^d by ``as_integer_ratio``, and m is m' shifted to the
+    group's largest denominator 2^e."""
+    ratios = [h.terms[i].coeff.as_integer_ratio() for i in g]
+    top = max((den.bit_length() for _, den in ratios), default=1)
+    return [(h.terms[i].string, m << (top - den.bit_length())) for i, (m, den) in zip(g, ratios)]
+
+
+def _groups_commute_exact(left, right) -> bool:
+    """Exact zero test of the commutator of two group operators, each given
+    by its ``_dyadic_terms``.
 
     Anticommuting string pairs contribute 2*c*d*i^k to the product string,
     with k = 1 or 3: the product of two anticommuting strings carries +-i,
-    so only its imaginary part is kept.  Accumulation is done in rational
-    arithmetic (floats embed exactly), so the verdict needs no
-    floating-point tolerance.
+    so only its imaginary part is kept.  Each contribution is an integer
+    times 2 over the product of the two groups' powers of two, so the sums
+    are of exact integers, with that common factor left out, and the
+    verdict needs no floating-point tolerance.
     """
     acc = {}
-    for i in g1:
-        ti = h.terms[i]
-        for j in g2:
-            tj = h.terms[j]
-            if ti.string.commutes_with(tj.string):
+    for s, a in left:
+        for t, b in right:
+            if s.commutes_with(t):
                 continue
-            prod, k = ti.string.compose(tj.string)
-            c = 2 * Fraction(ti.coeff) * Fraction(tj.coeff)
+            prod, k = s.compose(t)
             key = (prod.x, prod.z)
-            acc[key] = acc.get(key, 0) + (c if k == 1 else -c)
-    return all(v == 0 for v in acc.values())
+            acc[key] = acc.get(key, 0) + (a * b if k == 1 else -a * b)
+    return not any(acc.values())
 
 
 def is_commuting(h: HamiltonianSum) -> CommutingReport:
     """Pairwise commutation over groups; exact, no floating-point tolerance.
 
     A pair of single strings that commute by the symplectic form is
-    accepted at once; every other pair is decided by the exact rational
-    commutator, in which a zero weight contributes nothing.
+    accepted at once; every other pair is decided by the exact commutator,
+    summed in dyadic integers, in which a zero weight contributes nothing.
     """
     groups = h.group_indices()
+    dyadic = [_dyadic_terms(h, g) for g in groups]
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
             gi, gj = groups[i], groups[j]
             if len(gi) == 1 and len(gj) == 1 and h.terms[gi[0]].string.commutes_with(h.terms[gj[0]].string):
                 continue
-            if not _groups_commute_exact(h, gi, gj):
+            if not _groups_commute_exact(dyadic[i], dyadic[j]):
                 return CommutingReport(False, (i, j))
     return CommutingReport(True)
 
@@ -813,16 +848,25 @@ def _permutation_defects(part, flips, diags, count: int, tol: float) -> list:
     return reasons
 
 
-def is_permutation(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> PermutationReport:
-    """Check that each group's matrix (with ``termwise``, on its own support)
-    or the assembled matrix is a 0/1 permutation."""
-    _check_tol(tol)
-    failed = {}
-    for members, part, flips, diags in _local_flip_forms(h, ITERATIVE_QUBIT_CEILING, "iterative", not termwise):
-        for gi, reason in zip(members, _permutation_defects(part, flips, diags, len(members), tol)):
-            if reason is not None:
-                failed[gi] = reason
+def _permutation_report(failed: dict, termwise: bool) -> PermutationReport:
+    """The report of the defects ``_permutation_defects`` found, by group:
+    the first group's."""
     if not failed:
         return PermutationReport(True)
     gi = min(failed)
     return PermutationReport(False, failed[gi], gi if termwise else None)
+
+
+def is_permutation(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> PermutationReport:
+    """Check that each group's matrix (with ``termwise``, on its own support)
+    or the assembled matrix is a 0/1 permutation."""
+    failed, = _scan_stacks(h, termwise, tol, _permutation_defects)
+    return _permutation_report(failed, termwise)
+
+
+def matrix_checks(h: HamiltonianSum, termwise=True, tol=DEFAULT_TOL) -> tuple:
+    """``(is_stoquastic(h, termwise, tol), is_permutation(h, termwise, tol))``
+    from one pass: both scans read each stack as it is built, so every
+    stack is built once for the two reports."""
+    hits, failed = _scan_stacks(h, termwise, tol, _offdiag_offenders, _permutation_defects)
+    return _stoquastic_report(hits, termwise), _permutation_report(failed, termwise)

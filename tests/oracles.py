@@ -6,13 +6,14 @@ paths: Pauli-sum matrices come from per-qubit Pauli action, term by term
 expectations from dense Jordan-Wigner operators in Fock space.  The
 generic free-fermion endpoints used by several suites are built here too,
 with the canonical factor and conjugation of a covariance matrix, and so
-are the amplitudes of a pin state, the product state of a pin list, the
-letter-by-letter reading of a Pauli label and the strict JSON reader that
-CLI reports are held to.
+are the exact rational commutator of two groups, the amplitudes of a pin
+state, the product state of a pin list, the letter-by-letter reading of a
+Pauli label and the strict JSON reader that CLI reports are held to.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -184,6 +185,28 @@ def commuting_report(n, terms, groups):
             if np.any(mats[i] @ mats[j] - mats[j] @ mats[i]):
                 return False, (i, j)
     return True, None
+
+
+def groups_commute_rational(h, g1, g2):
+    """Exact zero test of the commutator of the groups ``g1`` and ``g2`` of a
+    ``HamiltonianSum``, in rational arithmetic.
+
+    Anticommuting string pairs contribute 2*c*d*i^k to the product string,
+    with k = 1 or 3, so only the imaginary part is kept; each weight is read
+    as a ``Fraction``, in which a float embeds exactly.
+    """
+    acc = {}
+    for i in g1:
+        ti = h.terms[i]
+        for j in g2:
+            tj = h.terms[j]
+            if ti.string.commutes_with(tj.string):
+                continue
+            prod, k = ti.string.compose(tj.string)
+            c = 2 * Fraction(ti.coeff) * Fraction(tj.coeff)
+            key = (prod.x, prod.z)
+            acc[key] = acc.get(key, 0) + (c if k == 1 else -c)
+    return all(v == 0 for v in acc.values())
 
 
 def gate_matrix(n, u, targets):

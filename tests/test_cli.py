@@ -17,6 +17,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import pinq.cli
 import pinq.ffgauss
 import pinq.gscon
+import pinq.io
 import pinq.pauli
 import pinq.pinning
 import pinq.spectral
@@ -68,19 +69,42 @@ def test_check_non_finite_or_negative_tol_exit_2(tmp_path, capsys, tol, assemble
     assert "tolerance" in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("expect", ["stoq", "stoquastic,", "commuting,,permutation", "Commuting"])
+@pytest.mark.parametrize("expect", ["stoq", "stoquastic,", "commuting,,permutation", "Commuting", ""])
 def test_check_expect_unknown_property_exit_2(tmp_path, capsys, monkeypatch, expect):
     # a typo or an empty entry is a usage error, found before any check runs
     def no_check(*args, **kwargs):
         raise AssertionError("check ran before --expect was validated")
 
-    for name in ("is_stoquastic", "is_commuting", "is_permutation"):
+    for name in ("matrix_checks", "is_commuting"):
         monkeypatch.setattr(pinq.cli, name, no_check)
+    # the one pass that builds a stack for either matrix check
+    monkeypatch.setattr(pinq.pauli, "_scan_stacks", no_check)
     f = _write(tmp_path, "h.txt", "qubits 1\n-1 X\n")
     code = main(["check", f, "--expect", expect])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "stoquastic, commuting, permutation" in captured.err and "Traceback" not in captured.err
+
+
+def test_check_builds_each_flip_form_stack_once(tmp_path, capsys, monkeypatch):
+    # both matrix scans of ``check`` read one build of each group stack, or
+    # with --assembled of the one whole-register stack
+    text = "qubits 3\n-1 XII\n0.5 ZZI\n-0.5 ZXI\n0.25 IYZ\n-1 XXX\n#!group 0\n#!group 1 2\n#!group 3\n#!group 4\n"
+    f = _write(tmp_path, "h.txt", text)
+    stacks = len(list(pinq.pauli._local_flip_forms(pinq.io.load_hamiltonian(f))))
+    assert stacks >= 3
+    calls = {}
+    for name in ("_stacked_diagonals", "_whole_flip_form"):
+        def counted(*args, _name=name, _build=getattr(pinq.pauli, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _build(*args)
+
+        monkeypatch.setattr(pinq.pauli, name, counted)
+    for flags, want in (((), {"_stacked_diagonals": stacks}),
+                        (("--assembled",), {"_whole_flip_form": 1, "_stacked_diagonals": 1})):
+        calls.clear()
+        code, _ = _run(capsys, "check", f, *flags)
+        assert code == 0 and calls == want
 
 
 def test_check_expect_strips_spaces(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Core Pauli-sum representation: matrices, commutation, structure checks."""
 
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     commuting_report,
     flip_diagonals,
     group_norms,
+    groups_commute_rational,
     label_masks,
     pauli_entry,
     pauli_matrix,
@@ -31,6 +33,7 @@ from pinq.pauli import (
     is_commuting,
     is_permutation,
     is_stoquastic,
+    matrix_checks,
     projector_terms,
     sign_pieces,
 )
@@ -550,6 +553,97 @@ def test_is_commuting_matches_dense_commutator_oracle(seed):
         assert astuple(is_commuting(h)) == commuting_report(n, terms, h.group_indices())
 
 
+# weights at the ends of the double range, 2^-1074 * 2^1023 = 2^-51 among
+# them, a weight and its neighbour one bit above, and zeros of both signs
+_EXTREME_WEIGHTS = (5e-324, -5e-324, 2**-1074 * 2**1023, 1e-300, -1e-300, 1e300, -1e300, 0.1,
+                    float(np.nextafter(0.1, 1.0)), -0.75, 3.0, 0.0, -0.0)
+
+
+def _commutator_case(seed):
+    """A seeded grouped sum on a pin qubit 0 and 1..3 more, of three kinds
+    of groups (the strings over IXYZ, the weights from ``_EXTREME_WEIGHTS``):
+    single strings; commuting-pin gadgets c * A (I + P) / 2 and
+    d * B (I - P) / 2, whose commutator cancels exactly across the two
+    groups (P on qubit 0), where a near-miss moves one weight by its last
+    bit; and one string S split as w S + w 2^-k S - (w + w 2^-k) S, whose
+    weights have different denominators and cancel exactly unless the
+    last sum rounds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+
+    def weight():
+        return float(rng.choice(_EXTREME_WEIGHTS))
+
+    def string():
+        return PauliString.from_label("I" + "".join(rng.choice(list("IXYZ"), n - 1)))
+
+    pin = PauliString.from_label(str(rng.choice(list("XYZ"))) + "I" * (n - 1))
+    blocks = []
+    for _ in range(int(rng.integers(2, 5))):
+        kind = rng.random()
+        if kind < 0.3:
+            blocks.append([PauliTerm(weight(), string())])
+        elif kind < 0.5:
+            w, s = weight(), string()
+            part = w * 2.0 ** -int(rng.integers(1, 60))
+            blocks.append([PauliTerm(w, s), PauliTerm(part, s), PauliTerm(-(w + part), s)])
+        else:
+            for sign in (1, -1):
+                a = string()
+                block = projector_terms(n, weight(), a.x, a.z, sign, pin.x, pin.z)
+                if rng.random() < 0.3:
+                    k = int(rng.integers(2))
+                    c = block[k].coeff
+                    block[k] = PauliTerm(float(np.nextafter(c, np.inf)), block[k].string)
+                blocks.append(block)
+    return HamiltonianSum.from_groups(n, blocks)
+
+
+def _exact_commutator(h, g1, g2):
+    return pinq.pauli._groups_commute_exact(pinq.pauli._dyadic_terms(h, g1), pinq.pauli._dyadic_terms(h, g2))
+
+
+def test_exact_commutator_matches_the_rational_oracle():
+    # every pair of groups of every case, against the Fraction sums; the
+    # cases hold both verdicts, and both phases k = 1 and k = 3
+    verdicts, phases = set(), set()
+    for seed in range(300):
+        h = _commutator_case(seed)
+        groups = h.group_indices()
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                got = _exact_commutator(h, groups[a], groups[b])
+                assert got == groups_commute_rational(h, groups[a], groups[b]), (seed, a, b)
+                verdicts.add(got)
+        for s in h.terms:
+            for t in h.terms:
+                if not s.string.commutes_with(t.string):
+                    phases.add(s.string.compose(t.string)[1])
+    assert verdicts == {True, False} and phases == {1, 3}
+
+
+@pytest.mark.parametrize("c, ys, commute", [
+    (5e-324, (5e-324, 5e-324), False),  # the product underflows a double, not an integer
+    (2**-1074 * 2**1023, (-1e300, -1e300), False),
+    (1e-300, (1e300, 1e300), False),
+    (1e300, (1e300, -1e300), True),
+    (5e-324, (1e300, -1e300), True),
+    (0.0, (1e300, 1e300), True),
+    # split weights of different denominators that cancel exactly
+    (1e-300, (2.0**-1074, 2.0**-1073, -3 * 2.0**-1074), True),
+    (1e300, (0.75, 2.0**-40, -(0.75 + 2.0**-40)), True),
+    # the double 0.1 + 0.2 rounds: the three weights miss zero
+    (1e300, (0.1, 0.2, -(0.1 + 0.2)), False),
+])
+def test_exact_commutator_at_the_ends_of_the_double_range(c, ys, commute):
+    # c X on group 0 against (sum of ys) Y on group 1
+    h = HamiltonianSum(1, [(c, "X"), *((y, "Y") for y in ys)], ((0,), tuple(range(1, 1 + len(ys)))))
+    g = h.group_indices()
+    assert _exact_commutator(h, *g) is commute
+    assert groups_commute_rational(h, *g) is commute
+    assert is_commuting(h).verdict is commute
+
+
 # ---------------------------------------------------------------------------
 # stoquasticity
 # ---------------------------------------------------------------------------
@@ -605,7 +699,7 @@ def test_is_permutation_examples():
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
-@pytest.mark.parametrize("check", [is_stoquastic, is_permutation])
+@pytest.mark.parametrize("check", [is_stoquastic, is_permutation, matrix_checks])
 def test_checks_refuse_bad_tolerance_before_any_build(monkeypatch, check, tol):
     def no_build(*args, **kwargs):
         raise AssertionError("a stack was built")
@@ -694,6 +788,9 @@ def test_structural_checks_match_dense_oracle(case):
         assert astuple(is_stoquastic(h, termwise=not assembled)) == want
         want = permutation_report(n, terms, h.group_indices(), assembled)
         assert astuple(is_permutation(h, termwise=not assembled)) == want
+        # the one pass gives both reports
+        both = (is_stoquastic(h, termwise=not assembled), is_permutation(h, termwise=not assembled))
+        assert matrix_checks(h, termwise=not assembled) == both
 
 
 def test_stoquastic_ties_go_to_first_group_and_first_entry():
@@ -904,6 +1001,27 @@ def test_term_y_flagging():
     t = PauliTerm(1.0, PauliString.from_label("XY"))
     assert t.string.has_y
     assert not PauliTerm(1.0, PauliString.from_label("XZ")).string.has_y
+
+
+@pytest.mark.parametrize("coeff", [1 + 1j, 1j, complex(2.0), np.complex128(1.0), np.complex64(0.5)])
+def test_term_refuses_a_complex_weight(coeff):
+    # refused as a type, before any conversion could warn and drop the
+    # imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="must be a real number"):
+            PauliTerm(coeff, PauliString(1, 1, 0))
+
+
+@pytest.mark.parametrize("coeff", [2, -0.5, True, np.float64(0.25), np.float32(-0.75)])
+def test_term_takes_a_real_weight(coeff):
+    assert PauliTerm(coeff, PauliString(1, 1, 0)).coeff == coeff
+
+
+@pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan, np.float32("nan")])
+def test_term_refuses_a_non_finite_weight(coeff):
+    with pytest.raises(ValueError, match="finite"):
+        PauliTerm(coeff, PauliString(1, 1, 0))
 
 
 def test_merged_collects_duplicates():
